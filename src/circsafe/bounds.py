@@ -35,6 +35,7 @@ from .interp import (
     TermDef,
     Zero,
     eval_term,
+    is_bearing,
 )
 from .kernel import length
 
@@ -177,22 +178,6 @@ class BoundPair:
 # Synthesis
 
 
-def _bearing(term: Term) -> bool:
-    if isinstance(term, (OracleCall, Call)):
-        return True
-    for f in getattr(term, "__dataclass_fields__", {}):
-        v = getattr(term, f)
-        if isinstance(v, Term) and _bearing(v):
-            return True
-        if isinstance(v, tuple):
-            for x in v:
-                if isinstance(x, Term) and _bearing(x):
-                    return True
-                if isinstance(x, tuple) and any(isinstance(y, Term) and _bearing(y) for y in x):
-                    return True
-    return False
-
-
 INITIAL = BoundPair(badd(Const(1), Var()), 1)
 
 
@@ -228,7 +213,7 @@ def synthesize_bound(term: Term) -> BoundPair:
         for a in term.safe_args:
             s = synthesize_bound(a)
             e = badd(e, s.e)
-            if _bearing(a):
+            if is_bearing(a):
                 d += s.d  # a call fed into a call: nesting
         for a in term.normal_args:
             s = synthesize_bound(a)
@@ -236,7 +221,7 @@ def synthesize_bound(term: Term) -> BoundPair:
         return BoundPair(e, d)
     if isinstance(term, CompSafe):
         h, g = synthesize_bound(term.h), synthesize_bound(term.g)
-        hb, gb = _bearing(term.h), _bearing(term.g)
+        hb, gb = is_bearing(term.h), is_bearing(term.g)
         if hb and gb:
             d = h.d + g.d
         elif hb:
@@ -254,7 +239,7 @@ def synthesize_bound(term: Term) -> BoundPair:
         h0 = synthesize_bound(term.h0)
         h1 = synthesize_bound(term.h1)
         step_e = badd(badd(badd(Const(1), Var()), g.e), badd(h0.e, h1.e))
-        step_d = max(g.d, h0.d + (1 if _bearing(term.h0) else 0), h1.d + (1 if _bearing(term.h1) else 0))
+        step_d = max(g.d, h0.d + (1 if is_bearing(term.h0) else 0), h1.d + (1 if is_bearing(term.h1) else 0))
         return _recursion_bound(BoundPair(step_e, step_d))
     if isinstance(term, SNRec):
         g = synthesize_bound(term.g)
@@ -341,8 +326,15 @@ def sample_inputs(rng: random.Random, m: int, n: int, total_bits: int = 16) -> t
     return xs, ys
 
 
-def _check_one(td: TermDef, pair: BoundPair, constants: Sequence[int], xs: list[int], ys: list[int]):
-    value = eval_term(td.body, None, xs, ys)
+def _check_one(
+    td: TermDef,
+    pair: BoundPair,
+    constants: Sequence[int],
+    xs: list[int],
+    ys: list[int],
+    env: Optional[OracleEnv] = None,
+):
+    value = eval_term(td.body, env, xs, ys)
     n = sum(length(x) for x in xs)
     bound = beval(pair.e, n) + pair.d * sum(constants) + max(
         [length(y) for y in ys], default=0
@@ -383,14 +375,7 @@ def verify_bound(
         for i in range(samples):
             ordered.append(results_by_chunk[i % workers][i // workers])
     else:
-        ordered = []
-        for xs, ys in drawn:
-            value = eval_term(td.body, env, xs, ys)
-            n = sum(length(x) for x in xs)
-            bound = beval(pair.e, n) + pair.d * sum(constants) + max(
-                [length(y) for y in ys], default=0
-            )
-            ordered.append((bound - length(value), length(value), bound))
+        ordered = [_check_one(td, pair, constants, xs, ys, env) for xs, ys in drawn]
     max_slack: Optional[int] = None
     violations: list[dict] = []
     for (xs, ys), (slack, vlen, bound) in zip(drawn, ordered):

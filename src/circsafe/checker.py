@@ -10,56 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .kernel import ProofGraph, RuleKind, validate_graph
-
-
-def sccs(adj: dict[str, tuple[str, ...]]) -> list[list[str]]:
-    """Tarjan's algorithm, iterative; components in reverse topological order."""
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on: set[str] = set()
-    stack: list[str] = []
-    comps: list[list[str]] = []
-    counter = [0]
-
-    for start in sorted(adj):
-        if start in index:
-            continue
-        work: list[tuple[str, int]] = [(start, 0)]
-        while work:
-            node, pi = work[-1]
-            if pi == 0:
-                index[node] = low[node] = counter[0]
-                counter[0] += 1
-                stack.append(node)
-                on.add(node)
-            succs = [p for p in adj.get(node, ()) if p in adj]
-            advanced = False
-            for j in range(pi, len(succs)):
-                w = succs[j]
-                if w not in index:
-                    work[-1] = (node, j + 1)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if w in on:
-                    low[node] = min(low[node], index[w])
-            if advanced:
-                continue
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on.discard(w)
-                    comp.append(w)
-                    if w == node:
-                        break
-                comps.append(sorted(comp))
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-    return comps
+from .kernel import ProofGraph, RuleKind, sccs, validate_graph
 
 
 def _cyclic_sccs(adj: dict[str, tuple[str, ...]]) -> list[list[str]]:

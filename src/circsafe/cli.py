@@ -72,24 +72,12 @@ def _write_out(path: Optional[str], data: str) -> None:
 
 def cmd_check(args: argparse.Namespace) -> int:
     graph = _load_proof(args.file)
-    errors = validate_graph(graph)
-    if errors:
-        report = {
-            "name": graph.name,
-            "valid": False,
-            "safe": False,
-            "left_leaning": False,
-            "progressing": "unknown",
-            "class": "none",
-            "diagnostics": [str(e) for e in errors],
-        }
-        if args.json:
-            _write_out(args.json, json.dumps(report, indent=2, sort_keys=True) + "\n")
-        print(f"{graph.name}: invalid ({errors[0]})")
-        return BAD_INPUT
     cls = classify(graph)
     if args.json:
         _write_out(args.json, classification_json(cls))
+    if not cls.valid:
+        print(f"{graph.name}: invalid ({cls.diagnostics[0]})")
+        return BAD_INPUT
     wanted = {"cb": ("CB",), "cnb": ("CB", "CNB"), "bminus": None}[args.system]
     print(
         f"{cls.name}: valid safe={cls.safe} left_leaning={cls.left_leaning} "

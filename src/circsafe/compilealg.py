@@ -27,6 +27,7 @@ from .interp import (
     Term,
     TermDef,
     check_term_class,
+    children,
 )
 from .transform import ShapeViolation, pass_parameters
 
@@ -68,10 +69,7 @@ class _Graph:
         self.nodes[nid] = Node(rule, self.nodes[nid].sequent, premises)
 
     def graph(self, root: str) -> ProofGraph:
-        g = ProofGraph(self.name, root, dict(self.nodes))
-        keep = set(g.reachable())
-        g.nodes = {k: v for k, v in g.nodes.items() if k in keep}
-        return g
+        return ProofGraph(self.name, root, self.nodes).pruned()
 
 
 def _exchange_up(g: _Graph, kind: RuleKind, seq: Sequent, positions: list[int], inner: str) -> str:
@@ -270,14 +268,8 @@ def _reject_frozen_oracle_under_loop(h: Term, name: str) -> None:
                 "the backedge construction cannot freeze its parameters"
             )
         inner = under or isinstance(t, (SRecN, SNRec))
-        for f in getattr(t, "__dataclass_fields__", {}):
-            v = getattr(t, f)
-            if isinstance(v, Term):
-                scan(v, inner)
-            elif isinstance(v, tuple):
-                for x in v:
-                    if isinstance(x, Term):
-                        scan(x, inner)
+        for c in children(t):
+            scan(c, inner)
 
     scan(h, False)
 
@@ -299,8 +291,7 @@ def term_to_derivation(td: TermDef, oracle_sigs: Optional[dict[str, tuple[int, i
         raise CompileError(f"{td.name} is not in the base algebra: {violations[0]}")
     g = _Graph(td.name + "_deriv")
     root = _compile(g, td.body, td.normals, td.safes, oracle_sigs or {})
-    out = g.graph(root)
-    return out
+    return g.graph(root)
 
 
 def srec_eliminate(graph: ProofGraph) -> ProofGraph:
@@ -330,9 +321,7 @@ def srec_eliminate(graph: ProofGraph) -> ProofGraph:
             out.nodes[k2] = Node(Rule(RuleKind.CUT_N), seq, (nid, h1))
             branches = (base, k1, k2)
         out.nodes[nid] = Node(Rule(RuleKind.COND_B), seq, branches)
-    keep = set(out.reachable())
-    out.nodes = {k: v for k, v in out.nodes.items() if k in keep}
-    return out
+    return out.pruned()
 
 
 def nb_to_circular(td: TermDef, oracle_sigs: Optional[dict[str, tuple[int, int]]] = None) -> ProofGraph:
@@ -356,19 +345,7 @@ def nb_to_circular(td: TermDef, oracle_sigs: Optional[dict[str, tuple[int, int]]
 
 
 def _assert_no_boxed_cut_to_oracles(graph: ProofGraph) -> None:
-    reach = graph.reachable()
-    radj: dict[str, list[str]] = {x: [] for x in reach}
-    for x in reach:
-        for p in graph.nodes[x].premises:
-            radj[p].append(x)
-    frontier = [x for x in reach if graph.nodes[x].rule.kind is RuleKind.ORACLE]
-    seen = set(frontier)
-    while frontier:
-        x = frontier.pop()
-        for q in radj[x]:
-            if q not in seen:
-                seen.add(q)
-                frontier.append(q)
-    for x in sorted(seen):
+    leaves = [x for x in graph.reachable() if graph.nodes[x].rule.kind is RuleKind.ORACLE]
+    for x in sorted(graph.reaching(leaves)):
         if graph.nodes[x].rule.kind is RuleKind.CUT_B:
             raise ShapeViolation(f"boxed cut at {x} on a path to an oracle leaf")

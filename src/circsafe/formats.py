@@ -33,6 +33,7 @@ from .interp import (
     Term,
     TermDef,
     Zero,
+    map_children,
 )
 
 
@@ -428,8 +429,6 @@ def parse_terms(text: str | bytes) -> TermDocument:
 def _resolve_guards(prog: PPProgram) -> None:
     """Fix up call nodes: '?' guards take the program's kind, and plain
     invocations of program functions become unguarded calls."""
-    from .transform import _map_subterms
-
     def fix(t: Term) -> Term:
         if isinstance(t, Call) and t.guard == "?":
             return Call(
@@ -445,13 +444,13 @@ def _resolve_guards(prog: PPProgram) -> None:
                 tuple(fix(a) for a in t.safe_args),
                 guard=None,
             )
-        return _map_subterms(t, fix)
+        return map_children(t, fix)
 
     for name, fn in list(prog.functions.items()):
         prog.functions[name] = PPFunction(fn.name, fn.normals, fn.safes, fix(fn.body))
 
 
-def serialize_term(term: Term, guard_mark: bool = True) -> str:
+def serialize_term(term: Term) -> str:
     if isinstance(term, Zero):
         return "0"
     if isinstance(term, Proj):

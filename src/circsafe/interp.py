@@ -10,13 +10,15 @@ named functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .kernel import (
     ProofGraph,
     RuleKind,
     TupleOrder,
+    sccs,
     tuple_order,
 )
 
@@ -105,14 +107,6 @@ class OracleEnv:
             return True
         except EvalError:
             return False
-
-    def names(self) -> frozenset[str]:
-        out = set()
-        env = self
-        while env._name is not None:
-            out.add(env._name)
-            env = env._parent
-        return frozenset(out) | frozenset(env._defs)
 
 
 EMPTY_ORACLES = OracleEnv()
@@ -410,6 +404,62 @@ class TermDef:
     body: Term
 
 
+# children and map_children are the one place that knows where each
+# term class keeps its subterms.  children reads them through a getter
+# per class (it is on the bound-synthesis hot path), map_children
+# through the dataclass fields; tests/test_classes.py checks they agree.
+_CHILDREN: dict[type, Callable[[Term], tuple[Term, ...]]] = {
+    Zero: lambda t: (),
+    Proj: lambda t: (),
+    S0: lambda t: (t.t,),
+    S1: lambda t: (t.t,),
+    Pred: lambda t: (t.t,),
+    Cond: attrgetter("w", "x", "y", "z"),
+    OracleCall: lambda t: t.normal_args + t.safe_args,
+    Call: lambda t: t.normal_args + t.safe_args,
+    CompSafe: attrgetter("h", "g"),
+    CompNormal: attrgetter("h", "g"),
+    SRecN: attrgetter("g", "h0", "h1"),
+    SNRec: attrgetter("g", "h"),
+    SRecPP: lambda t: (t.h,),
+    SNRecPP: lambda t: (t.h,),
+    SimRecPP: attrgetter("hs"),
+    TagDispatch: lambda t: tuple([body for _, body in t.cases]),
+}
+
+
+def children(term: Term) -> tuple[Term, ...]:
+    """Immediate subterms in field order.
+
+    Call and OracleCall give their normal then safe arguments, SimRecPP
+    its components, TagDispatch its case bodies (never the tags).
+    """
+    return _CHILDREN[type(term)](term)
+
+
+def map_children(term: Term, f: Callable[[Term], Term]) -> Term:
+    """``term`` rebuilt with ``f`` applied to each of its ``children``.
+
+    Returns ``term`` itself when every ``f`` result is the subterm it
+    was given, so unchanged parts stay shared.
+    """
+    new = {}
+    for name in term.__dataclass_fields__:
+        v = getattr(term, name)
+        if isinstance(v, Term):
+            nv = f(v)
+            if nv is not v:
+                new[name] = nv
+        elif isinstance(v, tuple):
+            olds = [x if isinstance(x, Term) else x[1] for x in v]
+            news = [f(x) for x in olds]
+            if any(a is not b for a, b in zip(olds, news)):
+                new[name] = tuple(
+                    n if isinstance(x, Term) else (x[0], n) for x, n in zip(v, news)
+                )
+    return replace(term, **new) if new else term
+
+
 # ---------------------------------------------------------------------------
 # Term evaluation
 
@@ -685,26 +735,31 @@ class PPProgram:
 
     def validate(self) -> None:
         for fn in self.functions.values():
-            for c in _iter_calls(fn.body):
+            for c in _calls(fn.body):
                 if c.name not in self.functions:
                     raise EvalError(f"{fn.name} calls unknown function {c.name!r}")
                 callee = self.functions[c.name]
                 if len(c.normal_args) != callee.normals or len(c.safe_args) != callee.safes:
                     raise EvalError(f"{fn.name} calls {c.name} with wrong arity")
 
+    def call_graph(self) -> dict[str, tuple[str, ...]]:
+        """Callee names of each function, sorted, for ``kernel.sccs``."""
+        return {
+            nm: tuple(sorted({c.name for c in _calls(fn.body)}))
+            for nm, fn in self.functions.items()
+        }
 
-def _iter_calls(term: Term):
+
+def _calls(term: Term) -> list[Call]:
+    """Every Call inside ``term``, in depth-first order."""
+    out: list[Call] = []
     stack = [term]
     while stack:
         t = stack.pop()
         if isinstance(t, Call):
-            yield t
-        for f in getattr(t, "__dataclass_fields__", {}):
-            v = getattr(t, f)
-            if isinstance(v, Term):
-                stack.append(v)
-            elif isinstance(v, tuple):
-                stack.extend(x for x in v if isinstance(x, Term))
+            out.append(t)
+        stack.extend(children(t))
+    return out
 
 
 def _call_pp(prog: "PPProgram", fname: str, xs: tuple[int, ...], ys: tuple[int, ...], ctx: _Ctx, oracles: OracleEnv) -> int:
@@ -781,49 +836,34 @@ def check_term_class(term, cls: str, *, _peers_bearing: frozenset[str] = frozens
     return violations
 
 
-def _is_bearing(term: Term, peers: frozenset[str]) -> bool:
-    """Does the term invoke any oracle or guarded recursive call?"""
-    if isinstance(term, OracleCall):
-        return True
-    if isinstance(term, Call):
-        if term.guard is not None or term.name in peers:
+def is_bearing(term: Term, peers: Optional[frozenset[str]] = None) -> bool:
+    """Does the term contain an oracle call or a bearing program call?
+
+    With ``peers`` None every Call bears (the bound synthesis reading: a
+    call's output length is unknown).  With a set of names only guarded
+    calls and calls to those peers bear (the class-check reading: plain
+    composition with an earlier function is oracle-free).
+    """
+    stack = [term]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, OracleCall):
             return True
-    for f in getattr(term, "__dataclass_fields__", {}):
-        v = getattr(term, f)
-        if isinstance(v, Term) and _is_bearing(v, peers):
+        if isinstance(t, Call) and (peers is None or t.guard is not None or t.name in peers):
             return True
-        if isinstance(v, tuple):
-            for x in v:
-                if isinstance(x, Term) and _is_bearing(x, peers):
-                    return True
-                if isinstance(x, tuple):  # TagDispatch cases
-                    for y in x:
-                        if isinstance(y, Term) and _is_bearing(y, peers):
-                            return True
+        stack.extend(children(t))
     return False
 
 
 def _uses(term: Term, cls: str, out: list[str], peers: frozenset[str]) -> None:
-    unnested = cls in _UNNESTED
-    pp = cls in _PP
     if isinstance(term, (Zero, Proj)):
         return
-    if isinstance(term, (S0, S1, Pred)):
-        _uses(term.t, cls, out, peers)
-        return
-    if isinstance(term, Cond):
-        # the conditional is an initial function; its branches are parallel
-        for t in (term.w, term.x, term.y, term.z):
-            _uses(t, cls, out, peers)
-        return
-    if isinstance(term, TagDispatch):
-        for _, body in term.cases:
-            _uses(body, cls, out, peers)
-        return
+    unnested = cls in _UNNESTED
+    pp = cls in _PP
     if isinstance(term, (OracleCall, Call)):
         bearing_head = isinstance(term, OracleCall) or term.guard is not None or term.name in peers
         for a in term.normal_args:
-            if _is_bearing(a, peers):
+            if is_bearing(a, peers):
                 out.append(f"oracle-bearing term in normal position of {_name(term)}")
             elif not isinstance(a, (Proj, Zero)) and bearing_head and not pp:
                 out.append(
@@ -832,52 +872,34 @@ def _uses(term: Term, cls: str, out: list[str], peers: frozenset[str]) -> None:
                 )
             _uses(a, cls, out, peers)
         for a in term.safe_args:
-            if bearing_head and unnested and _is_bearing(a, peers):
+            if bearing_head and unnested and is_bearing(a, peers):
                 out.append(f"nested call: oracle-bearing safe argument of {_name(term)}")
             _uses(a, cls, out, peers)
         return
     if isinstance(term, CompSafe):
-        if unnested and _is_bearing(term.h, peers) and _is_bearing(term.g, peers):
+        if unnested and is_bearing(term.h, peers) and is_bearing(term.g, peers):
             out.append("nested safe composition: neither side is oracle-free")
-        _uses(term.h, cls, out, peers)
-        _uses(term.g, cls, out, peers)
-        return
-    if isinstance(term, CompNormal):
-        if _is_bearing(term.g, peers):
+    elif isinstance(term, CompNormal):
+        if is_bearing(term.g, peers):
             out.append("composition along a normal parameter with oracle-using g")
-        if not pp and _is_bearing(term.h, peers):
+        if not pp and is_bearing(term.h, peers):
             out.append(
                 "composition along a normal parameter with oracle-using h "
                 "needs the relaxed rule, absent from this class"
             )
-        _uses(term.h, cls, out, peers)
-        _uses(term.g, cls, out, peers)
-        return
-    if not isinstance(term, _REC_KINDS[cls]) and isinstance(
-        term, (SRecN, SNRec, SRecPP, SNRecPP, SimRecPP)
-    ):
-        out.append(f"{type(term).__name__} is not a recursion scheme of {cls}")
-        # still recurse to surface deeper issues
-    if isinstance(term, SRecN):
-        for t in (term.g, term.h0, term.h1):
-            _uses(t, cls, out, peers)
-        return
-    if isinstance(term, SNRec):
-        if _is_bearing(term.g, peers):
+    elif isinstance(term, (SRecN, SNRec, SRecPP, SNRecPP, SimRecPP)):
+        if not isinstance(term, _REC_KINDS[cls]):
+            # still recurse below to surface deeper issues
+            out.append(f"{type(term).__name__} is not a recursion scheme of {cls}")
+        if isinstance(term, SNRec) and is_bearing(term.g, peers):
             out.append("base case of nested recursion must be oracle-free")
-        _uses(term.g, cls, out, peers)
-        _uses(term.h, cls, out, peers)
-        return
-    if isinstance(term, (SRecPP, SNRecPP)):
-        _uses(term.h, cls, out, peers)
-        return
-    if isinstance(term, SimRecPP):
-        if cls == "Bpp" and not term.guard_safes:
+        if isinstance(term, SimRecPP) and cls == "Bpp" and not term.guard_safes:
             out.append("simultaneous scheme without safe guards is not available here")
-        for t in term.hs:
-            _uses(t, cls, out, peers)
-        return
-    raise ValueError(f"unknown term {term!r}")
+    elif not isinstance(term, Term):
+        raise ValueError(f"unknown term {term!r}")
+    # initial functions, conditional branches and tag cases only recurse
+    for t in children(term):
+        _uses(t, cls, out, peers)
 
 
 def _name(term: Term) -> str:
@@ -888,16 +910,17 @@ def _check_program_class(prog: PPProgram, cls: str) -> list[str]:
     if cls not in _PP:
         return [f"programs with guarded calls live in the pp classes, not {cls}"]
     violations: list[str] = []
-    sccs = _call_sccs(prog)
+    calls = prog.call_graph()
+    comps = sccs(calls)
     comp_of = {}
-    for i, scc in enumerate(sccs):
+    for i, scc in enumerate(comps):
         for nm in scc:
             comp_of[nm] = i
     for fn in prog.functions.values():
         peers = frozenset(
-            nm for nm in sccs[comp_of[fn.name]] if nm != fn.name or _self_recursive(prog, fn.name)
+            nm for nm in comps[comp_of[fn.name]] if nm != fn.name or fn.name in calls[fn.name]
         )
-        for c in _iter_calls(fn.body):
+        for c in _calls(fn.body):
             if c.guard is not None:
                 if cls == "Bpp" and c.guard != "strict_safe":
                     violations.append(f"{fn.name}: call to {c.name} lacks the safe-zone guard")
@@ -909,61 +932,3 @@ def _check_program_class(prog: PPProgram, cls: str) -> list[str]:
             f"{fn.name}: {v}" for v in check_term_class(fn.body, cls, _peers_bearing=peers)
         )
     return violations
-
-
-def _self_recursive(prog: PPProgram, name: str) -> bool:
-    return any(c.name == name for c in _iter_calls(prog.functions[name].body))
-
-
-def _call_sccs(prog: PPProgram) -> list[list[str]]:
-    """Tarjan SCCs of the call graph, in reverse topological order."""
-    graph = {
-        nm: sorted({c.name for c in _iter_calls(fn.body)})
-        for nm, fn in prog.functions.items()
-    }
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on: set[str] = set()
-    stack: list[str] = []
-    out: list[list[str]] = []
-    counter = [0]
-
-    def strong(v: str) -> None:
-        work = [(v, 0)]
-        while work:
-            node, pi = work[-1]
-            if pi == 0:
-                index[node] = low[node] = counter[0]
-                counter[0] += 1
-                stack.append(node)
-                on.add(node)
-            advanced = False
-            for j in range(pi, len(graph[node])):
-                w = graph[node][j]
-                if w not in index:
-                    work[-1] = (node, j + 1)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if w in on:
-                    low[node] = min(low[node], index[w])
-            if advanced:
-                continue
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on.discard(w)
-                    comp.append(w)
-                    if w == node:
-                        break
-                out.append(sorted(comp))
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-
-    for v in sorted(graph):
-        if v not in index:
-            strong(v)
-    return out

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence, TypeVar
+
+T = TypeVar("T")
 
 
 # ---------------------------------------------------------------------------
@@ -103,14 +105,6 @@ def tuple_order(
     if sum(length(x) for x in xs) < sum(length(y) for y in ys):
         return TupleOrder.SUBSET_STRICT, TupleOrderWitness(tuple(pi), strict)
     return TupleOrder.SUBSET_EQ, TupleOrderWitness(tuple(pi), frozenset())
-
-
-def tuples_subset_eq(xs: Sequence[int], ys: Sequence[int]) -> bool:
-    return tuple_order(xs, ys)[0] is not TupleOrder.NOT_RELATED
-
-
-def tuples_subset_strict(xs: Sequence[int], ys: Sequence[int]) -> bool:
-    return tuple_order(xs, ys)[0] is TupleOrder.SUBSET_STRICT
 
 
 # ---------------------------------------------------------------------------
@@ -223,9 +217,6 @@ class ProofGraph:
     root: str
     nodes: dict[str, Node] = field(default_factory=dict)
 
-    def node(self, nid: str) -> Node:
-        return self.nodes[nid]
-
     def reachable(self) -> list[str]:
         """Node ids reachable from the root, in deterministic BFS order."""
         if self.root not in self.nodes:
@@ -241,6 +232,91 @@ class ProofGraph:
                     order.append(p)
                     queue.append(p)
         return order
+
+    def pruned(self) -> "ProofGraph":
+        """A copy without the nodes the root cannot reach.
+
+        Every pass that builds a graph node by node ends here; the
+        surviving nodes keep their insertion order.
+        """
+        keep = set(self.reachable())
+        return ProofGraph(self.name, self.root, {k: v for k, v in self.nodes.items() if k in keep})
+
+    def reaching(self, targets: Iterable[str]) -> set[str]:
+        """Root-reachable nodes from which some target is reachable.
+
+        The reverse closure of ``targets`` over premise edges, taken
+        inside the root's reachable part; reachable targets are members.
+        """
+        reach = self.reachable()
+        parents: dict[str, list[str]] = {n: [] for n in reach}
+        for n in reach:
+            for p in self.nodes[n].premises:
+                if p in parents:
+                    parents[p].append(n)
+        seen = {t for t in targets if t in parents}
+        frontier = list(seen)
+        while frontier:
+            for q in parents[frontier.pop()]:
+                if q not in seen:
+                    seen.add(q)
+                    frontier.append(q)
+        return seen
+
+
+def sccs(adj: dict[T, Sequence[T]]) -> list[list[T]]:
+    """Strongly connected components, Tarjan's algorithm, iteratively.
+
+    Components come in reverse topological order (a component precedes
+    every component that reaches it), each sorted.  Successors missing
+    from ``adj`` are ignored.  Among unrelated components the order
+    follows the caller's adjacency: roots are tried in sorted order and
+    successors in the order ``adj`` lists them, so callers that need a
+    canonical answer pass their successor lists sorted.  The witness
+    cycle of ``checker.check_progressing_safe`` (first cyclic component)
+    and the forward-call check of ``interp._check_program_class``
+    (component indices) depend on this order.
+    """
+    index: dict[T, int] = {}
+    low: dict[T, int] = {}
+    on: set[T] = set()
+    stack: list[T] = []
+    comps: list[list[T]] = []
+    for start in sorted(adj):
+        if start in index:
+            continue
+        index[start] = low[start] = len(index)
+        stack.append(start)
+        on.add(start)
+        work = [(start, iter(adj[start]))]
+        while work:
+            node, succs = work[-1]
+            for w in succs:
+                if w not in adj:
+                    continue
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    on.add(w)
+                    work.append((w, iter(adj[w])))
+                    break
+                if w in on:
+                    low[node] = min(low[node], index[w])
+            else:
+                work.pop()
+                if low[node] == index[node]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on.discard(w)
+                        comp.append(w)
+                        if w == node:
+                            break
+                    comps.append(sorted(comp))
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+    return comps
 
 
 @dataclass(frozen=True)
@@ -400,9 +476,3 @@ def validate_graph(
     for nid in sorted(unreachable):
         errors.append(StepError(nid, "unreachable from root"))
     return errors
-
-
-def successors(graph: ProofGraph) -> dict[str, tuple[str, ...]]:
-    """Premise adjacency restricted to reachable nodes."""
-    reach = set(graph.reachable())
-    return {nid: graph.nodes[nid].premises for nid in sorted(reach)}

@@ -10,8 +10,8 @@ single function via rotation tags.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field, fields, replace
-from typing import Callable, Optional
+from dataclasses import dataclass, field
+from typing import Optional
 
 from .kernel import (
     Node,
@@ -20,6 +20,7 @@ from .kernel import (
     RuleKind,
     Sequent,
     SType,
+    sccs,
     validate_graph,
 )
 from .interp import (
@@ -39,6 +40,7 @@ from .interp import (
     Term,
     Zero,
     eval_term,
+    map_children,
 )
 
 
@@ -107,11 +109,6 @@ class CycleNF:
         for b, c in sorted(self.buds.items()):
             out.setdefault(c, []).append(b)
         return {c: tuple(bs) for c, bs in sorted(out.items())}
-
-    def sequent_at(self, pos: Pos) -> Sequent:
-        if pos in self.tree:
-            return self.tree[pos].sequent
-        return self.tree[self.buds[pos]].sequent
 
     @staticmethod
     def position_id(pos: Pos) -> str:
@@ -309,10 +306,7 @@ def box_promote(graph: ProofGraph) -> ProofGraph:
         nid: Node(n.rule, n.sequent, tuple(resolved.get(p, p) for p in n.premises))
         for nid, n in nodes.items()
     }
-    out = ProofGraph(graph.name + "_boxed", resolved.get(graph.root, graph.root), out_nodes)
-    keep = set(out.reachable())
-    out.nodes = {kk: v for kk, v in out.nodes.items() if kk in keep}
-    return out
+    return ProofGraph(graph.name + "_boxed", resolved.get(graph.root, graph.root), out_nodes).pruned()
 
 
 def _claim(nodes: dict[str, Node], alias: dict[str, str], want: str, head: str) -> None:
@@ -398,10 +392,7 @@ def strip_safe_inputs(graph: ProofGraph) -> ProofGraph:
         return res
 
     root = strip(graph.root)
-    out = ProofGraph(graph.name + "_stripped", root, out_nodes)
-    keep = set(out.reachable())
-    out.nodes = {k: v for k, v in out.nodes.items() if k in keep}
-    return out
+    return ProofGraph(graph.name + "_stripped", root, out_nodes).pruned()
 
 
 # ---------------------------------------------------------------------------
@@ -426,27 +417,15 @@ def pass_parameters(graph: ProofGraph, oracle: str) -> tuple[ProofGraph, str]:
     star = oracle + "*"
     reach = graph.reachable()
 
-    # nodes from which an `oracle` leaf is reachable (reverse closure)
-    radj: dict[str, list[str]] = {n: [] for n in reach}
-    for n in reach:
-        for p in graph.nodes[n].premises:
-            radj[p].append(n)
-    hits: set[str] = set()
-    queue = [
+    leaves = [
         n
         for n in reach
         if graph.nodes[n].rule.kind is RuleKind.ORACLE and graph.nodes[n].rule.oracle == oracle
     ]
-    for leaf in queue:
+    for leaf in leaves:
         if graph.nodes[leaf].sequent.boxed != 0:
             raise ShapeViolation(f"oracle leaf {leaf} must have an all-plain context")
-    hits.update(queue)
-    while queue:
-        n = queue.pop()
-        for q in radj[n]:
-            if q not in hits:
-                hits.add(q)
-                queue.append(q)
+    hits = graph.reaching(leaves)
 
     for nid in sorted(hits):
         kind = graph.nodes[nid].rule.kind
@@ -543,10 +522,7 @@ def pass_parameters(graph: ProofGraph, oracle: str) -> tuple[ProofGraph, str]:
         raise ShapeViolation(f"rule {kind.value} at {nid} on a path to oracle {oracle!r}")
 
     root = rewrite(graph.root, tuple(range(k)), ()) if graph.root in hits else graph.root
-    out = ProofGraph(graph.name + "_pp", root, out_nodes)
-    keep = set(out.reachable())
-    out.nodes = {kk: v for kk, v in out.nodes.items() if kk in keep}
-    return out, star
+    return ProofGraph(graph.name + "_pp", root, out_nodes).pruned(), star
 
 
 # ---------------------------------------------------------------------------
@@ -600,30 +576,12 @@ def reduce_simultaneous(term: SimRecPP, normals: int, safes: int) -> ReducedSimu
                 tuple(rewrite_calls(a) for a in t.normal_args),
                 tuple(rewrite_calls(a) for a in t.safe_args) + tuple(numeral(v) for v in tags[j]),
             )
-        return _map_subterms(t, rewrite_calls)
+        return map_children(t, rewrite_calls)
 
     cases = tuple((tags[i], rewrite_calls(term.hs[i])) for i in range(k))
     body = TagDispatch(k, cases)
     fn: Term = SRecPP(body) if term.guard_safes else SNRecPP(body)
     return ReducedSimultaneous(fn, tags, normals, safes + k)
-
-
-def _map_subterms(t: Term, f: Callable[[Term], Term]) -> Term:
-    if not hasattr(t, "__dataclass_fields__"):
-        return t
-    kwargs = {}
-    changed = False
-    for fld in fields(t):
-        v = getattr(t, fld.name)
-        if isinstance(v, Term):
-            nv = f(v)
-            changed = changed or nv is not v
-            kwargs[fld.name] = nv
-        elif isinstance(v, tuple) and v and all(isinstance(x, Term) for x in v):
-            nv = tuple(f(x) for x in v)
-            changed = changed or any(a is not b for a, b in zip(v, nv))
-            kwargs[fld.name] = nv
-    return replace(t, **kwargs) if changed else t
 
 
 def flatten_program(prog: PPProgram) -> PPProgram:
@@ -633,10 +591,8 @@ def flatten_program(prog: PPProgram) -> PPProgram:
     dispatches on the rotation tags; the block's original names remain
     as thin selector wrappers, so callers are unaffected.
     """
-    from .interp import _call_sccs  # module-private but shared here
-
     out: dict[str, PPFunction] = dict(prog.functions)
-    for scc in _call_sccs(prog):
+    for scc in sccs(prog.call_graph()):
         if len(scc) < 2:
             continue
         names = sorted(scc)
@@ -660,7 +616,7 @@ def flatten_program(prog: PPProgram) -> PPProgram:
                     + tuple(numeral(v) for v in tags[j]),
                     guard=t.guard,
                 )
-            return _map_subterms(t, lambda s: retarget(s, idx_of))
+            return map_children(t, lambda s: retarget(s, idx_of))
 
         idx_of = {n: i for i, n in enumerate(names)}
         cases = tuple(

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .kernel import ProofGraph, RuleKind
+from .kernel import ProofGraph, RuleKind, sccs
 from .checker import classify
 from .interp import (
     Call,
@@ -27,6 +27,7 @@ from .interp import (
     S1,
     Term,
     Zero,
+    map_children,
 )
 from .transform import CycleNF, Pos, cycle_normal_form
 
@@ -80,54 +81,8 @@ def _companion_sccs(cnf: CycleNF) -> tuple[list[Pos], dict[Pos, int]]:
 
     for c in companions:
         collect(c)
-
-    # Tarjan over the companion graph
-    index: dict[Pos, int] = {}
-    low: dict[Pos, int] = {}
-    on: set[Pos] = set()
-    stack: list[Pos] = []
-    comp_of: dict[Pos, int] = {}
-    counter = [0]
-    ncomp = [0]
-
-    def strong(v: Pos) -> None:
-        work: list[tuple[Pos, int]] = [(v, 0)]
-        while work:
-            node, pi = work[-1]
-            succs = sorted(targets[node])
-            if pi == 0:
-                index[node] = low[node] = counter[0]
-                counter[0] += 1
-                stack.append(node)
-                on.add(node)
-            advanced = False
-            for j in range(pi, len(succs)):
-                w = succs[j]
-                if w not in index:
-                    work[-1] = (node, j + 1)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if w in on:
-                    low[node] = min(low[node], index[w])
-            if advanced:
-                continue
-            if low[node] == index[node]:
-                while True:
-                    w = stack.pop()
-                    on.discard(w)
-                    comp_of[w] = ncomp[0]
-                    if w == node:
-                        break
-                ncomp[0] += 1
-            work.pop()
-            if work:
-                low[work[-1][0]] = min(low[work[-1][0]], low[node])
-
-    for c in companions:
-        if c not in index:
-            strong(c)
-    return companions, comp_of
+    comps = sccs({c: tuple(sorted(targets[c])) for c in companions})
+    return companions, {c: i for i, comp in enumerate(comps) for c in comp}
 
 
 def synthesize(graph: ProofGraph) -> TranslationState:
@@ -256,9 +211,7 @@ def normalize_arities(state: TranslationState) -> TranslationState:
                 tuple(pad_calls(a) for a in t.safe_args) + tuple(Zero() for _ in range(big_n - n)),
                 guard=t.guard,
             )
-        from .transform import _map_subterms
-
-        return _map_subterms(t, pad_calls)
+        return map_children(t, pad_calls)
 
     new_bodies = {name: pad_calls(body) for name, body in state.bodies.items()}
     new_arities = dict(state.arities)

@@ -11,7 +11,17 @@ from circsafe.bounds import (
     verify_bound,
 )
 from circsafe.bounds import _recursion_bound
-from circsafe.interp import OracleCall, Proj, SNRecPP, Zero, eval_term
+from circsafe.interp import (
+    Call,
+    CompSafe,
+    OracleCall,
+    Proj,
+    SNRecPP,
+    Zero,
+    check_term_class,
+    eval_term,
+    is_bearing,
+)
 from circsafe.kernel import length
 
 B_NAMES = ("succ1", "half", "select", "append", "lenones", "parity", "lenunary")
@@ -31,6 +41,17 @@ def test_pp_recursion_case_shape():
     assert pair.d == hb.d
     for n in range(1, 32):
         assert beval(pair.e, n) == (n + 1) * hb.d**n * beval(hb.e, n)
+
+
+def test_bounds_count_every_call_as_bearing():
+    # bound synthesis cannot see a callee's output, so any Call bears
+    h = Call("f", (), (Proj("s", 0),))
+    g = Call("g", (), ())
+    assert is_bearing(h) and is_bearing(g)
+    assert synthesize_bound(CompSafe(h, g)).d == synthesize_bound(h).d + synthesize_bound(g).d == 2
+    # the class check reads an unguarded call to a non-peer as composition
+    assert not is_bearing(h, frozenset()) and is_bearing(h, frozenset({"f"}))
+    assert check_term_class(CompSafe(h, g), "SB") == []
 
 
 def test_ex_is_nonpolynomial_with_d2(terms):

@@ -1,15 +1,33 @@
 """Syntactic membership in the algebra tower."""
 
+import pytest
+
 from circsafe.interp import (
+    Call,
     CompNormal,
     CompSafe,
+    Cond,
     EvalConfig,
+    EvalError,
     OracleCall,
+    PPFunction,
+    PPProgram,
+    Pred,
     Proj,
+    S0,
     S1,
+    SimRecPP,
+    SNRec,
+    SNRecPP,
+    SRecN,
     SRecPP,
+    TagDispatch,
+    Term,
+    Zero,
     check_term_class,
+    children,
     eval_term,
+    map_children,
 )
 
 
@@ -61,3 +79,51 @@ def test_nested_pp_forbidden_in_bpp():
     assert check_term_class(SNRecPP(h), "NBpp") == []
     assert check_term_class(SNRecPP(h), "Bpp") != []
     assert check_term_class(SNRecPP(h), "SBpp") != []  # nested safe argument
+
+
+def _dispatch(body):
+    """A one-case TagDispatch over no tag slots: always runs ``body``."""
+    return TagDispatch(0, (((), body),))
+
+
+def test_validate_sees_calls_inside_tag_dispatch():
+    body = _dispatch(Call("nowhere", (Proj("n", 0),), ()))
+    prog = PPProgram({"main": PPFunction("main", 1, 0, body)})
+    with pytest.raises(EvalError, match="unknown function 'nowhere'"):
+        prog.validate()
+
+
+def test_class_check_sees_unguarded_peer_inside_tag_dispatch():
+    x0 = Proj("n", 0)
+
+    def program(wrap):
+        return PPProgram(
+            {
+                "f": PPFunction("f", 1, 0, wrap(Call("g", (Pred(x0),), ()))),
+                "g": PPFunction("g", 1, 0, Call("f", (Pred(x0),), (), guard="strict")),
+            }
+        )
+
+    want = "f: unguarded call to mutual peer g"
+    assert want in check_term_class(program(lambda t: t), "NBpp")
+    assert want in check_term_class(program(_dispatch), "NBpp")
+
+
+def test_children_and_map_children_agree_on_every_term_class():
+    z, y = Zero(), Proj("s", 0)
+    samples = [
+        z, y, S0(y), S1(y), Pred(y), Cond(y, z, S0(z), S1(z)),
+        OracleCall("o", (y,), (z,)), Call("f", (y,), (z, S0(y)), guard="strict"),
+        CompSafe(y, z), CompNormal(y, z), SRecN(z, y, S0(y)), SNRec(z, y, "r"),
+        SRecPP(y), SNRecPP(y), SimRecPP((y, z), 1, True),
+        TagDispatch(1, (((1,), y), ((2,), z))),
+    ]
+    assert {type(t) for t in samples} == set(Term.__subclasses__())
+    for t in samples:
+        seen = []
+        assert map_children(t, lambda c: seen.append(c) or c) is t
+        assert seen == list(children(t))
+        wrapped = map_children(t, S1)
+        assert type(wrapped) is type(t)
+        assert list(children(wrapped)) == [S1(c) for c in children(t)]
+        assert map_children(wrapped, lambda c: c.t) == t  # tags and names kept

@@ -133,3 +133,28 @@ def test_outputs_deterministic(capsys, tmp_path):
 def test_missing_file_is_exit_2(capsys):
     code, _, err = run(capsys, "check", "no/such/file.proof")
     assert code == 2
+
+
+def test_check_invalid_graph_exact_output(capsys, tmp_path):
+    bad = tmp_path / "invalid.proof"
+    bad.write_text(
+        "proof x root a\nnode a : id seq bN => N premises []\nnode b : zero seq => N premises []\n"
+    )
+    target = tmp_path / "r.json"
+    code, out, _ = run(capsys, "check", bad, "--json", target)
+    assert code == 2
+    assert out == "x: invalid (a: id concludes N => N, got bN => N)\n"
+    assert target.read_text() == (
+        "{\n"
+        '  "class": "none",\n'
+        '  "diagnostics": [\n'
+        '    "a: id concludes N => N, got bN => N",\n'
+        '    "b: unreachable from root"\n'
+        "  ],\n"
+        '  "left_leaning": false,\n'
+        '  "name": "x",\n'
+        '  "progressing": "unknown",\n'
+        '  "safe": false,\n'
+        '  "valid": false\n'
+        "}\n"
+    )

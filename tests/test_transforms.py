@@ -18,6 +18,8 @@ from circsafe.interp import (
     Proj,
     S1,
     SimRecPP,
+    TagDispatch,
+    Zero,
     eval_pp,
     eval_proof,
     eval_term,
@@ -328,6 +330,18 @@ def test_reduced_function_returns_zero_on_alien_tags():
     term = _parity_pair()
     red = reduce_simultaneous(term, 1, 0)
     assert eval_term(red.fn, None, [5], [7, 7]) == 0  # (7,7) is no rotation
+
+
+def test_reduce_simultaneous_rewrites_calls_inside_tag_dispatch():
+    x0 = Proj("n", 0)
+    first = TagDispatch(0, (((), OracleCall("rec2", (Pred_(x0),), ())),))
+    term = SimRecPP((first, S1(S1(S1(Zero())))), 0, False)
+    red = reduce_simultaneous(term, 1, 0)
+    assert eval_term(term, None, [1], []) == 7
+    for x in range(40):
+        for i in (0, 1):
+            want = eval_term(SimRecPP(term.hs, i, False), None, [x], [])
+            assert red.selector(i, None, [x], []) == want, (i, x)
 
 
 def test_flatten_program_preserves_semantics(proofs):
