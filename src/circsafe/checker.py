@@ -7,29 +7,35 @@ connected components with deterministic witness extraction.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .kernel import ProofGraph, RuleKind, sccs, validate_graph
 
 
-def _cyclic_sccs(adj: dict[str, tuple[str, ...]]) -> list[list[str]]:
-    out = []
-    for comp in sccs(adj):
-        if len(comp) > 1 or comp[0] in adj.get(comp[0], ()):
-            out.append(comp)
-    return out
+Adjacency = dict[str, tuple[str, ...]]
 
 
-def _shortest_path(adj: dict[str, tuple[str, ...]], members: set[str], src: str, dst: str) -> list[str]:
+def _adjacency(graph: ProofGraph) -> Adjacency:
+    """Premise edges of the root-reachable part, in BFS order."""
+    return {n: graph.nodes[n].premises for n in graph.reachable()}
+
+
+def _cyclic(adj: Adjacency, comps: list[list[str]]) -> list[list[str]]:
+    """The components of ``comps`` that carry a cycle."""
+    return [c for c in comps if len(c) > 1 or c[0] in adj.get(c[0], ())]
+
+
+def _shortest_path(adj: Adjacency, members: set[str], src: str, dst: str) -> list[str]:
     """Shortest path src..dst inside one SCC; deterministic via sorted BFS."""
     if src == dst:
         return [src]
     parent: dict[str, str] = {}
-    queue = [src]
+    queue = deque([src])
     seen = {src}
     while queue:
-        u = queue.pop(0)
+        u = queue.popleft()
         for v in sorted(adj.get(u, ())):
             if v not in members or v in seen:
                 continue
@@ -45,7 +51,7 @@ def _shortest_path(adj: dict[str, tuple[str, ...]], members: set[str], src: str,
     raise AssertionError(f"no path {src}->{dst} inside the component")
 
 
-def _shortest_cycle_through(adj: dict[str, tuple[str, ...]], comp: list[str], target: str) -> list[str]:
+def _shortest_cycle_through(adj: Adjacency, comp: list[str], target: str) -> list[str]:
     """Shortest simple cycle through ``target``, as a node list.
 
     Consecutive entries are premise edges and the last entry points
@@ -69,7 +75,7 @@ def _shortest_cycle_through(adj: dict[str, tuple[str, ...]], comp: list[str], ta
     return best
 
 
-def _cycle_with_edge(adj: dict[str, tuple[str, ...]], comp: list[str], u: str, v: str) -> list[str]:
+def _cycle_with_edge(adj: Adjacency, comp: list[str], u: str, v: str) -> list[str]:
     """A simple cycle using the edge u -> v, as the node list from u."""
     members = set(comp)
     path = _shortest_path(adj, members, v, u)
@@ -82,24 +88,27 @@ class CheckOutcome:
     witness_cycle: Optional[list[str]] = None
 
 
-def check_safety(graph: ProofGraph) -> CheckOutcome:
-    """Unsafe iff some reachable cycle passes a boxed-cut conclusion."""
-    adj = {n: graph.nodes[n].premises for n in graph.reachable()}
-    for comp in _cyclic_sccs(adj):
+@dataclass
+class ProgressOutcome:
+    status: str  # "progressing" | "not_progressing" | "unknown_unsafe"
+    witness_cycle: Optional[list[str]] = None
+
+
+# The checks below take the reachable adjacency and its components, so
+# classify computes them once for all three; the public wrappers that
+# follow compute them per call.
+
+
+def _safety(graph: ProofGraph, adj: Adjacency, comps: list[list[str]]) -> CheckOutcome:
+    for comp in _cyclic(adj, comps):
         for nid in comp:
             if graph.nodes[nid].rule.kind is RuleKind.CUT_B:
                 return CheckOutcome(False, _shortest_cycle_through(adj, comp, nid))
     return CheckOutcome(True)
 
 
-def check_left_leaning(graph: ProofGraph) -> CheckOutcome:
-    """Violated iff some cycle takes the right premise of a plain cut."""
-    adj = {n: graph.nodes[n].premises for n in graph.reachable()}
-    comp_of: dict[str, int] = {}
-    comps = sccs(adj)
-    for i, comp in enumerate(comps):
-        for n in comp:
-            comp_of[n] = i
+def _left_leaning(graph: ProofGraph, adj: Adjacency, comps: list[list[str]]) -> CheckOutcome:
+    comp_of = {n: i for i, comp in enumerate(comps) for n in comp}
     for nid in sorted(adj):
         node = graph.nodes[nid]
         if node.rule.kind is not RuleKind.CUT_N:
@@ -112,10 +121,28 @@ def check_left_leaning(graph: ProofGraph) -> CheckOutcome:
     return CheckOutcome(True)
 
 
-@dataclass
-class ProgressOutcome:
-    status: str  # "progressing" | "not_progressing" | "unknown_unsafe"
-    witness_cycle: Optional[list[str]] = None
+def _progress(graph: ProofGraph, adj: Adjacency, safety: CheckOutcome) -> ProgressOutcome:
+    if not safety.ok:
+        return ProgressOutcome("unknown_unsafe", safety.witness_cycle)
+    kept = {n for n in adj if graph.nodes[n].rule.kind is not RuleKind.COND_B}
+    sub = {n: tuple(p for p in ps if p in kept) for n, ps in adj.items() if n in kept}
+    cyc = _cyclic(sub, sccs(sub))
+    if cyc:
+        comp = cyc[0]
+        return ProgressOutcome("not_progressing", _shortest_cycle_through(sub, comp, comp[0]))
+    return ProgressOutcome("progressing")
+
+
+def check_safety(graph: ProofGraph) -> CheckOutcome:
+    """Unsafe iff some reachable cycle passes a boxed-cut conclusion."""
+    adj = _adjacency(graph)
+    return _safety(graph, adj, sccs(adj))
+
+
+def check_left_leaning(graph: ProofGraph) -> CheckOutcome:
+    """Violated iff some cycle takes the right premise of a plain cut."""
+    adj = _adjacency(graph)
+    return _left_leaning(graph, adj, sccs(adj))
 
 
 def check_progressing_safe(graph: ProofGraph) -> ProgressOutcome:
@@ -124,17 +151,8 @@ def check_progressing_safe(graph: ProofGraph) -> ProgressOutcome:
     On unsafe graphs the cycle criterion is not equivalent to the
     thread condition, so the answer is unknown.
     """
-    safety = check_safety(graph)
-    if not safety.ok:
-        return ProgressOutcome("unknown_unsafe", safety.witness_cycle)
-    keep = [n for n in graph.reachable() if graph.nodes[n].rule.kind is not RuleKind.COND_B]
-    kept = set(keep)
-    adj = {n: tuple(p for p in graph.nodes[n].premises if p in kept) for n in keep}
-    cyc = _cyclic_sccs(adj)
-    if cyc:
-        comp = cyc[0]
-        return ProgressOutcome("not_progressing", _shortest_cycle_through(adj, comp, comp[0]))
-    return ProgressOutcome("progressing")
+    adj = _adjacency(graph)
+    return _progress(graph, adj, _safety(graph, adj, sccs(adj)))
 
 
 @dataclass
@@ -169,9 +187,11 @@ def classify(graph: ProofGraph) -> Classification:
             [str(e) for e in errors],
         )
     diagnostics: list[str] = []
-    safety = check_safety(graph)
-    leaning = check_left_leaning(graph)
-    progress = check_progressing_safe(graph)
+    adj = _adjacency(graph)
+    comps = sccs(adj)
+    safety = _safety(graph, adj, comps)
+    leaning = _left_leaning(graph, adj, comps)
+    progress = _progress(graph, adj, safety)
     witness = None
     if not safety.ok:
         witness = safety.witness_cycle
@@ -246,12 +266,13 @@ def cycle_path_diagnostics(cnf) -> list[PathReport]:
         c2: list[str] = []
         c3: list[str] = []
         # walk positions comp .. bud (the bud leaf itself carries no rule)
+        pos = comp
         for depth in range(len(comp), len(bud)):
-            pos = bud[:depth]
             node = cnf.tree[pos]
             kind = node.rule.kind
             into = bud[depth]  # premise index taken next
-            label = cnf.position_id(pos)
+            label = cnf.ids[pos]
+            pos = node.children[into]
             if kind is RuleKind.COND_B:
                 has_cond_b = True
                 if into == 0:

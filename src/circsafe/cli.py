@@ -1,12 +1,14 @@
 """Command-line front end.
 
 Exit codes: 0 for acceptance/success, 1 for a rejection (failed class
-check, exhausted fuel, violated guard), 2 for unusable input.
+check, exhausted fuel, violated guard, exhausted recursion depth or
+memory), 2 for unusable input.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -209,7 +211,13 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
     return OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    Parsing keeps no state in the parser: every call returns a fresh
+    namespace.
+    """
     top = argparse.ArgumentParser(prog="circsafe", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -286,6 +294,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         return BAD_INPUT
     except (CompileError, TransformError, TranslateError, EvalError) as e:
         print(f"rejected: {e}", file=sys.stderr)
+        return REJECTED
+    except (RecursionError, MemoryError, FuelExhausted) as e:
+        # out of stack, memory or fuel: a rejection, never a traceback
+        detail = f": {e}" if str(e) else ""
+        print(f"rejected: {type(e).__name__}{detail}", file=sys.stderr)
         return REJECTED
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -33,6 +33,7 @@ from .interp import (
     Term,
     TermDef,
     Zero,
+    fold,
     map_children,
 )
 
@@ -451,46 +452,48 @@ def _resolve_guards(prog: PPProgram) -> None:
 
 
 def serialize_term(term: Term) -> str:
+    """Text form of ``term`` as ``parse_terms`` reads it.
+
+    Built bottom-up by ``fold``, so no recursion on term depth.
+    """
+    return fold(term, _serialize_node)
+
+
+def _serialize_node(term: Term, kids: list[str]) -> str:
+    """Text of one term node, given the text of its ``children``."""
     if isinstance(term, Zero):
         return "0"
     if isinstance(term, Proj):
         return f"{'x' if term.sort == 'n' else 'y'}{term.index}"
     if isinstance(term, S0):
-        return f"s0({serialize_term(term.t)})"
+        return f"s0({kids[0]})"
     if isinstance(term, S1):
-        return f"s1({serialize_term(term.t)})"
+        return f"s1({kids[0]})"
     if isinstance(term, Pred):
-        return f"p({serialize_term(term.t)})"
+        return f"p({kids[0]})"
     if isinstance(term, Cond):
-        inner = ",".join(serialize_term(t) for t in (term.w, term.x, term.y, term.z))
-        return f"cond({inner})"
-    if isinstance(term, OracleCall):
-        ns = ",".join(serialize_term(t) for t in term.normal_args)
-        ss = ",".join(serialize_term(t) for t in term.safe_args)
-        return f"{term.name}({ns};{ss})"
-    if isinstance(term, Call):
-        ns = ",".join(serialize_term(t) for t in term.normal_args)
-        ss = ",".join(serialize_term(t) for t in term.safe_args)
-        mark = "@" if term.guard is not None else ""
-        return f"{mark}{term.name}({ns};{ss})"
+        return f"cond({','.join(kids)})"
+    if isinstance(term, (OracleCall, Call)):
+        k = len(term.normal_args)
+        mark = "@" if isinstance(term, Call) and term.guard is not None else ""
+        return f"{mark}{term.name}({','.join(kids[:k])};{','.join(kids[k:])})"
     if isinstance(term, CompSafe):
-        return f"comps({serialize_term(term.h)},{serialize_term(term.g)})"
+        return f"comps({kids[0]},{kids[1]})"
     if isinstance(term, CompNormal):
-        return f"compn({serialize_term(term.h)},{serialize_term(term.g)})"
+        return f"compn({kids[0]},{kids[1]})"
     if isinstance(term, SRecN):
-        return f"srec({serialize_term(term.g)},{serialize_term(term.h0)},{serialize_term(term.h1)})"
+        return f"srec({kids[0]},{kids[1]},{kids[2]})"
     if isinstance(term, SNRec):
         tail = f"|{term.rec_name}" if term.rec_name != "rec" else ""
-        return f"snrec({serialize_term(term.g)},{serialize_term(term.h)}{tail})"
+        return f"snrec({kids[0]},{kids[1]}{tail})"
     if isinstance(term, SRecPP):
         tail = f"|{term.rec_name}" if term.rec_name != "rec" else ""
-        return f"srecpp({serialize_term(term.h)}{tail})"
+        return f"srecpp({kids[0]}{tail})"
     if isinstance(term, SNRecPP):
         tail = f"|{term.rec_name}" if term.rec_name != "rec" else ""
-        return f"snrecpp({serialize_term(term.h)}{tail})"
+        return f"snrecpp({kids[0]}{tail})"
     if isinstance(term, SimRecPP):
-        inner = ",".join(serialize_term(h) for h in term.hs)
-        return f"{'simrecs' if term.guard_safes else 'simrecn'}({inner})"
+        return f"{'simrecs' if term.guard_safes else 'simrecn'}({','.join(kids)})"
     raise TypeError(f"cannot serialize {type(term).__name__}")
 
 

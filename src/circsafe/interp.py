@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from operator import attrgetter
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence, TypeVar
 
 from .kernel import (
     ProofGraph,
@@ -21,6 +21,8 @@ from .kernel import (
     sccs,
     tuple_order,
 )
+
+R = TypeVar("R")
 
 REC = "rec"  # reserved oracle name for the distinguished recursive call
 
@@ -458,6 +460,43 @@ def map_children(term: Term, f: Callable[[Term], Term]) -> Term:
                     n if isinstance(x, Term) else (x[0], n) for x, n in zip(v, news)
                 )
     return replace(term, **new) if new else term
+
+
+def fold(term: Term, f: Callable[[Term, list], R]) -> R:
+    """``f(t, results)`` for every subterm ``t``, bottom-up, where
+    ``results`` holds the values for ``children(t)`` in order.
+
+    Runs on an explicit stack, so term depth is not bounded by Python's
+    recursion limit; a subterm object shared at several places is
+    folded once.
+    """
+    done: dict[int, R] = {}
+    stack = [term]
+    while stack:
+        t = stack[-1]
+        if id(t) in done:
+            stack.pop()
+            continue
+        kids = children(t)
+        todo = [c for c in kids if id(c) not in done]
+        if todo:
+            stack.extend(reversed(todo))
+            continue
+        stack.pop()
+        done[id(t)] = f(t, [done[id(c)] for c in kids])
+    return done[id(term)]
+
+
+def map_terms(term: Term, f: Callable[[Term], Term]) -> Term:
+    """``f`` applied bottom-up: each subterm is rebuilt from its mapped
+    children (shared when unchanged, as in ``map_children``), then
+    passed to ``f``.  No recursion, by ``fold``."""
+
+    def step(t: Term, kids: list[Term]) -> Term:
+        it = iter(kids)  # map_children visits children in children() order
+        return f(map_children(t, lambda _: next(it)))
+
+    return fold(term, step)
 
 
 # ---------------------------------------------------------------------------

@@ -223,14 +223,13 @@ class ProofGraph:
             return []
         seen = {self.root}
         order = [self.root]
-        queue = [self.root]
-        while queue:
-            nid = queue.pop(0)
-            for p in self.nodes[nid].premises:
+        i = 0
+        while i < len(order):  # order doubles as the BFS queue
+            for p in self.nodes[order[i]].premises:
                 if p in self.nodes and p not in seen:
                     seen.add(p)
                     order.append(p)
-                    queue.append(p)
+            i += 1
         return order
 
     def pruned(self) -> "ProofGraph":

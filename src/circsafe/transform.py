@@ -9,7 +9,6 @@ single function via rotation tags.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -64,27 +63,58 @@ Pos = tuple[int, ...]
 
 
 def bisimulation_classes(graph: ProofGraph) -> dict[str, int]:
-    """Partition refinement on (rule, sequent) labels then premise blocks."""
+    """Coarsest partition of the reachable nodes into bisimilar classes.
+
+    Two nodes are bisimilar when they carry the same (rule, sequent)
+    label and their i-th premises are bisimilar for every i.  This is
+    Hopcroft's DFA minimisation with nodes as states, labels as the
+    initial partition and the premise index (0..2) as the alphabet: a
+    worklist of splitters over inverse premise edges, where a split
+    block queues only its smaller half.  O(k n log n) time for n
+    reachable nodes and at most k = 3 premises each, no recursion.
+    Class ids only mean equality; their numbering is arbitrary.
+    """
     order = sorted(graph.reachable())
-    mapping: dict[str, int] = {}
-    blocks: dict[object, int] = {}
-    for n in order:
+    index = {n: i for i, n in enumerate(order)}
+    k = max((len(graph.nodes[n].premises) for n in order), default=0)
+    preds: list[list[list[int]]] = [[[] for _ in order] for _ in range(k)]
+    block_of: list[int] = []
+    members: list[set[int]] = []
+    labels: dict[object, int] = {}
+    for i, n in enumerate(order):
         node = graph.nodes[n]
-        key = (node.rule, node.sequent)
-        if key not in blocks:
-            blocks[key] = len(blocks)
-        mapping[n] = blocks[key]
-    while True:
-        sig_blocks: dict[object, int] = {}
-        new: dict[str, int] = {}
-        for n in order:
-            sig = (mapping[n], tuple(mapping[p] for p in graph.nodes[n].premises))
-            if sig not in sig_blocks:
-                sig_blocks[sig] = len(sig_blocks)
-            new[n] = sig_blocks[sig]
-        if new == mapping:
-            return mapping
-        mapping = new
+        for a, p in enumerate(node.premises):
+            preds[a][index[p]].append(i)
+        b = labels.setdefault((node.rule, node.sequent), len(labels))
+        if b == len(members):
+            members.append(set())
+        members[b].add(i)
+        block_of.append(b)
+    work = [(b, a) for b in range(len(members)) for a in range(k)]
+    while work:
+        b, a = work.pop()
+        # nodes whose a-th premise lies in block b, by their own block;
+        # each node has one a-th premise, so none is listed twice
+        hit: dict[int, list[int]] = {}
+        for j in members[b]:
+            for i in preds[a][j]:
+                hit.setdefault(block_of[i], []).append(i)
+        for y, inside in hit.items():
+            ys = members[y]
+            if len(inside) == len(ys):
+                continue
+            moved = set(inside)
+            if 2 * len(moved) > len(ys):
+                moved = ys - moved
+            ys -= moved
+            z = len(members)
+            members.append(moved)
+            for i in moved:
+                block_of[i] = z
+            # z is the smaller half: queuing it suffices whether or not
+            # (y, c) is still queued
+            work.extend((z, c) for c in range(k))
+    return {n: block_of[i] for i, n in enumerate(order)}
 
 
 @dataclass(frozen=True)
@@ -96,12 +126,18 @@ class CnfNode:
 
 @dataclass
 class CycleNF:
-    """Finite unfolding tree with bud-to-companion backpointers."""
+    """Finite unfolding tree with bud-to-companion backpointers.
+
+    ``ids`` holds the position id of every tree and bud position: "t"
+    followed by the premise indices of the root path, so "t" is the
+    root and "t01" its first premise's second premise.
+    """
 
     name: str
     tree: dict[Pos, CnfNode] = field(default_factory=dict)
     buds: dict[Pos, Pos] = field(default_factory=dict)  # bud -> companion
     node_of: dict[Pos, str] = field(default_factory=dict)  # source graph node
+    ids: dict[Pos, str] = field(default_factory=dict)  # position id
 
     @property
     def companions(self) -> dict[Pos, tuple[Pos, ...]]:
@@ -110,10 +146,6 @@ class CycleNF:
             out.setdefault(c, []).append(b)
         return {c: tuple(bs) for c, bs in sorted(out.items())}
 
-    @staticmethod
-    def position_id(pos: Pos) -> str:
-        return "t" + "".join(str(i) for i in pos)
-
 
 def cycle_normal_form(graph: ProofGraph) -> CycleNF:
     """Unfold the bisimulation-minimized graph, cutting at repetitions.
@@ -121,33 +153,42 @@ def cycle_normal_form(graph: ProofGraph) -> CycleNF:
     Depth-first, leftmost premise first; a node whose minimized class
     already occurs on the current root path becomes a bud pointing at
     that earlier occurrence.  The result is canonical for the graph.
+
+    One explicit-stack walk with a single root-path map, so no Python
+    recursion.  Time is linear in the total length of the positions it
+    creates (each is its parent's plus one index), plus the
+    O(n log n) minimisation: linear in the tree size for bounded depth,
+    quadratic in depth for a long path, as the output format dictates.
     """
     errors = validate_graph(graph, allow_srec=True, allow_oracle=True)
     if errors:
         raise TransformError(f"invalid input graph: {errors[0]}")
     classes = bisimulation_classes(graph)
     cnf = CycleNF(graph.name)
-
-    def unfold(nid: str, pos: Pos, on_path: dict[int, Pos]) -> None:
+    tree, buds, node_of, ids = cnf.tree, cnf.buds, cnf.node_of, cnf.ids
+    on_path: dict[int, Pos] = {}  # class -> its position on the root path
+    # entries: (node, position, position id) to enter, or a class to
+    # take off the path once its subtree is done
+    stack: list = [(graph.root, (), "t")]
+    while stack:
+        top = stack.pop()
+        if type(top) is int:
+            del on_path[top]
+            continue
+        nid, pos, pid = top
+        node_of[pos] = nid
+        ids[pos] = pid
         cls = classes[nid]
-        cnf.node_of[pos] = nid
         if cls in on_path:
-            cnf.buds[pos] = on_path[cls]
-            return
+            buds[pos] = on_path[cls]
+            continue
         node = graph.nodes[nid]
         children = tuple(pos + (i,) for i in range(len(node.premises)))
-        cnf.tree[pos] = CnfNode(node.rule, node.sequent, children)
-        sub = dict(on_path)
-        sub[cls] = pos
-        for i, p in enumerate(node.premises):
-            unfold(p, pos + (i,), sub)
-
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, 20000))
-    try:
-        unfold(graph.root, (), {})
-    finally:
-        sys.setrecursionlimit(old)
+        tree[pos] = CnfNode(node.rule, node.sequent, children)
+        on_path[cls] = pos
+        stack.append(cls)
+        for i in reversed(range(len(children))):
+            stack.append((node.premises[i], children[i], pid + str(i)))
     return cnf
 
 
@@ -176,23 +217,19 @@ def cnf_to_graph(cnf: CycleNF) -> ProofGraph:
     Buds become premise edges pointing back at their companion's dis
     node, which records its buds' position ids.
     """
+    ids, buds = cnf.ids, cnf.buds
     companions = cnf.companions
     nodes: dict[str, Node] = {}
     for pos, cn in cnf.tree.items():
-        prem = []
-        for child in cn.children:
-            if child in cnf.buds:
-                prem.append(CycleNF.position_id(cnf.buds[child]))
-            else:
-                prem.append(CycleNF.position_id(child))
-        base = CycleNF.position_id(pos)
+        prem = tuple(ids[buds.get(child, child)] for child in cn.children)
+        base = ids[pos]
         if pos in companions:
-            buds = tuple(CycleNF.position_id(b) for b in companions[pos])
-            nodes[base] = Node(Rule(RuleKind.DIS, buds=buds), cn.sequent, (base + "c",))
-            nodes[base + "c"] = Node(cn.rule, cn.sequent, tuple(prem))
+            bud_ids = tuple(ids[b] for b in companions[pos])
+            nodes[base] = Node(Rule(RuleKind.DIS, buds=bud_ids), cn.sequent, (base + "c",))
+            nodes[base + "c"] = Node(cn.rule, cn.sequent, prem)
         else:
-            nodes[base] = Node(cn.rule, cn.sequent, tuple(prem))
-    return ProofGraph(cnf.name + "_cnf", CycleNF.position_id(()), nodes)
+            nodes[base] = Node(cn.rule, cn.sequent, prem)
+    return ProofGraph(cnf.name + "_cnf", ids[()], nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ zone, placing the program in the smaller algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 from .kernel import ProofGraph, RuleKind, sccs
@@ -27,7 +28,7 @@ from .interp import (
     S1,
     Term,
     Zero,
-    map_children,
+    map_terms,
 )
 from .transform import CycleNF, Pos, cycle_normal_form
 
@@ -37,6 +38,9 @@ class TranslateError(Exception):
 
 
 MAIN = "main"
+
+# task tags of synthesize's walk
+_VISIT, _BUILD, _CUT = range(3)
 
 
 @dataclass
@@ -65,22 +69,16 @@ def _companion_sccs(cnf: CycleNF) -> tuple[list[Pos], dict[Pos, int]]:
     companions = sorted(cnf.companions)
     cset = set(companions)
     targets: dict[Pos, set[Pos]] = {c: set() for c in companions}
-
-    def collect(c: Pos) -> None:
-        def go(pos: Pos) -> None:
+    for c in companions:
+        stack = [c]
+        while stack:
+            pos = stack.pop()
             if pos in cnf.buds:
                 targets[c].add(cnf.buds[pos])
-                return
-            if pos != c and pos in cset:
+            elif pos != c and pos in cset:
                 targets[c].add(pos)
-                return
-            for ch in cnf.tree[pos].children:
-                go(ch)
-
-        go(c)
-
-    for c in companions:
-        collect(c)
+            else:
+                stack.extend(cnf.tree[pos].children)
     comps = sccs({c: tuple(sorted(targets[c])) for c in companions})
     return companions, {c: i for i, comp in enumerate(comps) for c in comp}
 
@@ -112,63 +110,83 @@ def synthesize(graph: ProofGraph) -> TranslationState:
         guarded = caller_scc is not None and scc_of[target] == caller_scc
         return Call(fname[target], tuple(nenv), tuple(senv), guard=guard if guarded else None)
 
-    def walk(pos: Pos, start: Optional[Pos], caller_scc: Optional[int], nenv: list[Term], senv: list[Term]) -> Term:
-        if pos in cnf.buds:
-            return make_call(cnf.buds[pos], caller_scc, nenv, senv)
-        if pos != start and pos in cset:
-            return make_call(pos, caller_scc, nenv, senv)
-        node = cnf.tree[pos]
-        kind = node.rule.kind
-        ch = node.children
-        if kind is RuleKind.ID:
-            return senv[0]
-        if kind is RuleKind.ZERO:
-            return Zero()
-        if kind is RuleKind.S0:
-            return S0(walk(ch[0], start, caller_scc, nenv, senv))
-        if kind is RuleKind.S1:
-            return S1(walk(ch[0], start, caller_scc, nenv, senv))
-        if kind is RuleKind.WEAK_N:
-            return walk(ch[0], start, caller_scc, nenv, senv[:-1])
-        if kind is RuleKind.WEAK_B:
-            return walk(ch[0], start, caller_scc, nenv[1:], senv)
-        if kind is RuleKind.EXCH_N:
-            p = node.rule.pos
-            senv2 = senv[:p] + [senv[p + 1], senv[p]] + senv[p + 2 :]
-            return walk(ch[0], start, caller_scc, nenv, senv2)
-        if kind is RuleKind.EXCH_B:
-            p = node.rule.pos
-            nenv2 = nenv[:p] + [nenv[p + 1], nenv[p]] + nenv[p + 2 :]
-            return walk(ch[0], start, caller_scc, nenv2, senv)
-        if kind is RuleKind.BOX_L:
-            return walk(ch[0], start, caller_scc, nenv[1:], senv + [nenv[0]])
-        if kind is RuleKind.BOX_R:
-            return walk(ch[0], start, caller_scc, nenv, senv)
-        if kind is RuleKind.CUT_N:
-            v = walk(ch[0], start, caller_scc, nenv, senv)
-            return walk(ch[1], start, caller_scc, nenv, senv + [v])
-        if kind is RuleKind.CUT_B:
-            v = walk(ch[0], start, caller_scc, nenv, senv)
-            return walk(ch[1], start, caller_scc, [v] + nenv, senv)
-        if kind is RuleKind.COND_N:
-            w = senv[-1]
-            return Cond(
-                w,
-                walk(ch[0], start, caller_scc, nenv, senv[:-1]),
-                walk(ch[1], start, caller_scc, nenv, senv[:-1] + [Pred(w)]),
-                walk(ch[2], start, caller_scc, nenv, senv[:-1] + [Pred(w)]),
-            )
-        if kind is RuleKind.COND_B:
-            x = nenv[0]
-            return Cond(
-                x,
-                walk(ch[0], start, caller_scc, nenv[1:], senv),
-                walk(ch[1], start, caller_scc, [Pred(x)] + nenv[1:], senv),
-                walk(ch[2], start, caller_scc, [Pred(x)] + nenv[1:], senv),
-            )
-        if kind is RuleKind.ORACLE:
-            return OracleCall(node.rule.oracle, tuple(nenv), tuple(senv))
-        raise TranslateError(f"rule {kind.value} at {pos} is not translatable")
+    def walk(top: Pos, start: Optional[Pos], caller_scc: Optional[int], nenv: list[Term], senv: list[Term]) -> Term:
+        """The body for the tree region at ``top``, on an explicit stack.
+
+        ``todo`` holds positions to visit with their environments, and
+        continuations: ``_BUILD`` pops finished subterms into a node,
+        ``_CUT`` feeds a cut's left value into its right premise.  The
+        subterms of a node are built left to right, as in the rules.
+        """
+        done: list[Term] = []
+        todo: list[tuple] = [(_VISIT, top, nenv, senv)]
+        while todo:
+            task = todo.pop()
+            if task[0] == _BUILD:
+                _, make, k = task
+                args = done[-k:]
+                del done[-k:]
+                done.append(make(*args))
+                continue
+            if task[0] == _CUT:
+                _, pos, nenv, senv, boxed = task
+                v = done.pop()
+                todo.append((_VISIT, pos, [v] + nenv, senv) if boxed else (_VISIT, pos, nenv, senv + [v]))
+                continue
+            _, pos, nenv, senv = task
+            if pos in cnf.buds:
+                done.append(make_call(cnf.buds[pos], caller_scc, nenv, senv))
+                continue
+            if pos != start and pos in cset:
+                done.append(make_call(pos, caller_scc, nenv, senv))
+                continue
+            node = cnf.tree[pos]
+            kind = node.rule.kind
+            ch = node.children
+            if kind is RuleKind.ID:
+                done.append(senv[0])
+            elif kind is RuleKind.ZERO:
+                done.append(Zero())
+            elif kind is RuleKind.ORACLE:
+                done.append(OracleCall(node.rule.oracle, tuple(nenv), tuple(senv)))
+            elif kind in (RuleKind.S0, RuleKind.S1):
+                todo.append((_BUILD, S0 if kind is RuleKind.S0 else S1, 1))
+                todo.append((_VISIT, ch[0], nenv, senv))
+            elif kind is RuleKind.WEAK_N:
+                todo.append((_VISIT, ch[0], nenv, senv[:-1]))
+            elif kind is RuleKind.WEAK_B:
+                todo.append((_VISIT, ch[0], nenv[1:], senv))
+            elif kind is RuleKind.EXCH_N:
+                p = node.rule.pos
+                todo.append((_VISIT, ch[0], nenv, senv[:p] + [senv[p + 1], senv[p]] + senv[p + 2 :]))
+            elif kind is RuleKind.EXCH_B:
+                p = node.rule.pos
+                todo.append((_VISIT, ch[0], nenv[:p] + [nenv[p + 1], nenv[p]] + nenv[p + 2 :], senv))
+            elif kind is RuleKind.BOX_L:
+                todo.append((_VISIT, ch[0], nenv[1:], senv + [nenv[0]]))
+            elif kind is RuleKind.BOX_R:
+                todo.append((_VISIT, ch[0], nenv, senv))
+            elif kind in (RuleKind.CUT_N, RuleKind.CUT_B):
+                todo.append((_CUT, ch[1], nenv, senv, kind is RuleKind.CUT_B))
+                todo.append((_VISIT, ch[0], nenv, senv))
+            elif kind is RuleKind.COND_N:
+                w = senv[-1]
+                rest = senv[:-1]
+                todo.append((_BUILD, partial(Cond, w), 3))
+                todo.append((_VISIT, ch[2], nenv, rest + [Pred(w)]))
+                todo.append((_VISIT, ch[1], nenv, rest + [Pred(w)]))
+                todo.append((_VISIT, ch[0], nenv, rest))
+            elif kind is RuleKind.COND_B:
+                x = nenv[0]
+                rest = nenv[1:]
+                todo.append((_BUILD, partial(Cond, x), 3))
+                todo.append((_VISIT, ch[2], [Pred(x)] + rest, senv))
+                todo.append((_VISIT, ch[1], [Pred(x)] + rest, senv))
+                todo.append((_VISIT, ch[0], rest, senv))
+            else:
+                raise TranslateError(f"rule {kind.value} at {pos} is not translatable")
+        (body,) = done
+        return body
 
     for c in companions:
         seq = cnf.tree[c].sequent
@@ -207,13 +225,13 @@ def normalize_arities(state: TranslationState) -> TranslationState:
             m, n = state.arities[t.name]
             return Call(
                 t.name,
-                tuple(pad_calls(a) for a in t.normal_args) + tuple(Zero() for _ in range(big_m - m)),
-                tuple(pad_calls(a) for a in t.safe_args) + tuple(Zero() for _ in range(big_n - n)),
+                t.normal_args + tuple(Zero() for _ in range(big_m - m)),
+                t.safe_args + tuple(Zero() for _ in range(big_n - n)),
                 guard=t.guard,
             )
-        return map_children(t, pad_calls)
+        return t
 
-    new_bodies = {name: pad_calls(body) for name, body in state.bodies.items()}
+    new_bodies = {name: map_terms(body, pad_calls) for name, body in state.bodies.items()}
     new_arities = dict(state.arities)
     for f in companion_fns:
         new_arities[f] = (big_m, big_n)

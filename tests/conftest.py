@@ -3,6 +3,7 @@ import random
 import pytest
 
 from circsafe.corpus import standard_proofs, term_corpus
+from circsafe.kernel import Node, ProofGraph, Rule, RuleKind, Sequent
 
 
 def bitlen(x: int) -> int:
@@ -85,3 +86,77 @@ def proofs():
 @pytest.fixture(scope="session")
 def terms():
     return term_corpus()
+
+
+# Independent oracle for transform.bisimulation_classes: Moore's
+# round-by-round refinement, the definition read literally.  Each round
+# re-partitions every node by (own block, premise blocks) until no block
+# splits, so it costs one pass per level of depth: keep inputs small.
+
+
+def moore_classes(nodes: dict) -> dict:
+    """Bisimulation classes over all of ``nodes`` (premises inside it)."""
+    order = sorted(nodes)
+    blocks = {}
+    mapping = {}
+    for n in order:
+        mapping[n] = blocks.setdefault((nodes[n].rule, nodes[n].sequent), len(blocks))
+    while True:
+        sig_blocks = {}
+        new = {}
+        for n in order:
+            sig = (mapping[n], tuple(mapping[p] for p in nodes[n].premises))
+            new[n] = sig_blocks.setdefault(sig, len(sig_blocks))
+        if new == mapping:
+            return mapping
+        mapping = new
+
+
+def same_partition(a: dict, b: dict) -> bool:
+    """Equal partitions of the same keys, up to renumbering the blocks."""
+    pairs = {(a[k], b[k]) for k in a}
+    return a.keys() == b.keys() and len(pairs) == len(set(a.values())) == len(set(b.values()))
+
+
+# Scaled proof families, built directly as graphs.
+
+N, BN_N, BN_NN = Sequent(0, 1), Sequent(1, 1), Sequent(1, 2)
+
+
+def _succ(b: int) -> Rule:
+    return Rule(RuleKind.S1 if b else RuleKind.S0)
+
+
+def chain_graph(digits) -> ProofGraph:
+    """Successor steps writing ``digits`` over the identity: acyclic, CB,
+    len(digits)+1 nodes on one path."""
+    n = len(digits)
+    nodes = {f"c{j}": Node(_succ(b), N, (f"c{j + 1}",)) for j, b in enumerate(digits)}
+    nodes[f"c{n}"] = Node(Rule(RuleKind.ID), N, ())
+    return ProofGraph(f"chain{n}", "c0", nodes)
+
+
+def loop_graph(d0, d1) -> ProofGraph:
+    """A boxed conditional whose recursive branches run through the
+    successor steps ``d0`` and ``d1`` back to it: CB, one long cycle per
+    branch, len(d0)+len(d1)+2 nodes."""
+    nodes = {"r": Node(Rule(RuleKind.COND_B), BN_N, ("z", "a0", "b0")), "z": Node(Rule(RuleKind.ID), N, ())}
+    for tag, digits in (("a", d0), ("b", d1)):
+        for j, b in enumerate(digits):
+            nodes[f"{tag}{j}"] = Node(_succ(b), BN_N, (f"{tag}{j + 1}" if j + 1 < len(digits) else "r",))
+    return ProofGraph(f"loop{len(d0)}", "r", nodes)
+
+
+def nest_graph(m: int) -> ProofGraph:
+    """m-fold nested recursion f(x;y) = f(x/2; ... f(x/2; y)), base
+    f(0;y) = 2y: CNB, 3m nodes whose m cut nodes are all alike."""
+    nodes = {
+        "e0": Node(Rule(RuleKind.COND_B), BN_N, ("e1", "k0", "k0")),
+        "e1": Node(Rule(RuleKind.S0), N, ("e2",)),
+        "e2": Node(Rule(RuleKind.ID), N, ()),
+    }
+    for j in range(m - 1):
+        nodes[f"k{j}"] = Node(Rule(RuleKind.CUT_N), BN_N, ("e0", f"x{j}"))
+        nodes[f"x{j}"] = Node(Rule(RuleKind.EXCH_N, pos=0), BN_NN, (f"w{j}",))
+        nodes[f"w{j}"] = Node(Rule(RuleKind.WEAK_N), BN_NN, (f"k{j + 1}" if j + 2 < m else "e0",))
+    return ProofGraph(f"nest{m}", "e0", nodes)

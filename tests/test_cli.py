@@ -3,6 +3,8 @@
 import json
 from pathlib import Path
 
+from conftest import s_program
+
 from circsafe.cli import main
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -158,3 +160,27 @@ def test_check_invalid_graph_exact_output(capsys, tmp_path):
         '  "valid": false\n'
         "}\n"
     )
+
+
+def test_parser_keeps_no_state_between_calls(capsys, tmp_path):
+    target = tmp_path / "r.json"
+    code, _, _ = run(capsys, "check", CORPUS / "S.proof", "--json", target)
+    assert code == 0 and target.exists()
+    target.unlink()
+    code, out, _ = run(capsys, "check", CORPUS / "S.proof")
+    assert code == 0 and not target.exists() and "{" not in out
+
+
+def test_eval_pp_past_the_recursion_limit_is_no_traceback(capsys, tmp_path):
+    """A 400-bit all-ones input recurses about 400 calls deep in the
+    translated S program: the result is its value or a rejection line."""
+    prog = tmp_path / "S.pp"
+    code, _, _ = run(capsys, "translate", CORPUS / "S.proof", "-o", prog)
+    assert code == 0
+    x = 2**400 - 1
+    code, out, err = run(capsys, "eval-pp", prog, "--normals", x)
+    assert code in (0, 1)
+    if code == 0:
+        assert int(out) == s_program(x)
+    else:
+        assert err.startswith("rejected: ") and "Traceback" not in err

@@ -1,7 +1,12 @@
 """Cycle normal form structure and the close/open sets."""
 
-from circsafe.compilealg import srec_eliminate, term_to_derivation
-from circsafe.kernel import Node, ProofGraph, RuleKind
+import random
+
+from conftest import chain_graph, loop_graph, moore_classes, nest_graph, same_partition
+
+from circsafe.compilealg import nb_to_circular, srec_eliminate, term_to_derivation
+from circsafe.interp import check_term_class
+from circsafe.kernel import Node, ProofGraph, Rule, RuleKind, Sequent
 from circsafe.transform import (
     bisimulation_classes,
     close_open_sets,
@@ -125,26 +130,8 @@ def test_refold_is_bisimilar_to_input(proofs):
             merged[f"a_{nid}"] = Node(node.rule, node.sequent, tuple(f"a_{p}" for p in node.premises))
         for nid, node in spliced.nodes.items():
             merged[f"b_{nid}"] = Node(node.rule, node.sequent, tuple(f"b_{p}" for p in node.premises))
-        union = ProofGraph("union", f"a_{g.root}", merged)
         # reachability from one root only sees half; classify over all nodes
-        union_all = ProofGraph("union", f"a_{g.root}", merged)
-        order = sorted(merged)
-        mapping = {}
-        blocks = {}
-        for n in order:
-            key = (merged[n].rule, merged[n].sequent)
-            blocks.setdefault(key, len(blocks))
-            mapping[n] = blocks[key]
-        while True:
-            sig_blocks = {}
-            new = {}
-            for n in order:
-                sig = (mapping[n], tuple(mapping[p] for p in merged[n].premises))
-                sig_blocks.setdefault(sig, len(sig_blocks))
-                new[n] = sig_blocks[sig]
-            if new == mapping:
-                break
-            mapping = new
+        mapping = moore_classes(merged)
         assert mapping[f"a_{g.root}"] == mapping[f"b_{spliced.root}"], name
 
 
@@ -157,3 +144,38 @@ def test_compiled_cb_proofs_pass_all_clauses(terms):
         assert reports, name
         for r in reports:
             assert r.ok_progressing and r.ok_cnb and r.ok_cb, (name, r)
+
+
+def _random_graph(rng: random.Random, n: int) -> ProofGraph:
+    """n successor or boxed-conditional steps over bN,N pointing at each
+    other at random, plus one identity for the zero branches."""
+    seq = Sequent(1, 1)
+    nodes = {"z": Node(Rule(RuleKind.ID), Sequent(0, 1), ())}
+    for j in range(n):
+        kind = rng.choice((RuleKind.S0, RuleKind.S1, RuleKind.COND_B))
+        target = lambda: f"v{rng.randrange(n)}"
+        prem = ("z", target(), target()) if kind is RuleKind.COND_B else (target(),)
+        nodes[f"v{j}"] = Node(Rule(kind), seq, prem)
+    return ProofGraph(f"random{n}", "v0", nodes)
+
+
+def test_bisimulation_classes_match_moore_refinement(proofs, terms):
+    rng = random.Random(7)
+    graphs = list(proofs.values())
+    for td in terms.values():
+        if check_term_class(td.body, "B") == []:
+            graphs.append(term_to_derivation(td))
+            graphs.append(srec_eliminate(graphs[-1]))
+        else:
+            graphs.append(nb_to_circular(td))
+    for n in (1, 2, 7, 40, 120):
+        digits = [rng.getrandbits(1) for _ in range(n)]
+        graphs.append(chain_graph(digits))
+        # a shared digit tail makes the two branches partly bisimilar
+        graphs.append(loop_graph(digits, [1 - d for d in digits[: n // 2]] + digits[n // 2 :]))
+        graphs.append(loop_graph(digits, digits))
+    graphs += [nest_graph(m) for m in (2, 3, 10, 40)]
+    graphs += [_random_graph(rng, n) for n in (3, 5, 8, 20, 60) for _ in range(4)]
+    for g in graphs:
+        reach = {n: g.nodes[n] for n in g.reachable()}
+        assert same_partition(bisimulation_classes(g), moore_classes(reach)), g.name

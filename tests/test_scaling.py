@@ -1,0 +1,59 @@
+"""Graph passes at sizes past Python's recursion limit.
+
+``check``, ``cyclenf`` and ``translate`` run on explicit stacks, so a
+3200-node chain or loop goes through the command line under the
+default recursion limit, and ``classify`` is linear enough for 10**5
+nodes.  ``cyclenf`` itself cannot be taken to 10**5 nodes: its position
+ids spell the root path, so its output grows with the square of the
+depth, by format (a 10**5-node chain would print some 5 * 10**9
+characters of ids).
+"""
+
+import random
+import sys
+import time
+
+import pytest
+from conftest import chain_graph, loop_graph
+
+from circsafe.checker import classify
+from circsafe.cli import main
+from circsafe.formats import parse_proof, serialize_proof
+
+
+def _digits(n: int, seed: int) -> list[int]:
+    rng = random.Random(seed)
+    return [rng.getrandbits(1) for _ in range(n)]
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [chain_graph(_digits(3199, 1)), loop_graph(_digits(1599, 2), _digits(1599, 3))],
+    ids=["chain3200", "loop3200"],
+)
+def test_cli_pipeline_on_3200_nodes(graph, capsys, tmp_path):
+    assert len(graph.nodes) == 3200
+    limit = sys.getrecursionlimit()
+    src, cnf, pp = tmp_path / "g.proof", tmp_path / "g.cnf.proof", tmp_path / "g.pp"
+    src.write_text(serialize_proof(graph))
+    assert main(["check", str(src)]) == 0
+    assert "class=CB" in capsys.readouterr().out
+    assert main(["cyclenf", str(src), "-o", str(cnf)]) == 0
+    assert main(["translate", str(src), "-o", str(pp)]) == 0
+    assert sys.getrecursionlimit() == limit
+    # one node per graph node, plus the loop's dis marker
+    folded = parse_proof(cnf.read_text())
+    assert len(folded.nodes) == 3200 + (graph.name.startswith("loop"))
+    assert pp.read_text().startswith(f"program {graph.name} guard strictsafe\n")
+
+
+def test_classify_on_a_100000_node_chain():
+    graph = chain_graph(_digits(10**5 - 1, 4))
+    start = time.perf_counter()
+    cls = classify(graph)
+    elapsed = time.perf_counter() - start
+    assert cls.cls == "CB" and not cls.diagnostics
+    # about 2.5 s on a 2-core x86-64 machine with CPython 3.11; the
+    # margin is for a loaded machine, while a pass quadratic in n takes
+    # far longer at this size
+    assert elapsed < 10.0, elapsed
