@@ -9,7 +9,6 @@ power of it, which is where non-polynomial growth enters.
 
 from __future__ import annotations
 
-import multiprocessing
 import random
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -342,11 +341,6 @@ def _check_one(
     return bound - length(value), length(value), bound
 
 
-def _check_chunk(args):
-    td, pair, constants, chunk = args
-    return [_check_one(td, pair, constants, xs, ys) for xs, ys in chunk]
-
-
 def verify_bound(
     td: TermDef,
     samples: int = 200,
@@ -354,31 +348,20 @@ def verify_bound(
     env: Optional[OracleEnv] = None,
     constants: Sequence[int] = (),
     pair: Optional[BoundPair] = None,
-    workers: int = 1,
 ) -> BoundReport:
     """Draw seeded inputs and check the output-length inequality.
 
     A violation indicates an implementation bug; the report records the
     worst slack seen (bound minus actual length).  Samples are drawn up
-    front from one seeded stream, so the result is identical for any
-    worker count; host-supplied oracle environments force serial runs.
+    front from one seeded stream.
     """
     pair = pair or synthesize_bound(td.body)
     rng = random.Random(seed)
     drawn = [sample_inputs(rng, td.normals, td.safes) for _ in range(samples)]
-    if workers > 1 and env is None:
-        chunks = [drawn[i::workers] for i in range(workers)]
-        with multiprocessing.Pool(workers) as pool:
-            parts = pool.map(_check_chunk, [(td, pair, constants, c) for c in chunks])
-        results_by_chunk = parts
-        ordered = []
-        for i in range(samples):
-            ordered.append(results_by_chunk[i % workers][i // workers])
-    else:
-        ordered = [_check_one(td, pair, constants, xs, ys, env) for xs, ys in drawn]
     max_slack: Optional[int] = None
     violations: list[dict] = []
-    for (xs, ys), (slack, vlen, bound) in zip(drawn, ordered):
+    for xs, ys in drawn:
+        slack, vlen, bound = _check_one(td, pair, constants, xs, ys, env)
         if slack < 0:
             violations.append({"normals": xs, "safes": ys, "value_len": vlen, "bound": str(bound)})
         if max_slack is None or slack > max_slack:

@@ -35,7 +35,7 @@ from .formats import (
     serialize_proof,
 )
 from .compilealg import CompileError, nb_to_circular, srec_eliminate, term_to_derivation
-from .transform import TransformError, cnf_to_graph, cycle_normal_form
+from .transform import TransformError, _cycle_normal_form, cnf_to_graph
 from .translate import TranslateError, translate
 from .bounds import synthesize_bound, verify_bound
 
@@ -159,7 +159,7 @@ def cmd_cyclenf(args: argparse.Namespace) -> int:
     if errors:
         print(f"{graph.name}: invalid ({errors[0]})")
         return BAD_INPUT
-    cnf = cycle_normal_form(graph)
+    cnf = _cycle_normal_form(graph)  # validated just above
     folded = cnf_to_graph(cnf)
     if args.dot:
         _write_out(args.dot, export_dot(folded))

@@ -219,6 +219,12 @@ class TermDocument:
     oracles: dict[str, tuple[int, int]]
 
 
+# matched in place: slicing the rest of the line per token is quadratic
+_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_*]*")
+_NUMBER = re.compile(r"\d+")
+_PROJ = re.compile(r"[xy]\d+")
+
+
 class _TermParser:
     def __init__(self, text: str, lineno: int) -> None:
         self.text = text
@@ -244,18 +250,18 @@ class _TermParser:
 
     def ident(self) -> str:
         self.ws()
-        m = re.match(r"[A-Za-z_][A-Za-z0-9_*]*", self.text[self.pos :])
+        m = _IDENT.match(self.text, self.pos)
         if not m:
             raise self.error("expected a name")
-        self.pos += m.end()
+        self.pos = m.end()
         return m.group(0)
 
     def number(self) -> int:
         self.ws()
-        m = re.match(r"\d+", self.text[self.pos :])
+        m = _NUMBER.match(self.text, self.pos)
         if not m:
             raise self.error("expected a number")
-        self.pos += m.end()
+        self.pos = m.end()
         return int(m.group(0))
 
     def args(self) -> list[Term]:
@@ -299,9 +305,9 @@ class _TermParser:
             ns, ss = self.two_sorted_args()
             self.eat(")")
             return Call(name, tuple(ns), tuple(ss), guard="?")  # resolved by the program
-        m = re.match(r"[xy]\d+", self.text[self.pos :])
+        m = _PROJ.match(self.text, self.pos)
         if m:
-            self.pos += m.end()
+            self.pos = m.end()
             tok = m.group(0)
             return Proj("n" if tok[0] == "x" else "s", int(tok[1:]))
         name = self.ident()

@@ -6,10 +6,17 @@ expansions).  Terms are a two-sorted function algebra with oracles and
 the recursion schemes on notation and on permutations of prefixes;
 programs over the prefix-permutation order add guarded calls between
 named functions.
+
+Terms and programs compile once into closures for fixed argument counts
+(``eval_term`` caches them, ``eval_pp`` compiles a body on its first
+call).  Recursion names are scoped lexically: a program body sees only
+the host's oracles.  ``srec`` runs as a loop over the prefixes of its
+recursion argument, so it does not recurse once per input bit.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from operator import attrgetter
 from typing import Callable, NamedTuple, Optional, Sequence, TypeVar
@@ -70,45 +77,21 @@ class OracleDef(NamedTuple):
 
 
 class OracleEnv:
-    """Host-supplied total functions keyed by name, with declared arities.
+    """Host-supplied total functions keyed by name, with declared arities."""
 
-    Extension is a cheap chain link; recursion extends the environment
-    once per unfolding, so lookups walk at most the nesting depth.
-    """
-
-    __slots__ = ("_defs", "_parent", "_name", "_def")
+    __slots__ = ("_defs",)
 
     def __init__(self, defs: Sequence[OracleDef] = ()) -> None:
         self._defs = {d.name: d for d in defs}
-        self._parent: Optional["OracleEnv"] = None
-        self._name: Optional[str] = None
-        self._def: Optional[OracleDef] = None
-
-    def extended(self, d: OracleDef) -> "OracleEnv":
-        env = OracleEnv.__new__(OracleEnv)
-        env._defs = self._defs
-        env._parent = self
-        env._name = d.name
-        env._def = d
-        return env
 
     def lookup(self, name: str) -> OracleDef:
-        env = self
-        while env._name is not None:
-            if env._name == name:
-                return env._def
-            env = env._parent
-        d = env._defs.get(name)
+        d = self._defs.get(name)
         if d is None:
             raise EvalError(f"unknown oracle {name!r}")
         return d
 
     def __contains__(self, name: str) -> bool:
-        try:
-            self.lookup(name)
-            return True
-        except EvalError:
-            return False
+        return name in self._defs
 
 
 EMPTY_ORACLES = OracleEnv()
@@ -500,240 +483,213 @@ def map_terms(term: Term, f: Callable[[Term], Term]) -> Term:
 
 
 # ---------------------------------------------------------------------------
-# Term evaluation
+# Term evaluation: compiled once into closures
+#
+# For fixed argument counts a term compiles to ``run(xs, ys, b)``: xs and
+# ys are the normal and safe arguments at that point, b the bindings.
+# b[0] maps host oracle names to their OracleDef, b[1] and b[2] are the
+# normals and safes of the innermost program call (the frame its guards
+# compare against; None outside programs).  Each recursion scheme
+# appends one binding per name it introduces, ``(code, bound, outer)``:
+# the scheme's code, the arguments it was entered with and the bindings
+# around it.  So a recursion name resolves at compile time to an index
+# into b, and a recursive call runs in its scheme's scope, never in the
+# caller's.  Arities are fixed by the term, so they are checked here
+# once; a failed check compiles to code that raises when it is reached.
+
+_FIXED = 3  # b[0..2] as above; recursion bindings follow
+_STRICT, _UNRELATED = TupleOrder.SUBSET_STRICT, TupleOrder.NOT_RELATED
 
 
-class _Frame:
-    __slots__ = ("normals", "safes")
+def _fail(msg: str):
+    def run(*_):
+        raise EvalError(msg)
 
-    def __init__(self, normals: tuple[int, ...], safes: tuple[int, ...]) -> None:
-        self.normals = normals
-        self.safes = safes
-
-
-class _Ctx:
-    """Shared evaluation state: fuel, memo table, nesting depth."""
-
-    def __init__(
-        self,
-        prog: Optional["PPProgram"],
-        cfg: EvalConfig,
-        stats: Optional[EvalStats],
-    ) -> None:
-        self.prog = prog
-        self.cfg = cfg
-        self.stats = stats
-        self.fuel = cfg.fuel
-        self.memo: dict = {}
-        self.depth = 0
+    return run
 
 
-def _eval_term(term: Term, xs: tuple[int, ...], ys: tuple[int, ...], frame: Optional[_Frame], ctx: _Ctx, oracles: OracleEnv) -> int:
-    return _staged(term)(xs, ys, frame, ctx, oracles)
+def _tuple_of(args: list):
+    """Code building the tuple of the values of ``args``, in order."""
+    if len(args) == 1:
+        (a,) = args
+        return lambda xs, ys, b: (a(xs, ys, b),)
+    if len(args) == 2:
+        a, c = args
+        return lambda xs, ys, b: (a(xs, ys, b), c(xs, ys, b))
+    return lambda xs, ys, b: tuple([a(xs, ys, b) for a in args])
 
 
-# Terms are staged once into nested closures; repeated evaluation (the
-# recursion schemes unfold the same step term very many times) then
-# skips all dispatch.  Keyed by structural equality, so shared subterms
-# stage once.
-_STAGED: dict = {}
+def _compile(term: Term, m: int, n: int, scope: tuple, prog: Optional["_Run"]):
+    """Code of ``term`` at ``m`` normal and ``n`` safe arguments.
 
-
-def _staged(term: Term):
-    fn = _STAGED.get(term)
-    if fn is None:
-        fn = _build(term)
-        _STAGED[term] = fn
-    return fn
-
-
-def _build(term: Term):
+    ``scope`` holds the recursion names bound around ``term``, outermost
+    first, as ``(name, guard, normals, safes)``: guard None for nested
+    recursion, else whether the safes are guarded too.  ``prog`` resolves
+    named calls (None outside programs).
+    """
     if isinstance(term, Zero):
-        return lambda xs, ys, frame, ctx, oracles: 0
+        return lambda xs, ys, b: 0
     if isinstance(term, Proj):
-        i = term.index
-        if term.sort == "n":
-            def run(xs, ys, frame, ctx, oracles, _i=i):
-                if _i >= len(xs):
-                    raise EvalError(f"projection n{_i} out of range")
-                return xs[_i]
-            return run
-        def run(xs, ys, frame, ctx, oracles, _i=i):
-            if _i >= len(ys):
-                raise EvalError(f"projection s{_i} out of range")
-            return ys[_i]
-        return run
-    if isinstance(term, S0):
-        t = _staged(term.t)
-        return lambda xs, ys, frame, ctx, oracles: 2 * t(xs, ys, frame, ctx, oracles)
-    if isinstance(term, S1):
-        t = _staged(term.t)
-        return lambda xs, ys, frame, ctx, oracles: 2 * t(xs, ys, frame, ctx, oracles) + 1
-    if isinstance(term, Pred):
-        t = _staged(term.t)
-        return lambda xs, ys, frame, ctx, oracles: t(xs, ys, frame, ctx, oracles) >> 1
+        i, normal = term.index, term.sort == "n"
+        if i >= (m if normal else n):
+            return _fail(f"projection {'n' if normal else 's'}{i} out of range")
+        return (lambda xs, ys, b: xs[i]) if normal else (lambda xs, ys, b: ys[i])
+    if isinstance(term, (S0, S1, Pred)):
+        t = _compile(term.t, m, n, scope, prog)
+        if isinstance(term, S0):
+            return lambda xs, ys, b: 2 * t(xs, ys, b)
+        if isinstance(term, S1):
+            return lambda xs, ys, b: 2 * t(xs, ys, b) + 1
+        return lambda xs, ys, b: t(xs, ys, b) >> 1
     if isinstance(term, Cond):
-        w, x, y, z = (_staged(t) for t in (term.w, term.x, term.y, term.z))
+        w, x, y, z = (_compile(t, m, n, scope, prog) for t in (term.w, term.x, term.y, term.z))
 
-        def run(xs, ys, frame, ctx, oracles):
-            v = w(xs, ys, frame, ctx, oracles)
+        def run(xs, ys, b):
+            v = w(xs, ys, b)
             if v == 0:
-                return x(xs, ys, frame, ctx, oracles)
+                return x(xs, ys, b)
             if v % 2 == 0:
-                return y(xs, ys, frame, ctx, oracles)
-            return z(xs, ys, frame, ctx, oracles)
+                return y(xs, ys, b)
+            return z(xs, ys, b)
 
         return run
-    if isinstance(term, OracleCall):
-        name = term.name
-        nargs = tuple(_staged(a) for a in term.normal_args)
-        sargs = tuple(_staged(a) for a in term.safe_args)
-
-        def run(xs, ys, frame, ctx, oracles):
-            d = oracles.lookup(name)
-            us = tuple([a(xs, ys, frame, ctx, oracles) for a in nargs])
-            vs = tuple([a(xs, ys, frame, ctx, oracles) for a in sargs])
-            if len(us) != d.normals or len(vs) != d.safes:
-                raise EvalError(f"oracle {name!r} arity mismatch")
-            return d.fn(us, vs)
-
-        return run
-    if isinstance(term, Call):
-        name, guard = term.name, term.guard
-        nargs = tuple(_staged(a) for a in term.normal_args)
-        sargs = tuple(_staged(a) for a in term.safe_args)
-
-        def run(xs, ys, frame, ctx, oracles):
-            if ctx.prog is None:
-                raise EvalError("named calls only occur inside programs")
-            us = tuple([a(xs, ys, frame, ctx, oracles) for a in nargs])
-            vs = tuple([a(xs, ys, frame, ctx, oracles) for a in sargs])
-            if guard is not None:
-                rel, _ = tuple_order(us, frame.normals)
-                ok = rel is TupleOrder.SUBSET_STRICT
-                if ok and guard == "strict_safe":
-                    srel, _ = tuple_order(vs, frame.safes)
-                    ok = srel is not TupleOrder.NOT_RELATED
-                if not ok:
-                    if ctx.cfg.guard_mode == "strict":
-                        raise GuardViolation(
-                            f"guarded call to {name} with normals {us} "
-                            f"against frame {frame.normals}"
-                        )
-                    return 0
-            return _call_pp(ctx.prog, name, us, vs, ctx, oracles)
-
-        return run
+    if isinstance(term, (OracleCall, Call)):
+        nargs = [_compile(a, m, n, scope, prog) for a in term.normal_args]
+        sargs = [_compile(a, m, n, scope, prog) for a in term.safe_args]
+        if isinstance(term, Call):
+            return _named_call(term, nargs, sargs, prog)
+        for k in range(len(scope) - 1, -1, -1):
+            if scope[k][0] == term.name:
+                return _rec_call(term.name, _FIXED + k, scope[k], nargs, sargs)
+        return _oracle_call(term.name, nargs, sargs)
     if isinstance(term, CompSafe):
-        h, g = _staged(term.h), _staged(term.g)
-
-        def run(xs, ys, frame, ctx, oracles):
-            v = g(xs, ys, frame, ctx, oracles)
-            return h(xs, ys + (v,), frame, ctx, oracles)
-
-        return run
+        h, g = _compile(term.h, m, n + 1, scope, prog), _compile(term.g, m, n, scope, prog)
+        return lambda xs, ys, b: h(xs, ys + (g(xs, ys, b),), b)
     if isinstance(term, CompNormal):
-        h, g = _staged(term.h), _staged(term.g)
-
-        def run(xs, ys, frame, ctx, oracles):
-            v = g(xs, (), frame, ctx, oracles)
-            return h(xs + (v,), ys, frame, ctx, oracles)
-
-        return run
+        h, g = _compile(term.h, m + 1, n, scope, prog), _compile(term.g, m, 0, scope, prog)
+        return lambda xs, ys, b: h(xs + (g(xs, (), b),), ys, b)
+    if isinstance(term, (SRecN, SNRec)) and m == 0:
+        return _fail(f"{type(term).__name__} needs a normal argument")
     if isinstance(term, SRecN):
-        g, h0, h1 = _staged(term.g), _staged(term.h0), _staged(term.h1)
+        g = _compile(term.g, m - 1, n, scope, prog)
+        h0, h1 = (_compile(h, m, n + 1, scope, prog) for h in (term.h0, term.h1))
 
-        def run(xs, ys, frame, ctx, oracles):
-            x0 = xs[0]
-            if x0 == 0:
-                return g(xs[1:], ys, frame, ctx, oracles)
-            rest = (x0 >> 1,) + xs[1:]
-            rec = run(rest, ys, frame, ctx, oracles)
-            h = h1 if x0 % 2 else h0
-            return h(rest, ys + (rec,), frame, ctx, oracles)
+        def run(xs, ys, b):
+            # f(x) from f(0), folding h0/h1 over the prefixes of x,
+            # shortest first: a loop, not one call per bit
+            x0, tail = xs[0], xs[1:]
+            if x0 < 0:
+                raise EvalError("srec on a negative input")
+            v = g(tail, ys, b)
+            for k in range(x0.bit_length() - 1, -1, -1):
+                p = x0 >> k
+                v = (h1 if p & 1 else h0)((p >> 1,) + tail, ys + (v,), b)
+            return v
 
         return run
     if isinstance(term, SNRec):
-        g, h = _staged(term.g), _staged(term.h)
-        name = term.rec_name
+        g = _compile(term.g, m - 1, n, scope, prog)
+        h = _compile(term.h, m, n, scope + ((term.rec_name, None, 0, n),), prog)
 
-        def run(xs, ys, frame, ctx, oracles):
+        def run(xs, ys, b):
             x0 = xs[0]
             if x0 == 0:
-                return g(xs[1:], ys, frame, ctx, oracles)
+                return g(xs[1:], ys, b)
             rest = (x0 >> 1,) + xs[1:]
-
-            def recurse(us, vs):
-                # call-by-name closure for f(pred x, rest; .)
-                return run(rest, tuple(vs), frame, ctx, oracles)
-
-            sub = oracles.extended(OracleDef(name, 0, len(ys), recurse))
-            return h(rest, ys, frame, ctx, sub)
+            return h(rest, ys, b + ((run, rest, b),))
 
         return run
     if isinstance(term, (SRecPP, SNRecPP)):
-        h = _staged(term.h)
-        name = term.rec_name
-        guard_safes = isinstance(term, SRecPP)
+        h = _compile(term.h, m, n, scope + ((term.rec_name, isinstance(term, SRecPP), m, n),), prog)
 
-        def run(xs, ys, frame, ctx, oracles):
-            def recurse(us, vs):
-                us, vs = tuple(us), tuple(vs)
-                rel, _ = tuple_order(us, xs)
-                ok = rel is TupleOrder.SUBSET_STRICT
-                if ok and guard_safes:
-                    srel, _ = tuple_order(vs, ys)
-                    ok = srel is not TupleOrder.NOT_RELATED
-                if not ok:
-                    return 0
-                return run(us, vs, frame, ctx, oracles)
-
-            sub = oracles.extended(OracleDef(name, len(xs), len(ys), recurse))
-            return h(xs, ys, frame, ctx, sub)
+        def run(xs, ys, b):
+            return h(xs, ys, b + ((run, (xs, ys), b),))
 
         return run
     if isinstance(term, SimRecPP):
-        return lambda xs, ys, frame, ctx, oracles: _eval_simrec(
-            term, term.select, xs, ys, frame, ctx, oracles
-        )
+        inner = scope + tuple((f"{REC}{j + 1}", term.guard_safes, m, n) for j in range(len(term.hs)))
+        runs = []
+        for h in term.hs:
+
+            def run(xs, ys, b, h=_compile(h, m, n, inner, prog)):
+                bound = (xs, ys)
+                return h(xs, ys, b + tuple([(r, bound, b) for r in runs]))
+
+            runs.append(run)
+        return runs[term.select]
     if isinstance(term, TagDispatch):
         w = term.tag_width
-        cases = tuple((want, _staged(body)) for want, body in term.cases)
+        if n < w:
+            return _fail("tag dispatch needs its trailing safe slots")
+        table: dict = {}
+        for want, body in term.cases:
+            table.setdefault(want, _compile(body, m, n, scope, prog))
 
-        def run(xs, ys, frame, ctx, oracles):
-            if len(ys) < w:
-                raise EvalError("tag dispatch needs its trailing safe slots")
-            tag = ys[len(ys) - w :]
-            for want, body in cases:
-                if tag == want:
-                    return body(xs, ys, frame, ctx, oracles)
-            return 0
+        def run(xs, ys, b):
+            body = table.get(ys[n - w :])
+            return 0 if body is None else body(xs, ys, b)
 
         return run
     raise EvalError(f"cannot evaluate {term!r}")
 
 
-def _eval_simrec(term: SimRecPP, which: int, xs: tuple[int, ...], ys: tuple[int, ...], frame, ctx: _Ctx, oracles: OracleEnv) -> int:
-    k = len(term.hs)
+def _rec_call(name: str, slot: int, binder: tuple, nargs: list, sargs: list):
+    """A call of the recursion name bound at ``slot`` by ``binder``."""
+    _, guard, bm, bn = binder
+    if len(nargs) != bm or len(sargs) != bn:
 
-    def make(j: int) -> OracleFn:
-        def recurse(us: Sequence[int], vs: Sequence[int]) -> int:
-            us, vs = tuple(us), tuple(vs)
-            rel, _ = tuple_order(us, xs)
-            ok = rel is TupleOrder.SUBSET_STRICT
-            if ok and term.guard_safes:
-                srel, _ = tuple_order(vs, ys)
-                ok = srel is not TupleOrder.NOT_RELATED
-            if not ok:
-                return 0
-            return _eval_simrec(term, j, us, vs, frame, ctx, oracles)
+        def bad(xs, ys, b):
+            for a in nargs + sargs:
+                a(xs, ys, b)
+            raise EvalError(f"oracle {name!r} arity mismatch")
 
-        return recurse
+        return bad
+    us, vs = _tuple_of(nargs), _tuple_of(sargs)
+    if guard is None:  # nested recursion: f(pred x, rest; vs)
+        if len(sargs) == 1:  # the hot case, without the tuple builder's call
+            (a,) = sargs
 
-    env = oracles
-    for j in range(k):
-        env = env.extended(OracleDef(f"{REC}{j + 1}", len(xs), len(ys), make(j)))
-    return _eval_term(term.hs[which], xs, ys, frame, ctx, env)
+            def nested(xs, ys, b):
+                code, rest, outer = b[slot]
+                return code(rest, (a(xs, ys, b),), outer)
+
+        else:
+
+            def nested(xs, ys, b):
+                code, rest, outer = b[slot]
+                return code(rest, vs(xs, ys, b), outer)
+
+        return nested
+
+    def guarded(xs, ys, b):  # prefix-permutation recursion: 0 below no descent
+        code, (fx, fy), outer = b[slot]
+        u, v = us(xs, ys, b), vs(xs, ys, b)
+        if tuple_order(u, fx)[0] is not _STRICT or guard and tuple_order(v, fy)[0] is _UNRELATED:
+            return 0
+        return code(u, v, outer)
+
+    return guarded
+
+
+def _oracle_call(name: str, nargs: list, sargs: list):
+    """A call of the host oracle ``name``, looked up when it runs."""
+    us, vs, m, n = _tuple_of(nargs), _tuple_of(sargs), len(nargs), len(sargs)
+
+    def run(xs, ys, b):
+        d = b[0].get(name)
+        if d is None:
+            raise EvalError(f"unknown oracle {name!r}")
+        u, v = us(xs, ys, b), vs(xs, ys, b)
+        if d.normals != m or d.safes != n:
+            raise EvalError(f"oracle {name!r} arity mismatch")
+        return d.fn(u, v)
+
+    return run
+
+
+@functools.lru_cache(maxsize=256)
+def _term_code(term: Term, normals: int, safes: int):
+    return _compile(term, normals, safes, (), None)
 
 
 def eval_term(
@@ -743,9 +699,10 @@ def eval_term(
     safes: Sequence[int] = (),
     cfg: Optional[EvalConfig] = None,
 ) -> int:
-    """Total evaluation of an algebra term against ambient inputs."""
-    ctx = _Ctx(None, cfg or EvalConfig(), None)
-    return _eval_term(term, tuple(normals), tuple(safes), None, ctx, env or EMPTY_ORACLES)
+    """Total evaluation of an algebra term against ambient inputs
+    (``cfg`` is unused: a term makes no program calls)."""
+    xs, ys = tuple(normals), tuple(safes)
+    return _term_code(term, len(xs), len(ys))(xs, ys, ((env or EMPTY_ORACLES)._defs, None, None))
 
 
 # ---------------------------------------------------------------------------
@@ -766,11 +723,6 @@ class PPProgram:
 
     functions: dict[str, PPFunction]
     guard: str = "strict"  # family default: "strict" or "strict_safe"
-
-    def function(self, name: str) -> PPFunction:
-        if name not in self.functions:
-            raise EvalError(f"unknown function {name!r}")
-        return self.functions[name]
 
     def validate(self) -> None:
         for fn in self.functions.values():
@@ -801,31 +753,79 @@ def _calls(term: Term) -> list[Call]:
     return out
 
 
-def _call_pp(prog: "PPProgram", fname: str, xs: tuple[int, ...], ys: tuple[int, ...], ctx: _Ctx, oracles: OracleEnv) -> int:
-    fn = prog.function(fname)
-    if len(xs) != fn.normals or len(ys) != fn.safes:
-        raise EvalError(f"{fname} expects ({fn.normals};{fn.safes}) arguments")
-    ctx.fuel -= 1
-    if ctx.fuel < 0:
-        raise FuelExhausted(f"fuel exhausted calling {fname}")
-    key = (fname, xs, ys)
-    if ctx.cfg.memo:
-        hit = ctx.memo.get(key)
-        if hit is not None:
-            return hit
-    ctx.depth += 1
-    if ctx.stats is not None:
-        ctx.stats.steps += 1
-        ctx.stats.max_depth = max(ctx.stats.max_depth, ctx.depth)
-    try:
-        v = _eval_term(fn.body, xs, ys, _Frame(xs, ys), ctx, oracles)
-    finally:
-        ctx.depth -= 1
-    if ctx.cfg.memo:
-        ctx.memo[key] = v
-        if ctx.stats is not None:
-            ctx.stats.memo_keys = len(ctx.memo)
-    return v
+class _Run:
+    """One ``eval_pp`` run: fuel, memo and stats shared by every call;
+    each function body is compiled on its first call."""
+
+    def __init__(self, prog: PPProgram, env: OracleEnv, cfg: EvalConfig, stats: Optional[EvalStats]) -> None:
+        self.prog, self.defs, self.stats = prog, env._defs, stats
+        self.strict = cfg.guard_mode == "strict"
+        self.memo: Optional[dict] = {} if cfg.memo else None
+        self.fuel, self.depth = cfg.fuel, 0
+        self.entries: dict[str, Callable] = {}
+
+    def entry(self, name: str, m: int, n: int) -> Callable:
+        """``enter(us, vs)`` calling function ``name`` with m normals and
+        n safes; it raises EvalError if there is no such function."""
+        fn = self.prog.functions.get(name)
+        if fn is None:
+            return _fail(f"unknown function {name!r}")
+        if (m, n) != (fn.normals, fn.safes):
+            return _fail(f"{name} expects ({fn.normals};{fn.safes}) arguments")
+        if name not in self.entries:
+            self.entries[name] = self._enter(fn)
+        return self.entries[name]
+
+    def _enter(self, fn: PPFunction) -> Callable:
+        name, defs, memo, stats = fn.name, self.defs, self.memo, self.stats
+        body = None
+
+        def enter(us, vs):
+            nonlocal body
+            self.fuel -= 1
+            if self.fuel < 0:
+                raise FuelExhausted(f"fuel exhausted calling {name}")
+            if memo is not None:
+                hit = memo.get((name, us, vs))
+                if hit is not None:
+                    return hit
+            if body is None:
+                body = _compile(fn.body, fn.normals, fn.safes, (), self)
+            self.depth += 1
+            if stats is not None:
+                stats.steps += 1
+                stats.max_depth = max(stats.max_depth, self.depth)
+            v = body(us, vs, (defs, us, vs))  # an exception ends the whole run
+            self.depth -= 1
+            if memo is not None:
+                memo[(name, us, vs)] = v
+                if stats is not None:
+                    stats.memo_keys = len(memo)
+            return v
+
+        return enter
+
+
+def _named_call(term: Call, nargs: list, sargs: list, prog: Optional[_Run]):
+    """A call of a program function, straight to its entry; a guarded
+    call first compares its normals (and safes) with the caller's frame."""
+    if prog is None:
+        return _fail("named calls only occur inside programs")
+    us, vs = _tuple_of(nargs), _tuple_of(sargs)
+    enter = prog.entry(term.name, len(nargs), len(sargs))
+    if term.guard is None:
+        return lambda xs, ys, b: enter(us(xs, ys, b), vs(xs, ys, b))
+    name, strict, safe_guard = term.name, prog.strict, term.guard == "strict_safe"
+
+    def guarded(xs, ys, b):
+        u, v = us(xs, ys, b), vs(xs, ys, b)
+        if tuple_order(u, b[1])[0] is not _STRICT or safe_guard and tuple_order(v, b[2])[0] is _UNRELATED:
+            if strict:
+                raise GuardViolation(f"guarded call to {name} with normals {u} against frame {b[1]}")
+            return 0
+        return enter(u, v)
+
+    return guarded
 
 
 def eval_pp(
@@ -838,8 +838,9 @@ def eval_pp(
     stats: Optional[EvalStats] = None,
 ) -> int:
     """Run a named function of a prefix-permutation program."""
-    ctx = _Ctx(prog, cfg or EvalConfig(), stats)
-    return _call_pp(prog, fname, tuple(normals), tuple(safes), ctx, env or EMPTY_ORACLES)
+    run = _Run(prog, env or EMPTY_ORACLES, cfg or EvalConfig(), stats)
+    xs, ys = tuple(normals), tuple(safes)
+    return run.entry(fname, len(xs), len(ys))(xs, ys)
 
 
 # ---------------------------------------------------------------------------

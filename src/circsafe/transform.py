@@ -148,6 +148,15 @@ class CycleNF:
 
 
 def cycle_normal_form(graph: ProofGraph) -> CycleNF:
+    """``_cycle_normal_form`` of a graph that passes ``validate_graph``
+    (srec and oracle leaves allowed); TransformError otherwise."""
+    errors = validate_graph(graph, allow_srec=True, allow_oracle=True)
+    if errors:
+        raise TransformError(f"invalid input graph: {errors[0]}")
+    return _cycle_normal_form(graph)
+
+
+def _cycle_normal_form(graph: ProofGraph) -> CycleNF:
     """Unfold the bisimulation-minimized graph, cutting at repetitions.
 
     Depth-first, leftmost premise first; a node whose minimized class
@@ -159,10 +168,8 @@ def cycle_normal_form(graph: ProofGraph) -> CycleNF:
     creates (each is its parent's plus one index), plus the
     O(n log n) minimisation: linear in the tree size for bounded depth,
     quadratic in depth for a long path, as the output format dictates.
+    Callers that have validated ``graph`` more strictly call this directly.
     """
-    errors = validate_graph(graph, allow_srec=True, allow_oracle=True)
-    if errors:
-        raise TransformError(f"invalid input graph: {errors[0]}")
     classes = bisimulation_classes(graph)
     cnf = CycleNF(graph.name)
     tree, buds, node_of, ids = cnf.tree, cnf.buds, cnf.node_of, cnf.ids

@@ -30,7 +30,7 @@ from .interp import (
     Zero,
     map_terms,
 )
-from .transform import CycleNF, Pos, cycle_normal_form
+from .transform import CycleNF, Pos, _cycle_normal_form
 
 
 class TranslateError(Exception):
@@ -92,7 +92,7 @@ def synthesize(graph: ProofGraph) -> TranslationState:
             + "; ".join(cl.diagnostics)
         )
     guard = "strict_safe" if cl.cls == "CB" else "strict"
-    cnf = cycle_normal_form(graph)
+    cnf = _cycle_normal_form(graph)  # classify validated it
     companions, scc_of = _companion_sccs(cnf)
     fname = {pos: f"f{i}" for i, pos in enumerate(companions)}
     cset = set(companions)

@@ -1,9 +1,30 @@
 import random
+from collections import ChainMap
 
 import pytest
 
 from circsafe.corpus import standard_proofs, term_corpus
-from circsafe.kernel import Node, ProofGraph, Rule, RuleKind, Sequent
+from circsafe.interp import (
+    Call,
+    CompNormal,
+    CompSafe,
+    Cond,
+    EvalError,
+    GuardViolation,
+    OracleCall,
+    Pred,
+    Proj,
+    S0,
+    S1,
+    SimRecPP,
+    SNRec,
+    SNRecPP,
+    SRecN,
+    SRecPP,
+    TagDispatch,
+    Zero,
+)
+from circsafe.kernel import Node, ProofGraph, Rule, RuleKind, Sequent, TupleOrder, tuple_order
 
 
 def bitlen(x: int) -> int:
@@ -160,3 +181,105 @@ def nest_graph(m: int) -> ProofGraph:
         nodes[f"x{j}"] = Node(Rule(RuleKind.EXCH_N, pos=0), BN_NN, (f"w{j}",))
         nodes[f"w{j}"] = Node(Rule(RuleKind.WEAK_N), BN_NN, (f"k{j + 1}" if j + 2 < m else "e0",))
     return ProofGraph(f"nest{m}", "e0", nodes)
+
+
+# Independent oracle for interp.eval_term and interp.eval_pp: the term
+# semantics read literally, one Python call per step, with recursion
+# names bound in a chain of dicts (innermost first) over the host
+# oracles.  A program function's body sees the host oracles only.  No
+# fuel, memo or statistics; the recursion is Python's, so keep inputs
+# to a few dozen bits.
+
+
+def ref_env(defs=()) -> ChainMap:
+    """Host oracles, from OracleDefs, as name -> (normals, safes, fn)."""
+    return ChainMap({d.name: (d.normals, d.safes, d.fn) for d in defs})
+
+
+def _descends(us, vs, frame, safes: bool) -> bool:
+    if tuple_order(us, frame[0])[0] is not TupleOrder.SUBSET_STRICT:
+        return False
+    return not safes or tuple_order(vs, frame[1])[0] is not TupleOrder.NOT_RELATED
+
+
+def ref_eval(t, xs, ys, env, run=None, frame=None):
+    """Value of term ``t`` at tuples ``xs``, ``ys``; ``run`` is
+    (program, host env, strict guards) inside programs, ``frame`` the
+    arguments of the innermost program call."""
+
+    def ev(u, a=xs, b=ys, e=env):
+        return ref_eval(u, a, b, e, run, frame)
+
+    if isinstance(t, Zero):
+        return 0
+    if isinstance(t, Proj):
+        seq = xs if t.sort == "n" else ys
+        if t.index >= len(seq):
+            raise EvalError(f"projection {t.sort}{t.index} out of range")
+        return seq[t.index]
+    if isinstance(t, (S0, S1)):
+        return 2 * ev(t.t) + isinstance(t, S1)
+    if isinstance(t, Pred):
+        return ev(t.t) >> 1
+    if isinstance(t, Cond):
+        w = ev(t.w)
+        return ev(t.x if w == 0 else t.y if w % 2 == 0 else t.z)
+    if isinstance(t, OracleCall):
+        if t.name not in env:
+            raise EvalError(f"unknown oracle {t.name!r}")
+        m, n, fn = env[t.name]
+        us, vs = tuple(ev(a) for a in t.normal_args), tuple(ev(a) for a in t.safe_args)
+        if (len(us), len(vs)) != (m, n):
+            raise EvalError(f"oracle {t.name!r} arity mismatch")
+        return fn(us, vs)
+    if isinstance(t, Call):
+        if run is None:
+            raise EvalError("named calls only occur inside programs")
+        prog, host, strict = run
+        us, vs = tuple(ev(a) for a in t.normal_args), tuple(ev(a) for a in t.safe_args)
+        if t.guard is not None and not _descends(us, vs, frame, t.guard == "strict_safe"):
+            if strict:
+                raise GuardViolation(t.name)
+            return 0
+        return ref_eval(prog.functions[t.name].body, us, vs, host, run, (us, vs))
+    if isinstance(t, CompSafe):
+        return ev(t.h, xs, ys + (ev(t.g),))
+    if isinstance(t, CompNormal):
+        return ev(t.h, xs + (ev(t.g, xs, ()),), ys)
+    if isinstance(t, (SRecN, SNRec)):
+        if xs[0] == 0:
+            return ev(t.g, xs[1:])
+        rest = (xs[0] >> 1,) + xs[1:]
+        if isinstance(t, SRecN):
+            below = ev(t, rest)
+            return ev(t.h1 if xs[0] % 2 else t.h0, rest, ys + (below,))
+        rec = (0, len(ys), lambda us, vs: ev(t, rest, tuple(vs)))
+        return ev(t.h, rest, ys, env.new_child({t.rec_name: rec}))
+    if isinstance(t, (SRecPP, SNRecPP, SimRecPP)):
+        safes = t.guard_safes if isinstance(t, SimRecPP) else isinstance(t, SRecPP)
+
+        def rec(j):
+            def call(us, vs):
+                if not _descends(tuple(us), tuple(vs), (xs, ys), safes):
+                    return 0
+                again = t if j is None else SimRecPP(t.hs, j, t.guard_safes)
+                return ev(again, tuple(us), tuple(vs))
+
+            return (len(xs), len(ys), call)
+
+        if isinstance(t, SimRecPP):
+            names = {f"rec{j + 1}": rec(j) for j in range(len(t.hs))}
+            return ev(t.hs[t.select], xs, ys, env.new_child(names))
+        return ev(t.h, xs, ys, env.new_child({t.rec_name: rec(None)}))
+    if isinstance(t, TagDispatch):
+        tag = ys[len(ys) - t.tag_width :]
+        return next((ev(body) for want, body in t.cases if tag == want), 0)
+    raise EvalError(f"cannot evaluate {t!r}")
+
+
+def ref_pp(prog, fname, xs, ys, defs=(), strict=False):
+    """Function ``fname`` of ``prog`` at ``xs``, ``ys``; guards fail to 0,
+    or raise GuardViolation when ``strict``."""
+    host = ref_env(defs)
+    xs, ys = tuple(xs), tuple(ys)
+    return ref_eval(prog.functions[fname].body, xs, ys, host, (prog, host, strict), (xs, ys))

@@ -19,6 +19,7 @@ from circsafe.interp import (
     SNRecPP,
     Zero,
     check_term_class,
+    children,
     eval_term,
     is_bearing,
 )
@@ -102,14 +103,8 @@ def test_corpus_recursion_nodes_satisfy_invariant(terms):
             step_e = badd(badd(badd(Const(1), Var()), g.e), h.e)
             for n in range(1, 65):
                 assert beval(f.e, n) >= beval(step_e, n) + f.d * beval(f.e, n - 1)
-        for fld in getattr(t, "__dataclass_fields__", {}):
-            v = getattr(t, fld)
-            if hasattr(v, "__dataclass_fields__"):
-                walk(v)
-            elif isinstance(v, tuple):
-                for x in v:
-                    if hasattr(x, "__dataclass_fields__"):
-                        walk(x)
+        for c in children(t):
+            walk(c)
 
     for td in terms.values():
         walk(td.body)

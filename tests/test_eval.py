@@ -1,23 +1,43 @@
 """Proof and term evaluation against the independent program oracles."""
 
 import random
+import sys
 
 import pytest
 
-from conftest import c_program, e_program, sample_two_sorted
+from conftest import c_program, e_program, ref_env, ref_eval, ref_pp, sample_two_sorted
 
 from circsafe.corpus import proof_i, proof_n_unsafe, proof_p_unsafe, proof_eprime
+from circsafe.compilealg import nb_to_circular, srec_eliminate, term_to_derivation
 from circsafe.interp import (
+    Call,
+    CompSafe,
+    Cond,
     EvalConfig,
     EvalError,
     EvalStats,
     FuelExhausted,
+    GuardViolation,
+    OracleCall,
     OracleDef,
     OracleEnv,
+    PPFunction,
+    PPProgram,
+    Pred,
+    Proj,
+    S0,
+    S1,
+    SimRecPP,
+    SNRec,
+    SNRecPP,
+    SRecN,
+    SRecPP,
+    eval_pp,
     eval_proof,
     eval_term,
 )
 from circsafe.kernel import RuleKind
+from circsafe.translate import MAIN, translate
 
 
 def test_s_golden(proofs):
@@ -235,3 +255,198 @@ def test_empirical_totality_of_accepted_proofs(proofs):
             if sum(x.bit_length() for x in xs) > 12:
                 continue
             eval_proof(g, g.root, xs, ys, cfg)  # must not raise
+
+
+# ---------------------------------------------------------------------------
+# The compiled term and program evaluator against the reference evaluator
+
+
+def test_eval_term_matches_reference_on_corpus(terms):
+    rng = random.Random(41)
+    for name, td in terms.items():
+        for _ in range(40):
+            xs, ys = sample_two_sorted(rng, td.normals, td.safes, 7)
+            want = ref_eval(td.body, tuple(xs), tuple(ys), ref_env())
+            assert eval_term(td.body, None, xs, ys) == want, (name, xs, ys)
+
+
+def test_eval_term_matches_reference_on_random_terms():
+    from test_fuzz import random_b_term, random_nb_step
+
+    rng = random.Random(43)
+    for trial in range(150):
+        m, n = rng.randrange(1, 3), rng.randrange(0, 3)
+        if trial % 2:
+            term = random_b_term(rng, m, n, 4, [2])
+        else:
+            n = max(n, 1)
+            term = SNRec(random_b_term(rng, m - 1, n, 2, [0]), random_nb_step(rng, m, n, 3, [3], n))
+        for _ in range(10):
+            xs, ys = sample_two_sorted(rng, m, n, 6)
+            want = ref_eval(term, tuple(xs), tuple(ys), ref_env())
+            assert eval_term(term, None, xs, ys) == want, (trial, xs, ys)
+
+
+def test_eval_pp_matches_reference_on_translated_corpus(proofs, terms):
+    progs = {name: translate(proofs[name]) for name in ("S", "C", "E", "P", "L", "N")}
+    for name in ("succ1", "half", "select", "append", "lenones", "parity", "lenunary"):
+        progs[name] = translate(srec_eliminate(term_to_derivation(terms[name])))
+    for name in ("ex", "padones", "exquad", "cdr", "twoloops"):
+        progs[name] = translate(nb_to_circular(terms[name]))
+    rng = random.Random(47)
+    for name, prog in progs.items():
+        main = prog.functions[MAIN]
+        for _ in range(15):
+            xs, ys = sample_two_sorted(rng, main.normals, main.safes, 6)
+            for strict in (False, True):
+                cfg = EvalConfig(guard_mode="strict" if strict else "zero")
+                want = ref_pp(prog, MAIN, xs, ys, strict=strict)
+                assert eval_pp(prog, MAIN, None, xs, ys, cfg) == want, (name, xs, ys, strict)
+
+
+def _host(name, normals, safes, fn):
+    return OracleEnv([OracleDef(name, normals, safes, fn)])
+
+
+def test_inner_rec_shadows_outer():
+    y0, y1 = Proj("s", 0), Proj("s", 1)
+    # the inner snrec, over one more safe, rebinds rec: its step recurses
+    # on itself with two safes (the outer rec takes one)
+    inner = SNRec(y1, S0(OracleCall("rec", (), (y0, y1))))
+    shadowed = SNRec(S1(y0), CompSafe(inner, S0(y0)))
+    # under another name the outer rec stays reachable from the inner step
+    reaching = SNRec(S1(y0), SNRec(y0, S0(OracleCall("rec", (), (y0,))), "r"))
+    for x in range(12):
+        for y in range(4):
+            want = 2 * y + 1 if x == 0 else y * 2 ** ((x >> 1).bit_length() + 1)
+            assert eval_term(shadowed, None, [x], [y]) == want == ref_eval(shadowed, (x,), (y,), ref_env())
+            assert eval_term(reaching, None, [x], [y]) == ref_eval(reaching, (x,), (y,), ref_env())
+    assert eval_term(reaching, None, [2], [3]) == 6  # 2 * f(1; 3) = 2 * 3
+
+
+def test_recursion_guards_return_zero_below_no_descent():
+    x0, y0 = Proj("n", 0), Proj("s", 0)
+    # rec at half the normal and twice the safe: the normals descend, the
+    # safe is no prefix of the old one
+    step = lambda rec: Cond(x0, y0, OracleCall(rec, (Pred(x0),), (S0(y0),)), OracleCall(rec, (Pred(x0),), (S0(y0),)))
+    normals_only = (SNRecPP(step("rec")), SimRecPP((step("rec1"),), 0, False))
+    both = (SRecPP(step("rec")), SimRecPP((step("rec1"),), 0, True))
+    # rec at the same normal never descends
+    stuck = (SNRecPP(S1(OracleCall("rec", (x0,), (y0,)))), SimRecPP((S1(OracleCall("rec1", (x0,), (y0,))),), 0, False))
+    for x in range(1, 9):
+        for y in range(1, 4):
+            for term in normals_only:
+                assert eval_term(term, None, [x], [y]) == y * 2 ** x.bit_length()
+            for term in both:
+                assert eval_term(term, None, [x], [y]) == 0
+            for term in stuck:
+                assert eval_term(term, None, [x], [y]) == 1
+            for term in normals_only + both + stuck:
+                assert eval_term(term, None, [x], [y]) == ref_eval(term, (x,), (y,), ref_env())
+
+
+def test_guarded_program_calls_compare_with_the_callers_frame():
+    x0, y0 = Proj("n", 0), Proj("s", 0)
+
+    def prog(guard):
+        call = Call("main", (Pred(x0),), (S0(y0),), guard=guard)
+        return PPProgram({"main": PPFunction("main", 1, 1, Cond(x0, y0, call, call))})
+
+    strict = EvalConfig(guard_mode="strict")
+    assert eval_pp(prog("strict"), "main", None, [5], [3], strict) == 3 * 2**3
+    assert eval_pp(prog("strict_safe"), "main", None, [5], [3]) == 0
+    with pytest.raises(GuardViolation) as e:
+        eval_pp(prog("strict_safe"), "main", None, [5], [3], strict)
+    assert str(e.value) == "guarded call to main with normals (2,) against frame (5,)"
+
+
+def test_program_stats_and_fuel_count_memo_hits(proofs):
+    # the unary converter's translation asks for some values twice
+    prog = translate(proofs["N"])
+    for memo, steps in ((True, 24), (False, 32)):
+        stats = EvalStats()
+        assert eval_pp(prog, MAIN, None, [9], [], EvalConfig(memo=memo), stats) == 511
+        assert (stats.steps, stats.memo_keys, stats.max_depth) == (steps, 24 if memo else 0, 6)
+        # every call costs fuel, a memo hit included
+        assert eval_pp(prog, MAIN, None, [9], [], EvalConfig(fuel=32, memo=memo)) == 511
+        with pytest.raises(FuelExhausted):
+            eval_pp(prog, MAIN, None, [9], [], EvalConfig(fuel=31, memo=memo))
+
+
+def test_free_rec_resolves_to_host_oracle():
+    y0 = Proj("s", 0)
+    env = _host("rec", 0, 1, lambda us, vs: vs[0] + 5)
+    assert eval_term(OracleCall("rec", (), (y0,)), env, [], [4]) == 9
+    # inside a scheme bound to another name, rec is still the host's
+    term = SNRec(y0, OracleCall("rec", (), (OracleCall("r", (), (y0,)),)), "r")
+    assert eval_term(term, env, [1], [4]) == 9
+    assert eval_term(term, env, [3], [4]) == 14
+    with pytest.raises(EvalError, match="unknown oracle 'rec'"):
+        eval_term(term, None, [1], [4])
+
+
+def test_bad_projection_raises_only_when_reached():
+    term = Cond(Proj("s", 0), Proj("s", 1), Proj("n", 5), Proj("s", 1))
+    assert eval_term(term, None, [], [0, 7]) == 7
+    assert eval_term(term, None, [], [1, 7]) == 7
+    with pytest.raises(EvalError, match="projection n5 out of range"):
+        eval_term(term, None, [], [2, 7])
+
+
+def test_arity_mismatches_raise_eval_error():
+    y0 = Proj("s", 0)
+    env = _host("f", 0, 1, lambda us, vs: vs[0])
+    with pytest.raises(EvalError, match="oracle 'f' arity mismatch"):
+        eval_term(OracleCall("f", (), (y0, y0)), env, [], [3])
+    with pytest.raises(EvalError, match="oracle 'f' arity mismatch"):
+        eval_term(OracleCall("f", (y0,), (y0,)), env, [], [3])
+    # a recursive call with the wrong arity fails where it is reached
+    bad = SNRec(y0, Cond(Proj("n", 0), y0, OracleCall("rec", (), (y0, y0)), y0))
+    assert eval_term(bad, None, [3], [5]) == 5
+    with pytest.raises(EvalError, match="oracle 'rec' arity mismatch"):
+        eval_term(bad, None, [4], [5])
+
+
+def test_recursion_on_notation_needs_a_nonnegative_normal():
+    y0 = Proj("s", 0)
+    for term in (SRecN(y0, y0, y0), SNRec(y0, y0)):
+        with pytest.raises(EvalError, match="needs a normal argument"):
+            eval_term(term, None, [], [1])
+    with pytest.raises(EvalError, match="negative"):
+        eval_term(SRecN(y0, y0, y0), None, [-3], [1])
+
+
+def test_srec_order_of_host_oracle_calls_is_unchanged():
+    seen = []
+    env = [OracleDef("f", 0, 1, lambda us, vs: seen.append(vs[0]) or vs[0] + 1)]
+    y0, y1 = Proj("s", 0), Proj("s", 1)
+    call = lambda t: OracleCall("f", (), (t,))
+    term = SRecN(call(y0), call(S0(y1)), call(S1(y1)))
+    for x in (0, 1, 6, 13):
+        seen.clear()
+        got = eval_term(term, OracleEnv(env), [x], [2])
+        calls, seen[:] = list(seen), []
+        assert got == ref_eval(term, (x,), (2,), ref_env(env)) and calls == seen, x
+
+
+def test_long_srec_inputs_under_the_default_recursion_limit(terms):
+    limit = sys.getrecursionlimit()
+    x = random.Random(53).getrandbits(10**4) | 1 << (10**4 - 1)
+    assert eval_term(terms["append"].body, None, [x], [5]) == 5 * 2**10**4 + x
+    assert eval_term(terms["lenones"].body, None, [x], [5]) == 6 * 2**10**4 - 1
+    assert sys.getrecursionlimit() == limit
+
+
+def test_program_calls_see_no_recursion_names_of_their_caller():
+    # main recurses with snrec and calls g inside its step; g's body
+    # names rec, which only main binds.  Scoping is lexical: g's rec is
+    # the host's, or unknown.
+    y0 = Proj("s", 0)
+    main = PPFunction("main", 1, 1, SNRec(y0, Call("g", (), (y0,))))
+    g = PPFunction("g", 0, 1, OracleCall("rec", (), (S1(y0),)))
+    prog = PPProgram({"main": main, "g": g})
+    assert eval_pp(prog, "main", None, [0], [3]) == 3
+    with pytest.raises(EvalError, match="unknown oracle 'rec'"):
+        eval_pp(prog, "main", None, [1], [3])
+    host = [OracleDef("rec", 0, 1, lambda us, vs: 100 + vs[0])]
+    assert eval_pp(prog, "main", OracleEnv(host), [1], [3]) == 107 == ref_pp(prog, "main", [1], [3], host)

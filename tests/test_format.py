@@ -1,5 +1,7 @@
 """Document round-trips, parse errors, DOT export."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -125,3 +127,19 @@ def test_parsed_term_evaluates_like_source(x, y):
     td = tc["append"]
     back = parse_terms(serialize_termdef(td)).terms["append"]
     assert eval_term(back.body, None, [x], [y]) == eval_term(td.body, None, [x], [y])
+
+
+def test_parse_terms_is_linear_in_line_length():
+    # one definition on one line: an oracle call with k arguments y0
+    def doc(k):
+        return "def wide(0;1) = f(" + ",".join(["y0"] * k) + ")\n"
+
+    short, long = doc(3_300), doc(33_000)  # about 10^4 and 10^5 characters
+    assert len(parse_terms(long).terms["wide"].body.safe_args) == 33_000
+    best = {short: float("inf"), long: float("inf")}
+    for _ in range(3):  # interleaved, so a slow spell of the machine hits both
+        for text in (short, long):
+            t = time.perf_counter()
+            parse_terms(text)
+            best[text] = min(best[text], time.perf_counter() - t)
+    assert best[long] < 20 * best[short], best
