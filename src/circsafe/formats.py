@@ -10,14 +10,16 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .kernel import Node, ProofGraph, Rule, RuleKind, Sequent, SType
 from .interp import (
+    REC,
     Call,
     CompNormal,
     CompSafe,
     Cond,
+    EvalError,
     OracleCall,
     PPFunction,
     PPProgram,
@@ -34,7 +36,7 @@ from .interp import (
     TermDef,
     Zero,
     fold,
-    map_children,
+    map_terms,
 )
 
 
@@ -219,154 +221,138 @@ class TermDocument:
     oracles: dict[str, tuple[int, int]]
 
 
-# matched in place: slicing the rest of the line per token is quadratic
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_*]*")
-_NUMBER = re.compile(r"\d+")
-_PROJ = re.compile(r"[xy]\d+")
+class _Form(NamedTuple):
+    cls: type
+    count: Optional[int]  # subterms; None for one or more
+    named: bool = False  # takes a |name suffix: the recursion name
+    guard_safes: bool = False  # SimRecPP.guard_safes: simrecs, not simrecn
 
 
-class _TermParser:
-    def __init__(self, text: str, lineno: int) -> None:
-        self.text = text
-        self.pos = 0
-        self.lineno = lineno
+# The concrete syntax of the keyword forms, read by both the parser and
+# the printer.  Zero, projections and calls have their own cases.
+_FORMS = {
+    "s0": _Form(S0, 1),
+    "s1": _Form(S1, 1),
+    "p": _Form(Pred, 1),
+    "cond": _Form(Cond, 4),
+    "comps": _Form(CompSafe, 2),
+    "compn": _Form(CompNormal, 2),
+    "srec": _Form(SRecN, 3),
+    "snrec": _Form(SNRec, 2, named=True),
+    "srecpp": _Form(SRecPP, 1, named=True),
+    "snrecpp": _Form(SNRecPP, 1, named=True),
+    "simrecs": _Form(SimRecPP, None, guard_safes=True),
+    "simrecn": _Form(SimRecPP, None),
+}
+_KEYWORDS = {(f.cls, f.guard_safes): kw for kw, f in _FORMS.items()}
+_COUNTS = {
+    None: "one or more arguments", 1: "one argument", 2: "two arguments", 3: "three arguments", 4: "four arguments"
+}
 
-    def error(self, msg: str) -> ParseError:
-        return ParseError(msg, self.lineno, self.pos + 1)
+# One token: a whole name, or one other character ("" at the end).
+# Matched in place: slicing the rest of the line per token is quadratic.
+_TOKEN = re.compile(r"\s*(?:([A-Za-z_][A-Za-z0-9_*]*)|(\S?))")
+_PROJ = re.compile(r"[xy][0-9]+")
 
-    def ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
 
-    def peek(self) -> str:
-        self.ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+class _Open:
+    """A form whose ')' is still to come; ``form`` is None for a call."""
 
-    def eat(self, ch: str) -> None:
-        self.ws()
-        if not self.text.startswith(ch, self.pos):
-            raise self.error(f"expected {ch!r}")
-        self.pos += len(ch)
+    __slots__ = ("name", "form", "guard", "kids", "split", "rec_name")
 
-    def ident(self) -> str:
-        self.ws()
-        m = _IDENT.match(self.text, self.pos)
-        if not m:
-            raise self.error("expected a name")
-        self.pos = m.end()
-        return m.group(0)
+    def __init__(self, name: str, form: Optional[_Form], guard: Optional[str]) -> None:
+        self.name, self.form, self.guard = name, form, guard
+        self.kids: list[Term] = []
+        self.split: Optional[int] = None  # where a call's safe arguments start
+        self.rec_name = REC
 
-    def number(self) -> int:
-        self.ws()
-        m = _NUMBER.match(self.text, self.pos)
-        if not m:
-            raise self.error("expected a number")
-        self.pos = m.end()
-        return int(m.group(0))
+    def close(self, lineno: int, col: int) -> Term:
+        name, form, kids = self.name, self.form, self.kids
+        if form is None:  # without ';' every argument is safe
+            k = self.split or 0
+            normals, safes = tuple(kids[:k]), tuple(kids[k:])
+            return Call(name, normals, safes, self.guard) if self.guard else OracleCall(name, normals, safes)
+        if not kids or form.count not in (None, len(kids)):
+            raise ParseError(f"{name} takes {_COUNTS[form.count]}", lineno, col)
+        if form.count is None:
+            return form.cls(tuple(kids), 0, form.guard_safes)
+        return form.cls(*kids, self.rec_name) if form.named else form.cls(*kids)
 
-    def args(self) -> list[Term]:
-        out: list[Term] = []
-        if self.peek() == ")":
-            return out
-        out.append(self.term())
-        while self.peek() == ",":
-            self.eat(",")
-            out.append(self.term())
-        return out
 
-    def two_sorted_args(self) -> tuple[list[Term], list[Term]]:
-        normals: list[Term] = []
-        if self.peek() not in (";", ")"):
-            normals.append(self.term())
-            while self.peek() == ",":
-                self.eat(",")
-                normals.append(self.term())
-        if self.peek() == ";":
-            self.eat(";")
-            safes: list[Term] = []
-            if self.peek() != ")":
-                safes.append(self.term())
-                while self.peek() == ",":
-                    self.eat(",")
-                    safes.append(self.term())
-            return normals, safes
-        return [], normals  # plain arg lists are safe-only oracle calls
+def _parse_term(text: str, lineno: int, guard: Optional[str]) -> Term:
+    """The term that is the whole of ``text``.
 
-    def term(self) -> Term:
-        self.ws()
-        c = self.peek()
-        if c == "0":
-            self.pos += 1
-            return Zero()
-        if c == "@":
-            self.eat("@")
-            name = self.ident()
-            self.eat("(")
-            ns, ss = self.two_sorted_args()
-            self.eat(")")
-            return Call(name, tuple(ns), tuple(ss), guard="?")  # resolved by the program
-        m = _PROJ.match(self.text, self.pos)
-        if m:
-            self.pos = m.end()
-            tok = m.group(0)
-            return Proj("n" if tok[0] == "x" else "s", int(tok[1:]))
-        name = self.ident()
-        if name in ("s0", "s1", "p"):
-            self.eat("(")
-            t = self.term()
-            self.eat(")")
-            return {"s0": S0, "s1": S1, "p": Pred}[name](t)
-        if name == "cond":
-            self.eat("(")
-            a = self.args()
-            self.eat(")")
-            if len(a) != 4:
-                raise self.error("cond takes four arguments")
-            return Cond(*a)
-        if name in ("comps", "compn"):
-            self.eat("(")
-            a = self.args()
-            self.eat(")")
-            if len(a) != 2:
-                raise self.error(f"{name} takes two arguments")
-            return (CompSafe if name == "comps" else CompNormal)(*a)
-        if name == "srec":
-            self.eat("(")
-            a = self.args()
-            self.eat(")")
-            if len(a) != 3:
-                raise self.error("srec takes three arguments")
-            return SRecN(*a)
-        if name in ("snrec", "srecpp", "snrecpp"):
-            self.eat("(")
-            a = self.args()
-            rec_name = "rec"
-            if self.peek() == "|":
-                self.eat("|")
-                rec_name = self.ident()
-            self.eat(")")
-            if name == "snrec":
-                if len(a) != 2:
-                    raise self.error("snrec takes two arguments")
-                return SNRec(a[0], a[1], rec_name)
-            if len(a) != 1:
-                raise self.error(f"{name} takes one argument")
-            return (SRecPP if name == "srecpp" else SNRecPP)(a[0], rec_name)
-        if name in ("simrecs", "simrecn"):
-            self.eat("(")
-            a = self.args()
-            self.eat(")")
-            return SimRecPP(tuple(a), 0, name == "simrecs")
-        # named invocation: oracle or program function
-        self.eat("(")
-        ns, ss = self.two_sorted_args()
-        self.eat(")")
-        return OracleCall(name, tuple(ns), tuple(ss))
+    ``@f(...)`` is a call guarded by ``guard``, the program's guard kind,
+    and an error outside programs (``guard`` None).  One loop over an
+    explicit stack of open forms, so term depth costs no Python frames.
+    Columns are 1-based in ``text``.
+    """
+    pos = 0
 
-    def finish(self) -> None:
-        self.ws()
-        if self.pos != len(self.text):
-            raise self.error("trailing input")
+    def token() -> re.Match:
+        nonlocal pos
+        m = _TOKEN.match(text, pos)
+        pos = m.end()
+        return m
+
+    def fail(msg: str, m: re.Match) -> ParseError:
+        return ParseError(msg, lineno, m.start(m.lastindex) + 1)
+
+    stack: list[_Open] = []
+    m = token()
+    while True:  # m starts a term
+        name, ch = m[1], m[2]
+        if ch == "0":
+            term: Term = Zero()
+        elif name is not None and _PROJ.fullmatch(name):
+            term = Proj("n" if name[0] == "x" else "s", int(name[1:]))
+        else:
+            call_guard = None
+            if ch == "@":
+                if guard is None:
+                    raise fail("@ calls only occur in programs", m)
+                call_guard, m = guard, token()
+                name = m[1]
+            if name is None:
+                raise fail("expected a name", m)
+            m = token()
+            if m[2] != "(":
+                raise fail("expected '('", m)
+            top = _Open(name, None if call_guard else _FORMS.get(name), call_guard)
+            stack.append(top)
+            m = token()
+            if m[2] == ";" and top.form is None:
+                top.split, m = 0, token()
+            if m[2] != ")":
+                continue
+            term = stack.pop().close(lineno, m.end() + 1)
+        # term is complete: it joins the innermost open form, and each
+        # ')' that follows closes one more
+        while stack:
+            top = stack[-1]
+            top.kids.append(term)
+            m = token()
+            ch = m[2]
+            if ch == ",":
+                m = token()
+                break
+            if ch == ";" and top.form is None and top.split is None:
+                top.split, m = len(top.kids), token()
+                if m[2] != ")":
+                    break
+            elif ch == "|" and top.form is not None and top.form.named:
+                m = token()
+                if m[1] is None:
+                    raise fail("expected a name", m)
+                top.rec_name, m = m[1], token()
+            if m[2] != ")":
+                raise fail("expected ')'", m)
+            term = stack.pop().close(lineno, m.end() + 1)
+        else:
+            m = token()
+            if m[1] or m[2]:
+                raise fail("trailing input", m)
+            return term
 
 
 _DEF_RE = re.compile(r"^(def|fn)\s+(\S+?)\((\d+);(\d+)\)\s*=\s*(.*)$")
@@ -381,14 +367,16 @@ def parse_terms(text: str | bytes) -> TermDocument:
     oracles: dict[str, tuple[int, int]] = {}
     current_prog: Optional[str] = None
     prog_fns: dict[str, PPFunction] = {}
-    prog_guard = "strict"
+    prog_guard, prog_line = "strict", 0
 
     def close_program() -> None:
         nonlocal current_prog, prog_fns
         if current_prog is not None:
-            prog = PPProgram(dict(prog_fns), prog_guard)
-            _resolve_guards(prog)
-            prog.validate()
+            prog = PPProgram(_link_calls(prog_fns), prog_guard)
+            try:
+                prog.validate()
+            except EvalError as e:  # an unknown callee or a wrong arity
+                raise ParseError(str(e), prog_line, 1) from None
             programs[current_prog] = prog
         current_prog, prog_fns = None, {}
 
@@ -407,16 +395,14 @@ def parse_terms(text: str | bytes) -> TermDocument:
             m = re.match(r"^program\s+(\S+)\s+guard\s+(strict|strictsafe)\s*$", line)
             if not m:
                 raise ParseError("malformed program header", lineno, 1)
-            current_prog = m.group(1)
+            current_prog, prog_line = m.group(1), lineno
             prog_guard = "strict" if m.group(2) == "strict" else "strict_safe"
             continue
         m = _DEF_RE.match(line)
         if not m:
             raise ParseError("malformed definition", lineno, 1)
         kw, name, ms, ns_, rhs = m.groups()
-        parser = _TermParser(rhs, lineno)
-        body = parser.term()
-        parser.finish()
+        body = _parse_term(rhs, lineno, prog_guard if kw == "fn" else None)
         if kw == "def":
             if current_prog is not None:
                 raise ParseError("term definitions cannot appear inside a program", lineno, 1)
@@ -433,28 +419,16 @@ def parse_terms(text: str | bytes) -> TermDocument:
     return TermDocument(terms, programs, oracles)
 
 
-def _resolve_guards(prog: PPProgram) -> None:
-    """Fix up call nodes: '?' guards take the program's kind, and plain
-    invocations of program functions become unguarded calls."""
-    def fix(t: Term) -> Term:
-        if isinstance(t, Call) and t.guard == "?":
-            return Call(
-                t.name,
-                tuple(fix(a) for a in t.normal_args),
-                tuple(fix(a) for a in t.safe_args),
-                guard=prog.guard,
-            )
-        if isinstance(t, OracleCall) and t.name in prog.functions:
-            return Call(
-                t.name,
-                tuple(fix(a) for a in t.normal_args),
-                tuple(fix(a) for a in t.safe_args),
-                guard=None,
-            )
-        return map_children(t, fix)
+def _link_calls(functions: dict[str, PPFunction]) -> dict[str, PPFunction]:
+    """``functions`` with each plain invocation of one of them made an
+    unguarded call."""
 
-    for name, fn in list(prog.functions.items()):
-        prog.functions[name] = PPFunction(fn.name, fn.normals, fn.safes, fix(fn.body))
+    def link(t: Term) -> Term:
+        if isinstance(t, OracleCall) and t.name in functions:
+            return Call(t.name, t.normal_args, t.safe_args)
+        return t
+
+    return {n: PPFunction(n, f.normals, f.safes, map_terms(f.body, link)) for n, f in functions.items()}
 
 
 def serialize_term(term: Term) -> str:
@@ -467,40 +441,20 @@ def serialize_term(term: Term) -> str:
 
 def _serialize_node(term: Term, kids: list[str]) -> str:
     """Text of one term node, given the text of its ``children``."""
-    if isinstance(term, Zero):
+    kind = type(term)
+    if kind is Zero:
         return "0"
-    if isinstance(term, Proj):
+    if kind is Proj:
         return f"{'x' if term.sort == 'n' else 'y'}{term.index}"
-    if isinstance(term, S0):
-        return f"s0({kids[0]})"
-    if isinstance(term, S1):
-        return f"s1({kids[0]})"
-    if isinstance(term, Pred):
-        return f"p({kids[0]})"
-    if isinstance(term, Cond):
-        return f"cond({','.join(kids)})"
-    if isinstance(term, (OracleCall, Call)):
+    if kind is OracleCall or kind is Call:
         k = len(term.normal_args)
-        mark = "@" if isinstance(term, Call) and term.guard is not None else ""
+        mark = "@" if kind is Call and term.guard is not None else ""
         return f"{mark}{term.name}({','.join(kids[:k])};{','.join(kids[k:])})"
-    if isinstance(term, CompSafe):
-        return f"comps({kids[0]},{kids[1]})"
-    if isinstance(term, CompNormal):
-        return f"compn({kids[0]},{kids[1]})"
-    if isinstance(term, SRecN):
-        return f"srec({kids[0]},{kids[1]},{kids[2]})"
-    if isinstance(term, SNRec):
-        tail = f"|{term.rec_name}" if term.rec_name != "rec" else ""
-        return f"snrec({kids[0]},{kids[1]}{tail})"
-    if isinstance(term, SRecPP):
-        tail = f"|{term.rec_name}" if term.rec_name != "rec" else ""
-        return f"srecpp({kids[0]}{tail})"
-    if isinstance(term, SNRecPP):
-        tail = f"|{term.rec_name}" if term.rec_name != "rec" else ""
-        return f"snrecpp({kids[0]}{tail})"
-    if isinstance(term, SimRecPP):
-        return f"{'simrecs' if term.guard_safes else 'simrecn'}({','.join(kids)})"
-    raise TypeError(f"cannot serialize {type(term).__name__}")
+    kw = _KEYWORDS.get((kind, getattr(term, "guard_safes", False)))
+    if kw is None:
+        raise TypeError(f"cannot serialize {kind.__name__}")
+    tail = f"|{term.rec_name}" if _FORMS[kw].named and term.rec_name != REC else ""
+    return f"{kw}({','.join(kids)}{tail})"
 
 
 def serialize_program(prog: PPProgram, name: str = "translated") -> str:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, replace
-from operator import attrgetter
+from operator import attrgetter, is_
 from typing import Callable, NamedTuple, Optional, Sequence, TypeVar
 
 from .kernel import (
@@ -454,19 +454,14 @@ def fold(term: Term, f: Callable[[Term, list], R]) -> R:
     folded once.
     """
     done: dict[int, R] = {}
-    stack = [term]
+    stack = [(term, False)]
     while stack:
-        t = stack[-1]
-        if id(t) in done:
-            stack.pop()
-            continue
-        kids = children(t)
-        todo = [c for c in kids if id(c) not in done]
-        if todo:
-            stack.extend(reversed(todo))
-            continue
-        stack.pop()
-        done[id(t)] = f(t, [done[id(c)] for c in kids])
+        t, ready = stack.pop()
+        if ready:
+            done[id(t)] = f(t, [done[id(c)] for c in children(t)])
+        elif id(t) not in done:  # a shared subterm is done by its first visit
+            stack.append((t, True))
+            stack.extend([(c, False) for c in reversed(children(t))])
     return done[id(term)]
 
 
@@ -476,6 +471,8 @@ def map_terms(term: Term, f: Callable[[Term], Term]) -> Term:
     passed to ``f``.  No recursion, by ``fold``."""
 
     def step(t: Term, kids: list[Term]) -> Term:
+        if all(map(is_, kids, children(t))):
+            return f(t)
         it = iter(kids)  # map_children visits children in children() order
         return f(map_children(t, lambda _: next(it)))
 
@@ -697,10 +694,8 @@ def eval_term(
     env: Optional[OracleEnv] = None,
     normals: Sequence[int] = (),
     safes: Sequence[int] = (),
-    cfg: Optional[EvalConfig] = None,
 ) -> int:
-    """Total evaluation of an algebra term against ambient inputs
-    (``cfg`` is unused: a term makes no program calls)."""
+    """Total evaluation of an algebra term against ambient inputs."""
     xs, ys = tuple(normals), tuple(safes)
     return _term_code(term, len(xs), len(ys))(xs, ys, ((env or EMPTY_ORACLES)._defs, None, None))
 

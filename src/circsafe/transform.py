@@ -39,7 +39,7 @@ from .interp import (
     Term,
     Zero,
     eval_term,
-    map_children,
+    map_terms,
 )
 
 
@@ -612,17 +612,13 @@ def reduce_simultaneous(term: SimRecPP, normals: int, safes: int) -> ReducedSimu
         raise ValueError("need at least one component")
     tags = tuple(rotation_tags(k))
 
-    def rewrite_calls(t: Term) -> Term:
+    def rewrite_call(t: Term) -> Term:
         if isinstance(t, OracleCall) and t.name.startswith(REC) and t.name[len(REC) :].isdigit():
             j = int(t.name[len(REC) :]) - 1
-            return OracleCall(
-                REC,
-                tuple(rewrite_calls(a) for a in t.normal_args),
-                tuple(rewrite_calls(a) for a in t.safe_args) + tuple(numeral(v) for v in tags[j]),
-            )
-        return map_children(t, rewrite_calls)
+            return OracleCall(REC, t.normal_args, t.safe_args + tuple(numeral(v) for v in tags[j]))
+        return t
 
-    cases = tuple((tags[i], rewrite_calls(term.hs[i])) for i in range(k))
+    cases = tuple((tags[i], map_terms(term.hs[i], rewrite_call)) for i in range(k))
     body = TagDispatch(k, cases)
     fn: Term = SRecPP(body) if term.guard_safes else SNRecPP(body)
     return ReducedSimultaneous(fn, tags, normals, safes + k)
@@ -650,22 +646,15 @@ def flatten_program(prog: PPProgram) -> PPProgram:
         tags = rotation_tags(k)
         flat = "+".join(names)
 
-        def retarget(t: Term, idx_of: dict[str, int]) -> Term:
-            if isinstance(t, Call) and t.name in idx_of:
-                j = idx_of[t.name]
-                return Call(
-                    flat,
-                    tuple(retarget(a, idx_of) for a in t.normal_args),
-                    tuple(retarget(a, idx_of) for a in t.safe_args)
-                    + tuple(numeral(v) for v in tags[j]),
-                    guard=t.guard,
-                )
-            return map_children(t, lambda s: retarget(s, idx_of))
-
         idx_of = {n: i for i, n in enumerate(names)}
-        cases = tuple(
-            (tags[i], retarget(prog.functions[names[i]].body, idx_of)) for i in range(k)
-        )
+
+        def retarget(t: Term) -> Term:
+            if isinstance(t, Call) and t.name in idx_of:
+                tag = tuple(numeral(v) for v in tags[idx_of[t.name]])
+                return Call(flat, t.normal_args, t.safe_args + tag, guard=t.guard)
+            return t
+
+        cases = tuple((tags[i], map_terms(prog.functions[names[i]].body, retarget)) for i in range(k))
         out[flat] = PPFunction(flat, f0.normals, f0.safes + k, TagDispatch(k, cases))
         for i, n in enumerate(names):
             out[n] = PPFunction(

@@ -7,7 +7,6 @@ from circsafe.interp import (
     CompNormal,
     CompSafe,
     Cond,
-    EvalConfig,
     EvalError,
     OracleCall,
     PPFunction,
@@ -69,7 +68,7 @@ def test_guards_never_consulted_when_oracle_ignored():
     # recursion whose step ignores its recursive call behaves like the step
     prog = SRecPP(S1(Proj("s", 0)))
     for y in range(20):
-        assert eval_term(prog, None, [y], [y], EvalConfig(guard_mode="strict")) == 2 * y + 1
+        assert eval_term(prog, None, [y], [y]) == 2 * y + 1
 
 
 def test_nested_pp_forbidden_in_bpp():

@@ -3,9 +3,12 @@
 import json
 from pathlib import Path
 
-from conftest import s_program
+import pytest
+from conftest import chain_graph, s_program
 
 from circsafe.cli import main
+from circsafe.formats import serialize_proof
+from circsafe.interp import eval_proof
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -184,3 +187,45 @@ def test_eval_pp_past_the_recursion_limit_is_no_traceback(capsys, tmp_path):
         assert int(out) == s_program(x)
     else:
         assert err.startswith("rejected: ") and "Traceback" not in err
+
+
+def test_translated_799_node_chain_evaluates(capsys, tmp_path):
+    """``translate`` writes a term nested ~800 deep for this chain;
+    ``eval-pp`` reads it back and prints ``eval_proof``'s value."""
+    graph = chain_graph([1, 1, 0] * 266)
+    assert len(graph.nodes) == 799
+    src, prog = tmp_path / "c.proof", tmp_path / "c.pp"
+    src.write_text(serialize_proof(graph))
+    code, _, _ = run(capsys, "translate", src, "-o", prog)
+    assert code == 0
+    code, out, err = run(capsys, "eval-pp", prog, "--safes", 3)
+    assert (code, err) == (0, "")
+    assert int(out) == eval_proof(graph, graph.root, [], [3])
+
+
+@pytest.mark.parametrize(
+    "doc, argv, message",
+    [
+        ("program t guard strict\nfn main(0;1) = simrecs()\n", ["eval-pp"], "simrecs takes one or more arguments"),
+        ("def t(1;0) = simrecn()\n", ["bound", "--name", "t"], "simrecn takes one or more arguments"),
+        ("def t(0;1) = @g(;y0)\n", ["compile", "--name", "t"], "@ calls only occur in programs"),
+        ("def t(0;1) = s0(@g(;y0))\n", ["verify-bound", "--name", "t"], "@ calls only occur in programs"),
+        (
+            "# unknown callee\nprogram t guard strict\nfn main(0;1) = @g(;y0)\n",
+            ["eval-pp"],
+            "line 2, column 1: main calls unknown function 'g'",
+        ),
+        (
+            "# wrong arity\nprogram t guard strict\nfn main(0;1) = f(y0;)\nfn f(0;1) = y0\n",
+            ["eval-pp"],
+            "line 2, column 1: main calls f with wrong arity",
+        ),
+    ],
+    ids=["empty-simrecs", "empty-simrecn", "call-in-def", "call-in-def-verify", "unknown-callee", "wrong-arity"],
+)
+def test_malformed_term_document_is_exit_2(capsys, tmp_path, doc, argv, message):
+    path = tmp_path / "bad.term"
+    path.write_text(doc)
+    code, out, err = run(capsys, argv[0], path, *argv[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err, err

@@ -1,12 +1,15 @@
 """Document round-trips, parse errors, DOT export."""
 
+import sys
 import time
+from pathlib import Path
 
 import pytest
+from conftest import chain_graph, loop_graph, nest_graph
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circsafe.corpus import proof_i, term_corpus
+from circsafe.corpus import proof_i, proof_n_unsafe, proof_p_unsafe, standard_proofs, term_corpus
 from circsafe.formats import (
     ParseError,
     export_dot,
@@ -16,7 +19,7 @@ from circsafe.formats import (
     serialize_proof,
     serialize_termdef,
 )
-from circsafe.interp import eval_pp, eval_term
+from circsafe.interp import S0, OracleCall, Proj, TermDef, eval_pp, eval_term
 from circsafe.transform import cnf_to_graph, cycle_normal_form
 from circsafe.translate import translate
 
@@ -88,7 +91,9 @@ def test_dot_back_edges(proofs):
 
 
 def test_term_document_round_trips(terms):
-    for name, td in terms.items():
+    # a name is read whole: x0f is an oracle, not x0 followed by f
+    x0f = TermDef("x0f_caller", 1, 1, OracleCall("x0f", (Proj("n", 0),), (S0(Proj("s", 0)),)))
+    for name, td in {**terms, x0f.name: x0f}.items():
         back = parse_terms(serialize_termdef(td))
         assert back.terms[name].body == td.body, name
         assert (back.terms[name].normals, back.terms[name].safes) == (td.normals, td.safes)
@@ -143,3 +148,62 @@ def test_parse_terms_is_linear_in_line_length():
             parse_terms(text)
             best[text] = min(best[text], time.perf_counter() - t)
     assert best[long] < 20 * best[short], best
+
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+
+
+def test_corpus_documents_are_the_corpus_objects():
+    want = {**standard_proofs(), "P_UNSAFE": proof_p_unsafe(), "N_UNSAFE": proof_n_unsafe()}
+    docs = {p.stem: parse_proof(p.read_text(encoding="utf-8")) for p in CORPUS.glob("*.proof")}
+    assert docs.keys() == want.keys()
+    for name, g in docs.items():
+        assert (g.name, g.root, g.nodes) == (want[name].name, want[name].root, want[name].nodes), name
+    doc = parse_terms((CORPUS / "terms.term").read_text(encoding="utf-8"))
+    assert doc.terms == term_corpus() and not doc.programs and not doc.oracles
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: chain_graph([1, 0, 0] * 1066 + [1]),
+        lambda: loop_graph([1, 0] * 799 + [1], [0] * 1599),
+        lambda: nest_graph(1067),
+    ],
+    ids=["chain3200", "loop3200", "nest3201"],
+)
+def test_deep_program_documents_round_trip(build):
+    """Translated 3200-node proofs nest their terms thousands deep;
+    ``parse_terms`` reads them back under the default recursion limit.
+    The texts are compared, as ``==`` on such terms recurses on depth."""
+    graph = build()
+    limit = sys.getrecursionlimit()
+    text = serialize_program(translate(graph), graph.name)
+    back = parse_terms(text).programs[graph.name]
+    assert serialize_program(back, graph.name) == text
+    assert sys.getrecursionlimit() == limit
+
+
+def _parses_or_parse_error(parse, text):
+    try:
+        parse(text)
+    except ParseError:
+        pass
+
+
+@given(st.text())
+@settings(max_examples=300, deadline=None)
+def test_parsers_end_in_a_document_or_parse_error(text):
+    _parses_or_parse_error(parse_proof, text)
+    _parses_or_parse_error(parse_terms, text)
+    _parses_or_parse_error(parse_terms, "def t(1;1) = " + text)
+
+
+_TERM_ALPHABET = ["s0(", "cond(", "srec(", "snrec(", "simrecs(", "@f(", "f(", "x0", "y1", "0", ",", ";", ")", "|", " "]
+
+
+@given(st.lists(st.sampled_from(_TERM_ALPHABET), max_size=30).map("".join))
+@settings(max_examples=1000, deadline=None)
+def test_term_alphabet_ends_in_a_document_or_parse_error(rhs):
+    _parses_or_parse_error(parse_terms, f"def t(1;1) = {rhs}\n")
+    _parses_or_parse_error(parse_terms, f"program q guard strict\nfn main(1;1) = {rhs}\nfn f(1;1) = y0\n")
