@@ -325,22 +325,6 @@ def sample_inputs(rng: random.Random, m: int, n: int, total_bits: int = 16) -> t
     return xs, ys
 
 
-def _check_one(
-    td: TermDef,
-    pair: BoundPair,
-    constants: Sequence[int],
-    xs: list[int],
-    ys: list[int],
-    env: Optional[OracleEnv] = None,
-):
-    value = eval_term(td.body, env, xs, ys)
-    n = sum(length(x) for x in xs)
-    bound = beval(pair.e, n) + pair.d * sum(constants) + max(
-        [length(y) for y in ys], default=0
-    )
-    return bound - length(value), length(value), bound
-
-
 def verify_bound(
     td: TermDef,
     samples: int = 200,
@@ -356,12 +340,15 @@ def verify_bound(
     front from one seeded stream.
     """
     pair = pair or synthesize_bound(td.body)
+    bound_of = InputBound(pair, tuple(constants))
     rng = random.Random(seed)
     drawn = [sample_inputs(rng, td.normals, td.safes) for _ in range(samples)]
     max_slack: Optional[int] = None
     violations: list[dict] = []
     for xs, ys in drawn:
-        slack, vlen, bound = _check_one(td, pair, constants, xs, ys, env)
+        vlen = length(eval_term(td.body, env, xs, ys))
+        bound = bound_of(xs, ys)
+        slack = bound - vlen
         if slack < 0:
             violations.append({"normals": xs, "safes": ys, "value_len": vlen, "bound": str(bound)})
         if max_slack is None or slack > max_slack:

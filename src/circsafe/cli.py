@@ -21,6 +21,7 @@ from .interp import (
     EvalError,
     FuelExhausted,
     GuardViolation,
+    TermDef,
     check_term_class,
     eval_pp,
     eval_proof,
@@ -51,6 +52,23 @@ def _read(path: str) -> str:
 
 def _load_proof(path: str) -> ProofGraph:
     return parse_proof(_read(path))
+
+
+def _load_term(args: argparse.Namespace) -> TermDef:
+    """The term ``--name`` of the term document ``file``."""
+    doc = parse_terms(_read(args.file))
+    if args.name not in doc.terms:
+        raise ParseError(f"no term {args.name!r} in {args.file}")
+    return doc.terms[args.name]
+
+
+def _invalid(graph: ProofGraph, **allow: bool) -> bool:
+    """Whether ``validate_graph(graph, **allow)`` finds an error; the
+    first one is printed."""
+    errors = validate_graph(graph, **allow)
+    if errors:
+        print(f"{graph.name}: invalid ({errors[0]})")
+    return bool(errors)
 
 
 def _values(text: Optional[str]) -> list[int]:
@@ -94,9 +112,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     graph = _load_proof(args.file)
-    errors = validate_graph(graph)
-    if errors:
-        print(f"{graph.name}: invalid ({errors[0]})")
+    if _invalid(graph):
         return BAD_INPUT
     cfg = EvalConfig(fuel=args.fuel)
     try:
@@ -132,10 +148,7 @@ def cmd_eval_pp(args: argparse.Namespace) -> int:
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
-    doc = parse_terms(_read(args.file))
-    if args.name not in doc.terms:
-        raise ParseError(f"no term {args.name!r} in {args.file}")
-    td = doc.terms[args.name]
+    td = _load_term(args)
     if args.target == "derivation":
         graph = term_to_derivation(td)
     elif check_term_class(td.body, "B") == []:
@@ -155,9 +168,7 @@ def cmd_translate(args: argparse.Namespace) -> int:
 
 def cmd_cyclenf(args: argparse.Namespace) -> int:
     graph = _load_proof(args.file)
-    errors = validate_graph(graph, allow_oracle=True)
-    if errors:
-        print(f"{graph.name}: invalid ({errors[0]})")
+    if _invalid(graph, allow_oracle=True):
         return BAD_INPUT
     cnf = _cycle_normal_form(graph)  # validated just above
     folded = cnf_to_graph(cnf)
@@ -168,10 +179,7 @@ def cmd_cyclenf(args: argparse.Namespace) -> int:
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
-    doc = parse_terms(_read(args.file))
-    if args.name not in doc.terms:
-        raise ParseError(f"no term {args.name!r} in {args.file}")
-    td = doc.terms[args.name]
+    td = _load_term(args)
     pair = synthesize_bound(td.body)
     report = {
         "term": td.name,
@@ -188,10 +196,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_bound(args: argparse.Namespace) -> int:
-    doc = parse_terms(_read(args.file))
-    if args.name not in doc.terms:
-        raise ParseError(f"no term {args.name!r} in {args.file}")
-    td = doc.terms[args.name]
+    td = _load_term(args)
     report = verify_bound(td, samples=args.samples, seed=args.seed)
     if args.json:
         _write_out(args.json, json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n")
@@ -203,9 +208,7 @@ def cmd_verify_bound(args: argparse.Namespace) -> int:
 
 def cmd_export_dot(args: argparse.Namespace) -> int:
     graph = _load_proof(args.file)
-    errors = validate_graph(graph, allow_oracle=True, allow_dis=True, allow_srec=True)
-    if errors:
-        print(f"{graph.name}: invalid ({errors[0]})")
+    if _invalid(graph, allow_oracle=True, allow_dis=True, allow_srec=True):
         return BAD_INPUT
     _write_out(args.output, export_dot(graph))
     return OK

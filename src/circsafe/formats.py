@@ -279,15 +279,23 @@ class _Open:
         return form.cls(*kids, self.rec_name) if form.named else form.cls(*kids)
 
 
-def _parse_term(text: str, lineno: int, guard: Optional[str]) -> Term:
-    """The term that is the whole of ``text``.
+def _number(digits: str, lineno: int, col: int) -> int:
+    """``int(digits)``; a numeral past CPython's int-conversion digit
+    limit is a ParseError, not a ValueError."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"numeral of {len(digits)} digits is too long", lineno, col) from None
+
+
+def _parse_term(text: str, pos: int, lineno: int, guard: Optional[str]) -> Term:
+    """The term that is the whole of ``text[pos:]``.
 
     ``@f(...)`` is a call guarded by ``guard``, the program's guard kind,
     and an error outside programs (``guard`` None).  One loop over an
     explicit stack of open forms, so term depth costs no Python frames.
-    Columns are 1-based in ``text``.
+    Columns are 1-based in ``text``, the line.
     """
-    pos = 0
 
     def token() -> re.Match:
         nonlocal pos
@@ -305,7 +313,7 @@ def _parse_term(text: str, lineno: int, guard: Optional[str]) -> Term:
         if ch == "0":
             term: Term = Zero()
         elif name is not None and _PROJ.fullmatch(name):
-            term = Proj("n" if name[0] == "x" else "s", int(name[1:]))
+            term = Proj("n" if name[0] == "x" else "s", _number(name[1:], lineno, m.start(1) + 2))
         else:
             call_guard = None
             if ch == "@":
@@ -355,7 +363,15 @@ def _parse_term(text: str, lineno: int, guard: Optional[str]) -> Term:
             return term
 
 
-_DEF_RE = re.compile(r"^(def|fn)\s+(\S+?)\((\d+);(\d+)\)\s*=\s*(.*)$")
+# Matched from the line's first non-blank character, so that group
+# offsets are columns of the line.
+_DEF_RE = re.compile(r"(def|fn)\s+(\S+?)\((?P<normals>\d+);(?P<safes>\d+)\)\s*=\s*(?P<rhs>.*)$")
+_ORACLE_RE = re.compile(r"oracle\s+(\S+?)\((?P<normals>\d+);(?P<safes>\d+)\)\s*$")
+
+
+def _arities(m: re.Match, lineno: int) -> tuple[int, ...]:
+    """The ``(normals;safes)`` a definition or oracle line declares."""
+    return tuple(_number(m[g], lineno, m.start(g) + 1) for g in ("normals", "safes"))
 
 
 def parse_terms(text: str | bytes) -> TermDocument:
@@ -381,14 +397,16 @@ def parse_terms(text: str | bytes) -> TermDocument:
         current_prog, prog_fns = None, {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        code = raw.split("#", 1)[0]
+        line = code.strip()
         if not line:
             continue
+        start = len(code) - len(code.lstrip())
         if line.startswith("oracle "):
-            m = re.match(r"^oracle\s+(\S+?)\((\d+);(\d+)\)\s*$", line)
+            m = _ORACLE_RE.match(code, start)
             if not m:
                 raise ParseError("malformed oracle declaration", lineno, 1)
-            oracles[m.group(1)] = (int(m.group(2)), int(m.group(3)))
+            oracles[m[1]] = _arities(m, lineno)
             continue
         if line.startswith("program "):
             close_program()
@@ -398,23 +416,24 @@ def parse_terms(text: str | bytes) -> TermDocument:
             current_prog, prog_line = m.group(1), lineno
             prog_guard = "strict" if m.group(2) == "strict" else "strict_safe"
             continue
-        m = _DEF_RE.match(line)
+        m = _DEF_RE.match(code, start)
         if not m:
             raise ParseError("malformed definition", lineno, 1)
-        kw, name, ms, ns_, rhs = m.groups()
-        body = _parse_term(rhs, lineno, prog_guard if kw == "fn" else None)
+        kw, name = m[1], m[2]
+        body = _parse_term(code, m.start("rhs"), lineno, prog_guard if kw == "fn" else None)
+        normals, safes = _arities(m, lineno)
         if kw == "def":
             if current_prog is not None:
                 raise ParseError("term definitions cannot appear inside a program", lineno, 1)
             if name in terms:
                 raise ParseError(f"duplicate definition of {name!r}", lineno, 1)
-            terms[name] = TermDef(name, int(ms), int(ns_), body)
+            terms[name] = TermDef(name, normals, safes, body)
         else:
             if current_prog is None:
                 raise ParseError("fn outside a program", lineno, 1)
             if name in prog_fns:
                 raise ParseError(f"duplicate function {name!r}", lineno, 1)
-            prog_fns[name] = PPFunction(name, int(ms), int(ns_), body)
+            prog_fns[name] = PPFunction(name, normals, safes, body)
     close_program()
     return TermDocument(terms, programs, oracles)
 

@@ -2,7 +2,7 @@
 
 import random
 
-from circsafe.corpus import proof_n_unsafe, proof_p_unsafe
+from circsafe.corpus import proof
 from circsafe.checker import (
     check_left_leaning,
     check_progressing_safe,
@@ -35,7 +35,7 @@ def test_classification_table(proofs):
 
 
 def test_unsafe_variants_are_rejected():
-    for g in (proof_p_unsafe(), proof_n_unsafe()):
+    for g in (proof("P_UNSAFE"), proof("N_UNSAFE")):
         c = classify(g)
         assert not c.safe and c.cls == "none"
 

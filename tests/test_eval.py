@@ -7,7 +7,7 @@ import pytest
 
 from conftest import c_program, e_program, ref_env, ref_eval, ref_pp, sample_two_sorted
 
-from circsafe.corpus import proof_i, proof_n_unsafe, proof_p_unsafe, proof_eprime
+from circsafe.corpus import proof
 from circsafe.compilealg import nb_to_circular, srec_eliminate, term_to_derivation
 from circsafe.interp import (
     Call,
@@ -82,7 +82,7 @@ def test_p_l_n_golden(proofs):
 
 
 def test_unsafe_variants_compute_the_same_functions():
-    pu, nu = proof_p_unsafe(), proof_n_unsafe()
+    pu, nu = proof("P_UNSAFE"), proof("N_UNSAFE")
     for x in range(60):
         assert eval_proof(pu, pu.root, [x], []) == max(x - 1, 0)
     for k in range(10):
@@ -90,14 +90,14 @@ def test_unsafe_variants_compute_the_same_functions():
 
 
 def test_i_exhausts_fuel():
-    i = proof_i()
+    i = proof("I")
     for x in range(3):
         with pytest.raises(FuelExhausted):
             eval_proof(i, i.root, [x], [], EvalConfig(fuel=10**4, memo=False))
 
 
 def test_eprime_iterates_the_doubler():
-    ep = proof_eprime()
+    ep = proof("EPRIME")
 
     def d(y):
         return 2 ** (2 ** y.bit_length())
@@ -124,7 +124,7 @@ def test_arity_mismatch_raises(proofs):
 def test_memo_changes_steps_not_values(proofs):
     # the boxed-cut unary converter queries each recursive value twice,
     # so memoization genuinely shortens the run
-    nu = proof_n_unsafe()
+    nu = proof("N_UNSAFE")
     on, off = EvalStats(), EvalStats()
     a = eval_proof(nu, nu.root, [9], [], EvalConfig(memo=True), stats=on)
     b = eval_proof(nu, nu.root, [9], [], EvalConfig(memo=False), stats=off)

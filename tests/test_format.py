@@ -9,7 +9,8 @@ from conftest import chain_graph, loop_graph, nest_graph
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circsafe.corpus import proof_i, proof_n_unsafe, proof_p_unsafe, standard_proofs, term_corpus
+import circsafe.corpus
+from circsafe.corpus import proof, standard_proofs, term_corpus
 from circsafe.formats import (
     ParseError,
     export_dot,
@@ -82,7 +83,7 @@ def test_empty_premises_serialization(proofs):
 def test_dot_back_edges(proofs):
     assert export_dot(proofs["S"]).count("style=dashed") == 1
     # the diverging proof loops through its boxed cut
-    dot_i = export_dot(proof_i())
+    dot_i = export_dot(proof("I"))
     assert dot_i.count("style=dashed") == 1
     from circsafe.compilealg import term_to_derivation
 
@@ -125,6 +126,30 @@ def test_oracle_declarations():
     assert td.oracles["a"] == (0, 2)
 
 
+@pytest.mark.parametrize(
+    "doc, line, column",
+    [
+        ("def t(1;1) = x" + "1" * 5000, 1, 15),
+        ("def t(" + "1" * 5000 + ";1) = y0", 1, 7),
+        ("program q guard strict\nfn main(1;" + "1" * 5000 + ") = y0", 2, 11),
+        ("oracle a(0;" + "1" * 5000 + ")", 1, 12),
+    ],
+    ids=["projection", "def-arity", "fn-arity", "oracle"],
+)
+def test_overlong_numerals_are_parse_errors(doc, line, column):
+    # past CPython's int-conversion limit of 4300 digits
+    with pytest.raises(ParseError) as e:
+        parse_terms(doc)
+    assert (e.value.line, e.value.column) == (line, column)
+
+
+def test_term_error_columns_count_from_the_line_start():
+    for doc, column in [("def t(1;1) = s0(x0,)", 20), ("\t def t(1;1) = s0(x0,)  # note", 22)]:
+        with pytest.raises(ParseError) as e:
+            parse_terms(doc)
+        assert (e.value.line, e.value.column) == (1, column), doc
+
+
 @given(st.integers(0, 255), st.integers(0, 255))
 @settings(max_examples=50)
 def test_parsed_term_evaluates_like_source(x, y):
@@ -150,17 +175,22 @@ def test_parse_terms_is_linear_in_line_length():
     assert best[long] < 20 * best[short], best
 
 
-CORPUS = Path(__file__).resolve().parent.parent / "corpus"
-
-
-def test_corpus_documents_are_the_corpus_objects():
-    want = {**standard_proofs(), "P_UNSAFE": proof_p_unsafe(), "N_UNSAFE": proof_n_unsafe()}
-    docs = {p.stem: parse_proof(p.read_text(encoding="utf-8")) for p in CORPUS.glob("*.proof")}
-    assert docs.keys() == want.keys()
-    for name, g in docs.items():
-        assert (g.name, g.root, g.nodes) == (want[name].name, want[name].root, want[name].nodes), name
-    doc = parse_terms((CORPUS / "terms.term").read_text(encoding="utf-8"))
-    assert doc.terms == term_corpus() and not doc.programs and not doc.oracles
+def test_corpus_documents_are_canonical():
+    """The shipped documents are the standard proofs and the unsafe
+    variants, each in the form the serializers write, and ``proof``
+    parses afresh on every call."""
+    folder = Path(circsafe.corpus.__file__).parent
+    texts = {p.stem: p.read_text(encoding="utf-8") for p in folder.glob("*.proof")}
+    assert texts.keys() == {*standard_proofs(), "P_UNSAFE", "N_UNSAFE"}
+    for name, text in texts.items():
+        g = parse_proof(text)
+        assert g.name == name and serialize_proof(g) == text, name
+    text = (folder / "terms.term").read_text(encoding="utf-8")
+    doc = parse_terms(text)
+    assert not doc.programs and not doc.oracles
+    lines = [line + "\n" for line in text.splitlines() if not line.startswith("#")]
+    assert lines == [serialize_termdef(td) for td in doc.terms.values()]
+    assert proof("S") is not proof("S")
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,6 @@
 """Local rule validation."""
 
-from circsafe.corpus import proof_n_unsafe, proof_p_unsafe
+from circsafe.corpus import proof
 from circsafe.kernel import (
     Node,
     ProofGraph,
@@ -49,8 +49,8 @@ def test_boxr_rejects_plain_context():
 def test_corpus_proofs_validate(proofs):
     for name, g in proofs.items():
         assert validate_graph(g) == [], name
-    assert validate_graph(proof_p_unsafe()) == []
-    assert validate_graph(proof_n_unsafe()) == []
+    assert validate_graph(proof("P_UNSAFE")) == []
+    assert validate_graph(proof("N_UNSAFE")) == []
 
 
 def _mutations(g: ProofGraph):
