@@ -81,7 +81,7 @@ from .transform import (
     strip_safe_inputs,
 )
 from .compilealg import CompileError, nb_to_circular, srec_eliminate, term_to_derivation
-from .translate import TranslateError, normalize_arities, synthesize, translate
+from .translate import TranslateError, translate
 from .bounds import BoundPair, BoundReport, input_bound, synthesize_bound, verify_bound
 from .formats import (
     ParseError,

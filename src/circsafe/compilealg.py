@@ -217,7 +217,7 @@ def _compile_oracle_call(g: _Graph, term: OracleCall, m: int, n: int, oracle_sig
         cur = g.add(Rule(RuleKind.WEAK_B), Sequent(i + 1, n + on), (cur,))
     # now cut in the argument values, innermost last
     for j in range(on - 1, -1, -1):
-        value = _compile(g, term.safe_args[j], m, n + j, {k: v for k, v in oracle_sigs.items()})
+        value = _compile(g, term.safe_args[j], m, n + j, oracle_sigs)
         cur = g.add(Rule(RuleKind.CUT_N), Sequent(m, n + j), (value, cur))
     return cur
 

@@ -147,18 +147,7 @@ def serialize_proof(graph: ProofGraph) -> str:
     out = [f"proof {graph.name} root {graph.root}"]
     for nid in sorted(graph.nodes):
         node = graph.nodes[nid]
-        rule = node.rule
-        s = rule.kind.value
-        if rule.pos is not None:
-            s += f"({rule.pos})"
-        if rule.buds:
-            s += "(" + "|".join(rule.buds) + ")"
-        if rule.oracle is not None:
-            s += f" oracle {rule.oracle}"
-        ctx = ",".join(["bN"] * node.sequent.boxed + ["N"] * node.sequent.plain)
-        ty = "bN" if node.sequent.succedent is SType.BOXED else "N"
-        prem = ",".join(node.premises)
-        out.append(f"node {nid} : {s} seq {ctx} => {ty} premises [{prem}]")
+        out.append(f"node {nid} : {node.rule} seq {node.sequent} premises [{','.join(node.premises)}]")
     return "\n".join(out) + "\n"
 
 

@@ -200,7 +200,8 @@ def eval_proof(
                     work.append(("ev", pr[0], xs[1:], ys))
                 else:
                     xs2 = (x0 >> 1,) + xs[1:]
-                    work.append(("srec", pr[1 + (x0 & 1)], xs2, ys))
+                    # the step takes the recursive value as a plain cut's right premise would
+                    work.append(("cutN", pr[1 + (x0 & 1)], xs2, ys))
                     work.append(("ev", n, xs2, ys))
             elif kind is RuleKind.ORACLE:
                 if oracles is None or nd.rule.oracle not in oracles:
@@ -222,10 +223,6 @@ def eval_proof(
             _, p1, xs, ys = item
             v = vstack.pop()
             work.append(("ev", p1, (v,) + xs, ys))
-        elif op == "srec":
-            _, tgt, xs, ys = item
-            v = vstack.pop()
-            work.append(("ev", tgt, xs, ys + (v,)))
         else:  # pragma: no cover
             raise AssertionError(op)
 

@@ -150,10 +150,16 @@ class CycleNF:
 def cycle_normal_form(graph: ProofGraph) -> CycleNF:
     """``_cycle_normal_form`` of a graph that passes ``validate_graph``
     (srec and oracle leaves allowed); TransformError otherwise."""
-    errors = validate_graph(graph, allow_srec=True, allow_oracle=True)
+    _require_valid(graph, allow_srec=True)
+    return _cycle_normal_form(graph)
+
+
+def _require_valid(graph: ProofGraph, allow_srec: bool = False) -> None:
+    """TransformError on the first error ``validate_graph`` finds
+    (oracle leaves allowed)."""
+    errors = validate_graph(graph, allow_srec=allow_srec, allow_oracle=True)
     if errors:
         raise TransformError(f"invalid input graph: {errors[0]}")
-    return _cycle_normal_form(graph)
 
 
 def _cycle_normal_form(graph: ProofGraph) -> CycleNF:
@@ -279,9 +285,7 @@ def box_promote(graph: ProofGraph) -> ProofGraph:
     The output contains no plain weakening, exchange, cut or
     conditional.
     """
-    errors = validate_graph(graph, allow_oracle=True)
-    if errors:
-        raise TransformError(f"invalid input graph: {errors[0]}")
+    _require_valid(graph)
 
     nodes: dict[str, Node] = {}
     alias: dict[str, str] = {}
@@ -384,9 +388,7 @@ def strip_safe_inputs(graph: ProofGraph) -> ProofGraph:
     recursion terminates; sub-proofs at and above the bar are shared
     unchanged.
     """
-    errors = validate_graph(graph, allow_oracle=True)
-    if errors:
-        raise TransformError(f"invalid input graph: {errors[0]}")
+    _require_valid(graph)
     if graph.nodes[graph.root].sequent.succedent is not SType.BOXED:
         raise TransformError("strip_safe_inputs needs a boxed succedent at the root")
 
@@ -454,9 +456,7 @@ def pass_parameters(graph: ProofGraph, oracle: str) -> tuple[ProofGraph, str]:
     widened oracle (name returned) that takes the root's boxed inputs
     in front of the original context.
     """
-    errors = validate_graph(graph, allow_oracle=True)
-    if errors:
-        raise TransformError(f"invalid input graph: {errors[0]}")
+    _require_valid(graph)
     k = graph.nodes[graph.root].sequent.boxed
     star = oracle + "*"
     reach = graph.reachable()

@@ -2,15 +2,17 @@
 
 Each companion of the cycle normal form becomes a named function; the
 finite tree segments compile node-by-node through the rule semantics
-into expression bodies, buds become guarded calls, and sub-loops that
-cannot call back are ordinary composition with earlier functions.
-Left-leaning inputs get the stronger guards that also confine the safe
-zone, placing the program in the smaller algebra.
+into expression bodies, and buds and companions met inside a region
+become calls.  A call is guarded exactly when it is recursive, that is
+when the callee lies in the caller's strongly connected component of
+the program's call graph; calls that cannot call back are ordinary
+composition with other functions.  Left-leaning inputs get the stronger
+guards that also confine the safe zone, placing the program in the
+smaller algebra.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from typing import Optional
 
@@ -30,7 +32,7 @@ from .interp import (
     Zero,
     map_terms,
 )
-from .transform import CycleNF, Pos, _cycle_normal_form
+from .transform import Pos, _cycle_normal_form
 
 
 class TranslateError(Exception):
@@ -39,52 +41,22 @@ class TranslateError(Exception):
 
 MAIN = "main"
 
-# task tags of synthesize's walk
+# task tags of translate's walk
 _VISIT, _BUILD, _CUT = range(3)
 
 
-@dataclass
-class TranslationState:
-    """Synthesized functions before arity normalization."""
+def translate(graph: ProofGraph) -> PPProgram:
+    """Guarded recursion program computing the proof's function.
 
-    cnf: CycleNF
-    guard: str  # "strict" (nested class) or "strict_safe" (left-leaning)
-    fname: dict[Pos, str]
-    arities: dict[str, tuple[int, int]]
-    bodies: dict[str, Term]
-    scc_of: dict[Pos, int]
-
-    def program(self) -> PPProgram:
-        fns = {
-            name: PPFunction(name, self.arities[name][0], self.arities[name][1], self.bodies[name])
-            for name in self.bodies
-        }
-        prog = PPProgram(fns, self.guard)
-        prog.validate()
-        return prog
-
-
-def _companion_sccs(cnf: CycleNF) -> tuple[list[Pos], dict[Pos, int]]:
-    """Call-graph components among companions (bud and region edges)."""
-    companions = sorted(cnf.companions)
-    cset = set(companions)
-    targets: dict[Pos, set[Pos]] = {c: set() for c in companions}
-    for c in companions:
-        stack = [c]
-        while stack:
-            pos = stack.pop()
-            if pos in cnf.buds:
-                targets[c].add(cnf.buds[pos])
-            elif pos != c and pos in cset:
-                targets[c].add(pos)
-            else:
-                stack.extend(cnf.tree[pos].children)
-    comps = sccs({c: tuple(sorted(targets[c])) for c in companions})
-    return companions, {c: i for i, comp in enumerate(comps) for c in comp}
-
-
-def synthesize(graph: ProofGraph) -> TranslationState:
-    """Build the per-companion functions, genuine arities, no padding yet."""
+    The entry point is the function ``main`` with the root's arities;
+    one further function exists per companion of the cycle normal form.
+    A call is guarded when its callee is in the caller's component of
+    ``sccs(prog.call_graph())``.  Every companion function is padded
+    with ``Zero()`` to the largest arities among all companion
+    functions of the program, not of one component.  The constant is a
+    prefix of everything and equal padding never supplies the strict
+    component, so guard outcomes on genuine slots are unchanged.
+    """
     cl = classify(graph)
     if cl.cls not in ("CB", "CNB"):
         raise TranslateError(
@@ -93,31 +65,20 @@ def synthesize(graph: ProofGraph) -> TranslationState:
         )
     guard = "strict_safe" if cl.cls == "CB" else "strict"
     cnf = _cycle_normal_form(graph)  # classify validated it
-    companions, scc_of = _companion_sccs(cnf)
-    fname = {pos: f"f{i}" for i, pos in enumerate(companions)}
-    cset = set(companions)
+    fname = {pos: f"f{i}" for i, pos in enumerate(sorted(cnf.companions))}
 
-    arities: dict[str, tuple[int, int]] = {}
-    bodies: dict[str, Term] = {}
-
-    def make_call(target: Pos, caller_scc: Optional[int], nenv: list[Term], senv: list[Term]) -> Term:
-        seq = cnf.tree[target].sequent
-        if len(nenv) != seq.boxed or len(senv) != seq.plain:
-            raise TranslateError(
-                f"call into {fname[target]} with {len(nenv)};{len(senv)} arguments "
-                f"against sequent {seq}"
-            )
-        guarded = caller_scc is not None and scc_of[target] == caller_scc
-        return Call(fname[target], tuple(nenv), tuple(senv), guard=guard if guarded else None)
-
-    def walk(top: Pos, start: Optional[Pos], caller_scc: Optional[int], nenv: list[Term], senv: list[Term]) -> Term:
-        """The body for the tree region at ``top``, on an explicit stack.
+    def walk(top: Pos, start: Optional[Pos]) -> PPFunction:
+        """The function for the tree region at ``top``, built on an
+        explicit stack; its calls are unguarded and unpadded.
 
         ``todo`` holds positions to visit with their environments, and
         continuations: ``_BUILD`` pops finished subterms into a node,
         ``_CUT`` feeds a cut's left value into its right premise.  The
         subterms of a node are built left to right, as in the rules.
         """
+        seq = cnf.tree[top].sequent
+        nenv = [Proj("n", i) for i in range(seq.boxed)]
+        senv = [Proj("s", j) for j in range(seq.plain)]
         done: list[Term] = []
         todo: list[tuple] = [(_VISIT, top, nenv, senv)]
         while todo:
@@ -134,11 +95,15 @@ def synthesize(graph: ProofGraph) -> TranslationState:
                 todo.append((_VISIT, pos, [v] + nenv, senv) if boxed else (_VISIT, pos, nenv, senv + [v]))
                 continue
             _, pos, nenv, senv = task
-            if pos in cnf.buds:
-                done.append(make_call(cnf.buds[pos], caller_scc, nenv, senv))
-                continue
-            if pos != start and pos in cset:
-                done.append(make_call(pos, caller_scc, nenv, senv))
+            if pos in cnf.buds or (pos != start and pos in fname):
+                target = cnf.buds.get(pos, pos)
+                tseq = cnf.tree[target].sequent
+                if len(nenv) != tseq.boxed or len(senv) != tseq.plain:
+                    raise TranslateError(
+                        f"call into {fname[target]} with {len(nenv)};{len(senv)} arguments "
+                        f"against sequent {tseq}"
+                    )
+                done.append(Call(fname[target], tuple(nenv), tuple(senv)))
                 continue
             node = cnf.tree[pos]
             kind = node.rule.kind
@@ -186,65 +151,28 @@ def synthesize(graph: ProofGraph) -> TranslationState:
             else:
                 raise TranslateError(f"rule {kind.value} at {pos} is not translatable")
         (body,) = done
-        return body
+        return PPFunction(fname.get(start, MAIN), seq.boxed, seq.plain, body)
 
-    for c in companions:
-        seq = cnf.tree[c].sequent
-        nenv = [Proj("n", i) for i in range(seq.boxed)]
-        senv = [Proj("s", j) for j in range(seq.plain)]
-        arities[fname[c]] = (seq.boxed, seq.plain)
-        bodies[fname[c]] = walk(c, c, scc_of[c], list(nenv), list(senv))
+    companion_fns = [walk(c, c) for c in fname]
+    draft = PPProgram({f.name: f for f in companion_fns + [walk((), None)]}, guard)
+    comp_of = {nm: i for i, comp in enumerate(sccs(draft.call_graph())) for nm in comp}
+    big_m = max((f.normals for f in companion_fns), default=0)
+    big_n = max((f.safes for f in companion_fns), default=0)
 
-    root_seq = cnf.tree[()].sequent
-    arities[MAIN] = (root_seq.boxed, root_seq.plain)
-    nenv = [Proj("n", i) for i in range(root_seq.boxed)]
-    senv = [Proj("s", j) for j in range(root_seq.plain)]
-    if () in cset:
-        bodies[MAIN] = Call(fname[()], tuple(nenv), tuple(senv), guard=None)
-    else:
-        bodies[MAIN] = walk((), None, None, list(nenv), list(senv))
+    def guard_and_pad(caller: str, t: Term) -> Term:
+        if not isinstance(t, Call):
+            return t
+        return Call(
+            t.name,
+            t.normal_args + (Zero(),) * (big_m - len(t.normal_args)),
+            t.safe_args + (Zero(),) * (big_n - len(t.safe_args)),
+            guard=guard if comp_of[t.name] == comp_of[caller] else None,
+        )
 
-    return TranslationState(cnf, guard, fname, arities, bodies, scc_of)
-
-
-def normalize_arities(state: TranslationState) -> TranslationState:
-    """Pad every companion function to the block-wide maximum arities.
-
-    Zero fills the fresh slots; the constant is a prefix of everything
-    and equal padding never supplies the strict component, so guard
-    outcomes on genuine slots are unchanged.
-    """
-    companion_fns = [state.fname[c] for c in sorted(state.fname)]
-    if not companion_fns:
-        return state
-    big_m = max(state.arities[f][0] for f in companion_fns)
-    big_n = max(state.arities[f][1] for f in companion_fns)
-
-    def pad_calls(t: Term) -> Term:
-        if isinstance(t, Call) and t.name in state.arities and t.name != MAIN:
-            m, n = state.arities[t.name]
-            return Call(
-                t.name,
-                t.normal_args + tuple(Zero() for _ in range(big_m - m)),
-                t.safe_args + tuple(Zero() for _ in range(big_n - n)),
-                guard=t.guard,
-            )
-        return t
-
-    new_bodies = {name: map_terms(body, pad_calls) for name, body in state.bodies.items()}
-    new_arities = dict(state.arities)
-    for f in companion_fns:
-        new_arities[f] = (big_m, big_n)
-    return TranslationState(
-        state.cnf, state.guard, state.fname, new_arities, new_bodies, state.scc_of
-    )
-
-
-def translate(graph: ProofGraph) -> PPProgram:
-    """Guarded recursion program computing the proof's function.
-
-    The entry point is the function ``main`` with the root's arities;
-    one further function exists per companion of the cycle normal form,
-    padded to uniform arities within the block.
-    """
-    return normalize_arities(synthesize(graph)).program()
+    fns = {}
+    for f in draft.functions.values():
+        m, n = (f.normals, f.safes) if f.name == MAIN else (big_m, big_n)
+        fns[f.name] = PPFunction(f.name, m, n, map_terms(f.body, partial(guard_and_pad, f.name)))
+    prog = PPProgram(fns, guard)
+    prog.validate()
+    return prog

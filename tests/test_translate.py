@@ -15,12 +15,15 @@ from circsafe.interp import (
     PPFunction,
     PPProgram,
     Proj,
+    Zero,
+    _calls,
     check_term_class,
     eval_pp,
     eval_proof,
 )
 from circsafe.kernel import length
-from circsafe.translate import MAIN, TranslateError, normalize_arities, synthesize, translate
+from circsafe.transform import cycle_normal_form
+from circsafe.translate import MAIN, TranslateError, translate
 
 STRICT = EvalConfig(guard_mode="strict")
 
@@ -95,18 +98,23 @@ def test_acyclic_inputs_give_guard_free_programs(terms):
     assert guards(prog.functions[MAIN].body) == []
 
 
-def test_normalize_arities_pads_with_zero(proofs):
-    state = synthesize(proofs["C"])
-    pre = {f: state.arities[f] for f in state.arities if f != MAIN}
-    assert sorted(pre.values()) == [(1, 1), (2, 1)]
-    post = normalize_arities(state)
-    assert all(post.arities[f] == (2, 1) for f in pre)
-    prog = post.program()
+def test_companion_functions_are_padded_with_zero(proofs):
+    g = proofs["C"]
+    cnf = cycle_normal_form(g)
+    genuine = sorted((cnf.tree[c].sequent.boxed, cnf.tree[c].sequent.plain) for c in cnf.companions)
+    assert genuine == [(1, 1), (2, 1)]
+    prog = translate(g)
+    companion_fns = [f for name, f in prog.functions.items() if name != MAIN]
+    assert len(companion_fns) == 2
+    assert all((f.normals, f.safes) == (2, 1) for f in companion_fns)
+    # f0 enters the narrower f1 with one genuine normal, padded by Zero()
+    into_f1 = [c for c in _calls(prog.functions["f0"].body) if c.name == "f1"]
+    assert [c.normal_args[1] for c in into_f1] == [Zero()]
     rng = random.Random(71)
     for _ in range(100):
         xs, ys = sample_two_sorted(rng, 2, 1, 9)
         got = eval_pp(prog, MAIN, None, xs, ys, STRICT)
-        want = eval_proof(proofs["C"], proofs["C"].root, xs, ys)
+        want = eval_proof(g, g.root, xs, ys)
         assert got == want
 
 
