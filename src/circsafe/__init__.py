@@ -21,6 +21,7 @@ from .kernel import (
     pred,
     s0,
     s1,
+    tuple_below,
     tuple_order,
     validate_graph,
     validate_step,

@@ -51,35 +51,22 @@ def _shortest_path(adj: Adjacency, members: set[str], src: str, dst: str) -> lis
     raise AssertionError(f"no path {src}->{dst} inside the component")
 
 
-def _shortest_cycle_through(adj: Adjacency, comp: list[str], target: str) -> list[str]:
-    """Shortest simple cycle through ``target``, as a node list.
+def _cycle_with_edge(adj: Adjacency, comp: list[str], u: str, v: str) -> list[str]:
+    """A shortest simple cycle using the edge u -> v, as the node list from u.
 
     Consecutive entries are premise edges and the last entry points
     back at the first; BFS over sorted adjacency keeps it deterministic.
     """
-    members = set(comp)
-    best: Optional[list[str]] = None
-    for v in sorted(adj.get(target, ())):
-        if v == target:
-            return [target]
-        if v not in members:
-            continue
-        try:
-            path = _shortest_path(adj, members, v, target)
-        except AssertionError:
-            continue
-        cycle = [target] + path[:-1]
-        if best is None or len(cycle) < len(best):
-            best = cycle
-    assert best is not None, "target is on no cycle of its component"
-    return best
-
-
-def _cycle_with_edge(adj: Adjacency, comp: list[str], u: str, v: str) -> list[str]:
-    """A simple cycle using the edge u -> v, as the node list from u."""
-    members = set(comp)
-    path = _shortest_path(adj, members, v, u)
+    path = _shortest_path(adj, set(comp), v, u)
     return [u] + path[:-1]
+
+
+def _shortest_cycle_through(adj: Adjacency, comp: list[str], target: str) -> list[str]:
+    """Shortest simple cycle through ``target``; ties go to the first
+    successor in sorted order."""
+    members = set(comp)
+    succ = (v for v in sorted(adj[target]) if v in members)
+    return min((_cycle_with_edge(adj, comp, target, v) for v in succ), key=len)
 
 
 @dataclass
@@ -114,10 +101,8 @@ def _left_leaning(graph: ProofGraph, adj: Adjacency, comps: list[list[str]]) -> 
         if node.rule.kind is not RuleKind.CUT_N:
             continue
         right = node.premises[1]
-        if comp_of.get(right) == comp_of.get(nid):
-            comp = comps[comp_of[nid]]
-            if len(comp) > 1 or nid in adj.get(nid, ()):
-                return CheckOutcome(False, _cycle_with_edge(adj, comp, nid, right))
+        if comp_of.get(right) == comp_of[nid]:
+            return CheckOutcome(False, _cycle_with_edge(adj, comps[comp_of[nid]], nid, right))
     return CheckOutcome(True)
 
 

@@ -22,7 +22,6 @@ from .interp import (
     FuelExhausted,
     GuardViolation,
     TermDef,
-    check_term_class,
     eval_pp,
     eval_proof,
 )
@@ -35,7 +34,7 @@ from .formats import (
     serialize_program,
     serialize_proof,
 )
-from .compilealg import CompileError, nb_to_circular, srec_eliminate, term_to_derivation
+from .compilealg import CompileError, nb_to_circular, term_to_derivation
 from .transform import TransformError, _cycle_normal_form, cnf_to_graph
 from .translate import TranslateError, translate
 from .bounds import synthesize_bound, verify_bound
@@ -149,12 +148,7 @@ def cmd_eval_pp(args: argparse.Namespace) -> int:
 
 def cmd_compile(args: argparse.Namespace) -> int:
     td = _load_term(args)
-    if args.target == "derivation":
-        graph = term_to_derivation(td)
-    elif check_term_class(td.body, "B") == []:
-        graph = srec_eliminate(term_to_derivation(td))
-    else:
-        graph = nb_to_circular(td)
+    graph = term_to_derivation(td) if args.target == "derivation" else nb_to_circular(td)
     _write_out(args.output, serialize_proof(graph))
     return OK
 

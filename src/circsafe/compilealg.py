@@ -234,22 +234,23 @@ def _compile_snrec(g: _Graph, term: SNRec, m: int, n: int, oracle_sigs: dict[str
     h_root = _compile(sub, term.h, m, n, sigs)
     h_graph = sub.graph(h_root)
     starred, star = pass_parameters(h_graph, term.rec_name)
-    # import the transformed step proof under fresh ids
     prefix = f"s{g.counter}_"
     g.counter += 1
-    for nid, node in starred.nodes.items():
-        g.nodes[prefix + nid] = Node(
-            node.rule, node.sequent, tuple(prefix + p for p in node.premises)
-        )
     base = _compile(g, term.g, m - 1, n, oracle_sigs)
     loop = g.reserve(RuleKind.COND_B, Sequent(m, n), hint="loop")
-    # the widened oracle leaves become backedges to the loop head
-    for nid, node in list(g.nodes.items()):
-        if nid.startswith(prefix) and node.rule.kind is RuleKind.ORACLE and node.rule.oracle == star:
+    # import the transformed step proof under fresh ids; the widened
+    # oracle leaves become backedges to the loop head
+    ids = {}
+    for nid, node in starred.nodes.items():
+        ids[nid] = prefix + nid
+        if node.rule.kind is RuleKind.ORACLE and node.rule.oracle == star:
             if node.sequent != Sequent(m, n):
                 raise CompileError(f"widened oracle leaf has sequent {node.sequent}")
-            _redirect(g, nid, loop)
-    g.fill(loop, Rule(RuleKind.COND_B), (base, prefix + starred.root, prefix + starred.root))
+            ids[nid] = loop
+    for nid, node in starred.nodes.items():
+        if ids[nid] != loop:
+            g.nodes[ids[nid]] = Node(node.rule, node.sequent, tuple(ids[p] for p in node.premises))
+    g.fill(loop, Rule(RuleKind.COND_B), (base,) + (ids[starred.root],) * 2)
     return loop
 
 
@@ -274,24 +275,19 @@ def _reject_frozen_oracle_under_loop(h: Term, name: str) -> None:
     scan(h, False)
 
 
-def _redirect(g: _Graph, old: str, new: str) -> None:
-    """Point every premise reference at ``old`` to ``new`` and drop it."""
-    del g.nodes[old]
-    for nid, node in list(g.nodes.items()):
-        if old in node.premises:
-            g.nodes[nid] = Node(
-                node.rule, node.sequent, tuple(new if p == old else p for p in node.premises)
-            )
+def _compiled(td: TermDef, cls: str, oracle_sigs: Optional[dict[str, tuple[int, int]]]) -> ProofGraph:
+    """The term's proof after checking it is in class ``cls``."""
+    violations = check_term_class(td.body, cls)
+    if violations:
+        algebra = "base" if cls == "B" else "nested"
+        raise CompileError(f"{td.name} is not in the {algebra} algebra: {violations[0]}")
+    g = _Graph(td.name + "_deriv")
+    return g.graph(_compile(g, td.body, td.normals, td.safes, oracle_sigs or {}))
 
 
 def term_to_derivation(td: TermDef, oracle_sigs: Optional[dict[str, tuple[int, int]]] = None) -> ProofGraph:
     """Finite derivation (recursion rule allowed) computing the term."""
-    violations = check_term_class(td.body, "B")
-    if violations:
-        raise CompileError(f"{td.name} is not in the base algebra: {violations[0]}")
-    g = _Graph(td.name + "_deriv")
-    root = _compile(g, td.body, td.normals, td.safes, oracle_sigs or {})
-    return g.graph(root)
+    return _compiled(td, "B", oracle_sigs)
 
 
 def srec_eliminate(graph: ProofGraph) -> ProofGraph:
@@ -301,7 +297,7 @@ def srec_eliminate(graph: ProofGraph) -> ProofGraph:
     left of a plain cut whose right side is the original step proof, so
     the output is safe, progressing and left-leaning.
     """
-    out = ProofGraph(graph.name.replace("_deriv", "") + "_circ", graph.root, dict(graph.nodes))
+    out = ProofGraph(graph.name.removesuffix("_deriv") + "_circ", graph.root, dict(graph.nodes))
     counter = 0
     for nid in list(out.reachable()):
         node = out.nodes[nid]
@@ -325,21 +321,14 @@ def srec_eliminate(graph: ProofGraph) -> ProofGraph:
 
 
 def nb_to_circular(td: TermDef, oracle_sigs: Optional[dict[str, tuple[int, int]]] = None) -> ProofGraph:
-    """Circular proof for a nested-recursion term.
+    """Circular proof for a term of the nested algebra, base terms included.
 
     Plain recursion nodes are eliminated afterwards; nested recursions
     close their loops during compilation.  The construction keeps every
     path from the conclusion to an oracle leaf free of boxed cuts, so
     parameter passing stays applicable at each stage.
     """
-    violations = check_term_class(td.body, "NB")
-    if violations:
-        raise CompileError(f"{td.name} is not in the nested algebra: {violations[0]}")
-    g = _Graph(td.name + "_nb")
-    root = _compile(g, td.body, td.normals, td.safes, oracle_sigs or {})
-    out = g.graph(root)
-    out = srec_eliminate(out)
-    out.name = td.name + "_circ"
+    out = srec_eliminate(_compiled(td, "NB", oracle_sigs))
     _assert_no_boxed_cut_to_oracles(out)
     return out
 

@@ -24,9 +24,8 @@ from typing import Callable, NamedTuple, Optional, Sequence, TypeVar
 from .kernel import (
     ProofGraph,
     RuleKind,
-    TupleOrder,
     sccs,
-    tuple_order,
+    tuple_below,
 )
 
 R = TypeVar("R")
@@ -492,7 +491,6 @@ def map_terms(term: Term, f: Callable[[Term], Term]) -> Term:
 # once; a failed check compiles to code that raises when it is reached.
 
 _FIXED = 3  # b[0..2] as above; recursion bindings follow
-_STRICT, _UNRELATED = TupleOrder.SUBSET_STRICT, TupleOrder.NOT_RELATED
 
 
 def _fail(msg: str):
@@ -658,7 +656,7 @@ def _rec_call(name: str, slot: int, binder: tuple, nargs: list, sargs: list):
     def guarded(xs, ys, b):  # prefix-permutation recursion: 0 below no descent
         code, (fx, fy), outer = b[slot]
         u, v = us(xs, ys, b), vs(xs, ys, b)
-        if tuple_order(u, fx)[0] is not _STRICT or guard and tuple_order(v, fy)[0] is _UNRELATED:
+        if not tuple_below(u, fx, True) or guard and not tuple_below(v, fy, False):
             return 0
         return code(u, v, outer)
 
@@ -811,7 +809,7 @@ def _named_call(term: Call, nargs: list, sargs: list, prog: Optional[_Run]):
 
     def guarded(xs, ys, b):
         u, v = us(xs, ys, b), vs(xs, ys, b)
-        if tuple_order(u, b[1])[0] is not _STRICT or safe_guard and tuple_order(v, b[2])[0] is _UNRELATED:
+        if not tuple_below(u, b[1], True) or safe_guard and not tuple_below(v, b[2], False):
             if strict:
                 raise GuardViolation(f"guarded call to {name} with normals {u} against frame {b[1]}")
             return 0

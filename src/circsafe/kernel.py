@@ -66,28 +66,35 @@ class TupleOrderWitness:
 
 
 def _prefix_matching(xs: Sequence[int], ys: Sequence[int]) -> Optional[list[int]]:
-    """Kuhn's bipartite matching; returns pi with xs[i] prefix of ys[pi[i]]."""
-    n = len(xs)
-    adj = [[j for j in range(n) if is_prefix(xs[i], ys[j])] for i in range(n)]
-    match_of_y: list[Optional[int]] = [None] * n
+    """pi with xs[i] a prefix of ys[pi[i]] for all i, or None.
 
-    def try_assign(i: int, seen: list[bool]) -> bool:
-        for j in adj[i]:
-            if not seen[j]:
-                seen[j] = True
-                if match_of_y[j] is None or try_assign(match_of_y[j], seen):
-                    match_of_y[j] = i
-                    return True
-        return False
-
-    for i in range(n):
-        if not try_assign(i, [False] * n):
+    The sets {y : x is a prefix of y} are laminar: two of them are
+    nested or disjoint.  So serving the longest x first, each taking any
+    free y it prefixes, finds a matching whenever one exists (Hall, "On
+    representatives of subsets", 1935).
+    """
+    free = list(range(len(ys)))
+    pi = [0] * len(xs)
+    for i in sorted(range(len(xs)), key=lambda i: -xs[i].bit_length()):
+        for j in free:
+            if is_prefix(xs[i], ys[j]):
+                free.remove(j)
+                pi[i] = j
+                break
+        else:
             return None
-    pi = [0] * n
-    for j, i in enumerate(match_of_y):
-        assert i is not None
-        pi[i] = j
     return pi
+
+
+def tuple_below(xs: Sequence[int], ys: Sequence[int], strict: bool) -> bool:
+    """Whether ``tuple_order(xs, ys)`` is SUBSET_STRICT (``strict``) or
+    related at all (not ``strict``), without building its witness."""
+    if len(xs) != len(ys):
+        raise ValueError("tuple_below: length mismatch (%d vs %d)" % (len(xs), len(ys)))
+    lx, ly = sum(length(x) for x in xs), sum(length(y) for y in ys)
+    if lx > ly or strict and lx == ly:
+        return False
+    return _prefix_matching(xs, ys) is not None
 
 
 def tuple_order(
@@ -99,10 +106,10 @@ def tuple_order(
     pi = _prefix_matching(xs, ys)
     if pi is None:
         return TupleOrder.NOT_RELATED, None
-    strict = frozenset(i for i in range(len(xs)) if xs[i] != ys[pi[i]])
     # Sum of lengths decides strictness: equality forces componentwise
     # equality under any witnessing permutation.
     if sum(length(x) for x in xs) < sum(length(y) for y in ys):
+        strict = frozenset(i for i in range(len(xs)) if xs[i] != ys[pi[i]])
         return TupleOrder.SUBSET_STRICT, TupleOrderWitness(tuple(pi), strict)
     return TupleOrder.SUBSET_EQ, TupleOrderWitness(tuple(pi), frozenset())
 

@@ -60,8 +60,7 @@ def translate(graph: ProofGraph) -> PPProgram:
     cl = classify(graph)
     if cl.cls not in ("CB", "CNB"):
         raise TranslateError(
-            f"{graph.name}: only accepted proofs translate (classified {cl.cls}: "
-            + "; ".join(cl.diagnostics)
+            f"{graph.name}: only accepted proofs translate (classified {cl.cls}: {'; '.join(cl.diagnostics)})"
         )
     guard = "strict_safe" if cl.cls == "CB" else "strict"
     cnf = _cycle_normal_form(graph)  # classify validated it

@@ -6,9 +6,10 @@ from pathlib import Path
 import pytest
 from conftest import chain_graph, s_program
 
+from circsafe.checker import classify
 from circsafe.cli import main
-from circsafe.formats import serialize_proof
-from circsafe.interp import eval_proof
+from circsafe.formats import parse_proof, parse_terms, serialize_proof
+from circsafe.interp import eval_proof, eval_term
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -84,6 +85,27 @@ def test_compile_then_check_pipeline(capsys, tmp_path):
     assert code == 0
     code, out, _ = run(capsys, "check", proof, "--system", "cnb")
     assert code == 0 and "class=CNB" in out
+
+
+def test_compile_bare_recursive_step(capsys, tmp_path):
+    # a step that is the recursive call itself: the loop head is its own step
+    src = tmp_path / "t.term"
+    src.write_text("def t(1;0) = snrec(0,rec())\n")
+    proof = tmp_path / "t.proof"
+    code, _, _ = run(capsys, "compile", src, "--name", "t", "-o", proof)
+    assert code == 0
+    graph = parse_proof(proof.read_text())
+    assert classify(graph).cls == "CB"
+    td = parse_terms(src.read_text()).terms["t"]
+    for x in range(32):
+        assert eval_proof(graph, graph.root, [x], []) == eval_term(td.body, None, [x], []), x
+
+
+def test_compile_names_the_proof_after_the_term(capsys, tmp_path):
+    src = tmp_path / "t.term"
+    src.write_text("def a_deriv_b(0;1) = s0(y0)\n")
+    code, out, _ = run(capsys, "compile", src, "--name", "a_deriv_b")
+    assert code == 0 and out.startswith("proof a_deriv_b_circ root ")
 
 
 def test_translate_then_eval_pp(capsys, tmp_path):

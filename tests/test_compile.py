@@ -72,6 +72,12 @@ def test_srec_eliminate_identity_without_recursion(terms):
     assert c.nodes == d.nodes
 
 
+def test_srec_eliminate_strips_only_the_deriv_suffix():
+    d = term_to_derivation(TermDef("a_deriv_b", 0, 1, S0(Proj("s", 0))))
+    assert d.name == "a_deriv_b_deriv"
+    assert srec_eliminate(d).name == "a_deriv_b_circ"
+
+
 def test_b_pipeline(proofs, terms):
     rng = random.Random(59)
     for name in B_NAMES:

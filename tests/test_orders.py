@@ -1,6 +1,7 @@
 """Prefix order and tuple order laws."""
 
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from circsafe.kernel import (
     pred,
     s0,
     s1,
+    tuple_below,
     tuple_order,
 )
 
@@ -87,6 +89,48 @@ def test_witness_is_genuine():
             pi = wit.permutation
             assert sorted(pi) == list(range(k))
             assert all(is_prefix(xs[i], ys[pi[i]]) for i in range(k))
+
+
+def order_by_permutations(xs, ys) -> TupleOrder:
+    """The relation of ``tuple_order`` by trying every permutation:
+    strict when some matching permutation meets a proper prefix."""
+    matched = [
+        p for p in permutations(range(len(ys))) if all(is_prefix(x, ys[j]) for x, j in zip(xs, p))
+    ]
+    if not matched:
+        return TupleOrder.NOT_RELATED
+    if any(x != ys[j] for p in matched for x, j in zip(xs, p)):
+        return TupleOrder.SUBSET_STRICT
+    return TupleOrder.SUBSET_EQ
+
+
+def test_tuple_order_and_tuple_below_match_permutation_search():
+    # xs=[0,1] below ys=[1,0] needs 1 matched first: serving the
+    # shortest prefix first would give 0 the only y that 1 prefixes
+    cases = [([0, 1], [1, 0]), ([1, 0], [1, 0]), ([1, 2], [5, 2])]
+    rng = random.Random(13)
+    for _ in range(20000):
+        k = rng.randrange(1, 5)
+        ys = [rng.getrandbits(rng.randrange(6)) for _ in range(k)]
+        if rng.random() < 0.5:  # chopped, shuffled copies relate often
+            xs = [y >> rng.randrange(y.bit_length() + 1) for y in rng.sample(ys, k)]
+        else:
+            xs = [rng.getrandbits(rng.randrange(6)) for _ in range(k)]
+        cases.append((xs, ys))
+    seen = set()
+    for xs, ys in cases:
+        want = order_by_permutations(xs, ys)
+        seen.add(want)
+        assert tuple_order(xs, ys)[0] is want, (xs, ys)
+        assert tuple_below(xs, ys, True) == (want is TupleOrder.SUBSET_STRICT), (xs, ys)
+        assert tuple_below(xs, ys, False) == (want is not TupleOrder.NOT_RELATED), (xs, ys)
+    assert seen == set(TupleOrder)
+
+
+def test_tuple_below_length_mismatch():
+    for strict in (True, False):
+        with pytest.raises(ValueError):
+            tuple_below([1], [1, 2], strict)
 
 
 def test_coherence_law():

@@ -12,10 +12,9 @@ Regenerate it (only when a change of output is intended) with
 import json
 from pathlib import Path
 
-from circsafe.compilealg import nb_to_circular, srec_eliminate, term_to_derivation
+from circsafe.compilealg import nb_to_circular
 from circsafe.corpus import proof, standard_proofs, term_corpus
 from circsafe.formats import serialize_program
-from circsafe.interp import check_term_class
 from circsafe.translate import TranslateError, translate
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "translate.json"
@@ -30,13 +29,7 @@ def _translated(graph) -> str:
 
 def translations() -> dict[str, dict[str, str]]:
     proofs = dict(standard_proofs(), P_UNSAFE=proof("P_UNSAFE"), N_UNSAFE=proof("N_UNSAFE"))
-    terms = {}
-    for name, td in term_corpus().items():
-        if check_term_class(td.body, "B") == []:
-            graph = srec_eliminate(term_to_derivation(td))
-        else:
-            graph = nb_to_circular(td)
-        terms[name] = _translated(graph)
+    terms = {name: _translated(nb_to_circular(td)) for name, td in term_corpus().items()}
     return {"proofs": {n: _translated(g) for n, g in proofs.items()}, "terms": terms}
 
 
