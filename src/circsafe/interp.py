@@ -2,16 +2,20 @@
 
 Proof graphs are run as equational programs on an explicit work stack
 (cycles unfold lazily, a fuel budget bounds the number of rule-step
-expansions).  Terms are a two-sorted function algebra with oracles and
-the recursion schemes on notation and on permutations of prefixes;
-programs over the prefix-permutation order add guarded calls between
-named functions.
+expansions, memo entries are kept only where a long run can read them
+back).  Terms are a two-sorted function algebra with oracles and the
+recursion schemes on notation and on permutations of prefixes; programs
+over the prefix-permutation order add guarded calls between named
+functions.
 
 Terms and programs compile once into closures for fixed argument counts
 (``eval_term`` caches them, ``eval_pp`` compiles a body on its first
 call).  Recursion names are scoped lexically: a program body sees only
 the host's oracles.  ``srec`` runs as a loop over the prefixes of its
 recursion argument, so it does not recurse once per input bit.
+``eval_pp`` keeps pending program calls on its own stack: the code on
+the path from a body to its calls hands each call to one loop as a
+request, so program-call depth uses no Python frames; term depth does.
 """
 
 from __future__ import annotations
@@ -60,6 +64,18 @@ class EvalConfig:
 
 @dataclass
 class EvalStats:
+    """What a run of ``eval_proof`` or ``eval_pp`` did.
+
+    ``steps`` counts node expansions (``eval_proof``, memo hits
+    included) or entered program calls (``eval_pp``, memo hits not
+    included).  ``memo_keys`` counts the distinct keys evaluated with
+    memoization on, whether or not the run stored an entry for them.
+    On a run that raises it counts the keys whose value was found, and
+    an ``eval_proof`` run past ``_SHORT_RUN`` expansions also counts the
+    keys without an entry whose expansion had begun.  ``max_depth`` is
+    the deepest nesting of program calls (``eval_pp``).
+    """
+
     steps: int = 0
     memo_keys: int = 0
     max_depth: int = 0
@@ -109,7 +125,21 @@ def eval_proof(
     oracles: Optional[OracleEnv] = None,
     stats: Optional[EvalStats] = None,
 ) -> int:
-    """Value of the sub-proof at ``nid`` applied to the given inputs."""
+    """Value of the sub-proof at ``nid`` applied to the given inputs.
+
+    Each expansion of a node at some inputs costs one unit of fuel and
+    counts one step, a memo hit included.  A run keeps a memo entry at
+    every node for its first ``_SHORT_RUN`` expansions.  Past that it
+    computes ``_repeatable`` once, drops the other nodes' entries and
+    stores entries only at those nodes: no other node is expanded twice
+    at the same inputs in a run that returns, so the skipped entries
+    would never be read.  Long runs also add the inputs' bit lengths to
+    the key: an int hashes to itself modulo 2**61 - 1, so appending 61
+    one-bits to a value keeps its hash, and all-ones inputs or values
+    grown by appending ones would share hashes.  Values, steps, fuel
+    and memo hits are the same as with an entry at every node, and so
+    is ``memo_keys`` in a run that returns or raises before the switch.
+    """
     cfg = cfg or EvalConfig()
     node = graph.nodes.get(nid)
     if node is None:
@@ -120,113 +150,199 @@ def eval_proof(
             f"{len(normals)} normals, {len(safes)} safes"
         )
 
+    nodes = graph.nodes
     fuel = cfg.fuel
     memo: Optional[dict] = {} if cfg.memo else None
-    vstack: list[int] = []
-    work: list[tuple] = [("ev", nid, tuple(normals), tuple(safes))]
-
-    while work:
-        item = work.pop()
-        op = item[0]
-        if op == "ev":
-            _, n, xs, ys = item
+    repeat = nodes if cfg.memo else ()  # nodes that keep memo entries
+    long_run, switch = False, fuel - _SHORT_RUN if cfg.memo else -1
+    unstored = 0  # keys expanded without a memo entry, or whose entry was dropped
+    work: list[tuple] = []  # continuations, innermost last
+    n, xs, ys = nid, tuple(normals), tuple(safes)
+    try:
+        while True:
+            # expand (n, xs, ys) until it has a value v
             fuel -= 1
-            if stats is not None:
-                stats.steps += 1
             if fuel < 0:
                 raise FuelExhausted(f"fuel exhausted while expanding {n}")
-            key = (n, xs, ys)
-            if memo is not None:
-                hit = memo.get(key)
-                if hit is not None:
-                    vstack.append(hit)
+            if fuel == switch:
+                long_run, repeat = True, _repeatable(graph, nid)
+                unstored += _lengthen_keys(memo, repeat)  # no other entry is read again
+            v = None
+            if n in repeat:
+                key = _long_key(n, xs, ys) if long_run else (n, xs, ys)
+                cell = memo.setdefault(key, [None])  # one hash of the key
+                v = cell[0]
+                if v is None:
+                    work.append((_STORE, cell))
+            elif memo is not None:
+                unstored += 1
+            if v is None:
+                nd = nodes[n]
+                kind = nd.rule.kind
+                pr = nd.premises
+                if kind is _R_COND_B:
+                    x0 = xs[0]
+                    if x0 == 0:
+                        n, xs = pr[0], xs[1:]
+                    else:
+                        n, xs = pr[1 + (x0 & 1)], (x0 >> 1,) + xs[1:]
                     continue
-                work.append(("memo", key))
-            nd = graph.nodes[n]
-            kind = nd.rule.kind
-            pr = nd.premises
-            if kind is RuleKind.ID:
-                vstack.append(ys[0])
-            elif kind is RuleKind.ZERO:
-                vstack.append(0)
-            elif kind is RuleKind.S0:
-                work.append(("succ", 0))
-                work.append(("ev", pr[0], xs, ys))
-            elif kind is RuleKind.S1:
-                work.append(("succ", 1))
-                work.append(("ev", pr[0], xs, ys))
-            elif kind is RuleKind.WEAK_N:
-                work.append(("ev", pr[0], xs, ys[:-1]))
-            elif kind is RuleKind.WEAK_B:
-                work.append(("ev", pr[0], xs[1:], ys))
-            elif kind is RuleKind.EXCH_N:
-                p = nd.rule.pos
-                ys2 = ys[:p] + (ys[p + 1], ys[p]) + ys[p + 2 :]
-                work.append(("ev", pr[0], xs, ys2))
-            elif kind is RuleKind.EXCH_B:
-                p = nd.rule.pos
-                xs2 = xs[:p] + (xs[p + 1], xs[p]) + xs[p + 2 :]
-                work.append(("ev", pr[0], xs2, ys))
-            elif kind is RuleKind.BOX_L:
-                work.append(("ev", pr[0], xs[1:], ys + (xs[0],)))
-            elif kind is RuleKind.BOX_R:
-                work.append(("ev", pr[0], xs, ys))
-            elif kind is RuleKind.CUT_N:
-                work.append(("cutN", pr[1], xs, ys))
-                work.append(("ev", pr[0], xs, ys))
-            elif kind is RuleKind.CUT_B:
-                work.append(("cutB", pr[1], xs, ys))
-                work.append(("ev", pr[0], xs, ys))
-            elif kind is RuleKind.COND_N:
-                w = ys[-1]
-                if w == 0:
-                    work.append(("ev", pr[0], xs, ys[:-1]))
-                elif w % 2 == 0:
-                    work.append(("ev", pr[1], xs, ys[:-1] + (w >> 1,)))
+                if kind is _R_COND_N:
+                    w = ys[-1]
+                    if w == 0:
+                        n, ys = pr[0], ys[:-1]
+                    else:
+                        n, ys = pr[1 + (w & 1)], ys[:-1] + (w >> 1,)
+                    continue
+                if kind is _R_S0:
+                    work.append(_SUCC0)
+                    n = pr[0]
+                    continue
+                if kind is _R_S1:
+                    work.append(_SUCC1)
+                    n = pr[0]
+                    continue
+                if kind is _R_CUT_N or kind is _R_CUT_B:
+                    work.append((kind, pr[1], xs, ys))
+                    n = pr[0]
+                    continue
+                if kind is _R_SREC:
+                    x0 = xs[0]
+                    if x0 == 0:
+                        n, xs = pr[0], xs[1:]
+                    else:
+                        # the step takes the recursive value as a plain cut's right premise would
+                        xs = (x0 >> 1,) + xs[1:]
+                        work.append((_R_CUT_N, pr[1 + (x0 & 1)], xs, ys))
+                    continue
+                if kind is _R_WEAK_N:
+                    n, ys = pr[0], ys[:-1]
+                    continue
+                if kind is _R_WEAK_B:
+                    n, xs = pr[0], xs[1:]
+                    continue
+                if kind is _R_EXCH_N:
+                    p = nd.rule.pos
+                    n, ys = pr[0], ys[:p] + (ys[p + 1], ys[p]) + ys[p + 2 :]
+                    continue
+                if kind is _R_EXCH_B:
+                    p = nd.rule.pos
+                    n, xs = pr[0], xs[:p] + (xs[p + 1], xs[p]) + xs[p + 2 :]
+                    continue
+                if kind is _R_BOX_L:
+                    n, xs, ys = pr[0], xs[1:], ys + (xs[0],)
+                    continue
+                if kind is _R_BOX_R:
+                    n = pr[0]
+                    continue
+                if kind is _R_ID:
+                    v = ys[0]
+                elif kind is _R_ZERO:
+                    v = 0
+                elif kind is _R_ORACLE:
+                    if oracles is None or nd.rule.oracle not in oracles:
+                        raise EvalError(f"oracle {nd.rule.oracle!r} not supplied at {n}")
+                    v = oracles.lookup(nd.rule.oracle).fn(xs, ys)
                 else:
-                    work.append(("ev", pr[2], xs, ys[:-1] + (w >> 1,)))
-            elif kind is RuleKind.COND_B:
-                x0 = xs[0]
-                if x0 == 0:
-                    work.append(("ev", pr[0], xs[1:], ys))
-                elif x0 % 2 == 0:
-                    work.append(("ev", pr[1], (x0 >> 1,) + xs[1:], ys))
+                    raise EvalError(f"rule {kind.value} at {n} is not evaluable")
+            # return v into the innermost continuation that expands again
+            while work:
+                frame = work.pop()
+                op = frame[0]
+                if op is _SUCC:
+                    v = 2 * v + frame[1]
+                elif op is _STORE:
+                    frame[1][0] = v
                 else:
-                    work.append(("ev", pr[2], (x0 >> 1,) + xs[1:], ys))
-            elif kind is RuleKind.SREC:
-                x0 = xs[0]
-                if x0 == 0:
-                    work.append(("ev", pr[0], xs[1:], ys))
-                else:
-                    xs2 = (x0 >> 1,) + xs[1:]
-                    # the step takes the recursive value as a plain cut's right premise would
-                    work.append(("cutN", pr[1 + (x0 & 1)], xs2, ys))
-                    work.append(("ev", n, xs2, ys))
-            elif kind is RuleKind.ORACLE:
-                if oracles is None or nd.rule.oracle not in oracles:
-                    raise EvalError(f"oracle {nd.rule.oracle!r} not supplied at {n}")
-                vstack.append(oracles.lookup(nd.rule.oracle).fn(xs, ys))
+                    _, n, xs, ys = frame
+                    if op is _R_CUT_N:
+                        ys = ys + (v,)
+                    else:
+                        xs = (v,) + xs
+                    break
             else:
-                raise EvalError(f"rule {kind.value} at {n} is not evaluable")
-        elif op == "memo":
-            memo[item[1]] = vstack[-1]
-            if stats is not None:
-                stats.memo_keys = len(memo)
-        elif op == "succ":
-            vstack.append(2 * vstack.pop() + item[1])
-        elif op == "cutN":
-            _, p1, xs, ys = item
-            v = vstack.pop()
-            work.append(("ev", p1, xs, ys + (v,)))
-        elif op == "cutB":
-            _, p1, xs, ys = item
-            v = vstack.pop()
-            work.append(("ev", p1, (v,) + xs, ys))
-        else:  # pragma: no cover
-            raise AssertionError(op)
+                work = None  # returned: every memo cell holds its value
+                return v
+    finally:
+        if stats is not None:
+            stats.steps += cfg.fuel - fuel
+            if memo is not None:
+                stored = len(memo) if work is None else sum(cell[0] is not None for cell in memo.values())
+                stats.memo_keys = stored + unstored
 
-    assert len(vstack) == 1
-    return vstack[0]
+
+# continuation frames of eval_proof: a cut's (kind, right premise, xs,
+# ys), a successor's (_SUCC, bit), a memo cell's (_STORE, cell)
+_SUCC, _STORE = "succ", "store"
+_SUCC0, _SUCC1 = (_SUCC, 0), (_SUCC, 1)
+# rule kinds as module names: a global is read faster than an Enum member
+# (the long-input proof runs take about 1.5 times as long with RuleKind.X)
+(_R_ID, _R_ZERO, _R_S0, _R_S1, _R_WEAK_N, _R_WEAK_B, _R_EXCH_N, _R_EXCH_B, _R_BOX_L, _R_BOX_R,
+ _R_CUT_N, _R_CUT_B, _R_COND_N, _R_COND_B, _R_SREC, _R_ORACLE) = (
+    RuleKind.ID, RuleKind.ZERO, RuleKind.S0, RuleKind.S1, RuleKind.WEAK_N, RuleKind.WEAK_B,
+    RuleKind.EXCH_N, RuleKind.EXCH_B, RuleKind.BOX_L, RuleKind.BOX_R, RuleKind.CUT_N,
+    RuleKind.CUT_B, RuleKind.COND_N, RuleKind.COND_B, RuleKind.SREC, RuleKind.ORACLE,
+)
+
+
+_SHORT_RUN = 1000  # expansions with an entry at every node and plain keys
+_bits = int.bit_length
+
+
+def _long_key(n: str, xs: tuple, ys: tuple) -> tuple:
+    """The memo key of a long run: the inputs' bit lengths keep apart
+    values that differ by runs of 61 appended one-bits, which share
+    their hash."""
+    return n, xs, ys, sum(map(_bits, xs)), sum(map(_bits, ys))
+
+
+def _lengthen_keys(memo: dict, keep=None) -> int:
+    """Replace each plain key ``(n, xs, ys)`` of ``memo`` by its long key,
+    dropping the entries whose ``n`` is not in ``keep`` (None keeps all).
+    Returns how many were dropped."""
+    entries = list(memo.items())
+    memo.clear()
+    for key, cell in entries:
+        if keep is None or key[0] in keep:
+            memo[_long_key(*key)] = cell
+    return len(entries) - len(memo)
+
+
+def _repeatable(graph: ProofGraph, nid: str) -> frozenset:
+    """Nodes that a run from ``nid`` can expand twice at the same inputs,
+    the first expansion finished before the second starts.
+
+    The two expansions then sit below different children of a common
+    ancestor, and only cuts (left premise, then right) and srec (the
+    recursive value, then a step premise) expand more than one child.
+    So the node is reachable from both sides of such a node: from both
+    premises of a cut, or from a step premise of an srec (the srec
+    itself reaches all of them).  Reachability is one bit mask per
+    strongly connected component, built sinks first.
+    """
+    nodes = graph.nodes
+    adj = {n: nd.premises for n, nd in nodes.items()}
+    bit = {n: 1 << i for i, n in enumerate(adj)}
+    reach: dict[str, int] = {}
+    for comp in sccs(adj):
+        mask = 0
+        for n in comp:
+            mask |= bit[n]
+            for p in adj[n]:
+                mask |= reach.get(p, 0)  # earlier components; own members are in mask
+        for n in comp:
+            reach[n] = mask
+    both, live = 0, reach[nid]
+    for n, nd in nodes.items():
+        if not live & bit[n]:
+            continue
+        kind, pr = nd.rule.kind, nd.premises
+        if (kind is _R_CUT_N or kind is _R_CUT_B) and len(pr) > 1:
+            both |= reach.get(pr[0], 0) & reach.get(pr[1], 0)
+        elif kind is _R_SREC:
+            for p in pr[1:]:
+                both |= reach.get(p, 0)
+    return frozenset(n for n in adj if both & bit[n])
 
 
 # ---------------------------------------------------------------------------
@@ -534,17 +650,7 @@ def _compile(term: Term, m: int, n: int, scope: tuple, prog: Optional["_Run"]):
             return lambda xs, ys, b: 2 * t(xs, ys, b) + 1
         return lambda xs, ys, b: t(xs, ys, b) >> 1
     if isinstance(term, Cond):
-        w, x, y, z = (_compile(t, m, n, scope, prog) for t in (term.w, term.x, term.y, term.z))
-
-        def run(xs, ys, b):
-            v = w(xs, ys, b)
-            if v == 0:
-                return x(xs, ys, b)
-            if v % 2 == 0:
-                return y(xs, ys, b)
-            return z(xs, ys, b)
-
-        return run
+        return _cond(*(_compile(t, m, n, scope, prog) for t in (term.w, term.x, term.y, term.z)))
     if isinstance(term, (OracleCall, Call)):
         nargs = [_compile(a, m, n, scope, prog) for a in term.normal_args]
         sargs = [_compile(a, m, n, scope, prog) for a in term.safe_args]
@@ -553,7 +659,7 @@ def _compile(term: Term, m: int, n: int, scope: tuple, prog: Optional["_Run"]):
         for k in range(len(scope) - 1, -1, -1):
             if scope[k][0] == term.name:
                 return _rec_call(term.name, _FIXED + k, scope[k], nargs, sargs)
-        return _oracle_call(term.name, nargs, sargs)
+        return _oracle_call(term.name, _apply(nargs, sargs, _host_call(term)))
     if isinstance(term, CompSafe):
         h, g = _compile(term.h, m, n + 1, scope, prog), _compile(term.g, m, n, scope, prog)
         return lambda xs, ys, b: h(xs, ys + (g(xs, ys, b),), b)
@@ -625,6 +731,18 @@ def _compile(term: Term, m: int, n: int, scope: tuple, prog: Optional["_Run"]):
     raise EvalError(f"cannot evaluate {term!r}")
 
 
+def _cond(w, x, y, z):
+    def run(xs, ys, b):
+        v = w(xs, ys, b)
+        if v == 0:
+            return x(xs, ys, b)
+        if v % 2 == 0:
+            return y(xs, ys, b)
+        return z(xs, ys, b)
+
+    return run
+
+
 def _rec_call(name: str, slot: int, binder: tuple, nargs: list, sargs: list):
     """A call of the recursion name bound at ``slot`` by ``binder``."""
     _, guard, bm, bn = binder
@@ -663,20 +781,36 @@ def _rec_call(name: str, slot: int, binder: tuple, nargs: list, sargs: list):
     return guarded
 
 
-def _oracle_call(name: str, nargs: list, sargs: list):
-    """A call of the host oracle ``name``, looked up when it runs."""
-    us, vs, m, n = _tuple_of(nargs), _tuple_of(sargs), len(nargs), len(sargs)
+def _apply(nargs: list, sargs: list, finish):
+    """Code evaluating ``nargs`` and ``sargs``, then ``finish(normals,
+    safes, b)`` on their values."""
+    us, vs = _tuple_of(nargs), _tuple_of(sargs)
+    return lambda xs, ys, b: finish(us(xs, ys, b), vs(xs, ys, b), b)
+
+
+def _oracle_call(name: str, args):
+    """A call of the host oracle ``name``: looked up when it runs, before
+    ``args`` evaluates the arguments and finishes (``_host_call``)."""
 
     def run(xs, ys, b):
-        d = b[0].get(name)
-        if d is None:
+        if name not in b[0]:
             raise EvalError(f"unknown oracle {name!r}")
-        u, v = us(xs, ys, b), vs(xs, ys, b)
+        return args(xs, ys, b)
+
+    return run
+
+
+def _host_call(term: OracleCall):
+    """``finish`` applying the host oracle of ``term`` to the argument values."""
+    name, m, n = term.name, len(term.normal_args), len(term.safe_args)
+
+    def finish(u, v, b):
+        d = b[0][name]
         if d.normals != m or d.safes != n:
             raise EvalError(f"oracle {name!r} arity mismatch")
         return d.fn(u, v)
 
-    return run
+    return finish
 
 
 @functools.lru_cache(maxsize=256)
@@ -744,78 +878,241 @@ def _calls(term: Term) -> list[Call]:
 
 
 class _Run:
-    """One ``eval_pp`` run: fuel, memo and stats shared by every call;
-    each function body is compiled on its first call."""
+    """One ``eval_pp`` run: a machine whose stack holds program calls.
 
-    def __init__(self, prog: PPProgram, env: OracleEnv, cfg: EvalConfig, stats: Optional[EvalStats]) -> None:
-        self.prog, self.defs, self.stats = prog, env._defs, stats
+    A body compiles on its callee's first entry.  Subterms with no call
+    outside a recursion scheme compile to ``_compile``'s closures; the
+    rest, the path from the body to its calls, compile to code that
+    returns a request ``(callee, normals, safes)`` in place of a value
+    once it reaches a call (guard already checked), leaving on ``ks``
+    the frames that finish the caller: ``frame[0](value, frame)`` takes
+    the callee's value and returns the next value or request.  ``call``
+    runs that loop, so program-call depth uses no Python frames; only
+    term depth does.
+
+    ``translate`` never puts a call inside a recursion scheme or a tag
+    dispatch.  A program that does gets such calls compiled by
+    ``_compile`` as closures that run ``call`` again, one Python-level
+    loop per active call of that kind, sharing the run's fuel, memo,
+    statistics and stack.
+    """
+
+    __slots__ = ("prog", "defs", "strict", "memo", "fuel", "switch", "depth", "max_depth", "steps", "ks", "bodies")
+
+    def __init__(self, prog: PPProgram, env: OracleEnv, cfg: EvalConfig) -> None:
+        self.prog, self.defs = prog, env._defs
         self.strict = cfg.guard_mode == "strict"
+        # memo cells [value], keyed by the request, by its _long_key once
+        # _SHORT_RUN calls are made (fuel below switch): translated E's
+        # requests at 12-bit all-ones inputs fall into 491 hash classes
+        # for 8192 keys
         self.memo: Optional[dict] = {} if cfg.memo else None
-        self.fuel, self.depth = cfg.fuel, 0
-        self.entries: dict[str, Callable] = {}
+        self.fuel, self.switch = cfg.fuel, cfg.fuel - _SHORT_RUN
+        self.depth, self.max_depth, self.steps = 0, 0, 0
+        self.ks: list[tuple] = []
+        self.bodies: dict[str, Callable] = {}
 
-    def entry(self, name: str, m: int, n: int) -> Callable:
-        """``enter(us, vs)`` calling function ``name`` with m normals and
-        n safes; it raises EvalError if there is no such function."""
+    def _mismatch(self, name: str, m: int, n: int) -> Optional[str]:
+        """Why function ``name`` cannot take m normals and n safes, or None."""
         fn = self.prog.functions.get(name)
         if fn is None:
-            return _fail(f"unknown function {name!r}")
+            return f"unknown function {name!r}"
         if (m, n) != (fn.normals, fn.safes):
-            return _fail(f"{name} expects ({fn.normals};{fn.safes}) arguments")
-        if name not in self.entries:
-            self.entries[name] = self._enter(fn)
-        return self.entries[name]
+            return f"{name} expects ({fn.normals};{fn.safes}) arguments"
+        return None
 
-    def _enter(self, fn: PPFunction) -> Callable:
-        name, defs, memo, stats = fn.name, self.defs, self.memo, self.stats
-        body = None
+    def call(self, name: str, us: tuple, vs: tuple) -> int:
+        """Value of function ``name`` at ``us``, ``vs``: the machine loop.
+        An exception ends the whole run."""
+        ks, memo, bodies, defs, switch = self.ks, self.memo, self.bodies, self.defs, self.switch
+        base = len(ks)
+        r = (name, us, vs)
+        while True:
+            while r.__class__ is tuple:  # a request: enter the callee
+                fuel = self.fuel = self.fuel - 1
+                if fuel < 0:
+                    raise FuelExhausted(f"fuel exhausted calling {r[0]}")
+                cell = None
+                if memo is not None:
+                    if fuel < switch:
+                        if fuel == switch - 1:
+                            _lengthen_keys(memo)
+                        cell = memo.setdefault(_long_key(*r), [None])
+                    else:
+                        cell = memo.setdefault(r, [None])
+                    if cell[0] is not None:
+                        r = cell[0]
+                        break
+                body = bodies.get(r[0]) or self._body(r[0])
+                self.steps += 1
+                self.depth += 1
+                if self.depth > self.max_depth:
+                    self.max_depth = self.depth
+                ks.append((None, cell))  # the callee's end
+                us, vs = r[1], r[2]
+                r = body(us, vs, (defs, us, vs))
+            # a value: hand it to the innermost frame
+            if len(ks) == base:
+                return r
+            frame = ks.pop()
+            if frame[0] is None:  # the end of a program call
+                self.depth -= 1
+                if frame[1] is not None:
+                    frame[1][0] = r
+            else:
+                r = frame[0](r, frame)
 
-        def enter(us, vs):
-            nonlocal body
-            self.fuel -= 1
-            if self.fuel < 0:
-                raise FuelExhausted(f"fuel exhausted calling {name}")
-            if memo is not None:
-                hit = memo.get((name, us, vs))
-                if hit is not None:
-                    return hit
-            if body is None:
-                body = _compile(fn.body, fn.normals, fn.safes, (), self)
-            self.depth += 1
-            if stats is not None:
-                stats.steps += 1
-                stats.max_depth = max(stats.max_depth, self.depth)
-            v = body(us, vs, (defs, us, vs))  # an exception ends the whole run
-            self.depth -= 1
-            if memo is not None:
-                memo[(name, us, vs)] = v
-                if stats is not None:
-                    stats.memo_keys = len(memo)
-            return v
+    def _body(self, name: str) -> Callable:
+        """Compile function ``name``'s body, first marking the subterms
+        that can suspend: those with a call outside ``_OPAQUE`` forms."""
+        fn = self.prog.functions[name]
+        suspends = set()
 
-        return enter
+        def mark(t: Term, kids: list[bool]) -> bool:
+            s = isinstance(t, Call) or not isinstance(t, _OPAQUE) and any(kids)
+            if s:
+                suspends.add(id(t))
+            return s
+
+        fold(fn.body, mark)
+        self.bodies[name] = self._code(fn.body, fn.normals, fn.safes, suspends)
+        return self.bodies[name]
+
+    def _code(self, t: Term, m: int, n: int, suspends: set):
+        """Code of body subterm ``t`` at ``m`` normals and ``n`` safes:
+        ``_compile``'s closure unless ``t`` is in ``suspends``."""
+        if id(t) not in suspends:
+            return _compile(t, m, n, (), self)
+        if isinstance(t, (Call, OracleCall)):
+            args = [self._code(a, m, n, suspends) for a in t.normal_args + t.safe_args]
+            flags = [id(a) in suspends for a in t.normal_args + t.safe_args]
+            if isinstance(t, Call):
+                return self._request(t, args, flags)
+            return _oracle_call(t.name, self._args(args, flags, len(t.normal_args), _host_call(t)))
+        if isinstance(t, (S0, S1, Pred)):
+            return self._then(self._code(t.t, m, n, suspends), _UNARY[type(t)])
+        if isinstance(t, Cond):
+            w, x, y, z = (self._code(c, m, n, suspends) for c in (t.w, t.x, t.y, t.z))
+            if id(t.w) not in suspends:
+                return _cond(w, x, y, z)
+
+            def pick(v, fr):
+                _, xs, ys, b = fr
+                return (x if v == 0 else y if v % 2 == 0 else z)(xs, ys, b)
+
+            return self._then(w, pick)
+        if isinstance(t, CompSafe):
+            h, g = self._code(t.h, m, n + 1, suspends), self._code(t.g, m, n, suspends)
+            if id(t.g) not in suspends:
+                return lambda xs, ys, b: h(xs, ys + (g(xs, ys, b),), b)
+            return self._then(g, lambda v, fr: h(fr[1], fr[2] + (v,), fr[3]))
+        if isinstance(t, CompNormal):
+            h, g = self._code(t.h, m + 1, n, suspends), self._code(t.g, m, 0, suspends)
+            if id(t.g) not in suspends:
+                return lambda xs, ys, b: h(xs + (g(xs, (), b),), ys, b)
+            return self._then(lambda xs, ys, b: g(xs, (), b), lambda v, fr: h(fr[1] + (v,), fr[2], fr[3]))
+        raise AssertionError(f"{type(t).__name__} cannot suspend")  # pragma: no cover
+
+    def _then(self, code, then):
+        """Code running ``code``, then ``then(value, (then, xs, ys, b))``."""
+        ks = self.ks
+
+        def run(xs, ys, b):
+            frame = (then, xs, ys, b)
+            ks.append(frame)
+            r = code(xs, ys, b)
+            if r.__class__ is tuple:
+                return r
+            ks.pop()
+            return then(r, frame)
+
+        return run
+
+    def _args(self, args: list, flags: list, m: int, finish):
+        """Code evaluating ``args`` left to right, then ``finish(normals,
+        safes, b)`` on the first ``m`` values and the rest."""
+        ks = self.ks
+        if not any(flags):
+            return _apply(args[:m], args[m:], finish)
+        if flags.index(True) == len(args) - 1:  # only the last one can suspend
+            head, last = _tuple_of(args[:-1]), args[-1]
+
+            def resume_last(v, fr):
+                vals = fr[1] + (v,)
+                return finish(vals[:m], vals[m:], fr[2])
+
+            def run_last(xs, ys, b):
+                frame = (resume_last, head(xs, ys, b), b)
+                ks.append(frame)
+                r = last(xs, ys, b)
+                if r.__class__ is tuple:
+                    return r
+                ks.pop()
+                return resume_last(r, frame)
+
+            return run_last
+
+        def resume(v, fr):
+            _, i, vals, xs, ys, b = fr
+            vals.append(v)
+            return run(xs, ys, b, i + 1, vals)
+
+        def run(xs, ys, b, i=0, vals=None):
+            vals = [] if vals is None else vals
+            while i < len(args):
+                if flags[i]:
+                    frame = (resume, i, vals, xs, ys, b)
+                    ks.append(frame)
+                    r = args[i](xs, ys, b)
+                    if r.__class__ is tuple:
+                        return r
+                    ks.pop()
+                    vals.append(r)
+                else:
+                    vals.append(args[i](xs, ys, b))
+                i += 1
+            return finish(tuple(vals[:m]), tuple(vals[m:]), b)
+
+        return run
+
+    def _request(self, term: Call, args: list, flags: list):
+        """Code of a call site (``_args`` over the argument code ``args``):
+        the arguments, the guard against the caller's frame, then the
+        request.  A failed guard gives 0, or GuardViolation in strict
+        mode; after the guard, an unknown callee or a wrong arity raises."""
+        name, m = term.name, len(term.normal_args)
+        bad = self._mismatch(name, m, len(term.safe_args))
+        guard, strict, safe_guard = term.guard is not None, self.strict, term.guard == "strict_safe"
+
+        def finish(u, v, b):
+            if guard and (not tuple_below(u, b[1], True) or safe_guard and not tuple_below(v, b[2], False)):
+                if strict:
+                    raise GuardViolation(f"guarded call to {name} with normals {u} against frame {b[1]}")
+                return 0
+            if bad is not None:
+                raise EvalError(bad)
+            return (name, u, v)
+
+        return self._args(args, flags, m, finish)
+
+
+# Subterms whose calls run through ``_compile``'s closures, never suspending.
+_OPAQUE = (SRecN, SNRec, SRecPP, SNRecPP, SimRecPP, TagDispatch)
+_UNARY = {S0: lambda v, fr: 2 * v, S1: lambda v, fr: 2 * v + 1, Pred: lambda v, fr: v >> 1}
 
 
 def _named_call(term: Call, nargs: list, sargs: list, prog: Optional[_Run]):
-    """A call of a program function, straight to its entry; a guarded
-    call first compares its normals (and safes) with the caller's frame."""
+    """A call of a program function from ``_compile``'s closures: the
+    call site's request, run to its value by a nested ``prog.call``."""
     if prog is None:
         return _fail("named calls only occur inside programs")
-    us, vs = _tuple_of(nargs), _tuple_of(sargs)
-    enter = prog.entry(term.name, len(nargs), len(sargs))
-    if term.guard is None:
-        return lambda xs, ys, b: enter(us(xs, ys, b), vs(xs, ys, b))
-    name, strict, safe_guard = term.name, prog.strict, term.guard == "strict_safe"
+    request, call = prog._request(term, nargs + sargs, [False] * (len(nargs) + len(sargs))), prog.call
 
-    def guarded(xs, ys, b):
-        u, v = us(xs, ys, b), vs(xs, ys, b)
-        if not tuple_below(u, b[1], True) or safe_guard and not tuple_below(v, b[2], False):
-            if strict:
-                raise GuardViolation(f"guarded call to {name} with normals {u} against frame {b[1]}")
-            return 0
-        return enter(u, v)
+    def run(xs, ys, b):
+        r = request(xs, ys, b)
+        return call(*r) if r.__class__ is tuple else r
 
-    return guarded
+    return run
 
 
 def eval_pp(
@@ -828,9 +1125,20 @@ def eval_pp(
     stats: Optional[EvalStats] = None,
 ) -> int:
     """Run a named function of a prefix-permutation program."""
-    run = _Run(prog, env or EMPTY_ORACLES, cfg or EvalConfig(), stats)
+    run = _Run(prog, env or EMPTY_ORACLES, cfg or EvalConfig())
     xs, ys = tuple(normals), tuple(safes)
-    return run.entry(fname, len(xs), len(ys))(xs, ys)
+    bad = run._mismatch(fname, len(xs), len(ys))
+    if bad is not None:
+        raise EvalError(bad)
+    try:
+        return run.call(fname, xs, ys)
+    finally:
+        if stats is not None:
+            stats.steps += run.steps
+            stats.max_depth = max(stats.max_depth, run.max_depth)
+            stored = sum(cell[0] is not None for cell in (run.memo or {}).values())
+            if stored:
+                stats.memo_keys = stored
 
 
 # ---------------------------------------------------------------------------

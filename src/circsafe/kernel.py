@@ -91,7 +91,19 @@ def tuple_below(xs: Sequence[int], ys: Sequence[int], strict: bool) -> bool:
     related at all (not ``strict``), without building its witness."""
     if len(xs) != len(ys):
         raise ValueError("tuple_below: length mismatch (%d vs %d)" % (len(xs), len(ys)))
-    lx, ly = sum(length(x) for x in xs), sum(length(y) for y in ys)
+    if len(xs) == 1:  # the guard of most program calls
+        x, y = xs[0], ys[0]
+        if x < 0 or y < 0:
+            raise ValueError("values are natural numbers")
+        k = y.bit_length() - x.bit_length()
+        return (k > 0 if strict else k >= 0) and y >> k == x
+    if not xs:
+        return not strict
+    lx = ly = 0
+    for x in xs:
+        lx += length(x)
+    for y in ys:
+        ly += length(y)
     if lx > ly or strict and lx == ly:
         return False
     return _prefix_matching(xs, ys) is not None

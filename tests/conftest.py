@@ -109,6 +109,15 @@ def terms():
     return term_corpus()
 
 
+@pytest.fixture(scope="session")
+def corpus_bound_reports(terms):
+    """``verify_bound(td, samples=200, seed=42)`` of every corpus term,
+    computed once for the tests that check those reports."""
+    from circsafe.bounds import verify_bound
+
+    return {name: verify_bound(td, samples=200, seed=42) for name, td in terms.items()}
+
+
 # Independent oracle for transform.bisimulation_classes: Moore's
 # round-by-round refinement, the definition read literally.  Each round
 # re-partitions every node by (own block, premise blocks) until no block
@@ -181,6 +190,83 @@ def nest_graph(m: int) -> ProofGraph:
         nodes[f"x{j}"] = Node(Rule(RuleKind.EXCH_N, pos=0), BN_NN, (f"w{j}",))
         nodes[f"w{j}"] = Node(Rule(RuleKind.WEAK_N), BN_NN, (f"k{j + 1}" if j + 2 < m else "e0",))
     return ProofGraph(f"nest{m}", "e0", nodes)
+
+
+# Independent oracle for the statistics of interp.eval_proof: the rules
+# read as equations, one Python call per expansion, with a memo entry
+# for every (node, normals, safes) key once its value is known.  A
+# memo hit still counts as a step.  Premises run left to right, and
+# srec computes its recursive value before the step premise.  The
+# recursion is Python's, so keep inputs and cycles short.
+
+
+def ref_proof_stats(graph: ProofGraph, normals, safes, memo: bool = True, fuel=None) -> tuple:
+    """(value, steps, memo keys, memo hits) of the sub-proof at the root.
+    Past ``fuel`` steps the value is None and the counts are those when
+    the next step would have begun."""
+    table: dict = {}
+    count = {"steps": 0, "hits": 0}
+
+    def ev(n, xs, ys):
+        if count["steps"] == fuel:
+            raise _OutOfFuel
+        count["steps"] += 1
+        key = (n, xs, ys)
+        if memo and key in table:
+            count["hits"] += 1
+            return table[key]
+        node = graph.nodes[n]
+        kind, pr, pos = node.rule.kind, node.premises, node.rule.pos
+        if kind is RuleKind.ID:
+            v = ys[0]
+        elif kind is RuleKind.ZERO:
+            v = 0
+        elif kind in (RuleKind.S0, RuleKind.S1):
+            v = 2 * ev(pr[0], xs, ys) + (kind is RuleKind.S1)
+        elif kind is RuleKind.WEAK_N:
+            v = ev(pr[0], xs, ys[:-1])
+        elif kind is RuleKind.WEAK_B:
+            v = ev(pr[0], xs[1:], ys)
+        elif kind is RuleKind.EXCH_N:
+            v = ev(pr[0], xs, ys[:pos] + (ys[pos + 1], ys[pos]) + ys[pos + 2 :])
+        elif kind is RuleKind.EXCH_B:
+            v = ev(pr[0], xs[:pos] + (xs[pos + 1], xs[pos]) + xs[pos + 2 :], ys)
+        elif kind is RuleKind.BOX_L:
+            v = ev(pr[0], xs[1:], ys + xs[:1])
+        elif kind is RuleKind.BOX_R:
+            v = ev(pr[0], xs, ys)
+        elif kind is RuleKind.CUT_N:
+            v = ev(pr[1], xs, ys + (ev(pr[0], xs, ys),))
+        elif kind is RuleKind.CUT_B:
+            v = ev(pr[1], (ev(pr[0], xs, ys),) + xs, ys)
+        elif kind is RuleKind.COND_N:
+            w, rest = ys[-1], ys[:-1]
+            v = ev(pr[0], xs, rest) if w == 0 else ev(pr[1 + w % 2], xs, rest + (w // 2,))
+        elif kind is RuleKind.COND_B:
+            x, rest = xs[0], xs[1:]
+            v = ev(pr[0], rest, ys) if x == 0 else ev(pr[1 + x % 2], (x // 2,) + rest, ys)
+        elif kind is RuleKind.SREC:
+            x, rest = xs[0], xs[1:]
+            if x == 0:
+                v = ev(pr[0], rest, ys)
+            else:
+                below = ev(n, (x // 2,) + rest, ys)
+                v = ev(pr[1 + x % 2], (x // 2,) + rest, ys + (below,))
+        else:
+            raise EvalError(f"rule {kind.value} has no reference semantics")
+        if memo:
+            table[key] = v
+        return v
+
+    try:
+        value = ev(graph.root, tuple(normals), tuple(safes))
+    except _OutOfFuel:
+        value = None
+    return value, count["steps"], len(table), count["hits"]
+
+
+class _OutOfFuel(Exception):
+    pass
 
 
 # Independent oracle for interp.eval_term and interp.eval_pp: the term

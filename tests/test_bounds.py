@@ -110,9 +110,9 @@ def test_corpus_recursion_nodes_satisfy_invariant(terms):
         walk(td.body)
 
 
-def test_verify_bound_clean_on_corpus(terms):
-    for name, td in terms.items():
-        rep = verify_bound(td, samples=200, seed=42)
+def test_verify_bound_clean_on_corpus(terms, corpus_bound_reports):
+    assert sorted(corpus_bound_reports) == sorted(terms)
+    for name, rep in corpus_bound_reports.items():
         assert rep.violations == [], (name, rep.violations[:1])
         assert rep.max_slack is not None and rep.max_slack >= 0
 

@@ -2,10 +2,11 @@
 
 import random
 import sys
+import threading
 
 import pytest
 
-from conftest import c_program, e_program, ref_env, ref_eval, ref_pp, sample_two_sorted
+from conftest import c_program, e_program, l_program, ref_env, ref_eval, ref_pp, s_program, sample_two_sorted
 
 from circsafe.corpus import proof
 from circsafe.compilealg import nb_to_circular, srec_eliminate, term_to_derivation
@@ -32,6 +33,7 @@ from circsafe.interp import (
     SNRecPP,
     SRecN,
     SRecPP,
+    Zero,
     eval_pp,
     eval_proof,
     eval_term,
@@ -450,3 +452,90 @@ def test_program_calls_see_no_recursion_names_of_their_caller():
         eval_pp(prog, "main", None, [1], [3])
     host = [OracleDef("rec", 0, 1, lambda us, vs: 100 + vs[0])]
     assert eval_pp(prog, "main", OracleEnv(host), [1], [3]) == 107 == ref_pp(prog, "main", [1], [3], host)
+
+
+def _deep(f, *args):
+    """``f(*args)`` for a recursive oracle: in a thread with a large stack,
+    with the recursion limit raised only while it runs."""
+    out, limit, size = [], sys.getrecursionlimit(), threading.stack_size(256 * 2**20)
+    sys.setrecursionlimit(10**5)
+    try:
+        worker = threading.Thread(target=lambda: out.append(f(*args)))
+        worker.start()
+        worker.join()
+    finally:
+        sys.setrecursionlimit(limit)
+        threading.stack_size(size)
+    (value,) = out
+    return value
+
+
+def test_eval_pp_program_calls_need_no_python_stack(proofs):
+    """Translated S, C and L at 10^4-bit all-ones inputs nest one
+    program call per input bit (two for C), under the default
+    recursion limit."""
+    x = 2**10**4 - 1
+    cases = {
+        "S": ([x], [], lambda: s_program(x)),
+        "C": ([x, x], [x], lambda: c_program(x, x, x)),
+        "L": ([x], [x], lambda: l_program(x, x)),
+    }
+    want = {name: _deep(oracle) for name, (_, _, oracle) in cases.items()}
+    limit = sys.getrecursionlimit()
+    assert limit <= 1000
+    for name, (xs, ys, _) in cases.items():
+        prog, stats = translate(proofs[name]), EvalStats()
+        assert eval_pp(prog, MAIN, None, xs, ys, EvalConfig(guard_mode="strict"), stats) == want[name], name
+        assert stats.max_depth > 10**4 and stats.steps == stats.memo_keys == stats.max_depth, name
+    assert sys.getrecursionlimit() == limit
+
+
+def test_calls_inside_recursion_schemes_reenter_the_program_machine():
+    # translate never emits them; a hand-written program may.  The call
+    # to g inside srec's steps runs the machine again from the loop, and
+    # g's own calls (a chain as deep as its input) still use no Python
+    # frames.  Fuel, memo and statistics are the run's.
+    x0, x1, y0 = Proj("n", 0), Proj("n", 1), Proj("s", 0)
+    # g(x; y) = y * 2**|x| + x, one call per bit of x
+    shift = Call("g", (Pred(x0),), (y0,), "strict")
+    step = Call("g", (x1,), (y0,))  # main(x, w): w, then g(w; .) once per bit of x
+    prog = PPProgram({
+        "main": PPFunction("main", 2, 0, SRecN(x0, step, step)),
+        "g": PPFunction("g", 1, 1, Cond(x0, y0, S0(shift), S1(shift))),
+    })
+    for xs in ([0, 5], [6, 1], [13, 2], [2, 3]):
+        assert eval_pp(prog, "main", None, xs, []) == ref_pp(prog, "main", xs, []), xs
+    x = 2**3000 - 1
+    stats = EvalStats()
+    assert eval_pp(prog, "main", None, [3, x], [], None, stats) == ((x << 3000) + x << 3000) + x
+    assert stats.max_depth == 3002 and stats.steps == 1 + 2 * 3001
+    with pytest.raises(FuelExhausted):
+        eval_pp(prog, "main", None, [3, x], [], EvalConfig(fuel=stats.steps - 1))
+
+
+def test_bad_program_calls_raise_after_their_arguments_and_guard():
+    # a call site runs its arguments, then its guard, and only then
+    # reports an unknown callee or a wrong arity, whether it is on the
+    # path from the body or inside a recursion scheme
+    x0, y0 = Proj("n", 0), Proj("s", 0)
+    nope = OracleCall("nope", (), ())
+    for callee, msg in (("main", "main expects \\(1;0\\) arguments"), ("gone", "unknown function 'gone'")):
+        for arg, below in ((nope, None), (S1(S1(x0)), False), (Pred(x0), True)):
+            call = Call(callee, (arg,), (x0,), "strict")  # one safe too many for main
+            for body in (S0(call), SRecN(Zero(), S1(y0), call)):
+                prog = PPProgram({"main": PPFunction("main", 1, 0, body)})
+                for mode in ("zero", "strict"):
+                    run = lambda: eval_pp(prog, "main", None, [3], [], EvalConfig(guard_mode=mode))  # noqa: E731
+                    if below is None:
+                        with pytest.raises(EvalError, match="unknown oracle 'nope'"):
+                            run()
+                    elif below:
+                        with pytest.raises(EvalError, match=msg):
+                            run()
+                    elif mode == "strict":
+                        with pytest.raises(GuardViolation):
+                            run()
+                    else:
+                        assert run() == 0, (callee, body)
+    with pytest.raises(EvalError, match="main expects \\(1;0\\) arguments"):
+        eval_pp(prog, "main", None, [3], [1])

@@ -110,7 +110,7 @@ def test_tuple_order_and_tuple_below_match_permutation_search():
     cases = [([0, 1], [1, 0]), ([1, 0], [1, 0]), ([1, 2], [5, 2])]
     rng = random.Random(13)
     for _ in range(20000):
-        k = rng.randrange(1, 5)
+        k = rng.randrange(0, 5)
         ys = [rng.getrandbits(rng.randrange(6)) for _ in range(k)]
         if rng.random() < 0.5:  # chopped, shuffled copies relate often
             xs = [y >> rng.randrange(y.bit_length() + 1) for y in rng.sample(ys, k)]
@@ -131,6 +131,14 @@ def test_tuple_below_length_mismatch():
     for strict in (True, False):
         with pytest.raises(ValueError):
             tuple_below([1], [1, 2], strict)
+
+
+def test_tuple_below_rejects_negative_values():
+    # one-element tuples take their own path; both paths refuse negatives
+    for xs, ys in (([-1], [3]), ([1], [-3]), ([-1], [-1]), ([0, -1], [1, 3]), ([1, 2], [5, -2])):
+        for strict in (True, False):
+            with pytest.raises(ValueError):
+                tuple_below(xs, ys, strict)
 
 
 def test_coherence_law():
