@@ -131,14 +131,18 @@ def eval_proof(
     counts one step, a memo hit included.  A run keeps a memo entry at
     every node for its first ``_SHORT_RUN`` expansions.  Past that it
     computes ``_repeatable`` once, drops the other nodes' entries and
-    stores entries only at those nodes: no other node is expanded twice
-    at the same inputs in a run that returns, so the skipped entries
-    would never be read.  Long runs also add the inputs' bit lengths to
-    the key: an int hashes to itself modulo 2**61 - 1, so appending 61
-    one-bits to a value keeps its hash, and all-ones inputs or values
-    grown by appending ones would share hashes.  Values, steps, fuel
-    and memo hits are the same as with an entry at every node, and so
-    is ``memo_keys`` in a run that returns or raises before the switch.
+    stores entries only at those nodes: in a run that returns, a run
+    with an entry at every node finds its hits only there.  Long runs
+    also add the inputs' bit lengths to the key: an int hashes to itself
+    modulo 2**61 - 1, so appending 61 one-bits to a value keeps its
+    hash, and all-ones inputs or values grown by appending ones would
+    share hashes.  A run that returns has the value, steps, fuel, memo
+    hits and ``memo_keys`` of a run with an entry at every node, and so
+    does a run that raises before the switch.  A run that diverges past
+    the switch may expand again a key that the other run would find in
+    its memo, so it may run out of fuel while expanding another node.
+    Successor steps with no other continuation between them share one
+    frame, which returns ``v << count | bits`` at once.
     """
     cfg = cfg or EvalConfig()
     node = graph.nodes.get(nid)
@@ -155,8 +159,8 @@ def eval_proof(
     memo: Optional[dict] = {} if cfg.memo else None
     repeat = nodes if cfg.memo else ()  # nodes that keep memo entries
     long_run, switch = False, fuel - _SHORT_RUN if cfg.memo else -1
-    unstored = 0  # keys expanded without a memo entry, or whose entry was dropped
-    work: list[tuple] = []  # continuations, innermost last
+    keyed = dropped = 0  # expansions that looked up an entry; entries dropped at the switch
+    work: list = []  # continuations, innermost last
     n, xs, ys = nid, tuple(normals), tuple(safes)
     try:
         while True:
@@ -166,16 +170,15 @@ def eval_proof(
                 raise FuelExhausted(f"fuel exhausted while expanding {n}")
             if fuel == switch:
                 long_run, repeat = True, _repeatable(graph, nid)
-                unstored += _lengthen_keys(memo, repeat)  # no other entry is read again
+                dropped = _lengthen_keys(memo, repeat)  # no other entry is read again
             v = None
             if n in repeat:
+                keyed += 1
                 key = _long_key(n, xs, ys) if long_run else (n, xs, ys)
                 cell = memo.setdefault(key, [None])  # one hash of the key
                 v = cell[0]
                 if v is None:
                     work.append((_STORE, cell))
-            elif memo is not None:
-                unstored += 1
             if v is None:
                 nd = nodes[n]
                 kind = nd.rule.kind
@@ -194,12 +197,15 @@ def eval_proof(
                     else:
                         n, ys = pr[1 + (w & 1)], ys[:-1] + (w >> 1,)
                     continue
-                if kind is _R_S0:
-                    work.append(_SUCC0)
-                    n = pr[0]
-                    continue
-                if kind is _R_S1:
-                    work.append(_SUCC1)
+                if kind is _R_S0 or kind is _R_S1:
+                    # successors with no frame between them share one frame
+                    top = work[-1] if work else None
+                    if top is not None and top[0] is _SUCC:
+                        if kind is _R_S1:
+                            top[1] |= 1 << top[2]
+                        top[2] += 1
+                    else:
+                        work.append([_SUCC, 1 if kind is _R_S1 else 0, 1])
                     n = pr[0]
                     continue
                 if kind is _R_CUT_N or kind is _R_CUT_B:
@@ -250,7 +256,7 @@ def eval_proof(
                 frame = work.pop()
                 op = frame[0]
                 if op is _SUCC:
-                    v = 2 * v + frame[1]
+                    v = v << frame[2] | frame[1]
                 elif op is _STORE:
                     frame[1][0] = v
                 else:
@@ -265,16 +271,18 @@ def eval_proof(
                 return v
     finally:
         if stats is not None:
-            stats.steps += cfg.fuel - fuel
+            steps = cfg.fuel - fuel
+            stats.steps += steps
             if memo is not None:
                 stored = len(memo) if work is None else sum(cell[0] is not None for cell in memo.values())
-                stats.memo_keys = stored + unstored
+                begun = steps - (fuel < 0)  # an expansion refused for want of fuel never began
+                stats.memo_keys = stored + begun - keyed + dropped
 
 
 # continuation frames of eval_proof: a cut's (kind, right premise, xs,
-# ys), a successor's (_SUCC, bit), a memo cell's (_STORE, cell)
+# ys), a memo cell's (_STORE, cell), and a run of successors'
+# [_SUCC, bits, count], which returns v << count | bits
 _SUCC, _STORE = "succ", "store"
-_SUCC0, _SUCC1 = (_SUCC, 0), (_SUCC, 1)
 # rule kinds as module names: a global is read faster than an Enum member
 # (the long-input proof runs take about 1.5 times as long with RuleKind.X)
 (_R_ID, _R_ZERO, _R_S0, _R_S1, _R_WEAK_N, _R_WEAK_B, _R_EXCH_N, _R_EXCH_B, _R_BOX_L, _R_BOX_R,
@@ -309,16 +317,29 @@ def _lengthen_keys(memo: dict, keep=None) -> int:
 
 
 def _repeatable(graph: ProofGraph, nid: str) -> frozenset:
-    """Nodes that a run from ``nid`` can expand twice at the same inputs,
-    the first expansion finished before the second starts.
+    """Nodes where a run from ``nid`` that returns can hit its memo.
 
-    The two expansions then sit below different children of a common
-    ancestor, and only cuts (left premise, then right) and srec (the
-    recursive value, then a step premise) expand more than one child.
-    So the node is reachable from both sides of such a node: from both
-    premises of a cut, or from a step premise of an srec (the srec
-    itself reaches all of them).  Reachability is one bit mask per
-    strongly connected component, built sinks first.
+    A hit needs two expansions of a node at the same inputs, the first
+    finished before the second starts.  They sit below different
+    children of a common ancestor, and only cuts (left premise, then
+    right) and srec (the recursive value, then a step premise) expand
+    more than one child.  So the node is reachable from both sides of
+    such a node: from both premises of a cut, or from a step premise of
+    an srec (the srec itself reaches all of them).  Reachability is one
+    bit mask per strongly connected component, built sinks first.
+
+    Of those nodes, only ones with more than one way in are kept: their
+    in-edges from nodes live from ``nid``, with multiplicity, plus one
+    for ``nid`` itself and one for an srec, which expands itself again;
+    an edge from a weakening counts two.  Every other rule maps its
+    inputs injectively to its premise's (a conditional's and an srec's
+    given which premise it is).  So take a run with an entry at every
+    node and a hit there at a node with one such way in: its parent
+    expanded it, so the parent missed at inputs it had expanded before.
+    That earlier expansion either finished, and then this one would
+    have hit, or it encloses this one, and a key expanded again inside
+    its own expansion never returns.  So in a run that returns, hits
+    fall only on the nodes kept here.
     """
     nodes = graph.nodes
     adj = {n: nd.premises for n, nd in nodes.items()}
@@ -333,6 +354,8 @@ def _repeatable(graph: ProofGraph, nid: str) -> frozenset:
         for n in comp:
             reach[n] = mask
     both, live = 0, reach[nid]
+    ways = dict.fromkeys(adj, 0)  # ways into each node, from nodes live from nid
+    ways[nid] = 1
     for n, nd in nodes.items():
         if not live & bit[n]:
             continue
@@ -340,9 +363,15 @@ def _repeatable(graph: ProofGraph, nid: str) -> frozenset:
         if (kind is _R_CUT_N or kind is _R_CUT_B) and len(pr) > 1:
             both |= reach.get(pr[0], 0) & reach.get(pr[1], 0)
         elif kind is _R_SREC:
+            ways[n] += 1  # the srec expands itself again
             for p in pr[1:]:
                 both |= reach.get(p, 0)
-    return frozenset(n for n in adj if both & bit[n])
+        # a weakening forgets an input: its one edge counts as two ways in
+        step = 2 if kind is _R_WEAK_N or kind is _R_WEAK_B else 1
+        for p in pr:
+            if p in ways:
+                ways[p] += step
+    return frozenset(n for n in adj if both & bit[n] and ways[n] > 1)
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,17 @@ def tuple_below(xs: Sequence[int], ys: Sequence[int], strict: bool) -> bool:
         return (k > 0 if strict else k >= 0) and y >> k == x
     if not xs:
         return not strict
+    if len(xs) == 2:  # both pairings, as translated programs on two normals guard
+        (a, b), (c, d) = xs, ys
+        if a < 0 or b < 0 or c < 0 or d < 0:
+            raise ValueError("values are natural numbers")
+        la, lb, lc, ld = a.bit_length(), b.bit_length(), c.bit_length(), d.bit_length()
+        k = lc + ld - la - lb
+        if k < 0 or strict and k == 0:
+            return False
+        return (lc >= la and c >> (lc - la) == a and ld >= lb and d >> (ld - lb) == b) or (
+            ld >= la and d >> (ld - la) == a and lc >= lb and c >> (lc - lb) == b
+        )
     lx = ly = 0
     for x in xs:
         lx += length(x)

@@ -200,10 +200,11 @@ def nest_graph(m: int) -> ProofGraph:
 # recursion is Python's, so keep inputs and cycles short.
 
 
-def ref_proof_stats(graph: ProofGraph, normals, safes, memo: bool = True, fuel=None) -> tuple:
+def ref_proof_stats(graph: ProofGraph, normals, safes, memo: bool = True, fuel=None, oracles=None) -> tuple:
     """(value, steps, memo keys, memo hits) of the sub-proof at the root.
     Past ``fuel`` steps the value is None and the counts are those when
-    the next step would have begun."""
+    the next step would have begun.  Oracle leaves call the functions
+    that ``oracles`` (an ``OracleEnv``) names."""
     table: dict = {}
     count = {"steps": 0, "hits": 0}
 
@@ -221,6 +222,8 @@ def ref_proof_stats(graph: ProofGraph, normals, safes, memo: bool = True, fuel=N
             v = ys[0]
         elif kind is RuleKind.ZERO:
             v = 0
+        elif kind is RuleKind.ORACLE:
+            v = oracles.lookup(node.rule.oracle).fn(xs, ys)
         elif kind in (RuleKind.S0, RuleKind.S1):
             v = 2 * ev(pr[0], xs, ys) + (kind is RuleKind.S1)
         elif kind is RuleKind.WEAK_N:

@@ -490,6 +490,27 @@ def test_eval_pp_program_calls_need_no_python_stack(proofs):
     assert sys.getrecursionlimit() == limit
 
 
+def test_eval_proof_successor_runs_at_10k_bits(proofs):
+    """C and L write one digit per successor step; at 10^4-bit inputs,
+    all-ones and random, the long runs of successors return the closed
+    forms.  C(x, y; z) is z's digits, then y's, then x's; L(x; y) is y
+    followed by |x| ones.  Neither proof hits its memo, so the memo keys
+    equal the steps."""
+    rng, n = random.Random(61), 10**4
+    for kind in ("ones", "random"):
+        value = (lambda: 2**n - 1) if kind == "ones" else (lambda: rng.getrandbits(n) | 1 << (n - 1))
+        x, y, z = value(), value(), value()
+        lx, ly = x.bit_length(), y.bit_length()
+        cases = {
+            "C": ([x, y], [z], (z << ly | y) << lx | x, 2 * (lx + ly) + 3),
+            "L": ([x], [y], y << lx | (1 << lx) - 1, 7 * lx + 2),
+        }
+        for name, (xs, ys, want, steps) in cases.items():
+            g, stats = proofs[name], EvalStats()
+            assert eval_proof(g, g.root, xs, ys, None, None, stats) == want, (name, kind)
+            assert stats.steps == stats.memo_keys == steps, (name, kind)
+
+
 def test_calls_inside_recursion_schemes_reenter_the_program_machine():
     # translate never emits them; a hand-written program may.  The call
     # to g inside srec's steps runs the machine again from the loop, and

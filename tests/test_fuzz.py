@@ -304,6 +304,154 @@ def test_eval_proof_statistics_when_fuel_runs_out():
     assert checked > 200
 
 
+# Graphs with memo hits at a node that one condition of
+# interp._repeatable keeps, named by the node and the condition.  Each
+# evaluates a sub-proof at two inputs that its rule maps to one: a
+# conditional or srec at 2x and 2x + 1 (the boxed cuts compute 2x and
+# 2x + 1 from x), or a weakening at two values of the input it drops.
+_TWICE_X = """
+node p : boxR seq bN => bN premises [p0]
+node p0 : s0 seq bN => N premises [p1]
+node p1 : boxL seq bN => N premises [p2]
+node p2 : id seq N => N premises []
+"""
+_TWICE_X_PLUS_1 = """
+node pp : boxR seq bN => bN premises [pp0]
+node pp0 : s1 seq bN => N premises [p1]
+"""
+MEMO_RULE_GRAPHS = {
+    # m is a conditional's s0 and s1 premise at once: m(x, x) from a(2x, x)
+    # and a(2x + 1, x); m1, under m's one injective edge, is an oracle leaf
+    ("m", "condB premise twice"): """proof twoslots root r
+node r : cutB seq bN => N premises [p,q]
+node q : cutN seq bN,bN => N premises [a,q1]
+node a : condB seq bN,bN => N premises [z,m,m]
+node z : wB seq bN => N premises [z1]
+node z1 : zero seq  => N premises []
+node m : s1 seq bN,bN => N premises [m1]
+node m1 : oracle oracle f seq bN,bN => N premises []
+node q1 : wN seq bN,bN,N => N premises [q2]
+node q2 : wB seq bN,bN => N premises [q3]
+node q3 : cutB seq bN => N premises [pp,a]
+""" + _TWICE_X + _TWICE_X_PLUS_1,
+    # k's one way in is a wB: k() from w(x) and w(2x)
+    ("k", "one way in, from wB"): """proof weakb root r
+node r : cutN seq bN => N premises [w,r1]
+node w : wB seq bN => N premises [k]
+node k : s1 seq  => N premises [k1]
+node k1 : zero seq  => N premises []
+node r1 : wN seq bN,N => N premises [r2]
+node r2 : cutB seq bN => N premises [p,r3]
+node r3 : eB(0) seq bN,bN => N premises [r4]
+node r4 : wB seq bN,bN => N premises [w]
+""" + _TWICE_X,
+    # k's one way in is a wN: k() from w(y) and w(1)
+    ("k", "one way in, from wN"): """proof weakn root r
+node r : cutN seq N => N premises [w,r1]
+node w : wN seq N => N premises [k]
+node k : s1 seq  => N premises [k1]
+node k1 : zero seq  => N premises []
+node r1 : eN(0) seq N,N => N premises [r2]
+node r2 : wN seq N,N => N premises [w]
+""",
+    # st is both step premises of s: st(x, x; s(x, x)) from s(2x, x) and
+    # s(2x + 1, x); s(x, x) hits through s's expansion of itself, since
+    # s has one edge in
+    ("st", "srec step premise twice"): """proof srecone root r
+node r : cutB seq bN => N premises [p,q]
+node q : cutN seq bN,bN => N premises [e,q1]
+node e : s1 seq bN,bN => N premises [s]
+node s : srec seq bN,bN => N premises [b,st,st]
+node b : wB seq bN => N premises [b1]
+node b1 : zero seq  => N premises []
+node st : s1 seq bN,bN,N => N premises [st1]
+node st1 : wB seq bN,bN,N => N premises [st2]
+node st2 : wB seq bN,N => N premises [st3]
+node st3 : id seq N => N premises []
+node q1 : wN seq bN,bN,N => N premises [q2]
+node q2 : wB seq bN,bN => N premises [q3]
+node q3 : cutB seq bN => N premises [pp,e]
+""" + _TWICE_X + _TWICE_X_PLUS_1,
+}
+
+
+def _host_f(calls: list):
+    """An oracle ``f`` on two normals that records its calls in ``calls``."""
+    from circsafe.interp import OracleDef, OracleEnv
+
+    return OracleEnv([OracleDef("f", 2, 0, lambda xs, ys: calls.append(xs) or xs[0] + 3 * xs[1])])
+
+
+def _same_as_memo_everywhere(g, nid, inputs, host: bool = False) -> int:
+    """Check ``eval_proof`` at ``nid`` against ``ref_proof_stats`` (value,
+    steps, memo keys and, with ``host``, the calls of ``_host_f``) with
+    memoization on and off; returns the memo hits."""
+    from conftest import ref_proof_stats
+
+    from circsafe.interp import EvalStats
+
+    at = ProofGraph(g.name, nid, g.nodes)
+    hits = 0
+    for xs, ys in inputs:
+        for memo in (True, False):
+            stats, calls, want_calls = EvalStats(), [], []
+            got = eval_proof(g, nid, xs, ys, EvalConfig(memo=memo), _host_f(calls) if host else None, stats)
+            value, steps, keys, hit = ref_proof_stats(at, xs, ys, memo, None, _host_f(want_calls) if host else None)
+            assert (got, stats.steps, stats.memo_keys) == (value, steps, keys), (g.name, nid, xs, ys, memo)
+            assert calls == want_calls, (g.name, xs, ys, memo)  # the host is called as often, in the same order
+            hits += hit
+    return hits
+
+
+def test_memo_entries_stay_where_the_memo_everywhere_run_hits(monkeypatch):
+    """Each condition of ``_repeatable``'s rule keeps an entry that a run
+    hits; with the switch at the first expansion every run keeps entries
+    only there, and matches the run with an entry at every node.  ``m1``
+    is an oracle leaf under one injective edge: it keeps no entry, and
+    its host function is called once per distinct key all the same."""
+    from circsafe import interp
+    from circsafe.formats import parse_proof
+    from circsafe.interp import _repeatable
+
+    monkeypatch.setattr(interp, "_SHORT_RUN", 1)
+    inputs = {"twoslots": [([x], []) for x in (0, 1, 2, 5, 12)], "weakn": [([], [y]) for y in (0, 1, 2, 7)]}
+    for (node, why), text in MEMO_RULE_GRAPHS.items():
+        g = parse_proof(text)
+        assert validate_graph(g, allow_srec=True, allow_oracle=True) == [], why
+        kept = _repeatable(g, g.root)
+        assert node in kept, why
+        host = g.name == "twoslots"
+        if host:
+            assert "m1" not in kept
+        hits = _same_as_memo_everywhere(g, g.root, inputs.get(g.name, [([x], []) for x in (0, 1, 6, 9)]), host)
+        assert hits > 0, why
+
+
+def test_memo_entries_for_a_run_started_below_the_root(monkeypatch):
+    """A run from a node other than the root counts only the edges from
+    nodes it reaches: from ``u0`` in N (into which the unreached root
+    ``m0`` has an edge too), and from ``m0`` in N with its root moved to
+    ``u1``, which reaches none of the nodes that the run expands."""
+    from circsafe import interp
+    from circsafe.corpus import proof
+
+    monkeypatch.setattr(interp, "_SHORT_RUN", 1)
+    n = proof("N")
+    assert "u0" in n.nodes["m0"].premises
+    assert _same_as_memo_everywhere(n, "u0", [([x], [y]) for x in (0, 3, 6, 13) for y in (0, 5)]) > 0
+    aside = ProofGraph(n.name, "u1", n.nodes)
+    assert not any("m0" in nd.premises for nd in n.nodes.values())
+    assert _same_as_memo_everywhere(aside, "m0", [([x], []) for x in (0, 3, 6, 13)]) > 0
+
+
+def test_repeatable_on_the_corpus(proofs):
+    from circsafe.interp import _repeatable
+
+    for name, kept in (("S", {"n7", "n8"}), ("L", {"l4", "l6"}), ("E", {"e0", "e3"})):
+        g = proofs[name]
+        assert _repeatable(g, g.root) == kept, name
+
+
 def _random_body(rng: random.Random, m: int, n: int, depth: int, me: int, sigs: list):
     """A program body over (m; n) inputs for function ``me``: plain calls
     to earlier functions and guarded calls to itself, in any position
