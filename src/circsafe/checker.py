@@ -11,7 +11,10 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .kernel import ProofGraph, RuleKind, sccs, validate_graph
+from .kernel import (
+    _R_BOX_L, _R_COND_B, _R_COND_N, _R_CUT_B, _R_CUT_N, _R_WEAK_B, _R_WEAK_N, ProofGraph, sccs,
+    validate_graph,
+)
 
 
 Adjacency = dict[str, tuple[str, ...]]
@@ -89,7 +92,7 @@ class ProgressOutcome:
 def _safety(graph: ProofGraph, adj: Adjacency, comps: list[list[str]]) -> CheckOutcome:
     for comp in _cyclic(adj, comps):
         for nid in comp:
-            if graph.nodes[nid].rule.kind is RuleKind.CUT_B:
+            if graph.nodes[nid].rule.kind is _R_CUT_B:
                 return CheckOutcome(False, _shortest_cycle_through(adj, comp, nid))
     return CheckOutcome(True)
 
@@ -98,7 +101,7 @@ def _left_leaning(graph: ProofGraph, adj: Adjacency, comps: list[list[str]]) -> 
     comp_of = {n: i for i, comp in enumerate(comps) for n in comp}
     for nid in sorted(adj):
         node = graph.nodes[nid]
-        if node.rule.kind is not RuleKind.CUT_N:
+        if node.rule.kind is not _R_CUT_N:
             continue
         right = node.premises[1]
         if comp_of.get(right) == comp_of[nid]:
@@ -109,7 +112,7 @@ def _left_leaning(graph: ProofGraph, adj: Adjacency, comps: list[list[str]]) -> 
 def _progress(graph: ProofGraph, adj: Adjacency, safety: CheckOutcome) -> ProgressOutcome:
     if not safety.ok:
         return ProgressOutcome("unknown_unsafe", safety.witness_cycle)
-    kept = {n for n in adj if graph.nodes[n].rule.kind is not RuleKind.COND_B}
+    kept = {n for n in adj if graph.nodes[n].rule.kind is not _R_COND_B}
     sub = {n: tuple(p for p in ps if p in kept) for n, ps in adj.items() if n in kept}
     cyc = _cyclic(sub, sccs(sub))
     if cyc:
@@ -242,37 +245,38 @@ def cycle_path_diagnostics(cnf) -> list[PathReport]:
     boxed weakening conclusions and the leftmost premise of a boxed
     conditional.  Clause 3: left-leaning proofs additionally exclude
     plain weakening, the leftmost premise of a plain conditional and
-    the rightmost premise of a plain cut.
+    the rightmost premise of a plain cut.  Only a violation builds a
+    printed position id.
     """
     reports = []
     for bud in sorted(cnf.buds):
         comp = cnf.buds[bud]
+        bud_path, comp_path = cnf.path(bud), cnf.path(comp)
         has_cond_b = False
         c2: list[str] = []
         c3: list[str] = []
         # walk positions comp .. bud (the bud leaf itself carries no rule)
         pos = comp
-        for depth in range(len(comp), len(bud)):
+        for depth in range(len(comp_path), len(bud_path)):
             node = cnf.tree[pos]
             kind = node.rule.kind
-            into = bud[depth]  # premise index taken next
-            label = cnf.ids[pos]
-            pos = node.children[into]
-            if kind is RuleKind.COND_B:
+            into = bud_path[depth]  # premise index taken next
+            if kind is _R_COND_B:
                 has_cond_b = True
                 if into == 0:
-                    c2.append(f"{label}: leftmost premise of a boxed conditional")
-            if kind is RuleKind.CUT_B:
-                c2.append(f"{label}: boxed cut on the path")
-            if kind is RuleKind.BOX_L:
-                c2.append(f"{label}: box-left on the path")
-            if kind is RuleKind.WEAK_B:
-                c2.append(f"{label}: boxed weakening on the path")
-            if kind is RuleKind.WEAK_N:
-                c3.append(f"{label}: plain weakening on the path")
-            if kind is RuleKind.COND_N and into == 0:
-                c3.append(f"{label}: leftmost premise of a plain conditional")
-            if kind is RuleKind.CUT_N and into == 1:
-                c3.append(f"{label}: rightmost premise of a plain cut")
-        reports.append(PathReport(bud, comp, has_cond_b, c2, c3))
+                    c2.append(f"{cnf.label(pos)}: leftmost premise of a boxed conditional")
+            if kind is _R_CUT_B:
+                c2.append(f"{cnf.label(pos)}: boxed cut on the path")
+            if kind is _R_BOX_L:
+                c2.append(f"{cnf.label(pos)}: box-left on the path")
+            if kind is _R_WEAK_B:
+                c2.append(f"{cnf.label(pos)}: boxed weakening on the path")
+            if kind is _R_WEAK_N:
+                c3.append(f"{cnf.label(pos)}: plain weakening on the path")
+            if kind is _R_COND_N and into == 0:
+                c3.append(f"{cnf.label(pos)}: leftmost premise of a plain conditional")
+            if kind is _R_CUT_N and into == 1:
+                c3.append(f"{cnf.label(pos)}: rightmost premise of a plain cut")
+            pos = node.children[into]
+        reports.append(PathReport(bud_path, comp_path, has_cond_b, c2, c3))
     return reports

@@ -35,7 +35,7 @@ from .interp import (
     Term,
     TermDef,
     Zero,
-    fold,
+    children,
     map_terms,
 )
 
@@ -64,12 +64,18 @@ _NODE_RE = re.compile(
 
 
 def parse_proof(text: str | bytes) -> ProofGraph:
-    """Parse a proof document; positioned errors on malformed input."""
+    """Parse a proof document; positioned errors on malformed input.
+
+    Each distinct label text (rule, parameter, oracle, context,
+    succedent) is checked and built once, at its first line; later
+    nodes with that text share its ``Rule`` and ``Sequent``.
+    """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     name: Optional[str] = None
     root: Optional[str] = None
     nodes: dict[str, Node] = {}
+    labels: dict[tuple, tuple[Rule, Sequent]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -85,52 +91,15 @@ def parse_proof(text: str | bytes) -> ProofGraph:
         m = _NODE_RE.match(line)
         if not m:
             raise ParseError("malformed node line", lineno, 1)
-        nid = m.group("id")
+        g = m.groups()  # id, then the label text: rule, param, oracle, ctx, ty; then prem
+        nid, key = g[0], g[1:6]
         if nid in nodes:
             raise ParseError(f"duplicate node id {nid!r}", lineno, 1)
-        rule_name = m.group("rule")
-        if rule_name not in _RULE_NAMES:
-            raise ParseError(f"unknown rule {rule_name!r}", lineno, line.find(rule_name) + 1)
-        kind = _RULE_NAMES[rule_name]
-        pos_param: Optional[int] = None
-        buds: tuple[str, ...] = ()
-        param = m.group("param")
-        if param is not None:
-            if kind in (RuleKind.EXCH_N, RuleKind.EXCH_B):
-                try:
-                    pos_param = int(param)
-                except ValueError:
-                    raise ParseError(f"exchange position must be an integer, got {param!r}", lineno, 1)
-            elif kind is RuleKind.DIS:
-                buds = tuple(p for p in param.split("|") if p)
-            else:
-                raise ParseError(f"rule {rule_name} takes no parameter", lineno, 1)
-        elif kind in (RuleKind.EXCH_N, RuleKind.EXCH_B):
-            raise ParseError(f"rule {rule_name} needs a position parameter", lineno, 1)
-        oracle = m.group("oracle")
-        if kind is RuleKind.ORACLE and oracle is None:
-            raise ParseError("oracle leaf needs a name", lineno, 1)
-        if kind is not RuleKind.ORACLE and oracle is not None:
-            raise ParseError(f"rule {rule_name} carries no oracle name", lineno, 1)
-        ctx = m.group("ctx").strip()
-        boxed = plain = 0
-        if ctx:
-            col = line.find("seq") + 4
-            seen_plain = False
-            for tok in (t.strip() for t in ctx.split(",")):
-                if tok == "bN":
-                    if seen_plain:
-                        raise ParseError("boxed type after a plain one in the context", lineno, col)
-                    boxed += 1
-                elif tok == "N":
-                    seen_plain = True
-                    plain += 1
-                else:
-                    raise ParseError(f"unknown context type {tok!r}", lineno, col)
-        succ = SType.BOXED if m.group("ty") == "bN" else SType.PLAIN
-        prem_field = m.group("prem").strip()
-        premises = tuple(p.strip() for p in prem_field.split(",") if p.strip()) if prem_field else ()
-        nodes[nid] = Node(Rule(kind, pos=pos_param, oracle=oracle, buds=buds), Sequent(boxed, plain, succ), premises)
+        label = labels.get(key)
+        if label is None:
+            label = labels[key] = _proof_label(line, lineno, key)
+        premises = tuple(filter(None, map(str.strip, g[6].split(","))))
+        nodes[nid] = Node(label[0], label[1], premises)
     if name is None or root is None:
         raise ParseError("missing proof header")
     for nid, node in nodes.items():
@@ -140,6 +109,48 @@ def parse_proof(text: str | bytes) -> ProofGraph:
     if root not in nodes:
         raise ParseError(f"root {root!r} undeclared")
     return ProofGraph(name, root, nodes)
+
+
+def _proof_label(line: str, lineno: int, key: tuple) -> tuple[Rule, Sequent]:
+    """The rule and sequent that a node line's label text ``key`` spells,
+    or the ParseError for the first thing wrong with it."""
+    rule_name, param, oracle, ctx, ty = key
+    if rule_name not in _RULE_NAMES:
+        raise ParseError(f"unknown rule {rule_name!r}", lineno, line.find(rule_name) + 1)
+    kind = _RULE_NAMES[rule_name]
+    pos_param: Optional[int] = None
+    buds: tuple[str, ...] = ()
+    if param is not None:
+        if kind in (RuleKind.EXCH_N, RuleKind.EXCH_B):
+            try:
+                pos_param = int(param)
+            except ValueError:
+                raise ParseError(f"exchange position must be an integer, got {param!r}", lineno, 1)
+        elif kind is RuleKind.DIS:
+            buds = tuple(p for p in param.split("|") if p)
+        else:
+            raise ParseError(f"rule {rule_name} takes no parameter", lineno, 1)
+    elif kind in (RuleKind.EXCH_N, RuleKind.EXCH_B):
+        raise ParseError(f"rule {rule_name} needs a position parameter", lineno, 1)
+    if kind is RuleKind.ORACLE and oracle is None:
+        raise ParseError("oracle leaf needs a name", lineno, 1)
+    if kind is not RuleKind.ORACLE and oracle is not None:
+        raise ParseError(f"rule {rule_name} carries no oracle name", lineno, 1)
+    ctx = ctx.strip()
+    boxed = plain = 0
+    if ctx:
+        col = line.find("seq") + 4
+        for tok in (t.strip() for t in ctx.split(",")):
+            if tok == "bN":
+                if plain:
+                    raise ParseError("boxed type after a plain one in the context", lineno, col)
+                boxed += 1
+            elif tok == "N":
+                plain += 1
+            else:
+                raise ParseError(f"unknown context type {tok!r}", lineno, col)
+    succ = SType.BOXED if ty == "bN" else SType.PLAIN
+    return Rule(kind, pos=pos_param, oracle=oracle, buds=buds), Sequent(boxed, plain, succ)
 
 
 def serialize_proof(graph: ProofGraph) -> str:
@@ -442,27 +453,42 @@ def _link_calls(functions: dict[str, PPFunction]) -> dict[str, PPFunction]:
 def serialize_term(term: Term) -> str:
     """Text form of ``term`` as ``parse_terms`` reads it.
 
-    Built bottom-up by ``fold``, so no recursion on term depth.
+    Written left to right from an explicit stack of subterms and text
+    pieces, so no recursion on term depth and time linear in the text.
     """
-    return fold(term, _serialize_node)
+    out: list[str] = []
+    stack: list = [term]
+    while stack:
+        t = stack.pop()
+        if type(t) is str:
+            out.append(t)
+        else:
+            stack.extend(reversed(_serialize_node(t)))
+    return "".join(out)
 
 
-def _serialize_node(term: Term, kids: list[str]) -> str:
-    """Text of one term node, given the text of its ``children``."""
+def _serialize_node(term: Term) -> list:
+    """One term node as text pieces with its ``children`` in place."""
     kind = type(term)
     if kind is Zero:
-        return "0"
+        return ["0"]
     if kind is Proj:
-        return f"{'x' if term.sort == 'n' else 'y'}{term.index}"
+        return [f"{'x' if term.sort == 'n' else 'y'}{term.index}"]
+    kids = children(term)
     if kind is OracleCall or kind is Call:
         k = len(term.normal_args)
         mark = "@" if kind is Call and term.guard is not None else ""
-        return f"{mark}{term.name}({','.join(kids[:k])};{','.join(kids[k:])})"
+        return [f"{mark}{term.name}(", *_commas(kids[:k]), ";", *_commas(kids[k:]), ")"]
     kw = _KEYWORDS.get((kind, getattr(term, "guard_safes", False)))
     if kw is None:
         raise TypeError(f"cannot serialize {kind.__name__}")
     tail = f"|{term.rec_name}" if _FORMS[kw].named and term.rec_name != REC else ""
-    return f"{kw}({','.join(kids)}{tail})"
+    return [f"{kw}(", *_commas(kids), f"{tail})"]
+
+
+def _commas(terms) -> list:
+    """``terms`` with a "," between neighbours."""
+    return [x for t in terms for x in (",", t)][1:]
 
 
 def serialize_program(prog: PPProgram, name: str = "translated") -> str:

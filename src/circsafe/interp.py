@@ -26,10 +26,8 @@ from operator import attrgetter, is_
 from typing import Callable, NamedTuple, Optional, Sequence, TypeVar
 
 from .kernel import (
-    ProofGraph,
-    RuleKind,
-    sccs,
-    tuple_below,
+    _R_BOX_L, _R_BOX_R, _R_COND_B, _R_COND_N, _R_CUT_B, _R_CUT_N, _R_EXCH_B, _R_EXCH_N, _R_ID,
+    _R_ORACLE, _R_S0, _R_S1, _R_SREC, _R_WEAK_B, _R_WEAK_N, _R_ZERO, ProofGraph, sccs, tuple_below,
 )
 
 R = TypeVar("R")
@@ -283,14 +281,6 @@ def eval_proof(
 # ys), a memo cell's (_STORE, cell), and a run of successors'
 # [_SUCC, bits, count], which returns v << count | bits
 _SUCC, _STORE = "succ", "store"
-# rule kinds as module names: a global is read faster than an Enum member
-# (the long-input proof runs take about 1.5 times as long with RuleKind.X)
-(_R_ID, _R_ZERO, _R_S0, _R_S1, _R_WEAK_N, _R_WEAK_B, _R_EXCH_N, _R_EXCH_B, _R_BOX_L, _R_BOX_R,
- _R_CUT_N, _R_CUT_B, _R_COND_N, _R_COND_B, _R_SREC, _R_ORACLE) = (
-    RuleKind.ID, RuleKind.ZERO, RuleKind.S0, RuleKind.S1, RuleKind.WEAK_N, RuleKind.WEAK_B,
-    RuleKind.EXCH_N, RuleKind.EXCH_B, RuleKind.BOX_L, RuleKind.BOX_R, RuleKind.CUT_N,
-    RuleKind.CUT_B, RuleKind.COND_N, RuleKind.COND_B, RuleKind.SREC, RuleKind.ORACLE,
-)
 
 
 _SHORT_RUN = 1000  # expansions with an entry at every node and plain keys

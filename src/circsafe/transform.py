@@ -10,7 +10,7 @@ single function via rotation tags.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .kernel import (
     Node,
@@ -53,9 +53,6 @@ class ShapeViolation(TransformError):
 
 class NotProgressing(TransformError):
     pass
-
-
-Pos = tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -117,34 +114,52 @@ def bisimulation_classes(graph: ProofGraph) -> dict[str, int]:
     return {n: block_of[i] for i, n in enumerate(order)}
 
 
-@dataclass(frozen=True)
-class CnfNode:
+class CnfNode(NamedTuple):
     rule: Rule
     sequent: Sequent
-    children: tuple[Pos, ...]
+    children: list[int]  # positions, filled in as the walk numbers them
 
 
 @dataclass
 class CycleNF:
     """Finite unfolding tree with bud-to-companion backpointers.
 
-    ``ids`` holds the position id of every tree and bud position: "t"
-    followed by the premise indices of the root path, so "t" is the
-    root and "t01" its first premise's second premise.
+    A position is its pre-order number in the unfolding, leftmost
+    premise first, so the root is 0 and a position's subtree follows it.
+    Pre-order on a leftmost-first walk is the lexicographic order of root
+    paths, so sorting positions sorts them by root path.  ``parent`` and
+    ``index`` give each position's parent (-1 for the root) and the
+    premise index that leads to it.  Only output needs root paths:
+    ``path`` and ``label`` build them for one position, ``cnf_to_graph``
+    the printed ids of all.
     """
 
     name: str
-    tree: dict[Pos, CnfNode] = field(default_factory=dict)
-    buds: dict[Pos, Pos] = field(default_factory=dict)  # bud -> companion
-    node_of: dict[Pos, str] = field(default_factory=dict)  # source graph node
-    ids: dict[Pos, str] = field(default_factory=dict)  # position id
+    tree: dict[int, CnfNode] = field(default_factory=dict)
+    buds: dict[int, int] = field(default_factory=dict)  # bud -> companion
+    node_of: list[str] = field(default_factory=list)  # source graph node
+    parent: list[int] = field(default_factory=list)
+    index: list[int] = field(default_factory=list)
 
     @property
-    def companions(self) -> dict[Pos, tuple[Pos, ...]]:
-        out: dict[Pos, list[Pos]] = {}
+    def companions(self) -> dict[int, tuple[int, ...]]:
+        out: dict[int, list[int]] = {}
         for b, c in sorted(self.buds.items()):
             out.setdefault(c, []).append(b)
         return {c: tuple(bs) for c, bs in sorted(out.items())}
+
+    def path(self, pos: int) -> tuple[int, ...]:
+        """The premise indices from the root down to ``pos``."""
+        out = []
+        while pos > 0:
+            out.append(self.index[pos])
+            pos = self.parent[pos]
+        return tuple(reversed(out))
+
+    def label(self, pos: int) -> str:
+        """The printed id of ``pos``: "t" followed by its root path, so
+        "t" is the root and "t01" its first premise's second premise."""
+        return "t" + "".join(map(str, self.path(pos)))
 
 
 def cycle_normal_form(graph: ProofGraph) -> CycleNF:
@@ -169,51 +184,57 @@ def _cycle_normal_form(graph: ProofGraph) -> CycleNF:
     already occurs on the current root path becomes a bud pointing at
     that earlier occurrence.  The result is canonical for the graph.
 
-    One explicit-stack walk with a single root-path map, so no Python
-    recursion.  Time is linear in the total length of the positions it
-    creates (each is its parent's plus one index), plus the
-    O(n log n) minimisation: linear in the tree size for bounded depth,
-    quadratic in depth for a long path, as the output format dictates.
-    Callers that have validated ``graph`` more strictly call this directly.
+    One explicit-stack walk numbers the positions in the order it enters
+    them and keeps one map from class to position for the root path, so
+    it runs without recursion in time linear in the tree, after the
+    O(n log n) minimisation.  Callers that have validated ``graph`` more
+    strictly call this directly.
     """
     classes = bisimulation_classes(graph)
     cnf = CycleNF(graph.name)
-    tree, buds, node_of, ids = cnf.tree, cnf.buds, cnf.node_of, cnf.ids
-    on_path: dict[int, Pos] = {}  # class -> its position on the root path
-    # entries: (node, position, position id) to enter, or a class to
-    # take off the path once its subtree is done
-    stack: list = [(graph.root, (), "t")]
+    tree, buds, node_of, parent, index = cnf.tree, cnf.buds, cnf.node_of, cnf.parent, cnf.index
+    on_path: dict[int, int] = {}  # class -> its position on the root path
+    # entries: (node, parent position, premise index, the parent's
+    # children) to enter, or a class to take off the path once its
+    # subtree is done
+    stack: list = [(graph.root, -1, 0, [])]
     while stack:
         top = stack.pop()
         if type(top) is int:
             del on_path[top]
             continue
-        nid, pos, pid = top
-        node_of[pos] = nid
-        ids[pos] = pid
+        nid, up, i, siblings = top
+        pos = len(node_of)
+        node_of.append(nid)
+        parent.append(up)
+        index.append(i)
+        siblings.append(pos)
         cls = classes[nid]
         if cls in on_path:
             buds[pos] = on_path[cls]
             continue
         node = graph.nodes[nid]
-        children = tuple(pos + (i,) for i in range(len(node.premises)))
+        children: list[int] = []
         tree[pos] = CnfNode(node.rule, node.sequent, children)
         on_path[cls] = pos
         stack.append(cls)
-        for i in reversed(range(len(children))):
-            stack.append((node.premises[i], children[i], pid + str(i)))
+        for i in reversed(range(len(node.premises))):
+            stack.append((node.premises[i], pos, i, children))
     return cnf
 
 
-def close_open_sets(cnf: CycleNF, pos: Pos) -> tuple[list[Pos], list[Pos]]:
+def close_open_sets(cnf: CycleNF, pos: int) -> tuple[list[int], list[int]]:
     """Companions at-or-above ``pos`` of buds above it, and buds above
     ``pos`` whose companion sits strictly below it."""
+    parent = cnf.parent
 
-    def at_or_above(base: Pos, q: Pos) -> bool:
-        return q[: len(base)] == base
+    def at_or_above(base: int, q: int) -> bool:
+        while q > base:  # a parent precedes its children
+            q = parent[q]
+        return q == base
 
-    close: set[Pos] = set()
-    open_: set[Pos] = set()
+    close: set[int] = set()
+    open_: set[int] = set()
     for bud, comp in cnf.buds.items():
         if not at_or_above(pos, bud):
             continue
@@ -228,21 +249,26 @@ def cnf_to_graph(cnf: CycleNF) -> ProofGraph:
     """Refold the tree into a proof graph, marking companions with dis.
 
     Buds become premise edges pointing back at their companion's dis
-    node, which records its buds' position ids.
+    node, which records its buds' position ids.  The ids (``label`` of
+    every position) come from one forward pass: a parent precedes its
+    children.
     """
-    ids, buds = cnf.ids, cnf.buds
+    buds, parent, index, tree = cnf.buds, cnf.parent, cnf.index, cnf.tree
+    ids = ["t"]
+    for p in range(1, len(parent)):
+        ids.append(ids[parent[p]] + str(index[p]))
     companions = cnf.companions
     nodes: dict[str, Node] = {}
-    for pos, cn in cnf.tree.items():
-        prem = tuple(ids[buds.get(child, child)] for child in cn.children)
+    for pos, cn in tree.items():
         base = ids[pos]
+        prem = tuple([ids[buds.get(child, child)] for child in cn.children])
         if pos in companions:
-            bud_ids = tuple(ids[b] for b in companions[pos])
+            bud_ids = tuple([ids[b] for b in companions[pos]])
             nodes[base] = Node(Rule(RuleKind.DIS, buds=bud_ids), cn.sequent, (base + "c",))
             nodes[base + "c"] = Node(cn.rule, cn.sequent, prem)
         else:
             nodes[base] = Node(cn.rule, cn.sequent, prem)
-    return ProofGraph(cnf.name + "_cnf", ids[()], nodes)
+    return ProofGraph(cnf.name + "_cnf", "t", nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,10 @@ from __future__ import annotations
 from functools import partial
 from typing import Optional
 
-from .kernel import ProofGraph, RuleKind, sccs
+from .kernel import (
+    _R_BOX_L, _R_BOX_R, _R_COND_B, _R_COND_N, _R_CUT_B, _R_CUT_N, _R_EXCH_B, _R_EXCH_N, _R_ID,
+    _R_ORACLE, _R_S0, _R_S1, _R_WEAK_B, _R_WEAK_N, _R_ZERO, ProofGraph, sccs,
+)
 from .checker import classify
 from .interp import (
     Call,
@@ -32,7 +35,7 @@ from .interp import (
     Zero,
     map_terms,
 )
-from .transform import Pos, _cycle_normal_form
+from .transform import _cycle_normal_form
 
 
 class TranslateError(Exception):
@@ -66,7 +69,7 @@ def translate(graph: ProofGraph) -> PPProgram:
     cnf = _cycle_normal_form(graph)  # classify validated it
     fname = {pos: f"f{i}" for i, pos in enumerate(sorted(cnf.companions))}
 
-    def walk(top: Pos, start: Optional[Pos]) -> PPFunction:
+    def walk(top: int, start: Optional[int]) -> PPFunction:
         """The function for the tree region at ``top``, built on an
         explicit stack; its calls are unguarded and unpadded.
 
@@ -107,40 +110,40 @@ def translate(graph: ProofGraph) -> PPProgram:
             node = cnf.tree[pos]
             kind = node.rule.kind
             ch = node.children
-            if kind is RuleKind.ID:
+            if kind is _R_ID:
                 done.append(senv[0])
-            elif kind is RuleKind.ZERO:
+            elif kind is _R_ZERO:
                 done.append(Zero())
-            elif kind is RuleKind.ORACLE:
+            elif kind is _R_ORACLE:
                 done.append(OracleCall(node.rule.oracle, tuple(nenv), tuple(senv)))
-            elif kind in (RuleKind.S0, RuleKind.S1):
-                todo.append((_BUILD, S0 if kind is RuleKind.S0 else S1, 1))
+            elif kind is _R_S0 or kind is _R_S1:
+                todo.append((_BUILD, S0 if kind is _R_S0 else S1, 1))
                 todo.append((_VISIT, ch[0], nenv, senv))
-            elif kind is RuleKind.WEAK_N:
+            elif kind is _R_WEAK_N:
                 todo.append((_VISIT, ch[0], nenv, senv[:-1]))
-            elif kind is RuleKind.WEAK_B:
+            elif kind is _R_WEAK_B:
                 todo.append((_VISIT, ch[0], nenv[1:], senv))
-            elif kind is RuleKind.EXCH_N:
+            elif kind is _R_EXCH_N:
                 p = node.rule.pos
                 todo.append((_VISIT, ch[0], nenv, senv[:p] + [senv[p + 1], senv[p]] + senv[p + 2 :]))
-            elif kind is RuleKind.EXCH_B:
+            elif kind is _R_EXCH_B:
                 p = node.rule.pos
                 todo.append((_VISIT, ch[0], nenv[:p] + [nenv[p + 1], nenv[p]] + nenv[p + 2 :], senv))
-            elif kind is RuleKind.BOX_L:
+            elif kind is _R_BOX_L:
                 todo.append((_VISIT, ch[0], nenv[1:], senv + [nenv[0]]))
-            elif kind is RuleKind.BOX_R:
+            elif kind is _R_BOX_R:
                 todo.append((_VISIT, ch[0], nenv, senv))
-            elif kind in (RuleKind.CUT_N, RuleKind.CUT_B):
-                todo.append((_CUT, ch[1], nenv, senv, kind is RuleKind.CUT_B))
+            elif kind is _R_CUT_N or kind is _R_CUT_B:
+                todo.append((_CUT, ch[1], nenv, senv, kind is _R_CUT_B))
                 todo.append((_VISIT, ch[0], nenv, senv))
-            elif kind is RuleKind.COND_N:
+            elif kind is _R_COND_N:
                 w = senv[-1]
                 rest = senv[:-1]
                 todo.append((_BUILD, partial(Cond, w), 3))
                 todo.append((_VISIT, ch[2], nenv, rest + [Pred(w)]))
                 todo.append((_VISIT, ch[1], nenv, rest + [Pred(w)]))
                 todo.append((_VISIT, ch[0], nenv, rest))
-            elif kind is RuleKind.COND_B:
+            elif kind is _R_COND_B:
                 x = nenv[0]
                 rest = nenv[1:]
                 todo.append((_BUILD, partial(Cond, x), 3))
@@ -148,12 +151,12 @@ def translate(graph: ProofGraph) -> PPProgram:
                 todo.append((_VISIT, ch[1], [Pred(x)] + rest, senv))
                 todo.append((_VISIT, ch[0], rest, senv))
             else:
-                raise TranslateError(f"rule {kind.value} at {pos} is not translatable")
+                raise TranslateError(f"rule {kind.value} at {cnf.label(pos)} is not translatable")
         (body,) = done
         return PPFunction(fname.get(start, MAIN), seq.boxed, seq.plain, body)
 
     companion_fns = [walk(c, c) for c in fname]
-    draft = PPProgram({f.name: f for f in companion_fns + [walk((), None)]}, guard)
+    draft = PPProgram({f.name: f for f in companion_fns + [walk(0, None)]}, guard)
     comp_of = {nm: i for i, comp in enumerate(sccs(draft.call_graph())) for nm in comp}
     big_m = max((f.normals for f in companion_fns), default=0)
     big_n = max((f.safes for f in companion_fns), default=0)

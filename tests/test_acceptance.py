@@ -264,9 +264,11 @@ def test_criterion_8_cycle_nf_structure(proofs, terms):
         cnf = cycle_normal_form(g)
         classes = bisimulation_classes(g)
         buds = sorted(cnf.buds)
+        paths = {b: cnf.path(b) for b in buds}
         for i, a in enumerate(buds):
             for b in buds[i + 1 :]:
-                assert a != b[: len(a)] and b != a[: len(b)], (name, "antichain")
+                pa, pb = paths[a], paths[b]
+                assert pa != pb[: len(pa)] and pb != pa[: len(pb)], (name, "antichain")
         for pos, node in cnf.tree.items():
             if not node.children:
                 assert node.rule.kind in (RuleKind.ID, RuleKind.ZERO, RuleKind.ORACLE), name

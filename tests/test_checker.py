@@ -156,6 +156,22 @@ def test_diagnostics_flag_es_right_cut(proofs):
     assert any("rightmost premise of a plain cut" in v for v in flagged)
 
 
+def test_diagnostics_name_root_paths(proofs):
+    """Buds and companions come as root paths, in root-path order, and
+    violations name positions by their printed ids."""
+    reports = cycle_path_diagnostics(cycle_normal_form(proofs["E"]))
+    assert [(r.bud, r.companion) for r in reports] == [
+        ((1, 0), ()), ((1, 1, 0, 0), ()), ((2, 0), ()), ((2, 1, 0, 0), ())
+    ]
+    assert [r.clause3_violations for r in reports] == [
+        [],
+        ["t1: rightmost premise of a plain cut", "t110: plain weakening on the path"],
+        [],
+        ["t2: rightmost premise of a plain cut", "t210: plain weakening on the path"],
+    ]
+    assert all(r.has_boxed_conditional and not r.clause2_violations for r in reports)
+
+
 def test_classify_rejects_invalid():
     g = ProofGraph("broken", "a", {"a": Node(Rule(RuleKind.ID), Sequent(1, 1), ())})
     c = classify(g)

@@ -15,8 +15,20 @@ from circsafe.transform import (
 )
 
 
-def is_ancestor(a, b):
-    return b[: len(a)] == a
+def is_ancestor(cnf, a, b):
+    """Whether position ``a`` is ``b`` or above it, by walking up from ``b``."""
+    while b > a:
+        b = cnf.parent[b]
+    return b == a
+
+
+def strict_ancestors(cnf, pos):
+    """The positions above ``pos``, root first."""
+    out = []
+    while pos > 0:
+        pos = cnf.parent[pos]
+        out.append(pos)
+    return out[::-1]
 
 
 def test_every_leaf_is_axiom_or_bud(proofs):
@@ -33,7 +45,7 @@ def test_companions_are_strict_ancestors(proofs):
     for name, g in proofs.items():
         cnf = cycle_normal_form(g)
         for bud, comp in cnf.buds.items():
-            assert comp != bud and is_ancestor(comp, bud), (name, bud, comp)
+            assert comp != bud and is_ancestor(cnf, comp, bud), (name, bud, comp)
 
 
 def test_buds_form_an_antichain(proofs):
@@ -42,7 +54,7 @@ def test_buds_form_an_antichain(proofs):
         buds = sorted(cnf.buds)
         for i, a in enumerate(buds):
             for b in buds[i + 1 :]:
-                assert not is_ancestor(a, b) and not is_ancestor(b, a), (name, a, b)
+                assert not is_ancestor(cnf, a, b) and not is_ancestor(cnf, b, a), (name, a, b)
 
 
 def test_bud_and_companion_are_bisimilar(proofs):
@@ -59,21 +71,36 @@ def test_below_bar_nodes_pairwise_distinct_along_branches(proofs):
         cnf = cycle_normal_form(g)
         for bud in cnf.buds:
             seen = set()
-            for d in range(len(bud)):
-                c = classes[cnf.node_of[bud[:d]]]
+            for d, pos in enumerate(strict_ancestors(cnf, bud)):
+                c = classes[cnf.node_of[pos]]
                 assert c not in seen, (name, bud, d)
                 seen.add(c)
 
 
 def test_s_companion_is_root(proofs):
     cnf = cycle_normal_form(proofs["S"])
-    assert list(cnf.companions) == [()]
+    assert list(cnf.companions) == [0]
     assert len(cnf.buds) == 1
 
 
 def test_c_has_two_companions(proofs):
     cnf = cycle_normal_form(proofs["C"])
-    assert sorted(cnf.companions) == [(), (0,)]
+    assert sorted(cnf.companions) == [0, 1]
+    assert cnf.path(1) == (0,)
+
+
+def test_positions_are_the_preorder_of_root_paths(proofs):
+    for name, g in proofs.items():
+        cnf = cycle_normal_form(g)
+        n = len(cnf.node_of)
+        assert sorted([*cnf.tree, *cnf.buds]) == list(range(n)) and cnf.parent[0] == -1, name
+        for pos, node in cnf.tree.items():
+            for i, child in enumerate(node.children):
+                assert (cnf.parent[child], cnf.index[child]) == (pos, i), (name, child)
+                assert cnf.path(child) == cnf.path(pos) + (i,), (name, child)
+        paths = [cnf.path(p) for p in range(n)]
+        assert paths == sorted(paths) and len(set(paths)) == n, name
+        assert [cnf.label(p) for p in range(n)] == ["t" + "".join(map(str, q)) for q in paths], name
 
 
 def test_acyclic_unfolds_to_budless_tree(terms):
@@ -84,9 +111,9 @@ def test_acyclic_unfolds_to_budless_tree(terms):
 
 def test_close_open_examples(proofs):
     cnf = cycle_normal_form(proofs["C"])
-    close, open_ = close_open_sets(cnf, ())
+    close, open_ = close_open_sets(cnf, 0)
     assert open_ == []  # the root always has an empty open set
-    assert close == [(), (0,)]
+    assert close == [0, 1]
     for bud in cnf.buds:
         close_b, open_b = close_open_sets(cnf, bud)
         assert open_b == [bud] and close_b == [], bud
@@ -95,11 +122,10 @@ def test_close_open_examples(proofs):
 def test_close_open_enumeration_on_s(proofs):
     cnf = cycle_normal_form(proofs["S"])
     bud = next(iter(cnf.buds))
-    for d in range(len(bud) + 1):
-        pos = bud[:d]
+    for d, pos in enumerate(strict_ancestors(cnf, bud) + [bud]):
         close, open_ = close_open_sets(cnf, pos)
         if d == 0:
-            assert close == [()] and open_ == []
+            assert close == [0] and open_ == []
         else:
             # the companion (the root) now lies strictly below
             assert close == [] and open_ == [bud]

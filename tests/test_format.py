@@ -20,7 +20,7 @@ from circsafe.formats import (
     serialize_proof,
     serialize_termdef,
 )
-from circsafe.interp import S0, OracleCall, Proj, TermDef, eval_pp, eval_term
+from circsafe.interp import S0, S1, OracleCall, Proj, TermDef, eval_pp, eval_term
 from circsafe.transform import cnf_to_graph, cycle_normal_form
 from circsafe.translate import translate
 
@@ -58,6 +58,21 @@ def test_zone_violation():
     with pytest.raises(ParseError) as e:
         parse_proof("proof x root a\nnode a : id seq N,bN => N premises []\n")
     assert "boxed type after a plain one" in str(e.value)
+
+
+def test_nodes_with_one_label_text_share_its_rule_and_sequent():
+    g = parse_proof(serialize_proof(chain_graph([0, 1, 1, 0, 1])))
+    seen = {}
+    for node in g.nodes.values():
+        key = (str(node.rule), str(node.sequent))
+        rule, seq = seen.setdefault(key, (node.rule, node.sequent))
+        assert node.rule is rule and node.sequent is seq, key
+    assert len(seen) == 3 and len(g.nodes) == 6
+    # a bad label is reported at its first line, with that line's column
+    doc = "proof x root a\nnode a : s0 seq N => N premises [b]\nnode b : id seq N, bN => N premises []\n"
+    with pytest.raises(ParseError) as e:
+        parse_proof(doc)
+    assert str(e.value) == "line 3, column 16: boxed type after a plain one in the context"
 
 
 def test_comments_and_blank_lines():
@@ -173,6 +188,25 @@ def test_parse_terms_is_linear_in_line_length():
             parse_terms(text)
             best[text] = min(best[text], time.perf_counter() - t)
     assert best[long] < 20 * best[short], best
+
+
+def test_serialize_term_is_linear_in_depth():
+    # s0(s1(...s0(y0)...)): each level's text holds all the levels below
+    def termdef(depth):
+        t = Proj("s", 0)
+        for j in range(depth):
+            t = (S1 if j % 2 else S0)(t)
+        return TermDef("deep", 0, 1, t)
+
+    tds = {depth: termdef(depth) for depth in (1_000, 10_000)}
+    assert serialize_termdef(tds[10_000]).count("s0(") == 5_000
+    best = dict.fromkeys(tds, float("inf"))
+    for _ in range(3):  # interleaved, so a slow spell of the machine hits both
+        for depth, td in tds.items():
+            t = time.perf_counter()
+            serialize_termdef(td)
+            best[depth] = min(best[depth], time.perf_counter() - t)
+    assert best[10_000] < 20 * best[1_000], best
 
 
 def test_corpus_documents_are_canonical():

@@ -131,3 +131,10 @@ def test_srec_and_dis_flagged_in_circular_inputs():
     # apart from the deliberately wrong id shape
     errs = validate_graph(g, allow_srec=True)
     assert all("srec" not in e.message for e in errs)
+
+
+def test_rule_kind_aliases_name_their_members():
+    import circsafe.kernel as kernel
+
+    for kind in RuleKind:
+        assert getattr(kernel, f"_R_{kind.name}") is kind

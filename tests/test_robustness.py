@@ -46,6 +46,7 @@ def test_cycle_nf_canonical_under_renaming(proofs):
                 p: (n.rule, n.sequent, n.children) for p, n in r.tree.items()
             }, name
             assert base.buds == r.buds, name
+            assert (base.parent, base.index) == (r.parent, r.index), name
 
 
 def test_zero_fallback_mode_equals_strict_on_accepted(proofs):

@@ -2,11 +2,12 @@
 
 ``check``, ``cyclenf`` and ``translate`` run on explicit stacks, so a
 3200-node chain or loop goes through the command line under the
-default recursion limit, and ``classify`` is linear enough for 10**5
-nodes.  ``cyclenf`` itself cannot be taken to 10**5 nodes: its position
-ids spell the root path, so its output grows with the square of the
-depth, by format (a 10**5-node chain would print some 5 * 10**9
-characters of ids).
+default recursion limit.  ``check`` and ``translate`` number tree
+positions by pre-order and build no root path, so they take time
+linear in the graph (2 * 10**4 nodes below), and ``classify`` is linear
+enough for 10**5 nodes.  Only ``cyclenf``'s printed position ids grow
+with the square of the depth, by format: they spell the root path, so
+a 10**5-node chain would print some 5 * 10**9 characters of ids.
 """
 
 import random
@@ -45,6 +46,29 @@ def test_cli_pipeline_on_3200_nodes(graph, capsys, tmp_path):
     folded = parse_proof(cnf.read_text())
     assert len(folded.nodes) == 3200 + (graph.name.startswith("loop"))
     assert pp.read_text().startswith(f"program {graph.name} guard strictsafe\n")
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [chain_graph(_digits(19999, 5)), loop_graph(_digits(9999, 6), _digits(9999, 7))],
+    ids=["chain20000", "loop20000"],
+)
+def test_check_and_translate_on_20000_nodes(graph, capsys, tmp_path):
+    assert len(graph.nodes) == 20000
+    limit = sys.getrecursionlimit()
+    src, pp = tmp_path / "g.proof", tmp_path / "g.pp"
+    src.write_text(serialize_proof(graph))
+    start = time.perf_counter()
+    assert main(["check", str(src)]) == 0
+    assert "class=CB" in capsys.readouterr().out
+    assert main(["translate", str(src), "-o", str(pp)]) == 0
+    elapsed = time.perf_counter() - start
+    assert sys.getrecursionlimit() == limit
+    assert pp.read_text().startswith(f"program {graph.name} guard strictsafe\n")
+    # about 3 s for the chain on a 2-core x86-64 machine with CPython
+    # 3.11; root-path positions took 2.6 s for translate alone at 10**4
+    # nodes and grow with the square of the depth
+    assert elapsed < 15.0, elapsed
 
 
 def test_classify_on_a_100000_node_chain():
