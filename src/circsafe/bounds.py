@@ -339,6 +339,8 @@ def verify_bound(
     worst slack seen (bound minus actual length).  Samples are drawn up
     front from one seeded stream.
     """
+    if samples < 0:
+        raise ValueError(f"samples must be nonnegative, got {samples}")
     pair = pair or synthesize_bound(td.body)
     bound_of = InputBound(pair, tuple(constants))
     rng = random.Random(seed)

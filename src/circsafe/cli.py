@@ -284,6 +284,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if cap:  # values are read and printed in full, past CPython's cap on decimal digits
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except ParseError as e:
@@ -300,6 +303,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return BAD_INPUT
+    finally:
+        if cap:
+            sys.set_int_max_str_digits(cap)
 
 
 if __name__ == "__main__":

@@ -2,11 +2,11 @@
 
 Proof graphs are run as equational programs on an explicit work stack
 (cycles unfold lazily, a fuel budget bounds the number of rule-step
-expansions, memo entries are kept only where a long run can read them
-back).  Terms are a two-sorted function algebra with oracles and the
-recursion schemes on notation and on permutations of prefixes; programs
-over the prefix-permutation order add guarded calls between named
-functions.
+expansions, memo entries are kept only at nodes where a run can read
+them back).  Terms are a two-sorted function algebra with oracles and
+the recursion schemes on notation and on permutations of prefixes;
+programs over the prefix-permutation order add guarded calls between
+named functions.
 
 Terms and programs compile once into closures for fixed argument counts
 (``eval_term`` caches them, ``eval_pp`` compiles a body on its first
@@ -66,12 +66,13 @@ class EvalStats:
 
     ``steps`` counts node expansions (``eval_proof``, memo hits
     included) or entered program calls (``eval_pp``, memo hits not
-    included).  ``memo_keys`` counts the distinct keys evaluated with
-    memoization on, whether or not the run stored an entry for them.
-    On a run that raises it counts the keys whose value was found, and
-    an ``eval_proof`` run past ``_SHORT_RUN`` expansions also counts the
-    keys without an entry whose expansion had begun.  ``max_depth`` is
-    the deepest nesting of program calls (``eval_pp``).
+    included).  ``memo_keys`` counts the distinct keys whose evaluation
+    began with memoization on, whether or not the run stored an entry
+    for them; a run that raises counts those it did not finish too.
+    ``eval_proof`` counts each expansion at a node without an entry as a
+    key, so a run that never returns may count such a key once per
+    expansion.  ``max_depth`` is the deepest nesting of program calls
+    (``eval_pp``).
     """
 
     steps: int = 0
@@ -126,21 +127,17 @@ def eval_proof(
     """Value of the sub-proof at ``nid`` applied to the given inputs.
 
     Each expansion of a node at some inputs costs one unit of fuel and
-    counts one step, a memo hit included.  A run keeps a memo entry at
-    every node for its first ``_SHORT_RUN`` expansions.  Past that it
-    computes ``_repeatable`` once, drops the other nodes' entries and
-    stores entries only at those nodes: in a run that returns, a run
-    with an entry at every node finds its hits only there.  Long runs
-    also add the inputs' bit lengths to the key: an int hashes to itself
-    modulo 2**61 - 1, so appending 61 one-bits to a value keeps its
-    hash, and all-ones inputs or values grown by appending ones would
-    share hashes.  A run that returns has the value, steps, fuel, memo
-    hits and ``memo_keys`` of a run with an entry at every node, and so
-    does a run that raises before the switch.  A run that diverges past
-    the switch may expand again a key that the other run would find in
-    its memo, so it may run out of fuel while expanding another node.
-    Successor steps with no other continuation between them share one
-    frame, which returns ``v << count | bits`` at once.
+    counts one step, a memo hit included.  With memoization on, the run
+    keeps memo entries only at the nodes of ``_repeatable``, fixed before
+    the first expansion, under ``_long_key``s: a run with an entry at
+    every node finds its hits only there if it returns.  So a run that
+    returns has that run's value, steps, fuel, memo hits and
+    ``memo_keys``, and so does a run cut short on the way (out of fuel,
+    say).  A run that never returns may expand again a key that the
+    other run would find in its memo, so it may run out of fuel while
+    expanding another node.  Successor steps with no other continuation
+    between them share one frame, which returns ``v << count | bits`` at
+    once.
     """
     cfg = cfg or EvalConfig()
     node = graph.nodes.get(nid)
@@ -155,9 +152,8 @@ def eval_proof(
     nodes = graph.nodes
     fuel = cfg.fuel
     memo: Optional[dict] = {} if cfg.memo else None
-    repeat = nodes if cfg.memo else ()  # nodes that keep memo entries
-    long_run, switch = False, fuel - _SHORT_RUN if cfg.memo else -1
-    keyed = dropped = 0  # expansions that looked up an entry; entries dropped at the switch
+    repeat = _repeatable(graph, nid) if cfg.memo else ()  # nodes that keep memo entries
+    keyed = 0  # expansions that looked up an entry
     work: list = []  # continuations, innermost last
     n, xs, ys = nid, tuple(normals), tuple(safes)
     try:
@@ -166,14 +162,10 @@ def eval_proof(
             fuel -= 1
             if fuel < 0:
                 raise FuelExhausted(f"fuel exhausted while expanding {n}")
-            if fuel == switch:
-                long_run, repeat = True, _repeatable(graph, nid)
-                dropped = _lengthen_keys(memo, repeat)  # no other entry is read again
             v = None
             if n in repeat:
                 keyed += 1
-                key = _long_key(n, xs, ys) if long_run else (n, xs, ys)
-                cell = memo.setdefault(key, [None])  # one hash of the key
+                cell = memo.setdefault(_long_key(n, xs, ys), [None])  # one hash of the key
                 v = cell[0]
                 if v is None:
                     work.append((_STORE, cell))
@@ -265,16 +257,14 @@ def eval_proof(
                         xs = (v,) + xs
                     break
             else:
-                work = None  # returned: every memo cell holds its value
                 return v
     finally:
         if stats is not None:
             steps = cfg.fuel - fuel
             stats.steps += steps
             if memo is not None:
-                stored = len(memo) if work is None else sum(cell[0] is not None for cell in memo.values())
                 begun = steps - (fuel < 0)  # an expansion refused for want of fuel never began
-                stats.memo_keys = stored + begun - keyed + dropped
+                stats.memo_keys = len(memo) + begun - keyed
 
 
 # continuation frames of eval_proof: a cut's (kind, right premise, xs,
@@ -283,27 +273,23 @@ def eval_proof(
 _SUCC, _STORE = "succ", "store"
 
 
-_SHORT_RUN = 1000  # expansions with an entry at every node and plain keys
+_SHORT_RUN = 1000  # eval_pp calls under plain keys, before its switch to long keys
 _bits = int.bit_length
 
 
 def _long_key(n: str, xs: tuple, ys: tuple) -> tuple:
-    """The memo key of a long run: the inputs' bit lengths keep apart
-    values that differ by runs of 61 appended one-bits, which share
-    their hash."""
+    """A memo key that adds the inputs' bit lengths: an int hashes to
+    itself modulo 2**61 - 1, so appending 61 one-bits to a value keeps
+    its hash, and all-ones inputs or values grown by appending ones
+    would share hashes."""
     return n, xs, ys, sum(map(_bits, xs)), sum(map(_bits, ys))
 
 
-def _lengthen_keys(memo: dict, keep=None) -> int:
-    """Replace each plain key ``(n, xs, ys)`` of ``memo`` by its long key,
-    dropping the entries whose ``n`` is not in ``keep`` (None keeps all).
-    Returns how many were dropped."""
+def _lengthen_keys(memo: dict) -> None:
+    """Replace each plain key ``(n, xs, ys)`` of ``memo`` by its long key."""
     entries = list(memo.items())
     memo.clear()
-    for key, cell in entries:
-        if keep is None or key[0] in keep:
-            memo[_long_key(*key)] = cell
-    return len(entries) - len(memo)
+    memo.update((_long_key(*key), cell) for key, cell in entries)
 
 
 def _repeatable(graph: ProofGraph, nid: str) -> frozenset:
@@ -921,10 +907,10 @@ class _Run:
     def __init__(self, prog: PPProgram, env: OracleEnv, cfg: EvalConfig) -> None:
         self.prog, self.defs = prog, env._defs
         self.strict = cfg.guard_mode == "strict"
-        # memo cells [value], keyed by the request, by its _long_key once
-        # _SHORT_RUN calls are made (fuel below switch): translated E's
-        # requests at 12-bit all-ones inputs fall into 491 hash classes
-        # for 8192 keys
+        # memo cells [value], keyed by the request, which hashes faster,
+        # then by its _long_key once _SHORT_RUN calls are made (fuel below
+        # switch): translated E's requests at 12-bit all-ones inputs fall
+        # into 491 hash classes for 8192 keys
         self.memo: Optional[dict] = {} if cfg.memo else None
         self.fuel, self.switch = cfg.fuel, cfg.fuel - _SHORT_RUN
         self.depth, self.max_depth, self.steps = 0, 0, 0
@@ -1155,9 +1141,8 @@ def eval_pp(
         if stats is not None:
             stats.steps += run.steps
             stats.max_depth = max(stats.max_depth, run.max_depth)
-            stored = sum(cell[0] is not None for cell in (run.memo or {}).values())
-            if stored:
-                stats.memo_keys = stored
+            if run.memo is not None:
+                stats.memo_keys = len(run.memo)
 
 
 # ---------------------------------------------------------------------------

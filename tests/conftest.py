@@ -195,17 +195,20 @@ def nest_graph(m: int) -> ProofGraph:
 # Independent oracle for the statistics of interp.eval_proof: the rules
 # read as equations, one Python call per expansion, with a memo entry
 # for every (node, normals, safes) key once its value is known.  A
-# memo hit still counts as a step.  Premises run left to right, and
+# memo hit still counts as a step.  The memo keys counted are those
+# whose expansion began, finished or not, which is the table's size on
+# a run that returns.  Premises run left to right, and
 # srec computes its recursive value before the step premise.  The
 # recursion is Python's, so keep inputs and cycles short.
 
 
 def ref_proof_stats(graph: ProofGraph, normals, safes, memo: bool = True, fuel=None, oracles=None) -> tuple:
-    """(value, steps, memo keys, memo hits) of the sub-proof at the root.
-    Past ``fuel`` steps the value is None and the counts are those when
-    the next step would have begun.  Oracle leaves call the functions
+    """(value, steps, memo keys begun, memo hits) of the sub-proof at the
+    root.  Past ``fuel`` steps the value is None and the counts are those
+    when the next step would have begun.  Oracle leaves call the functions
     that ``oracles`` (an ``OracleEnv``) names."""
     table: dict = {}
+    begun: set = set()
     count = {"steps": 0, "hits": 0}
 
     def ev(n, xs, ys):
@@ -213,9 +216,11 @@ def ref_proof_stats(graph: ProofGraph, normals, safes, memo: bool = True, fuel=N
             raise _OutOfFuel
         count["steps"] += 1
         key = (n, xs, ys)
-        if memo and key in table:
-            count["hits"] += 1
-            return table[key]
+        if memo:
+            if key in table:
+                count["hits"] += 1
+                return table[key]
+            begun.add(key)
         node = graph.nodes[n]
         kind, pr, pos = node.rule.kind, node.premises, node.rule.pos
         if kind is RuleKind.ID:
@@ -265,7 +270,7 @@ def ref_proof_stats(graph: ProofGraph, normals, safes, memo: bool = True, fuel=N
         value = ev(graph.root, tuple(normals), tuple(safes))
     except _OutOfFuel:
         value = None
-    return value, count["steps"], len(table), count["hits"]
+    return value, count["steps"], len(begun), count["hits"]
 
 
 class _OutOfFuel(Exception):

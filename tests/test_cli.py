@@ -1,6 +1,7 @@
 """Exit-code contract and determinism of the command-line front end."""
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -79,6 +80,23 @@ def test_eval_c(capsys):
     assert code == 0 and out.strip() == "30"
 
 
+def test_values_past_the_str_digit_cap(capsys, tmp_path):
+    """Values of over 4300 decimal digits, CPython's default cap on int
+    conversion, are read and printed in full, and the cap is the same
+    after ``main`` as before, whatever the exit code."""
+    cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out, err = run(capsys, "eval", CORPUS / "N.proof", "--normals", "16000")
+    assert (code, err, len(out.strip())) == (0, "", 4817)
+    assert int(out.strip()[-40:]) == pow(2, 16000, 10**40) - 1
+    ident = tmp_path / "ident.term"
+    ident.write_text("program t guard strict\nfn main(0;1) = y0\n")
+    for value in ("7" * 5000, out.strip()):
+        code, out2, err = run(capsys, "eval-pp", ident, "--safes", value)
+        assert (code, err, out2) == (0, "", value + "\n")
+    code, _, _ = run(capsys, "eval", CORPUS / "N.proof", "--normals", "x")
+    assert code == 2 and getattr(sys, "get_int_max_str_digits", lambda: None)() == cap
+
+
 def test_compile_then_check_pipeline(capsys, tmp_path):
     proof = tmp_path / "ex.proof"
     code, _, _ = run(capsys, "compile", CORPUS / "terms.term", "--name", "ex", "--target", "circular", "-o", proof)
@@ -138,6 +156,8 @@ def test_bound_and_verify(capsys, tmp_path):
         capsys, "verify-bound", CORPUS / "terms.term", "--name", "append", "--samples", "50", "--seed", "9"
     )
     assert code == 0 and "violations = 0" in out
+    code, out, err = run(capsys, "verify-bound", CORPUS / "terms.term", "--name", "ex", "--samples", "-5")
+    assert (code, out) == (2, "") and "samples must be nonnegative" in err
 
 
 def test_export_dot(capsys, tmp_path):

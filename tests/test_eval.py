@@ -371,8 +371,11 @@ def test_program_stats_and_fuel_count_memo_hits(proofs):
         assert (stats.steps, stats.memo_keys, stats.max_depth) == (steps, 24 if memo else 0, 6)
         # every call costs fuel, a memo hit included
         assert eval_pp(prog, MAIN, None, [9], [], EvalConfig(fuel=32, memo=memo)) == 511
+        stats = EvalStats()
         with pytest.raises(FuelExhausted):
-            eval_pp(prog, MAIN, None, [9], [], EvalConfig(fuel=31, memo=memo))
+            eval_pp(prog, MAIN, None, [9], [], EvalConfig(fuel=31, memo=memo), stats)
+        # memo_keys counts the keys begun, those of the calls still open included
+        assert (stats.steps, stats.memo_keys) == (24 if memo else 31, 24 if memo else 0)
 
 
 def test_free_rec_resolves_to_host_oracle():

@@ -104,10 +104,10 @@ def eval_stats() -> dict[str, dict]:
 
 @pytest.mark.parametrize("short_run", [1, 5, None])
 def test_eval_stats_match_golden(monkeypatch, short_run):
-    # the point where a run switches to long memo keys (and eval_proof to
-    # entries at repeatable nodes only): at once, early enough that
-    # entries made before it are read after it, or the default, which
-    # these short runs never reach
+    # the point where an eval_pp run switches to long memo keys: at once,
+    # early enough that entries made before it are read after it, or the
+    # default, which these short runs never reach (eval_proof has long
+    # keys from the first expansion, so it runs the same code each time)
     if short_run is not None:
         monkeypatch.setattr(interp, "_SHORT_RUN", short_run)
     want = json.loads(GOLDEN.read_text(encoding="utf-8"))

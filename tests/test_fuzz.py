@@ -213,23 +213,21 @@ def test_random_nb_terms_whole_pipeline():
     assert made == 60
 
 
-@pytest.mark.parametrize("short_run", [1, 40, None])
-def test_eval_proof_statistics_match_the_memo_everywhere_reference(monkeypatch, short_run):
+@pytest.mark.parametrize("cut", [1, 40, None])
+def test_eval_proof_statistics_match_the_memo_everywhere_reference(cut):
     """Value, steps and memo keys of ``eval_proof`` equal those of a run
     that keeps a memo entry at every node (``ref_proof_stats``), with
-    memoization on and off, on the corpus, on compiled random terms and
-    on mutated corpus graphs that evaluate.  ``short_run`` moves the
-    point where a run starts to keep entries only at repeatable nodes
-    (None: the default, which only the all-ones runs at the end reach)."""
+    memoization on and off, on the corpus, on compiled random terms, on
+    mutated corpus graphs that evaluate and on all-ones runs of over a
+    thousand expansions.  ``cut`` (None: no cut) is a second fuel: each
+    run that takes more steps is run again with it and reports the
+    reference's counts at the step where it stops."""
     from conftest import ref_proof_stats
 
-    from circsafe import interp
     from circsafe.compilealg import nb_to_circular
     from circsafe.corpus import proof
     from circsafe.interp import EvalError, EvalStats, FuelExhausted, SNRec
 
-    if short_run is not None:
-        monkeypatch.setattr(interp, "_SHORT_RUN", short_run)
     rng = random.Random(4242)
     graphs = [(g, 7) for g in standard_proofs().values()]
     graphs += [(proof(n), 7) for n in ("N_UNSAFE", "P_UNSAFE")]
@@ -259,22 +257,41 @@ def test_eval_proof_statistics_match_the_memo_everywhere_reference(monkeypatch, 
                 assert (got, stats.steps, stats.memo_keys) == (value, steps, keys), (g.name, xs, ys, memo)
                 hits[g.name] = hits.get(g.name, 0) + hit
                 checked += 1
+                if cut is not None and cut < steps:
+                    _assert_cut_like_reference(g, xs, ys, memo, cut)
     assert checked > 1500
     assert hits["N"] > 0 and hits["N_UNSAFE"] > 0
-    # all-ones runs past the default switch point
+    # all-ones runs of over a thousand expansions
     long_runs = (("E", [2**9 - 1], [3]), ("N", [2**10 - 1], []), ("S", [2**210 - 1], []), ("L", [2**200 - 1], [5]))
     for name, xs, ys in long_runs:
         g, stats = proof(name), EvalStats()
         got = eval_proof(g, g.root, xs, ys, None, None, stats)
         value, steps, keys, _ = ref_proof_stats(g, xs, ys)
         assert steps > 1000 and (got, stats.steps, stats.memo_keys) == (value, steps, keys), name
+        if cut is not None:
+            for memo in (True, False):
+                _assert_cut_like_reference(g, xs, ys, memo, cut)
+
+
+def _assert_cut_like_reference(g, xs, ys, memo: bool, fuel: int) -> None:
+    """A run of ``g`` that runs out of ``fuel`` reports the steps and memo
+    keys of the memo-everywhere reference cut at the same fuel."""
+    from conftest import ref_proof_stats
+
+    from circsafe.interp import EvalStats, FuelExhausted
+
+    stats = EvalStats()
+    with pytest.raises(FuelExhausted):
+        eval_proof(g, g.root, xs, ys, EvalConfig(fuel=fuel, memo=memo), None, stats)
+    value, steps, keys, _ = ref_proof_stats(g, xs, ys, memo, fuel)
+    assert value is None and (stats.steps, stats.memo_keys) == (steps + 1, keys), (g.name, xs, ys, memo, fuel)
 
 
 def test_eval_proof_statistics_when_fuel_runs_out():
     """A run that runs out of fuel reports the steps it took and the keys
-    whose value it found, as the memo-everywhere reference does at the
-    same fuel (runs shorter than the switch to entries at repeatable
-    nodes only)."""
+    whose expansion began, as the memo-everywhere reference does at the
+    same fuel, on short runs and on the all-ones S and L runs cut off at
+    half their steps."""
     from conftest import ref_proof_stats
 
     from circsafe.corpus import proof
@@ -302,6 +319,15 @@ def test_eval_proof_statistics_when_fuel_runs_out():
                     assert value is None and (stats.steps, stats.memo_keys) == (steps + 1, keys), (g.name, xs, ys, fuel)
                     checked += 1
     assert checked > 200
+    for name, xs, ys in (("S", [2**420 - 1], []), ("L", [2**400 - 1], [5])):  # over 2000 steps
+        g = proof(name)
+        _, full, _, _ = ref_proof_stats(g, xs, ys)
+        for memo in (True, False):
+            stats = EvalStats()
+            with pytest.raises(FuelExhausted):
+                eval_proof(g, g.root, xs, ys, EvalConfig(fuel=full // 2, memo=memo), None, stats)
+            _, steps, keys, _ = ref_proof_stats(g, xs, ys, memo, full // 2)
+            assert full // 2 > 1000 and (stats.steps, stats.memo_keys) == (steps + 1, keys), (name, memo)
 
 
 # Graphs with memo hits at a node that one condition of
@@ -403,17 +429,15 @@ def _same_as_memo_everywhere(g, nid, inputs, host: bool = False) -> int:
     return hits
 
 
-def test_memo_entries_stay_where_the_memo_everywhere_run_hits(monkeypatch):
+def test_memo_entries_stay_where_the_memo_everywhere_run_hits():
     """Each condition of ``_repeatable``'s rule keeps an entry that a run
-    hits; with the switch at the first expansion every run keeps entries
-    only there, and matches the run with an entry at every node.  ``m1``
-    is an oracle leaf under one injective edge: it keeps no entry, and
-    its host function is called once per distinct key all the same."""
-    from circsafe import interp
+    hits; every run keeps entries only there, and matches the run with
+    an entry at every node.  ``m1`` is an oracle leaf under one injective
+    edge: it keeps no entry, and its host function is called once per
+    distinct key all the same."""
     from circsafe.formats import parse_proof
     from circsafe.interp import _repeatable
 
-    monkeypatch.setattr(interp, "_SHORT_RUN", 1)
     inputs = {"twoslots": [([x], []) for x in (0, 1, 2, 5, 12)], "weakn": [([], [y]) for y in (0, 1, 2, 7)]}
     for (node, why), text in MEMO_RULE_GRAPHS.items():
         g = parse_proof(text)
@@ -427,15 +451,13 @@ def test_memo_entries_stay_where_the_memo_everywhere_run_hits(monkeypatch):
         assert hits > 0, why
 
 
-def test_memo_entries_for_a_run_started_below_the_root(monkeypatch):
+def test_memo_entries_for_a_run_started_below_the_root():
     """A run from a node other than the root counts only the edges from
     nodes it reaches: from ``u0`` in N (into which the unreached root
     ``m0`` has an edge too), and from ``m0`` in N with its root moved to
     ``u1``, which reaches none of the nodes that the run expands."""
-    from circsafe import interp
     from circsafe.corpus import proof
 
-    monkeypatch.setattr(interp, "_SHORT_RUN", 1)
     n = proof("N")
     assert "u0" in n.nodes["m0"].premises
     assert _same_as_memo_everywhere(n, "u0", [([x], [y]) for x in (0, 3, 6, 13) for y in (0, 5)]) > 0
