@@ -5,13 +5,21 @@ Every term gets a monotone expression e and a constant d with
 closed terms drop the middle summand.  Composition-free terms stay
 polynomial with d = 1, recursion multiplies in the sensitivity d and a
 power of it, which is where non-polynomial growth enters.
+
+A term's bound is derived in one bottom-up pass over its subterms, in
+time linear in the term and without Python's stack, and printing,
+testing and compiling an expression are loops over its nodes too.
+``verify_bound`` and ``input_bound`` derive and compile a term's bound
+once and then evaluate it for each sample as compiled code ``n -> int``.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from operator import attrgetter
+from typing import Callable, Optional, Sequence
 
 from .interp import (
     Call,
@@ -34,7 +42,7 @@ from .interp import (
     TermDef,
     Zero,
     eval_term,
-    is_bearing,
+    fold,
 )
 from .kernel import length
 
@@ -52,19 +60,36 @@ class BoundExpr:
     def __mul__(self, other: "BoundExpr") -> "BoundExpr":
         return bmul(self, other)
 
+    def __str__(self) -> str:
+        """Fully parenthesised infix: ``(a + b)``, ``(a * b)``, ``(a ^ b)``
+        and ``(outer @ n=inner)``, written left to right from a stack."""
+        out: list[str] = []
+        stack: list = [self]
+        while stack:
+            x = stack.pop()
+            t = type(x)
+            if t is str:
+                out.append(x)
+            elif t is Const:
+                out.append(str(x.value))
+            elif t is Var:
+                out.append("n")
+            else:
+                operands, infix, _ = _BINARY[t]
+                a, b = operands(x)
+                out.append("(")
+                stack += [")", b, infix, a]
+        return "".join(out)
+
 
 @dataclass(frozen=True)
 class Const(BoundExpr):
     value: int
 
-    def __str__(self) -> str:
-        return str(self.value)
-
 
 @dataclass(frozen=True)
 class Var(BoundExpr):
-    def __str__(self) -> str:
-        return "n"
+    pass
 
 
 @dataclass(frozen=True)
@@ -72,26 +97,17 @@ class Add(BoundExpr):
     left: BoundExpr
     right: BoundExpr
 
-    def __str__(self) -> str:
-        return f"({self.left} + {self.right})"
-
 
 @dataclass(frozen=True)
 class Mul(BoundExpr):
     left: BoundExpr
     right: BoundExpr
 
-    def __str__(self) -> str:
-        return f"({self.left} * {self.right})"
-
 
 @dataclass(frozen=True)
 class Pow(BoundExpr):
     base: BoundExpr
     exp: BoundExpr
-
-    def __str__(self) -> str:
-        return f"({self.base} ^ {self.exp})"
 
 
 @dataclass(frozen=True)
@@ -101,8 +117,14 @@ class Subst(BoundExpr):
     outer: BoundExpr
     inner: BoundExpr
 
-    def __str__(self) -> str:
-        return f"({self.outer} @ n={self.inner})"
+
+# the nodes with two operands: (operands, printed operator, Python operator)
+_BINARY = {
+    Add: (attrgetter("left", "right"), " + ", "+"),
+    Mul: (attrgetter("left", "right"), " * ", "*"),
+    Pow: (attrgetter("base", "exp"), " ^ ", "**"),
+    Subst: (attrgetter("outer", "inner"), " @ n=", None),
+}
 
 
 def badd(a: BoundExpr, b: BoundExpr) -> BoundExpr:
@@ -135,32 +157,66 @@ def bpow(base: BoundExpr, exp: BoundExpr) -> BoundExpr:
     return Pow(base, exp)
 
 
+def compile_bound(e: BoundExpr) -> Callable[[int], int]:
+    """``e`` as compiled code ``n -> int``.
+
+    The code is one assignment per operator node, in evaluation order,
+    so neither compiling nor running it recurses on the depth of ``e``.
+    A node shared at several places is computed once for each value of
+    n it is evaluated at (``Subst`` evaluates its outer side at another).
+    """
+    lines = ["def bound(n):"]
+    val: dict = {}  # (id(node), name of n's value there) -> operand text
+    stack = [(e, "n", 0)]  # state 0: operands still to do; 1, 2: operand(s) done
+    while stack:
+        x, n, state = stack.pop()
+        key = (id(x), n)
+        t = type(x)
+        if t is Const:
+            val[key] = str(x.value)
+        elif t is Var:
+            val[key] = n
+        elif state == 0:
+            if key not in val:  # a shared node is done by its first visit
+                a, b = _BINARY[t][0](x)
+                stack.append((x, n, 1))
+                # Subst's outer side waits for the name of the inner's value
+                stack += [(b, n, 0)] if t is Subst else [(b, n, 0), (a, n, 0)]
+        elif t is Subst:
+            m = val[(id(x.inner), n)]
+            if state == 1:
+                stack += [(x, n, 2), (x.outer, m, 0)]
+            else:
+                val[key] = val[(id(x.outer), m)]
+        else:
+            a, b = _BINARY[t][0](x)
+            val[key] = f"v{len(lines)}"
+            lines.append(f"    {val[key]} = {val[(id(a), n)]} {_BINARY[t][2]} {val[(id(b), n)]}")
+    lines.append(f"    return {val[(id(e), 'n')]}")
+    scope: dict = {}
+    exec("\n".join(lines), scope)
+    return scope["bound"]
+
+
 def beval(e: BoundExpr, n: int) -> int:
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        return n
-    if isinstance(e, Add):
-        return beval(e.left, n) + beval(e.right, n)
-    if isinstance(e, Mul):
-        return beval(e.left, n) * beval(e.right, n)
-    if isinstance(e, Pow):
-        return beval(e.base, n) ** beval(e.exp, n)
-    if isinstance(e, Subst):
-        return beval(e.outer, beval(e.inner, n))
-    raise TypeError(e)
+    """Value of ``e`` at ``n``.  Compiles ``e`` on every call; code that
+    evaluates one expression at many points calls ``compile_bound``."""
+    return compile_bound(e)(n)
 
 
 def is_polynomial(e: BoundExpr) -> bool:
-    if isinstance(e, Pow):
-        return False
-    if isinstance(e, (Const, Var)):
-        return True
-    if isinstance(e, (Add, Mul)):
-        return is_polynomial(e.left) and is_polynomial(e.right)
-    if isinstance(e, Subst):
-        return is_polynomial(e.outer) and is_polynomial(e.inner)
-    raise TypeError(e)
+    """Whether ``e`` has no power node."""
+    seen: set[int] = set()
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        t = type(x)
+        if t is Pow:
+            return False
+        if t in _BINARY and id(x) not in seen:
+            seen.add(id(x))
+            stack += _BINARY[t][0](x)
+    return True
 
 
 @dataclass(frozen=True)
@@ -181,79 +237,61 @@ INITIAL = BoundPair(badd(Const(1), Var()), 1)
 
 
 def synthesize_bound(term: Term) -> BoundPair:
-    """Bound pair by structural recursion over the term.
+    """Bound pair of ``term``, in one bottom-up pass over its subterms.
 
     Initial functions get 1+n with d=1, oracle calls get 0 with d=1,
     compositions add their bounds (d adds only when both sides call
-    oracles), and each recursion takes e(n) = n * d^n * e_step(n) with
-    the step's own d.
+    oracles), and each recursion takes e(n) = (n + 1) * d^n * e_step(n)
+    with the step's own d.  Beside its pair each subterm carries whether
+    it bears, that is contains an oracle or program call (``is_bearing``
+    with no peers), so no subtree is scanned twice.
     """
-    if isinstance(term, (Zero, Proj)):
-        return INITIAL
-    if isinstance(term, (S0, S1, Pred)):
-        sub = synthesize_bound(term.t)
-        return BoundPair(badd(badd(Const(1), Var()), sub.e), sub.d)
-    if isinstance(term, Cond):
-        subs = [synthesize_bound(t) for t in (term.w, term.x, term.y, term.z)]
+    return fold(term, _bound_step)[0]
+
+
+def _bound_step(t: Term, kids: list[tuple[BoundPair, bool]]) -> tuple[BoundPair, bool]:
+    """``t``'s bound pair and whether it bears, from its children's."""
+    subs = [s for s, _ in kids]
+    if isinstance(t, (Zero, Proj)):
+        pair = INITIAL
+    elif isinstance(t, (S0, S1, Pred)):
+        pair = BoundPair(badd(badd(Const(1), Var()), subs[0].e), subs[0].d)
+    elif isinstance(t, (Cond, TagDispatch, SimRecPP)):
         e = badd(Const(1), Var())
         for s in subs:
             e = badd(e, s.e)
         # branches are exclusive, so the worst sensitivity suffices
-        return BoundPair(e, max(s.d for s in subs))
-    if isinstance(term, TagDispatch):
-        subs = [synthesize_bound(b) for _, b in term.cases]
-        e = badd(Const(1), Var())
-        for s in subs:
-            e = badd(e, s.e)
-        return BoundPair(e, max([s.d for s in subs], default=1))
-    if isinstance(term, (OracleCall, Call)):
+        pair = BoundPair(e, max([s.d for s in subs], default=1))
+        if isinstance(t, SimRecPP):
+            pair = _recursion_bound(pair)
+    elif isinstance(t, (OracleCall, Call)):
         e: BoundExpr = Const(0)
         d = 1
-        for a in term.safe_args:
-            s = synthesize_bound(a)
+        split = len(t.normal_args)
+        for s, bears in kids[split:]:  # the safe arguments
             e = badd(e, s.e)
-            if is_bearing(a):
+            if bears:
                 d += s.d  # a call fed into a call: nesting
-        for a in term.normal_args:
-            s = synthesize_bound(a)
+        for s in subs[:split]:
             e = badd(e, s.e)
-        return BoundPair(e, d)
-    if isinstance(term, CompSafe):
-        h, g = synthesize_bound(term.h), synthesize_bound(term.g)
-        hb, gb = is_bearing(term.h), is_bearing(term.g)
-        if hb and gb:
-            d = h.d + g.d
-        elif hb:
-            d = h.d
-        elif gb:
-            d = g.d
-        else:
-            d = 1
-        return BoundPair(badd(h.e, g.e), d)
-    if isinstance(term, CompNormal):
-        h, g = synthesize_bound(term.h), synthesize_bound(term.g)
-        return BoundPair(Subst(h.e, badd(Var(), g.e)), h.d)
-    if isinstance(term, SRecN):
-        g = synthesize_bound(term.g)
-        h0 = synthesize_bound(term.h0)
-        h1 = synthesize_bound(term.h1)
+        return BoundPair(e, d), True
+    elif isinstance(t, CompSafe):
+        (h, hb), (g, gb) = kids
+        # d adds over the sides that bear; every d is at least 1
+        pair = BoundPair(badd(h.e, g.e), (h.d if hb else 0) + (g.d if gb else 0) or 1)
+    elif isinstance(t, CompNormal):
+        h, g = subs
+        pair = BoundPair(Subst(h.e, badd(Var(), g.e)), h.d)
+    elif isinstance(t, SRecN):
+        (g, _), (h0, b0), (h1, b1) = kids
         step_e = badd(badd(badd(Const(1), Var()), g.e), badd(h0.e, h1.e))
-        step_d = max(g.d, h0.d + (1 if is_bearing(term.h0) else 0), h1.d + (1 if is_bearing(term.h1) else 0))
-        return _recursion_bound(BoundPair(step_e, step_d))
-    if isinstance(term, SNRec):
-        g = synthesize_bound(term.g)
-        h = synthesize_bound(term.h)
-        step = BoundPair(badd(badd(badd(Const(1), Var()), g.e), h.e), max(g.d, h.d))
-        return _recursion_bound(step)
-    if isinstance(term, (SRecPP, SNRecPP)):
-        return _recursion_bound(synthesize_bound(term.h))
-    if isinstance(term, SimRecPP):
-        subs = [synthesize_bound(h) for h in term.hs]
-        e = badd(Const(1), Var())
-        for s in subs:
-            e = badd(e, s.e)
-        return _recursion_bound(BoundPair(e, max(s.d for s in subs)))
-    raise TypeError(f"no bound rule for {type(term).__name__}")
+        pair = _recursion_bound(BoundPair(step_e, max(g.d, h0.d + b0, h1.d + b1)))
+    elif isinstance(t, SNRec):
+        g, h = subs
+        pair = _recursion_bound(BoundPair(badd(badd(badd(Const(1), Var()), g.e), h.e), max(g.d, h.d)))
+    else:  # SRecPP, SNRecPP: fold's children() knows no other term class
+        pair = _recursion_bound(subs[0])
+    return pair, any([b for _, b in kids])
 
 
 def _recursion_bound(step: BoundPair) -> BoundPair:
@@ -264,22 +302,33 @@ def _recursion_bound(step: BoundPair) -> BoundPair:
     return BoundPair(e, step.d)
 
 
+def _prepared(pair: BoundPair) -> tuple[BoundPair, str, bool, Callable[[int], int]]:
+    return pair, str(pair.e), is_polynomial(pair.e), compile_bound(pair.e)
+
+
+@functools.lru_cache(maxsize=256)
+def _term_bound(term: Term) -> tuple[BoundPair, str, bool, Callable[[int], int]]:
+    """(pair, printed e, polynomial flag, compiled e) of ``term``'s bound."""
+    return _prepared(synthesize_bound(term))
+
+
 def input_bound(term: Term, constants: Sequence[int] = ()) -> "InputBound":
     """The bound every oracle call's safe inputs satisfy during a run."""
-    return InputBound(synthesize_bound(term), tuple(constants))
+    pair, _, _, code = _term_bound(term)
+    return InputBound(pair, tuple(constants), code)
 
 
 @dataclass(frozen=True)
 class InputBound:
     pair: BoundPair
     constants: tuple[int, ...]
+    code: Callable[[int], int] = field(compare=False, repr=False)  # compile_bound(pair.e)
 
     def __call__(self, normals: Sequence[int], safes: Sequence[int]) -> int:
-        n = sum(length(x) for x in normals)
         return (
-            beval(self.pair.e, n)
+            self.code(sum(map(length, normals)))
             + self.pair.d * sum(self.constants)
-            + max([length(y) for y in safes], default=0)
+            + max(map(length, safes), default=0)
         )
 
     def __str__(self) -> str:
@@ -298,7 +347,7 @@ class BoundReport:
     d: int
     polynomial: bool
     samples: int
-    max_slack: Optional[int]
+    max_slack: int
     violations: list[dict] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
@@ -308,7 +357,7 @@ class BoundReport:
             "d": self.d,
             "polynomial": self.polynomial,
             "samples": self.samples,
-            "max_slack": None if self.max_slack is None else str(self.max_slack),
+            "max_slack": str(self.max_slack),
             "violations": self.violations,
         }
 
@@ -337,24 +386,21 @@ def verify_bound(
 
     A violation indicates an implementation bug; the report records the
     worst slack seen (bound minus actual length).  Samples are drawn up
-    front from one seeded stream.
+    front from one seeded stream.  The bound is ``td``'s own, derived
+    once per term, or ``pair`` when given.
     """
-    if samples < 0:
-        raise ValueError(f"samples must be nonnegative, got {samples}")
-    pair = pair or synthesize_bound(td.body)
-    bound_of = InputBound(pair, tuple(constants))
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    pair, text, polynomial, code = _term_bound(td.body) if pair is None else _prepared(pair)
+    bound_of = InputBound(pair, tuple(constants), code)
     rng = random.Random(seed)
     drawn = [sample_inputs(rng, td.normals, td.safes) for _ in range(samples)]
-    max_slack: Optional[int] = None
+    slacks: list[int] = []
     violations: list[dict] = []
     for xs, ys in drawn:
         vlen = length(eval_term(td.body, env, xs, ys))
         bound = bound_of(xs, ys)
-        slack = bound - vlen
-        if slack < 0:
+        if bound < vlen:
             violations.append({"normals": xs, "safes": ys, "value_len": vlen, "bound": str(bound)})
-        if max_slack is None or slack > max_slack:
-            max_slack = slack
-    return BoundReport(
-        td.name, str(pair.e), pair.d, pair.is_polynomial, samples, max_slack, violations
-    )
+        slacks.append(bound - vlen)
+    return BoundReport(td.name, text, pair.d, polynomial, samples, max(slacks), violations)

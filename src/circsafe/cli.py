@@ -174,7 +174,7 @@ def cmd_cyclenf(args: argparse.Namespace) -> int:
 
 def cmd_bound(args: argparse.Namespace) -> int:
     td = _load_term(args)
-    pair = synthesize_bound(td.body)
+    pair = synthesize_bound(td.body)  # not cached: a deep term is never hashed
     report = {
         "term": td.name,
         "e": str(pair.e),

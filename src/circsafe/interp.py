@@ -66,9 +66,10 @@ class EvalStats:
 
     ``steps`` counts node expansions (``eval_proof``, memo hits
     included) or entered program calls (``eval_pp``, memo hits not
-    included).  ``memo_keys`` counts the distinct keys whose evaluation
-    began with memoization on, whether or not the run stored an entry
-    for them; a run that raises counts those it did not finish too.
+    included); the expansion or call that fuel refuses is not one.
+    ``memo_keys`` counts the distinct keys whose evaluation began with
+    memoization on, whether or not the run stored an entry for them; a
+    run that raises counts those it did not finish too.
     ``eval_proof`` counts each expansion at a node without an entry as a
     key, so a run that never returns may count such a key once per
     expansion.  ``max_depth`` is the deepest nesting of program calls
@@ -260,11 +261,10 @@ def eval_proof(
                 return v
     finally:
         if stats is not None:
-            steps = cfg.fuel - fuel
+            steps = cfg.fuel - max(fuel, 0)  # an expansion refused for want of fuel never began
             stats.steps += steps
             if memo is not None:
-                begun = steps - (fuel < 0)  # an expansion refused for want of fuel never began
-                stats.memo_keys = len(memo) + begun - keyed
+                stats.memo_keys = len(memo) + steps - keyed
 
 
 # continuation frames of eval_proof: a cut's (kind, right premise, xs,
@@ -1181,9 +1181,10 @@ def check_term_class(term, cls: str, *, _peers_bearing: frozenset[str] = frozens
 def is_bearing(term: Term, peers: Optional[frozenset[str]] = None) -> bool:
     """Does the term contain an oracle call or a bearing program call?
 
-    With ``peers`` None every Call bears (the bound synthesis reading: a
-    call's output length is unknown).  With a set of names only guarded
-    calls and calls to those peers bear (the class-check reading: plain
+    With ``peers`` None every Call bears (the reading of bound
+    synthesis, which folds this flag along its own pass: a call's output
+    length is unknown).  With a set of names only guarded calls and
+    calls to those peers bear (the class-check reading: plain
     composition with an earlier function is oracle-free).
     """
     stack = [term]

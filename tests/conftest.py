@@ -23,6 +23,7 @@ from circsafe.interp import (
     SRecPP,
     TagDispatch,
     Zero,
+    is_bearing,
 )
 from circsafe.kernel import Node, ProofGraph, Rule, RuleKind, Sequent, TupleOrder, tuple_order
 
@@ -377,3 +378,130 @@ def ref_pp(prog, fname, xs, ys, defs=(), strict=False):
     host = ref_env(defs)
     xs, ys = tuple(xs), tuple(ys)
     return ref_eval(prog.functions[fname].body, xs, ys, host, (prog, host, strict), (xs, ys))
+
+
+# Independent oracle for circsafe.bounds: bound synthesis, expression
+# evaluation, the polynomial test and the printer, each by structural
+# recursion on Python's stack, with ``is_bearing`` rescanning every
+# subterm it is asked about.  Quadratic and depth-limited: keep terms
+# small.
+
+
+def ref_synthesize_bound(term):
+    from circsafe.bounds import INITIAL, BoundPair, Const, Subst, Var, _recursion_bound, badd
+
+    if isinstance(term, (Zero, Proj)):
+        return INITIAL
+    if isinstance(term, (S0, S1, Pred)):
+        sub = ref_synthesize_bound(term.t)
+        return BoundPair(badd(badd(Const(1), Var()), sub.e), sub.d)
+    if isinstance(term, Cond):
+        subs = [ref_synthesize_bound(t) for t in (term.w, term.x, term.y, term.z)]
+        e = badd(Const(1), Var())
+        for s in subs:
+            e = badd(e, s.e)
+        return BoundPair(e, max(s.d for s in subs))
+    if isinstance(term, TagDispatch):
+        subs = [ref_synthesize_bound(b) for _, b in term.cases]
+        e = badd(Const(1), Var())
+        for s in subs:
+            e = badd(e, s.e)
+        return BoundPair(e, max([s.d for s in subs], default=1))
+    if isinstance(term, (OracleCall, Call)):
+        e = Const(0)
+        d = 1
+        for a in term.safe_args:
+            s = ref_synthesize_bound(a)
+            e = badd(e, s.e)
+            if is_bearing(a):
+                d += s.d
+        for a in term.normal_args:
+            s = ref_synthesize_bound(a)
+            e = badd(e, s.e)
+        return BoundPair(e, d)
+    if isinstance(term, CompSafe):
+        h, g = ref_synthesize_bound(term.h), ref_synthesize_bound(term.g)
+        hb, gb = is_bearing(term.h), is_bearing(term.g)
+        if hb and gb:
+            d = h.d + g.d
+        elif hb:
+            d = h.d
+        elif gb:
+            d = g.d
+        else:
+            d = 1
+        return BoundPair(badd(h.e, g.e), d)
+    if isinstance(term, CompNormal):
+        h, g = ref_synthesize_bound(term.h), ref_synthesize_bound(term.g)
+        return BoundPair(Subst(h.e, badd(Var(), g.e)), h.d)
+    if isinstance(term, SRecN):
+        g = ref_synthesize_bound(term.g)
+        h0 = ref_synthesize_bound(term.h0)
+        h1 = ref_synthesize_bound(term.h1)
+        step_e = badd(badd(badd(Const(1), Var()), g.e), badd(h0.e, h1.e))
+        step_d = max(g.d, h0.d + (1 if is_bearing(term.h0) else 0), h1.d + (1 if is_bearing(term.h1) else 0))
+        return _recursion_bound(BoundPair(step_e, step_d))
+    if isinstance(term, SNRec):
+        g = ref_synthesize_bound(term.g)
+        h = ref_synthesize_bound(term.h)
+        step = BoundPair(badd(badd(badd(Const(1), Var()), g.e), h.e), max(g.d, h.d))
+        return _recursion_bound(step)
+    if isinstance(term, (SRecPP, SNRecPP)):
+        return _recursion_bound(ref_synthesize_bound(term.h))
+    if isinstance(term, SimRecPP):
+        subs = [ref_synthesize_bound(h) for h in term.hs]
+        e = badd(Const(1), Var())
+        for s in subs:
+            e = badd(e, s.e)
+        return _recursion_bound(BoundPair(e, max(s.d for s in subs)))
+    raise TypeError(f"no bound rule for {type(term).__name__}")
+
+
+def ref_beval(e, n: int) -> int:
+    from circsafe.bounds import Add, Const, Mul, Pow, Subst, Var
+
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, Var):
+        return n
+    if isinstance(e, Add):
+        return ref_beval(e.left, n) + ref_beval(e.right, n)
+    if isinstance(e, Mul):
+        return ref_beval(e.left, n) * ref_beval(e.right, n)
+    if isinstance(e, Pow):
+        return ref_beval(e.base, n) ** ref_beval(e.exp, n)
+    if isinstance(e, Subst):
+        return ref_beval(e.outer, ref_beval(e.inner, n))
+    raise TypeError(e)
+
+
+def ref_is_polynomial(e) -> bool:
+    from circsafe.bounds import Add, Const, Mul, Pow, Subst, Var
+
+    if isinstance(e, Pow):
+        return False
+    if isinstance(e, (Const, Var)):
+        return True
+    if isinstance(e, (Add, Mul)):
+        return ref_is_polynomial(e.left) and ref_is_polynomial(e.right)
+    if isinstance(e, Subst):
+        return ref_is_polynomial(e.outer) and ref_is_polynomial(e.inner)
+    raise TypeError(e)
+
+
+def ref_bound_str(e) -> str:
+    from circsafe.bounds import Add, Const, Mul, Pow, Subst, Var
+
+    if isinstance(e, Const):
+        return str(e.value)
+    if isinstance(e, Var):
+        return "n"
+    if isinstance(e, Add):
+        return f"({ref_bound_str(e.left)} + {ref_bound_str(e.right)})"
+    if isinstance(e, Mul):
+        return f"({ref_bound_str(e.left)} * {ref_bound_str(e.right)})"
+    if isinstance(e, Pow):
+        return f"({ref_bound_str(e.base)} ^ {ref_bound_str(e.exp)})"
+    if isinstance(e, Subst):
+        return f"({ref_bound_str(e.outer)} @ n={ref_bound_str(e.inner)})"
+    raise TypeError(e)

@@ -1,22 +1,37 @@
 """Symbolic bound synthesis and its empirical verification."""
 
+import random
+
+from conftest import ref_beval, ref_bound_str, ref_is_polynomial, ref_synthesize_bound
+
 from circsafe.bounds import (
     BoundPair,
     Const,
     Var,
     badd,
     beval,
+    compile_bound,
     input_bound,
     synthesize_bound,
     verify_bound,
 )
 from circsafe.bounds import _recursion_bound
+from circsafe.corpus import standard_proofs
 from circsafe.interp import (
     Call,
+    CompNormal,
     CompSafe,
     OracleCall,
+    Pred,
     Proj,
+    S1,
+    SimRecPP,
+    SNRec,
     SNRecPP,
+    SRecN,
+    SRecPP,
+    TagDispatch,
+    TermDef,
     Zero,
     check_term_class,
     children,
@@ -24,6 +39,7 @@ from circsafe.interp import (
     is_bearing,
 )
 from circsafe.kernel import length
+from circsafe.translate import translate
 
 B_NAMES = ("succ1", "half", "select", "append", "lenones", "parity", "lenunary")
 
@@ -69,8 +85,8 @@ def test_unnested_terms_polynomial_d1(terms):
 
 def test_monotone(terms):
     for name, td in terms.items():
-        pair = synthesize_bound(td.body)
-        vals = [beval(pair.e, n) for n in range(1025)]
+        code = compile_bound(synthesize_bound(td.body).e)
+        vals = [code(n) for n in range(1025)]
         assert all(a <= b for a, b in zip(vals, vals[1:])), name
 
 
@@ -134,3 +150,54 @@ def test_report_json_shape(terms):
     rep = verify_bound(terms["append"], samples=50, seed=1)
     d = rep.to_json_dict()
     assert set(d) == {"term", "e", "d", "polynomial", "samples", "max_slack", "violations"}
+
+
+def _bound_cases(terms) -> list:
+    """Corpus terms, seeded random B terms and NB recursions, the function
+    bodies of translated corpus proofs, and the prefix-permutation forms."""
+    from test_fuzz import random_b_term, random_nb_step
+
+    cases = [td.body for td in terms.values()]
+    rng = random.Random(15015)
+    for _ in range(120):
+        m, n = rng.randrange(0, 3), rng.randrange(0, 3)
+        cases.append(random_b_term(rng, m, n, 4, [2]))
+    for _ in range(120):
+        m, n = rng.randrange(1, 3), rng.randrange(1, 3)
+        cases.append(SNRec(random_b_term(rng, m - 1, n, 2, [0]), random_nb_step(rng, m, n, 4, [3], n)))
+    for name in ("S", "C", "E", "P", "L", "N"):
+        cases += [f.body for f in translate(standard_proofs()[name]).functions.values()]
+    rec = OracleCall("rec", (Proj("n", 0),), (OracleCall("rec", (), (Proj("s", 0),)),))
+    step = CompNormal(CompSafe(Call("f", (), (Proj("s", 0),), "strict"), rec), Proj("n", 0))
+    cases += [SRecPP(rec), SNRecPP(step), SimRecPP((rec, step), 1, True), TagDispatch(1, (((1,), rec), ((2,), step)))]
+    cases += [SRecN(Proj("s", 0), rec, S1(Proj("s", 1))), SRecN(Zero(), Pred(Proj("s", 1)), step)]
+    return cases
+
+
+def test_bounds_match_the_recursive_reference(terms):
+    pairs = [(t, synthesize_bound(t)) for t in _bound_cases(terms)]
+    # the cases reach substitution, powers and nested calls
+    assert sum(" @ n=" in str(p.e) for _, p in pairs) > 20
+    assert sum(not p.is_polynomial for _, p in pairs) > 20
+    assert max(p.d for _, p in pairs) >= 3
+    for t, pair in pairs:
+        want = ref_synthesize_bound(t)
+        assert pair == want, t
+        assert str(pair.e) == ref_bound_str(want.e), t
+        assert pair.is_polynomial == ref_is_polynomial(want.e), t
+        code = compile_bound(pair.e)
+        assert [code(n) for n in range(65)] == [ref_beval(want.e, n) for n in range(65)], t
+
+
+def test_verify_bound_with_and_without_an_explicit_pair(terms):
+    from test_fuzz import random_b_term
+
+    rng = random.Random(15016)
+    tds = [td for name, td in terms.items() if name not in ("twoloops", "exquad", "padones", "ex")]
+    for trial in range(20):
+        m, n = rng.randrange(0, 3), rng.randrange(0, 3)
+        tds.append(TermDef(f"b{trial}", m, n, random_b_term(rng, m, n, 4, [2])))
+    for s, td in enumerate(tds):
+        rep = verify_bound(td, samples=20, seed=s)
+        assert rep == verify_bound(td, samples=20, seed=s, pair=synthesize_bound(td.body)), td.name
+        assert rep.samples == 20 and rep.violations == [], td.name

@@ -156,8 +156,9 @@ def test_bound_and_verify(capsys, tmp_path):
         capsys, "verify-bound", CORPUS / "terms.term", "--name", "append", "--samples", "50", "--seed", "9"
     )
     assert code == 0 and "violations = 0" in out
-    code, out, err = run(capsys, "verify-bound", CORPUS / "terms.term", "--name", "ex", "--samples", "-5")
-    assert (code, out) == (2, "") and "samples must be nonnegative" in err
+    for samples in ("-5", "0"):
+        code, out, err = run(capsys, "verify-bound", CORPUS / "terms.term", "--name", "ex", "--samples", samples)
+        assert (code, out) == (2, "") and f"samples must be at least 1, got {samples}" in err
 
 
 def test_export_dot(capsys, tmp_path):

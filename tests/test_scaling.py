@@ -17,9 +17,11 @@ import time
 import pytest
 from conftest import chain_graph, loop_graph
 
+from circsafe.bounds import beval, synthesize_bound
 from circsafe.checker import classify
 from circsafe.cli import main
 from circsafe.formats import parse_proof, serialize_proof
+from circsafe.interp import CompSafe, OracleCall, Proj
 
 
 def _digits(n: int, seed: int) -> list[int]:
@@ -80,4 +82,31 @@ def test_classify_on_a_100000_node_chain():
     # about 2.5 s on a 2-core x86-64 machine with CPython 3.11; the
     # margin is for a loaded machine, while a pass quadratic in n takes
     # far longer at this size
+    assert elapsed < 10.0, elapsed
+
+
+def test_bound_of_a_10000_deep_term(capsys, tmp_path):
+    doc = tmp_path / "deep.term"
+    doc.write_text("def deep(0;1) = " + "s0(" * 10**4 + "y0" + ")" * 10**4 + "\n")
+    limit = sys.getrecursionlimit()
+    assert main(["bound", str(doc), "--name", "deep"]) == 0
+    out = capsys.readouterr().out
+    assert sys.getrecursionlimit() == limit
+    assert out.endswith("\nd = 1\npolynomial = true\n")
+    assert out.count("(1 + n)") == 10**4 + 1  # one per s0 and one for y0
+
+
+def test_bound_synthesis_on_a_20000_level_composition_chain():
+    # both sides of every comps call an oracle, so d adds at every level
+    term = OracleCall("o", (), (Proj("s", 0),))
+    for _ in range(2 * 10**4):
+        term = CompSafe(OracleCall("o", (), (Proj("s", 0),)), term)
+    start = time.perf_counter()
+    pair = synthesize_bound(term)
+    elapsed = time.perf_counter() - start
+    assert pair.d == 2 * 10**4 + 1 and pair.is_polynomial
+    assert beval(pair.e, 3) == (2 * 10**4 + 1) * 4
+    # about 0.3 s on a 2-core x86-64 machine with CPython 3.11; a pass
+    # that rescans each subterm's subtree for oracle calls is quadratic
+    # and would take minutes
     assert elapsed < 10.0, elapsed
