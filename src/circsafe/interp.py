@@ -9,19 +9,24 @@ programs over the prefix-permutation order add guarded calls between
 named functions.
 
 Terms and programs compile once into closures for fixed argument counts
-(``eval_term`` caches them, ``eval_pp`` compiles a body on its first
-call).  Recursion names are scoped lexically: a program body sees only
-the host's oracles.  ``srec`` runs as a loop over the prefixes of its
-recursion argument, so it does not recurse once per input bit.
-``eval_pp`` keeps pending program calls on its own stack: the code on
-the path from a body to its calls hands each call to one loop as a
-request, so program-call depth uses no Python frames; term depth does.
+(``eval_term`` caches them per term; a program keeps its compiled
+bodies, each compiled on its first call, while its functions stay the
+same objects).  A run's state travels with it, never in the code.
+Recursion names are scoped lexically: a program body sees only the
+host's oracles.  A chain of ``s0``/``s1``/``p`` compiles to one prefix
+edit, ``srec`` runs as a loop over the prefixes of its recursion
+argument (inline over its bits when both steps are edits of the
+recursion value or constants), so neither recurses once per chain link
+or input bit.  ``eval_pp`` keeps pending program calls on its own
+stack: the code on the path from a body to its calls hands each call to
+one loop as a request, so program-call depth uses no Python frames;
+the depth of terms other than chains does.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from operator import attrgetter, is_
 from typing import Callable, NamedTuple, Optional, Sequence, TypeVar
 
@@ -603,15 +608,67 @@ def map_terms(term: Term, f: Callable[[Term], Term]) -> Term:
 # ys are the normal and safe arguments at that point, b the bindings.
 # b[0] maps host oracle names to their OracleDef, b[1] and b[2] are the
 # normals and safes of the innermost program call (the frame its guards
-# compare against; None outside programs).  Each recursion scheme
-# appends one binding per name it introduces, ``(code, bound, outer)``:
-# the scheme's code, the arguments it was entered with and the bindings
-# around it.  So a recursion name resolves at compile time to an index
-# into b, and a recursive call runs in its scheme's scope, never in the
-# caller's.  Arities are fixed by the term, so they are checked here
-# once; a failed check compiles to code that raises when it is reached.
+# compare against), b[3] is the ``_Run`` of the program run (all three
+# None outside programs).  Each recursion scheme appends one binding
+# per name it introduces, ``(code, bound, outer)``: the scheme's code,
+# the arguments it was entered with and the bindings around it.  So a
+# recursion name resolves at compile time to an index into b, and a
+# recursive call runs in its scheme's scope, never in the caller's.
+# Arities are fixed by the term, so they are checked here once; a
+# failed check compiles to code that raises when it is reached.
 
-_FIXED = 3  # b[0..2] as above; recursion bindings follow
+_FIXED = 4  # b[0..3] as above; recursion bindings follow
+_EDITS = (S0, S1, Pred)
+
+
+def _chain(term: Term) -> tuple[Term, int, int, int]:
+    """The leaf below the maximal ``s0``/``s1``/``p`` chain at ``term``,
+    and the chain as one prefix edit ``(r, k, c)``: its value is
+    ``leaf >> r << k | c``, with ``c < 2**k``.  A chain of none is the
+    edit ``(0, 0, 0)``."""
+    ops = []
+    while isinstance(term, _EDITS):
+        ops.append(term.__class__)
+        term = term.t
+    r = k = c = 0
+    for op in reversed(ops):  # innermost first
+        if op is not Pred:
+            k, c = k + 1, c << 1 | (op is S1)
+        elif k:
+            k, c = k - 1, c >> 1
+        else:
+            r += 1
+    return term, r, k, c
+
+
+def _edit_code(term: Term, m: int, n: int, scope: tuple, prog: Optional["_ProgramCode"]):
+    """``_compile`` of an ``s0``/``s1``/``p`` chain: one edit, fused into
+    a constant or projection leaf.  An edit with k = 0 (so c = 0) is a
+    bare right shift."""
+    leaf, r, k, c = _chain(term)
+    if isinstance(leaf, Zero):
+        return lambda xs, ys, b: c
+    if not (r or k):  # p(s0(t)) is t
+        return _compile(leaf, m, n, scope, prog)
+    if isinstance(leaf, Proj) and leaf.index < (m if leaf.sort == "n" else n):
+        i = leaf.index
+        if leaf.sort == "n":
+            return (lambda xs, ys, b: xs[i] >> r << k | c) if k else lambda xs, ys, b: xs[i] >> r
+        return (lambda xs, ys, b: ys[i] >> r << k | c) if k else lambda xs, ys, b: ys[i] >> r
+    t = _compile(leaf, m, n, scope, prog)
+    return (lambda xs, ys, b: t(xs, ys, b) >> r << k | c) if k else lambda xs, ys, b: t(xs, ys, b) >> r
+
+
+def _step_edit(h: Term, n: int) -> Optional[tuple[int, int, int, bool]]:
+    """``(r, k, c, keep)`` if the srec step ``h``, at ``n + 1`` safes, is
+    an edit of the recursion value ``ys[n]`` (keep) or the constant c
+    (not keep); else None."""
+    leaf, r, k, c = _chain(h)
+    if isinstance(leaf, Zero):
+        return 0, 0, c, False
+    if isinstance(leaf, Proj) and leaf.sort == "s" and leaf.index == n:
+        return r, k, c, True
+    return None
 
 
 def _fail(msg: str):
@@ -623,6 +680,8 @@ def _fail(msg: str):
 
 def _tuple_of(args: list):
     """Code building the tuple of the values of ``args``, in order."""
+    if not args:
+        return lambda xs, ys, b: ()
     if len(args) == 1:
         (a,) = args
         return lambda xs, ys, b: (a(xs, ys, b),)
@@ -632,7 +691,7 @@ def _tuple_of(args: list):
     return lambda xs, ys, b: tuple([a(xs, ys, b) for a in args])
 
 
-def _compile(term: Term, m: int, n: int, scope: tuple, prog: Optional["_Run"]):
+def _compile(term: Term, m: int, n: int, scope: tuple, prog: Optional["_ProgramCode"]):
     """Code of ``term`` at ``m`` normal and ``n`` safe arguments.
 
     ``scope`` holds the recursion names bound around ``term``, outermost
@@ -647,13 +706,8 @@ def _compile(term: Term, m: int, n: int, scope: tuple, prog: Optional["_Run"]):
         if i >= (m if normal else n):
             return _fail(f"projection {'n' if normal else 's'}{i} out of range")
         return (lambda xs, ys, b: xs[i]) if normal else (lambda xs, ys, b: ys[i])
-    if isinstance(term, (S0, S1, Pred)):
-        t = _compile(term.t, m, n, scope, prog)
-        if isinstance(term, S0):
-            return lambda xs, ys, b: 2 * t(xs, ys, b)
-        if isinstance(term, S1):
-            return lambda xs, ys, b: 2 * t(xs, ys, b) + 1
-        return lambda xs, ys, b: t(xs, ys, b) >> 1
+    if isinstance(term, _EDITS):
+        return _edit_code(term, m, n, scope, prog)
     if isinstance(term, Cond):
         return _cond(*(_compile(t, m, n, scope, prog) for t in (term.w, term.x, term.y, term.z)))
     if isinstance(term, (OracleCall, Call)):
@@ -675,6 +729,9 @@ def _compile(term: Term, m: int, n: int, scope: tuple, prog: Optional["_Run"]):
         return _fail(f"{type(term).__name__} needs a normal argument")
     if isinstance(term, SRecN):
         g = _compile(term.g, m - 1, n, scope, prog)
+        e0, e1 = _step_edit(term.h0, n), _step_edit(term.h1, n)
+        if e0 and e1:
+            return _srec_edits(g, e0, e1)
         h0, h1 = (_compile(h, m, n + 1, scope, prog) for h in (term.h0, term.h1))
 
         def run(xs, ys, b):
@@ -734,6 +791,29 @@ def _compile(term: Term, m: int, n: int, scope: tuple, prog: Optional["_Run"]):
 
         return run
     raise EvalError(f"cannot evaluate {term!r}")
+
+
+def _srec_edits(g, e0: tuple, e1: tuple):
+    """``srec`` whose steps are ``_step_edit``s: the edits run inline over
+    the bits of the recursion argument, most significant first, with
+    no step call and no argument tuple per bit."""
+
+    def run(xs, ys, b):
+        x0 = xs[0]
+        if x0 < 0:
+            raise EvalError("srec on a negative input")
+        v = g(xs[1:], ys, b)
+        for d in format(x0, "b") if x0 else "":
+            r, k, c, keep = e1 if d == "1" else e0
+            if not keep:
+                v = c
+            elif r:
+                v = v >> r << k | c
+            else:
+                v = v << k | c
+        return v
+
+    return run
 
 
 def _cond(w, x, y, z):
@@ -831,7 +911,7 @@ def eval_term(
 ) -> int:
     """Total evaluation of an algebra term against ambient inputs."""
     xs, ys = tuple(normals), tuple(safes)
-    return _term_code(term, len(xs), len(ys))(xs, ys, ((env or EMPTY_ORACLES)._defs, None, None))
+    return _term_code(term, len(xs), len(ys))(xs, ys, ((env or EMPTY_ORACLES)._defs, None, None, None))
 
 
 # ---------------------------------------------------------------------------
@@ -848,10 +928,16 @@ class PPFunction:
 
 @dataclass
 class PPProgram:
-    """Mutually recursive named functions with guarded calls."""
+    """Mutually recursive named functions with guarded calls.
+
+    ``eval_pp`` keeps the code it compiles for the program here, one
+    ``_ProgramCode`` per guard mode, and uses it again while
+    ``functions`` holds the same ``PPFunction`` objects.
+    """
 
     functions: dict[str, PPFunction]
     guard: str = "strict"  # family default: "strict" or "strict_safe"
+    _code: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def validate(self) -> None:
         for fn in self.functions.values():
@@ -882,95 +968,48 @@ def _calls(term: Term) -> list[Call]:
     return out
 
 
-class _Run:
-    """One ``eval_pp`` run: a machine whose stack holds program calls.
+class _ProgramCode:
+    """A program's compiled bodies for one guard mode, shared by its runs.
 
-    A body compiles on its callee's first entry.  Subterms with no call
-    outside a recursion scheme compile to ``_compile``'s closures; the
-    rest, the path from the body to its calls, compile to code that
-    returns a request ``(callee, normals, safes)`` in place of a value
-    once it reaches a call (guard already checked), leaving on ``ks``
-    the frames that finish the caller: ``frame[0](value, frame)`` takes
-    the callee's value and returns the next value or request.  ``call``
-    runs that loop, so program-call depth uses no Python frames; only
-    term depth does.
+    A body compiles the first time a run enters its function.  Subterms
+    with no call outside a recursion scheme compile to ``_compile``'s
+    closures; the rest, the path from the body to its calls, compile to
+    code that returns a request ``(callee, normals, safes)`` in place of
+    a value once it reaches a call (guard already checked), leaving on
+    the run's stack ``b[3].ks`` the frames that finish the caller:
+    ``frame[0](value, frame)`` takes the callee's value and returns the
+    next value or request.  ``_Run.call`` runs that loop.
 
-    ``translate`` never puts a call inside a recursion scheme or a tag
-    dispatch.  A program that does gets such calls compiled by
-    ``_compile`` as closures that run ``call`` again, one Python-level
-    loop per active call of that kind, sharing the run's fuel, memo,
-    statistics and stack.
+    The code holds no state of a run; each run passes its own in b[3].
+    A call site's arity check reads its callee when the site compiles,
+    so the code keeps the functions it was built from and serves only a
+    program that holds those very objects (``current``).
     """
 
-    __slots__ = ("prog", "defs", "strict", "memo", "fuel", "switch", "depth", "max_depth", "steps", "ks", "bodies")
+    __slots__ = ("functions", "strict", "bodies")
 
-    def __init__(self, prog: PPProgram, env: OracleEnv, cfg: EvalConfig) -> None:
-        self.prog, self.defs = prog, env._defs
-        self.strict = cfg.guard_mode == "strict"
-        # memo cells [value], keyed by the request, which hashes faster,
-        # then by its _long_key once _SHORT_RUN calls are made (fuel below
-        # switch): translated E's requests at 12-bit all-ones inputs fall
-        # into 491 hash classes for 8192 keys
-        self.memo: Optional[dict] = {} if cfg.memo else None
-        self.fuel, self.switch = cfg.fuel, cfg.fuel - _SHORT_RUN
-        self.depth, self.max_depth, self.steps = 0, 0, 0
-        self.ks: list[tuple] = []
+    def __init__(self, functions: dict[str, PPFunction], strict: bool) -> None:
+        self.functions, self.strict = dict(functions), strict
         self.bodies: dict[str, Callable] = {}
 
-    def _mismatch(self, name: str, m: int, n: int) -> Optional[str]:
+    def current(self, functions: dict[str, PPFunction]) -> bool:
+        """Does ``functions`` hold exactly the objects this code was built from?"""
+        own = self.functions
+        return len(functions) == len(own) and all(functions.get(k) is f for k, f in own.items())
+
+    def mismatch(self, name: str, m: int, n: int) -> Optional[str]:
         """Why function ``name`` cannot take m normals and n safes, or None."""
-        fn = self.prog.functions.get(name)
+        fn = self.functions.get(name)
         if fn is None:
             return f"unknown function {name!r}"
         if (m, n) != (fn.normals, fn.safes):
             return f"{name} expects ({fn.normals};{fn.safes}) arguments"
         return None
 
-    def call(self, name: str, us: tuple, vs: tuple) -> int:
-        """Value of function ``name`` at ``us``, ``vs``: the machine loop.
-        An exception ends the whole run."""
-        ks, memo, bodies, defs, switch = self.ks, self.memo, self.bodies, self.defs, self.switch
-        base = len(ks)
-        r = (name, us, vs)
-        while True:
-            while r.__class__ is tuple:  # a request: enter the callee
-                fuel = self.fuel = self.fuel - 1
-                if fuel < 0:
-                    raise FuelExhausted(f"fuel exhausted calling {r[0]}")
-                cell = None
-                if memo is not None:
-                    if fuel < switch:
-                        if fuel == switch - 1:
-                            _lengthen_keys(memo)
-                        cell = memo.setdefault(_long_key(*r), [None])
-                    else:
-                        cell = memo.setdefault(r, [None])
-                    if cell[0] is not None:
-                        r = cell[0]
-                        break
-                body = bodies.get(r[0]) or self._body(r[0])
-                self.steps += 1
-                self.depth += 1
-                if self.depth > self.max_depth:
-                    self.max_depth = self.depth
-                ks.append((None, cell))  # the callee's end
-                us, vs = r[1], r[2]
-                r = body(us, vs, (defs, us, vs))
-            # a value: hand it to the innermost frame
-            if len(ks) == base:
-                return r
-            frame = ks.pop()
-            if frame[0] is None:  # the end of a program call
-                self.depth -= 1
-                if frame[1] is not None:
-                    frame[1][0] = r
-            else:
-                r = frame[0](r, frame)
-
     def _body(self, name: str) -> Callable:
         """Compile function ``name``'s body, first marking the subterms
         that can suspend: those with a call outside ``_OPAQUE`` forms."""
-        fn = self.prog.functions[name]
+        fn = self.functions[name]
         suspends = set()
 
         def mark(t: Term, kids: list[bool]) -> bool:
@@ -993,9 +1032,10 @@ class _Run:
             flags = [id(a) in suspends for a in t.normal_args + t.safe_args]
             if isinstance(t, Call):
                 return self._request(t, args, flags)
-            return _oracle_call(t.name, self._args(args, flags, len(t.normal_args), _host_call(t)))
-        if isinstance(t, (S0, S1, Pred)):
-            return self._then(self._code(t.t, m, n, suspends), _UNARY[type(t)])
+            return _oracle_call(t.name, _args(args, flags, len(t.normal_args), _host_call(t)))
+        if isinstance(t, _EDITS):  # the chain's leaf suspends: one frame applies the whole edit
+            leaf, r, k, c = _chain(t)
+            return _then(self._code(leaf, m, n, suspends), lambda v, fr: v >> r << k | c)
         if isinstance(t, Cond):
             w, x, y, z = (self._code(c, m, n, suspends) for c in (t.w, t.x, t.y, t.z))
             if id(t.w) not in suspends:
@@ -1005,80 +1045,18 @@ class _Run:
                 _, xs, ys, b = fr
                 return (x if v == 0 else y if v % 2 == 0 else z)(xs, ys, b)
 
-            return self._then(w, pick)
+            return _then(w, pick)
         if isinstance(t, CompSafe):
             h, g = self._code(t.h, m, n + 1, suspends), self._code(t.g, m, n, suspends)
             if id(t.g) not in suspends:
                 return lambda xs, ys, b: h(xs, ys + (g(xs, ys, b),), b)
-            return self._then(g, lambda v, fr: h(fr[1], fr[2] + (v,), fr[3]))
+            return _then(g, lambda v, fr: h(fr[1], fr[2] + (v,), fr[3]))
         if isinstance(t, CompNormal):
             h, g = self._code(t.h, m + 1, n, suspends), self._code(t.g, m, 0, suspends)
             if id(t.g) not in suspends:
                 return lambda xs, ys, b: h(xs + (g(xs, (), b),), ys, b)
-            return self._then(lambda xs, ys, b: g(xs, (), b), lambda v, fr: h(fr[1] + (v,), fr[2], fr[3]))
+            return _then(lambda xs, ys, b: g(xs, (), b), lambda v, fr: h(fr[1] + (v,), fr[2], fr[3]))
         raise AssertionError(f"{type(t).__name__} cannot suspend")  # pragma: no cover
-
-    def _then(self, code, then):
-        """Code running ``code``, then ``then(value, (then, xs, ys, b))``."""
-        ks = self.ks
-
-        def run(xs, ys, b):
-            frame = (then, xs, ys, b)
-            ks.append(frame)
-            r = code(xs, ys, b)
-            if r.__class__ is tuple:
-                return r
-            ks.pop()
-            return then(r, frame)
-
-        return run
-
-    def _args(self, args: list, flags: list, m: int, finish):
-        """Code evaluating ``args`` left to right, then ``finish(normals,
-        safes, b)`` on the first ``m`` values and the rest."""
-        ks = self.ks
-        if not any(flags):
-            return _apply(args[:m], args[m:], finish)
-        if flags.index(True) == len(args) - 1:  # only the last one can suspend
-            head, last = _tuple_of(args[:-1]), args[-1]
-
-            def resume_last(v, fr):
-                vals = fr[1] + (v,)
-                return finish(vals[:m], vals[m:], fr[2])
-
-            def run_last(xs, ys, b):
-                frame = (resume_last, head(xs, ys, b), b)
-                ks.append(frame)
-                r = last(xs, ys, b)
-                if r.__class__ is tuple:
-                    return r
-                ks.pop()
-                return resume_last(r, frame)
-
-            return run_last
-
-        def resume(v, fr):
-            _, i, vals, xs, ys, b = fr
-            vals.append(v)
-            return run(xs, ys, b, i + 1, vals)
-
-        def run(xs, ys, b, i=0, vals=None):
-            vals = [] if vals is None else vals
-            while i < len(args):
-                if flags[i]:
-                    frame = (resume, i, vals, xs, ys, b)
-                    ks.append(frame)
-                    r = args[i](xs, ys, b)
-                    if r.__class__ is tuple:
-                        return r
-                    ks.pop()
-                    vals.append(r)
-                else:
-                    vals.append(args[i](xs, ys, b))
-                i += 1
-            return finish(tuple(vals[:m]), tuple(vals[m:]), b)
-
-        return run
 
     def _request(self, term: Call, args: list, flags: list):
         """Code of a call site (``_args`` over the argument code ``args``):
@@ -1086,7 +1064,7 @@ class _Run:
         request.  A failed guard gives 0, or GuardViolation in strict
         mode; after the guard, an unknown callee or a wrong arity raises."""
         name, m = term.name, len(term.normal_args)
-        bad = self._mismatch(name, m, len(term.safe_args))
+        bad = self.mismatch(name, m, len(term.safe_args))
         guard, strict, safe_guard = term.guard is not None, self.strict, term.guard == "strict_safe"
 
         def finish(u, v, b):
@@ -1098,26 +1076,158 @@ class _Run:
                 raise EvalError(bad)
             return (name, u, v)
 
-        return self._args(args, flags, m, finish)
+        return _args(args, flags, m, finish)
 
 
 # Subterms whose calls run through ``_compile``'s closures, never suspending.
 _OPAQUE = (SRecN, SNRec, SRecPP, SNRecPP, SimRecPP, TagDispatch)
-_UNARY = {S0: lambda v, fr: 2 * v, S1: lambda v, fr: 2 * v + 1, Pred: lambda v, fr: v >> 1}
 
 
-def _named_call(term: Call, nargs: list, sargs: list, prog: Optional[_Run]):
+def _then(code, then):
+    """Code running ``code``, then ``then(value, (then, xs, ys, b))``."""
+
+    def run(xs, ys, b):
+        frame = (then, xs, ys, b)
+        ks = b[3].ks
+        ks.append(frame)
+        r = code(xs, ys, b)
+        if r.__class__ is tuple:
+            return r
+        ks.pop()
+        return then(r, frame)
+
+    return run
+
+
+def _args(args: list, flags: list, m: int, finish):
+    """Code evaluating ``args`` left to right, then ``finish(normals,
+    safes, b)`` on the first ``m`` values and the rest."""
+    if not any(flags):
+        return _apply(args[:m], args[m:], finish)
+    if flags.index(True) == len(args) - 1:  # only the last one can suspend
+        head, last = _tuple_of(args[:-1]), args[-1]
+
+        def resume_last(v, fr):
+            vals = fr[1] + (v,)
+            return finish(vals[:m], vals[m:], fr[2])
+
+        def run_last(xs, ys, b):
+            frame = (resume_last, head(xs, ys, b), b)
+            ks = b[3].ks
+            ks.append(frame)
+            r = last(xs, ys, b)
+            if r.__class__ is tuple:
+                return r
+            ks.pop()
+            return resume_last(r, frame)
+
+        return run_last
+
+    def resume(v, fr):
+        _, i, vals, xs, ys, b = fr
+        vals.append(v)
+        return run(xs, ys, b, i + 1, vals)
+
+    def run(xs, ys, b, i=0, vals=None):
+        vals = [] if vals is None else vals
+        ks = b[3].ks
+        while i < len(args):
+            if flags[i]:
+                frame = (resume, i, vals, xs, ys, b)
+                ks.append(frame)
+                r = args[i](xs, ys, b)
+                if r.__class__ is tuple:
+                    return r
+                ks.pop()
+                vals.append(r)
+            else:
+                vals.append(args[i](xs, ys, b))
+            i += 1
+        return finish(tuple(vals[:m]), tuple(vals[m:]), b)
+
+    return run
+
+
+def _named_call(term: Call, nargs: list, sargs: list, prog: Optional[_ProgramCode]):
     """A call of a program function from ``_compile``'s closures: the
-    call site's request, run to its value by a nested ``prog.call``."""
+    call site's request, run to its value by a nested ``_Run.call``."""
     if prog is None:
         return _fail("named calls only occur inside programs")
-    request, call = prog._request(term, nargs + sargs, [False] * (len(nargs) + len(sargs))), prog.call
+    request = prog._request(term, nargs + sargs, [False] * (len(nargs) + len(sargs)))
 
     def run(xs, ys, b):
         r = request(xs, ys, b)
-        return call(*r) if r.__class__ is tuple else r
+        return b[3].call(*r) if r.__class__ is tuple else r
 
     return run
+
+
+class _Run:
+    """The state of one ``eval_pp`` run, and the machine loop over it.
+
+    ``call`` runs the program's code with the pending program calls on
+    the run's own stack ``ks``, so program-call depth uses no Python
+    frames.  ``translate`` never puts a call inside a recursion scheme
+    or a tag dispatch.  A program that does gets such calls compiled by
+    ``_compile`` as closures that run ``call`` again, one Python-level
+    loop per active call of that kind, sharing the run's fuel, memo,
+    statistics and stack.
+    """
+
+    __slots__ = ("code", "defs", "memo", "fuel", "switch", "depth", "max_depth", "steps", "ks")
+
+    def __init__(self, code: _ProgramCode, env: OracleEnv, cfg: EvalConfig) -> None:
+        self.code, self.defs = code, env._defs
+        # memo cells [value], keyed by the request, which hashes faster,
+        # then by its _long_key once _SHORT_RUN calls are made (fuel below
+        # switch): translated E's requests at 12-bit all-ones inputs fall
+        # into 491 hash classes for 8192 keys
+        self.memo: Optional[dict] = {} if cfg.memo else None
+        self.fuel, self.switch = cfg.fuel, cfg.fuel - _SHORT_RUN
+        self.depth, self.max_depth, self.steps = 0, 0, 0
+        self.ks: list[tuple] = []
+
+    def call(self, name: str, us: tuple, vs: tuple) -> int:
+        """Value of function ``name`` at ``us``, ``vs``: the machine loop.
+        An exception ends the whole run."""
+        ks, memo, code, defs, switch = self.ks, self.memo, self.code, self.defs, self.switch
+        bodies = code.bodies
+        base = len(ks)
+        r = (name, us, vs)
+        while True:
+            while r.__class__ is tuple:  # a request: enter the callee
+                fuel = self.fuel = self.fuel - 1
+                if fuel < 0:
+                    raise FuelExhausted(f"fuel exhausted calling {r[0]}")
+                cell = None
+                if memo is not None:
+                    if fuel < switch:
+                        if fuel == switch - 1:
+                            _lengthen_keys(memo)
+                        cell = memo.setdefault(_long_key(*r), [None])
+                    else:
+                        cell = memo.setdefault(r, [None])
+                    if cell[0] is not None:
+                        r = cell[0]
+                        break
+                body = bodies.get(r[0]) or code._body(r[0])
+                self.steps += 1
+                self.depth += 1
+                if self.depth > self.max_depth:
+                    self.max_depth = self.depth
+                ks.append((None, cell))  # the callee's end
+                us, vs = r[1], r[2]
+                r = body(us, vs, (defs, us, vs, self))
+            # a value: hand it to the innermost frame
+            if len(ks) == base:
+                return r
+            frame = ks.pop()
+            if frame[0] is None:  # the end of a program call
+                self.depth -= 1
+                if frame[1] is not None:
+                    frame[1][0] = r
+            else:
+                r = frame[0](r, frame)
 
 
 def eval_pp(
@@ -1129,15 +1239,25 @@ def eval_pp(
     cfg: Optional[EvalConfig] = None,
     stats: Optional[EvalStats] = None,
 ) -> int:
-    """Run a named function of a prefix-permutation program."""
-    run = _Run(prog, env or EMPTY_ORACLES, cfg or EvalConfig())
+    """Run a named function of a prefix-permutation program.
+
+    The program's compiled code is kept with it for the next run; the
+    memo, fuel and stack are this run's alone.
+    """
+    cfg = cfg or EvalConfig()
+    strict = cfg.guard_mode == "strict"
+    code = prog._code.get(strict)
+    if code is None or not code.current(prog.functions):  # first run, or the functions changed
+        code = prog._code[strict] = _ProgramCode(prog.functions, strict)
     xs, ys = tuple(normals), tuple(safes)
-    bad = run._mismatch(fname, len(xs), len(ys))
+    bad = code.mismatch(fname, len(xs), len(ys))
     if bad is not None:
         raise EvalError(bad)
+    run = _Run(code, env or EMPTY_ORACLES, cfg)
     try:
         return run.call(fname, xs, ys)
     finally:
+        run.ks.clear()  # frames of a run cut short hold b, and b holds the run
         if stats is not None:
             stats.steps += run.steps
             stats.max_depth = max(stats.max_depth, run.max_depth)

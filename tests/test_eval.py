@@ -1,15 +1,20 @@
 """Proof and term evaluation against the independent program oracles."""
 
+import gc
 import random
 import sys
 import threading
+import tracemalloc
+import weakref
 
 import pytest
 
 from conftest import c_program, e_program, l_program, ref_env, ref_eval, ref_pp, s_program, sample_two_sorted
 
+from circsafe import interp
 from circsafe.corpus import proof
 from circsafe.compilealg import nb_to_circular, srec_eliminate, term_to_derivation
+from circsafe.formats import parse_terms, serialize_program
 from circsafe.interp import (
     Call,
     CompSafe,
@@ -563,3 +568,164 @@ def test_bad_program_calls_raise_after_their_arguments_and_guard():
                         assert run() == 0, (callee, body)
     with pytest.raises(EvalError, match="main expects \\(1;0\\) arguments"):
         eval_pp(prog, "main", None, [3], [1])
+
+
+def _counting_compiles(monkeypatch) -> list:
+    """Names of the function bodies ``eval_pp`` compiles from now on."""
+    compiled, real = [], interp._ProgramCode._body
+    monkeypatch.setattr(interp._ProgramCode, "_body", lambda code, name: compiled.append(name) or real(code, name))
+    return compiled
+
+
+def test_eval_pp_compiles_each_program_once(proofs, monkeypatch):
+    compiled = _counting_compiles(monkeypatch)
+    prog = translate(proofs["C"])
+    strict = EvalConfig(guard_mode="strict")
+    assert eval_pp(prog, MAIN, None, [5, 6], [7]) == c_program(5, 6, 7)
+    assert sorted(compiled) == ["f0", "f1", "main"]
+    # the next runs, at other inputs and either memo setting, compile nothing
+    compiled.clear()
+    assert eval_pp(prog, MAIN, None, [13, 2], [9], EvalConfig(memo=False)) == c_program(13, 2, 9)
+    assert eval_pp(prog, MAIN, None, [0, 0], [0]) == c_program(0, 0, 0)
+    assert compiled == []
+    # the other guard mode has code of its own, and both are kept
+    assert eval_pp(prog, MAIN, None, [5, 6], [7], strict) == c_program(5, 6, 7)
+    assert sorted(compiled) == ["f0", "f1", "main"]
+    compiled.clear()
+    assert eval_pp(prog, MAIN, None, [6, 5], [1], strict) == c_program(6, 5, 1)
+    assert eval_pp(prog, MAIN, None, [6, 5], [1]) == c_program(6, 5, 1)
+    assert compiled == []
+    # a replaced function compiles afresh, and so does every body that calls it
+    x0, y0 = Proj("n", 0), Proj("s", 0)
+    prog.functions["f1"] = PPFunction("f1", 2, 1, S1(S1(y0)))
+    assert eval_pp(prog, MAIN, None, [2, 6], [7]) == ref_pp(prog, MAIN, [2, 6], [7]) == 126
+    assert sorted(compiled) == ["f0", "f1", "main"]
+    # an equal but distinct object is a replacement too
+    compiled.clear()
+    prog.functions["f1"] = PPFunction("f1", 2, 1, prog.functions["f1"].body)
+    assert eval_pp(prog, MAIN, None, [2, 6], [7]) == 126
+    assert sorted(compiled) == ["f0", "f1", "main"]
+    # so does a program with a function added, even one no body calls
+    compiled.clear()
+    prog.functions["g"] = PPFunction("g", 1, 0, S0(x0))
+    assert eval_pp(prog, MAIN, None, [2, 6], [7]) == 126
+    assert sorted(compiled) == ["f0", "f1", "main"]
+    compiled.clear()
+    assert eval_pp(prog, "g", None, [3], []) == 6 and compiled == ["g"]
+
+
+def test_kept_code_still_checks_call_sites_when_reached(monkeypatch):
+    compiled = _counting_compiles(monkeypatch)
+    x0, y0 = Proj("n", 0), Proj("s", 0)
+    # main calls g with one safe too many, in the branch of even nonzero x
+    call = Call("g", (Pred(x0),), (y0, y0))
+    prog = PPProgram({
+        "main": PPFunction("main", 1, 1, Cond(x0, y0, call, S1(y0))),
+        "g": PPFunction("g", 1, 1, S0(y0)),
+    })
+    for _ in range(2):
+        assert eval_pp(prog, "main", None, [3], [5]) == 11
+        assert eval_pp(prog, "main", None, [0], [5]) == 5
+        with pytest.raises(EvalError, match="g expects \\(1;1\\) arguments"):
+            eval_pp(prog, "main", None, [4], [5])
+    assert compiled == ["main"]
+    # with g of the arity the call site uses, the kept code is not used
+    prog.functions["g"] = PPFunction("g", 1, 2, S0(Proj("s", 1)))
+    assert eval_pp(prog, "main", None, [4], [5]) == 10
+    assert compiled == ["main", "main", "g"]
+
+
+def test_a_run_keeps_no_state_after_it_ends(proofs, monkeypatch):
+    """After eval_pp returns or raises, nothing holds its run (and so its
+    memo and frame stack) but what the raised exception still holds; the
+    next run on the same program is a fresh copy's run."""
+    runs = []
+
+    class Tracked(interp._Run):
+        __slots__ = ("__weakref__",)
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            runs.append(weakref.ref(self))
+
+    monkeypatch.setattr(interp, "_Run", Tracked)
+    x0, y0 = Proj("n", 0), Proj("s", 0)
+    # f halves even inputs and calls itself at unchanged odd ones: a guard
+    # violation four calls deep at 8, a 0 there in the zero mode
+    loop = PPProgram({"f": PPFunction("f", 1, 0, Cond(x0, Zero(), S0(Call("f", (Pred(x0),), (), "strict")),
+                                                     S1(Call("f", (x0,), (), "strict"))))})
+    s = translate(proofs["S"])
+    ones = 2**200 - 1
+    cases = [
+        (s, MAIN, [ones], EvalConfig(), None),
+        (s, MAIN, [ones], EvalConfig(fuel=100), FuelExhausted),
+        (s, MAIN, [ones], EvalConfig(fuel=100, memo=False), FuelExhausted),
+        (loop, "f", [8], EvalConfig(guard_mode="strict"), GuardViolation),
+        (loop, "f", [8], EvalConfig(), None),
+    ]
+    enabled = gc.isenabled()
+    gc.disable()  # reference counts alone must free the run
+    try:
+        for prog, name, xs, cfg, error in cases:
+            for target in (prog, PPProgram(dict(prog.functions), prog.guard)):  # kept code, then a fresh copy
+                stats = EvalStats()
+                try:
+                    got = eval_pp(target, name, None, xs, [], cfg, stats)
+                except (FuelExhausted, GuardViolation) as exc:
+                    got = type(exc)
+                assert got == (error or got) and got is not None, (name, cfg)
+                if target is prog:
+                    want = (got, stats)
+                else:
+                    assert (got, stats) == want, (name, cfg)
+                assert runs and all(ref() is None for ref in runs), (name, cfg)
+    finally:
+        if enabled:
+            gc.enable()
+    assert eval_pp(loop, "f", None, [8], []) == 8  # f(1) = s1(0)
+
+
+def test_a_host_oracle_may_run_the_same_program_again():
+    # main(x; y) = y << |x| | x: even bits by guarded calls, an odd one
+    # by the host oracle h, which runs main again on the same program
+    x0, y0 = Proj("n", 0), Proj("s", 0)
+    body = Cond(x0, y0, S0(Call("main", (Pred(x0),), (y0,), "strict")), S1(OracleCall("h", (Pred(x0),), (y0,))))
+    prog = PPProgram({"main": PPFunction("main", 1, 1, body)})
+    inner: list[EvalStats] = []
+
+    def again(us, vs):
+        inner.append(EvalStats())
+        return eval_pp(prog, "main", nested, us, vs, None, inner[-1])
+
+    nested = OracleEnv([OracleDef("h", 1, 1, again)])
+    plain = OracleEnv([OracleDef("h", 1, 1, lambda us, vs: vs[0] << us[0].bit_length() | us[0])])
+    for x in (0, 1, 4, 0b1011000, 2**40 - 1, 0b101 << 30):
+        got, alone = EvalStats(), EvalStats()
+        inner.clear()
+        assert eval_pp(prog, "main", nested, [x], [3], None, got) == 3 << x.bit_length() | x
+        assert eval_pp(prog, "main", plain, [x], [3], None, alone) == 3 << x.bit_length() | x
+        assert got == alone, x
+        # each inner run counts its own calls, as a run of its own would
+        for stats in inner:
+            assert stats.steps == stats.memo_keys == stats.max_depth >= 1
+
+
+def test_kept_code_does_not_outlive_its_program(proofs):
+    """eval_pp on 500 freshly parsed copies of one program leaves the
+    traced memory where it was after the first 50."""
+    text = serialize_program(translate(proofs["C"]), "c")
+    tracemalloc.start()
+    try:
+        for i in range(500):
+            prog = parse_terms(text).programs["c"]
+            assert eval_pp(prog, MAIN, None, [i, 5], [3]) == c_program(i, 5, 3)
+            if i == 49:
+                gc.collect()
+                start = tracemalloc.get_traced_memory()[0]
+        del prog
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    # one kept copy of C's code and bodies takes some 30 KB; 450 would take megabytes
+    assert grown < 20_000, grown

@@ -4,15 +4,20 @@ import random
 
 import pytest
 from conftest import sample_two_sorted
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circsafe.checker import classify
 from circsafe.compilealg import srec_eliminate, term_to_derivation
 from circsafe.corpus import standard_proofs
 from circsafe.interp import (
+    Call,
     CompNormal,
     CompSafe,
     Cond,
     EvalConfig,
+    PPFunction,
+    PPProgram,
     Pred,
     Proj,
     S0,
@@ -553,3 +558,82 @@ def test_eval_pp_matches_reference_with_calls_anywhere():
                             eval_pp(prog, f"f{top}", OracleEnv(host), xs, ys, EvalConfig(stats.steps - 1, False))
                     checked += 1
     assert checked > 500 and violations > 50
+
+
+# Prefix edits: a chain of s0/s1/p compiles to one edit ``v >> r << k | c``,
+# and an srec whose steps are such edits of the recursion value (or
+# constants) runs them inline.  The references below apply one operator
+# at a time.
+
+_EDIT_OPS = st.lists(st.sampled_from([S0, S1, Pred]), max_size=12)
+
+
+def _chained(ops: list, leaf):
+    """``ops`` (outermost first) applied to ``leaf``."""
+    for op in reversed(ops):
+        leaf = op(leaf)
+    return leaf
+
+
+def _ref_chain(ops: list, v: int) -> int:
+    for op in reversed(ops):
+        v = 2 * v if op is S0 else 2 * v + 1 if op is S1 else v // 2
+    return v
+
+
+def _inputs(ops: list):
+    """0, 1, a value shorter than the chain's count of p, or any."""
+    short = 2 ** sum(op is Pred for op in ops) - 1
+    return st.one_of(st.just(0), st.just(1), st.integers(0, short), st.integers(0, 2**80))
+
+
+@given(st.data(), _EDIT_OPS, st.sampled_from(["n", "s", "0"]))
+@settings(max_examples=400, deadline=None)
+def test_unary_chains_match_one_operator_at_a_time(data, ops, leaf):
+    x, y = data.draw(_inputs(ops)), data.draw(_inputs(ops))
+    base = Zero() if leaf == "0" else Proj(leaf, 0)
+    want = _ref_chain(ops, {"n": x, "s": y, "0": 0}[leaf])
+    assert eval_term(_chained(ops, base), None, [x], [y]) == want
+    # above a program call, the chain is one frame of the call's caller
+    prog = PPProgram({
+        "main": PPFunction("main", 1, 1, _chained(ops, Call("leaf", (Proj("n", 0),), (Proj("s", 0),)))),
+        "leaf": PPFunction("leaf", 1, 1, base),
+    })
+    assert eval_pp(prog, "main", None, [x], [y]) == want
+
+
+# an srec step at (1; 2) as (ops, leaf): the leaf is the normal x0 (the
+# prefix before the step's bit), the safe y0, the recursion value y1,
+# 0, or a conditional on y1 (no chain reaches a cond's value)
+_STEP_LEAVES = ["x0", "y0", "y1", "0", "cond"]
+
+
+def _step_term(ops: list, leaf: str):
+    x0, y0, y1 = Proj("n", 0), Proj("s", 0), Proj("s", 1)
+    leaves = {"x0": x0, "y0": y0, "y1": y1, "0": Zero(), "cond": Cond(y1, S1(y0), y1, Pred(y1))}
+    return _chained(ops, leaves[leaf])
+
+
+def _ref_step(ops: list, leaf: str, x: int, y: int, v: int) -> int:
+    if leaf == "cond":
+        base = 2 * y + 1 if v == 0 else v if v % 2 == 0 else v // 2
+    else:
+        base = {"x0": x, "y0": y, "y1": v, "0": 0}[leaf]
+    return _ref_chain(ops, base)
+
+
+@given(st.data(), _EDIT_OPS, st.sampled_from(["y0", "0"]), _EDIT_OPS, st.sampled_from(_STEP_LEAVES),
+       _EDIT_OPS, st.sampled_from(_STEP_LEAVES))
+@settings(max_examples=400, deadline=None)
+def test_srec_with_edit_steps_matches_a_plain_loop(data, g_ops, g_leaf, ops0, leaf0, ops1, leaf1):
+    term = SRecN(_chained(g_ops, Zero() if g_leaf == "0" else Proj("s", 0)),
+                 _step_term(ops0, leaf0), _step_term(ops1, leaf1))
+    x = data.draw(_inputs(ops0 + ops1))
+    y = data.draw(_inputs(g_ops))
+    # f(0; y) = g(y); f(x; y) = h_b(x >> 1; y, f(x >> 1; y)) for b the low bit of x
+    v = _ref_chain(g_ops, {"y0": y, "0": 0}[g_leaf])
+    for k in range(x.bit_length() - 1, -1, -1):
+        prefix = x >> k
+        ops, leaf = (ops1, leaf1) if prefix & 1 else (ops0, leaf0)
+        v = _ref_step(ops, leaf, prefix >> 1, y, v)
+    assert eval_term(term, None, [x], [y]) == v

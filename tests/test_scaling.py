@@ -8,6 +8,7 @@ linear in the graph (2 * 10**4 nodes below), and ``classify`` is linear
 enough for 10**5 nodes.  Only ``cyclenf``'s printed position ids grow
 with the square of the depth, by format: they spell the root path, so
 a 10**5-node chain would print some 5 * 10**9 characters of ids.
+``eval_pp`` runs the translations of 2 * 10**4-node chains and loops.
 """
 
 import random
@@ -21,7 +22,8 @@ from circsafe.bounds import beval, synthesize_bound
 from circsafe.checker import classify
 from circsafe.cli import main
 from circsafe.formats import parse_proof, serialize_proof
-from circsafe.interp import CompSafe, OracleCall, Proj
+from circsafe.interp import CompSafe, EvalConfig, EvalStats, OracleCall, Proj, eval_pp
+from circsafe.translate import MAIN, translate
 
 
 def _digits(n: int, seed: int) -> list[int]:
@@ -71,6 +73,36 @@ def test_check_and_translate_on_20000_nodes(graph, capsys, tmp_path):
     # 3.11; root-path positions took 2.6 s for translate alone at 10**4
     # nodes and grow with the square of the depth
     assert elapsed < 15.0, elapsed
+
+
+def _written(v: int, digits) -> int:
+    """``v`` with the successor steps ``digits`` applied, the first
+    digit outermost (so it is the last one written)."""
+    for b in reversed(digits):
+        v = 2 * v + b
+    return v
+
+
+def test_eval_pp_on_translations_of_20000_nodes():
+    """A translated chain is one 2 * 10**4-deep s0/s1 term and a
+    translated loop two 10**4-deep ones above a call; each compiles to
+    one prefix edit, so ``eval_pp`` runs them under the default
+    recursion limit."""
+    limit = sys.getrecursionlimit()
+    assert limit <= 1000
+    strict = EvalConfig(guard_mode="strict")
+    digits = _digits(19999, 5)
+    prog = translate(chain_graph(digits))
+    assert eval_pp(prog, MAIN, None, [], [5], strict) == _written(5, digits)
+    d0, d1 = _digits(9999, 6), _digits(9999, 7)
+    prog, stats = translate(loop_graph(d0, d1)), EvalStats()
+    # f(0; y) = y, f(x; y) = f(x >> 1; y) with the digits of x's low bit's branch written
+    x, want = 0b1101, 3
+    for bit in format(x, "b"):
+        want = _written(want, d1 if bit == "1" else d0)
+    assert eval_pp(prog, MAIN, None, [x], [3], strict, stats) == want
+    assert stats.steps == 6  # main, then f at 13, 6, 3, 1 and 0
+    assert sys.getrecursionlimit() == limit
 
 
 def test_classify_on_a_100000_node_chain():
