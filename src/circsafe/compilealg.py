@@ -28,6 +28,7 @@ from .interp import (
     TermDef,
     check_term_class,
     children,
+    fold,
 )
 from .transform import ShapeViolation, pass_parameters
 
@@ -215,11 +216,24 @@ def _compile_oracle_call(g: _Graph, term: OracleCall, m: int, n: int, oracle_sig
         cur = _exchange_up(g, RuleKind.EXCH_N, wide, list(range(on + i)), cur)
     for i in range(m):
         cur = g.add(Rule(RuleKind.WEAK_B), Sequent(i + 1, n + on), (cur,))
-    # now cut in the argument values, innermost last
+    # now cut in the argument values, innermost last.  Argument j sees
+    # the j earlier values as safes n..n+j-1; one that reads the count of
+    # ambient safes (_binds_safe) compiles without them, weakened away
     for j in range(on - 1, -1, -1):
-        value = _compile(g, term.safe_args[j], m, n + j, oracle_sigs)
+        arg = term.safe_args[j]
+        if j and _binds_safe(arg):
+            value = _weaken_to(g, _compile(g, arg, m, n, oracle_sigs), Sequent(m, n), m, n + j)
+        else:
+            value = _compile(g, arg, m, n + j, oracle_sigs)
         cur = g.add(Rule(RuleKind.CUT_N), Sequent(m, n + j), (value, cur))
     return cur
+
+
+def _binds_safe(term: Term) -> bool:
+    """Does ``term`` contain a form that reads the count n of ambient
+    safes: ``comps`` and ``srec`` bind slot n, ``snrec``'s recursive
+    call takes n safes?"""
+    return fold(term, lambda t, kids: isinstance(t, (CompSafe, SRecN, SNRec)) or any(kids))
 
 
 def _compile_snrec(g: _Graph, term: SNRec, m: int, n: int, oracle_sigs: dict[str, tuple[int, int]]) -> str:

@@ -2,11 +2,10 @@
 
 Proof graphs are run as equational programs on an explicit work stack
 (cycles unfold lazily, a fuel budget bounds the number of rule-step
-expansions, memo entries are kept only at nodes where a run can read
-them back).  Terms are a two-sorted function algebra with oracles and
+expansions).  Terms are a two-sorted function algebra with oracles and
 the recursion schemes on notation and on permutations of prefixes;
 programs over the prefix-permutation order add guarded calls between
-named functions.
+named functions.  Memo entries are kept only where a run can read them.
 
 Terms and programs compile once into closures for fixed argument counts
 (``eval_term`` caches them per term; a program keeps its compiled
@@ -74,11 +73,10 @@ class EvalStats:
     included); the expansion or call that fuel refuses is not one.
     ``memo_keys`` counts the distinct keys whose evaluation began with
     memoization on, whether or not the run stored an entry for them; a
-    run that raises counts those it did not finish too.
-    ``eval_proof`` counts each expansion at a node without an entry as a
-    key, so a run that never returns may count such a key once per
-    expansion.  ``max_depth`` is the deepest nesting of program calls
-    (``eval_pp``).
+    run that raises counts those it did not finish too.  Each expansion
+    or call where no entry is kept counts as a key, so a run that never
+    returns may count such a key once per expansion or call.
+    ``max_depth`` is the deepest nesting of program calls (``eval_pp``).
     """
 
     steps: int = 0
@@ -278,81 +276,62 @@ def eval_proof(
 _SUCC, _STORE = "succ", "store"
 
 
-_SHORT_RUN = 1000  # eval_pp calls under plain keys, before its switch to long keys
 _bits = int.bit_length
 
 
 def _long_key(n: str, xs: tuple, ys: tuple) -> tuple:
-    """A memo key that adds the inputs' bit lengths: an int hashes to
-    itself modulo 2**61 - 1, so appending 61 one-bits to a value keeps
-    its hash, and all-ones inputs or values grown by appending ones
-    would share hashes."""
+    """The memo key of both evaluators, which adds the inputs' bit
+    lengths: an int hashes to itself modulo 2**61 - 1, so appending 61
+    one-bits to a value keeps its hash, and all-ones inputs or values
+    grown by appending ones would share hashes."""
     return n, xs, ys, sum(map(_bits, xs)), sum(map(_bits, ys))
 
 
-def _lengthen_keys(memo: dict) -> None:
-    """Replace each plain key ``(n, xs, ys)`` of ``memo`` by its long key."""
-    entries = list(memo.items())
-    memo.clear()
-    memo.update((_long_key(*key), cell) for key, cell in entries)
+def _reach(succ: dict, starts: Sequence) -> set:
+    """``starts`` and all they reach in the successor map ``succ``: O(V + E)."""
+    seen, stack = set(starts), list(starts)
+    while stack:
+        for p in succ.get(stack.pop(), ()):
+            if p not in seen:
+                seen.add(p)
+                stack.append(p)
+    return seen
 
 
 def _repeatable(graph: ProofGraph, nid: str) -> frozenset:
     """Nodes where a run from ``nid`` that returns can hit its memo.
 
     A hit needs two expansions of a node at the same inputs, the first
-    finished before the second starts.  They sit below different
-    children of a common ancestor, and only cuts (left premise, then
-    right) and srec (the recursive value, then a step premise) expand
-    more than one child.  So the node is reachable from both sides of
-    such a node: from both premises of a cut, or from a step premise of
-    an srec (the srec itself reaches all of them).  Reachability is one
-    bit mask per strongly connected component, built sinks first.
+    finished before the second starts.  Their lowest common ancestor in
+    the run expands two children, so it is a cut or an srec, and the
+    later expansion lies below its second child: a cut's right premise
+    or an srec's step premise (its first is the srec at x >> 1).
 
     Of those nodes, only ones with more than one way in are kept: their
     in-edges from nodes live from ``nid``, with multiplicity, plus one
     for ``nid`` itself and one for an srec, which expands itself again;
-    an edge from a weakening counts two.  Every other rule maps its
-    inputs injectively to its premise's (a conditional's and an srec's
-    given which premise it is).  So take a run with an entry at every
-    node and a hit there at a node with one such way in: its parent
-    expanded it, so the parent missed at inputs it had expanded before.
-    That earlier expansion either finished, and then this one would
-    have hit, or it encloses this one, and a key expanded again inside
-    its own expansion never returns.  So in a run that returns, hits
-    fall only on the nodes kept here.
+    an edge from a weakening counts two.  Other rules map their inputs
+    injectively to a premise's, so in a run with an entry at every node,
+    a hit at a node with one such way in means its parent missed at
+    inputs it had expanded before: that expansion finished, and then the
+    parent would have hit, or it encloses this one, which never returns.
     """
     nodes = graph.nodes
     adj = {n: nd.premises for n, nd in nodes.items()}
-    bit = {n: 1 << i for i, n in enumerate(adj)}
-    reach: dict[str, int] = {}
-    for comp in sccs(adj):
-        mask = 0
-        for n in comp:
-            mask |= bit[n]
-            for p in adj[n]:
-                mask |= reach.get(p, 0)  # earlier components; own members are in mask
-        for n in comp:
-            reach[n] = mask
-    both, live = 0, reach[nid]
-    ways = dict.fromkeys(adj, 0)  # ways into each node, from nodes live from nid
-    ways[nid] = 1
-    for n, nd in nodes.items():
-        if not live & bit[n]:
-            continue
-        kind, pr = nd.rule.kind, nd.premises
+    seconds = []  # the second children of live cuts and srecs
+    ways = {nid: 1}  # ways into each node, from nodes live from nid
+    for n in _reach(adj, (nid,)) & nodes.keys():
+        kind, pr = nodes[n].rule.kind, adj[n]
         if (kind is _R_CUT_N or kind is _R_CUT_B) and len(pr) > 1:
-            both |= reach.get(pr[0], 0) & reach.get(pr[1], 0)
+            seconds.append(pr[1])
         elif kind is _R_SREC:
-            ways[n] += 1  # the srec expands itself again
-            for p in pr[1:]:
-                both |= reach.get(p, 0)
+            ways[n] = ways.get(n, 0) + 1  # the srec expands itself again
+            seconds.extend(pr[1:])
         # a weakening forgets an input: its one edge counts as two ways in
         step = 2 if kind is _R_WEAK_N or kind is _R_WEAK_B else 1
         for p in pr:
-            if p in ways:
-                ways[p] += step
-    return frozenset(n for n in adj if both & bit[n] and ways[n] > 1)
+            ways[p] = ways.get(p, 0) + step
+    return frozenset(n for n in _reach(adj, seconds) & nodes.keys() if ways[n] > 1)
 
 
 # ---------------------------------------------------------------------------
@@ -930,7 +909,7 @@ class PPFunction:
 class PPProgram:
     """Mutually recursive named functions with guarded calls.
 
-    ``eval_pp`` keeps the code it compiles for the program here, one
+    ``eval_pp`` keeps its compiled code and memo policy here, one
     ``_ProgramCode`` per guard mode, and uses it again while
     ``functions`` holds the same ``PPFunction`` objects.
     """
@@ -984,13 +963,24 @@ class _ProgramCode:
     A call site's arity check reads its callee when the site compiles,
     so the code keeps the functions it was built from and serves only a
     program that holds those very objects (``current``).
+
+    ``keep`` holds the functions whose calls keep memo entries: those
+    reachable in the call graph from a callee of a body that can make
+    two calls in one activation (``_walk``).  As in ``_repeatable``, two
+    calls with one key lie below two calls of their lowest common activation.
     """
 
-    __slots__ = ("functions", "strict", "bodies")
+    __slots__ = ("functions", "strict", "bodies", "marks", "keep")
 
     def __init__(self, functions: dict[str, PPFunction], strict: bool) -> None:
         self.functions, self.strict = dict(functions), strict
         self.bodies: dict[str, Callable] = {}
+        self.marks: dict[str, set] = {}  # each body's suspending subterms, until it compiles
+        calls, starts = {}, []
+        for name, fn in self.functions.items():
+            self.marks[name], calls[name], twice = _walk(fn.body)
+            starts += calls[name] if twice else ()
+        self.keep = frozenset(_reach(calls, starts))
 
     def current(self, functions: dict[str, PPFunction]) -> bool:
         """Does ``functions`` hold exactly the objects this code was built from?"""
@@ -1007,20 +997,10 @@ class _ProgramCode:
         return None
 
     def _body(self, name: str) -> Callable:
-        """Compile function ``name``'s body, first marking the subterms
-        that can suspend: those with a call outside ``_OPAQUE`` forms."""
+        """Compile function ``name``'s body along the marks of ``_walk``."""
         fn = self.functions[name]
-        suspends = set()
-
-        def mark(t: Term, kids: list[bool]) -> bool:
-            s = isinstance(t, Call) or not isinstance(t, _OPAQUE) and any(kids)
-            if s:
-                suspends.add(id(t))
-            return s
-
-        fold(fn.body, mark)
-        self.bodies[name] = self._code(fn.body, fn.normals, fn.safes, suspends)
-        return self.bodies[name]
+        code = self.bodies[name] = self._code(fn.body, fn.normals, fn.safes, self.marks.pop(name))
+        return code
 
     def _code(self, t: Term, m: int, n: int, suspends: set):
         """Code of body subterm ``t`` at ``m`` normals and ``n`` safes:
@@ -1081,6 +1061,30 @@ class _ProgramCode:
 
 # Subterms whose calls run through ``_compile``'s closures, never suspending.
 _OPAQUE = (SRecN, SNRec, SRecPP, SNRecPP, SimRecPP, TagDispatch)
+
+
+def _walk(body: Term) -> tuple[set, set, bool]:
+    """One pass over a program body: the ids of the subterms that can
+    suspend (with a call outside ``_OPAQUE`` forms), the names it calls,
+    and whether an activation can make two calls: a conditional counts
+    its condition and costliest branch, a call inside an ``_OPAQUE`` form
+    (which may run it again) two, and other forms the sum of their parts."""
+    suspends, callees = set(), set()
+
+    def mark(t: Term, kids: list[tuple[bool, int]]) -> tuple[bool, int]:
+        s, count = any([k[0] for k in kids]), sum([k[1] for k in kids])
+        if isinstance(t, Call):
+            callees.add(t.name)
+            s, count = True, count + 1
+        elif isinstance(t, _OPAQUE):
+            s, count = False, 2 * count
+        elif isinstance(t, Cond):
+            count = kids[0][1] + max(k[1] for k in kids[1:])
+        if s:
+            suspends.add(id(t))
+        return s, count
+
+    return suspends, callees, fold(body, mark)[1] > 1
 
 
 def _then(code, then):
@@ -1171,26 +1175,23 @@ class _Run:
     or a tag dispatch.  A program that does gets such calls compiled by
     ``_compile`` as closures that run ``call`` again, one Python-level
     loop per active call of that kind, sharing the run's fuel, memo,
-    statistics and stack.
+    statistics and stack.  Only calls of the code's ``keep`` look up
+    memo cells ``[value]``, under ``_long_key``s; ``keyed`` counts them.
     """
 
-    __slots__ = ("code", "defs", "memo", "fuel", "switch", "depth", "max_depth", "steps", "ks")
+    __slots__ = ("code", "defs", "memo", "keep", "fuel", "keyed", "depth", "max_depth", "steps", "ks")
 
     def __init__(self, code: _ProgramCode, env: OracleEnv, cfg: EvalConfig) -> None:
         self.code, self.defs = code, env._defs
-        # memo cells [value], keyed by the request, which hashes faster,
-        # then by its _long_key once _SHORT_RUN calls are made (fuel below
-        # switch): translated E's requests at 12-bit all-ones inputs fall
-        # into 491 hash classes for 8192 keys
-        self.memo: Optional[dict] = {} if cfg.memo else None
-        self.fuel, self.switch = cfg.fuel, cfg.fuel - _SHORT_RUN
+        self.memo, self.keep = ({}, code.keep) if cfg.memo else (None, frozenset())
+        self.fuel, self.keyed = cfg.fuel, 0
         self.depth, self.max_depth, self.steps = 0, 0, 0
         self.ks: list[tuple] = []
 
     def call(self, name: str, us: tuple, vs: tuple) -> int:
         """Value of function ``name`` at ``us``, ``vs``: the machine loop.
         An exception ends the whole run."""
-        ks, memo, code, defs, switch = self.ks, self.memo, self.code, self.defs, self.switch
+        ks, memo, keep, code, defs = self.ks, self.memo, self.keep, self.code, self.defs
         bodies = code.bodies
         base = len(ks)
         r = (name, us, vs)
@@ -1200,13 +1201,9 @@ class _Run:
                 if fuel < 0:
                     raise FuelExhausted(f"fuel exhausted calling {r[0]}")
                 cell = None
-                if memo is not None:
-                    if fuel < switch:
-                        if fuel == switch - 1:
-                            _lengthen_keys(memo)
-                        cell = memo.setdefault(_long_key(*r), [None])
-                    else:
-                        cell = memo.setdefault(r, [None])
+                if r[0] in keep:
+                    self.keyed += 1
+                    cell = memo.setdefault(_long_key(*r), [None])
                     if cell[0] is not None:
                         r = cell[0]
                         break
@@ -1242,7 +1239,8 @@ def eval_pp(
     """Run a named function of a prefix-permutation program.
 
     The program's compiled code is kept with it for the next run; the
-    memo, fuel and stack are this run's alone.
+    memo, fuel and stack are this run's alone; calls of the functions in
+    ``_ProgramCode.keep`` keep memo entries, and only those.
     """
     cfg = cfg or EvalConfig()
     strict = cfg.guard_mode == "strict"
@@ -1261,8 +1259,8 @@ def eval_pp(
         if stats is not None:
             stats.steps += run.steps
             stats.max_depth = max(stats.max_depth, run.max_depth)
-            if run.memo is not None:
-                stats.memo_keys = len(run.memo)
+            if run.memo is not None:  # the calls made, less those that looked up an entry
+                stats.memo_keys = len(run.memo) + cfg.fuel - max(run.fuel, 0) - run.keyed
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,11 @@ from circsafe.interp import (
     CompSafe,
     Cond,
     EvalError,
+    EvalStats,
+    FuelExhausted,
     GuardViolation,
     OracleCall,
+    PPProgram,
     Pred,
     Proj,
     S0,
@@ -23,6 +26,8 @@ from circsafe.interp import (
     SRecPP,
     TagDispatch,
     Zero,
+    _ProgramCode,
+    eval_pp,
     is_bearing,
 )
 from circsafe.kernel import Node, ProofGraph, Rule, RuleKind, Sequent, TupleOrder, tuple_order
@@ -378,6 +383,32 @@ def ref_pp(prog, fname, xs, ys, defs=(), strict=False):
     host = ref_env(defs)
     xs, ys = tuple(xs), tuple(ys)
     return ref_eval(prog.functions[fname].body, xs, ys, host, (prog, host, strict), (xs, ys))
+
+
+# Reference for the memo policy of interp.eval_pp, which keeps memo
+# entries only for calls of some functions: the same machine with the
+# policy patched to keep an entry for every call.
+
+
+def memo_everywhere(prog):
+    """A copy of ``prog`` whose ``eval_pp`` runs keep a memo entry for
+    every call, in either guard mode."""
+    copy = PPProgram(dict(prog.functions), prog.guard)
+    for strict in (False, True):
+        code = copy._code[strict] = _ProgramCode(copy.functions, strict)
+        code.keep = frozenset(copy.functions)
+    return copy
+
+
+def pp_outcome(prog, fname, env, xs, ys, cfg) -> tuple:
+    """The value of ``eval_pp`` (or the type of the exception it raised
+    for want of fuel or at a guard) and its ``EvalStats``."""
+    stats = EvalStats()
+    try:
+        got = eval_pp(prog, fname, env, xs, ys, cfg, stats)
+    except (FuelExhausted, GuardViolation) as e:
+        got = type(e)
+    return got, stats
 
 
 # Independent oracle for circsafe.bounds: bound synthesis, expression

@@ -14,6 +14,7 @@ from circsafe.compilealg import (
     term_to_derivation,
 )
 from circsafe.interp import (
+    CompSafe,
     OracleCall,
     Pred,
     Proj,
@@ -136,3 +137,16 @@ def test_frozen_recursive_call_under_inner_loop_rejected():
     bad = TermDef("bad", 1, 1, SNRec(S1(Proj("s", 0)), inner, "recA"))
     with pytest.raises(CompileError):
         nb_to_circular(bad)
+
+
+def test_later_recursive_call_argument_binding_a_safe_slot():
+    # rec's second argument comps(y2, y1) reads the slot its comps binds,
+    # not the value of rec's first argument cut in before it
+    y1, y2 = Proj("s", 1), Proj("s", 2)
+    td = TermDef("t", 1, 2, SNRec(y1, OracleCall("rec", (), (Zero(), CompSafe(y2, y1)))))
+    c = nb_to_circular(td)
+    assert validate_graph(c) == []
+    for x in range(6):
+        for a in range(4):
+            for b in range(4):
+                assert eval_proof(c, c.root, [x], [a, b]) == eval_term(td.body, None, [x], [a, b]), (x, a, b)

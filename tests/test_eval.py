@@ -9,7 +9,9 @@ import weakref
 
 import pytest
 
-from conftest import c_program, e_program, l_program, ref_env, ref_eval, ref_pp, s_program, sample_two_sorted
+from conftest import (
+    c_program, e_program, l_program, memo_everywhere, pp_outcome, ref_env, ref_eval, ref_pp, s_program, sample_two_sorted,
+)
 
 from circsafe import interp
 from circsafe.corpus import proof
@@ -540,6 +542,17 @@ def test_calls_inside_recursion_schemes_reenter_the_program_machine():
     assert stats.max_depth == 3002 and stats.steps == 1 + 2 * 3001
     with pytest.raises(FuelExhausted):
         eval_pp(prog, "main", None, [3, x], [], EvalConfig(fuel=stats.steps - 1))
+    # an srec may run a call in its steps twice, so calls of g keep memo
+    # entries and main's do not; a memo entry for every call changes
+    # nothing, with the call in both steps or in one
+    one_step = PPProgram({**prog.functions, "main": PPFunction("main", 2, 0, SRecN(x0, step, y0))})
+    for p in (prog, one_step):
+        everywhere = memo_everywhere(p)
+        for xs in ([0, 5], [6, 1], [13, 2], [16, 0], [3, x]):  # g(0; 0) repeats
+            for fuel in (10**6, 9, 3):
+                cfg = EvalConfig(fuel=fuel)
+                assert pp_outcome(p, "main", None, xs, [], cfg) == pp_outcome(everywhere, "main", None, xs, [], cfg)
+        assert p._code[False].keep == {"g"}
 
 
 def test_bad_program_calls_raise_after_their_arguments_and_guard():

@@ -9,6 +9,10 @@ fuel with which it succeeds:
 - ``eval_pp`` on the translations of those that translate, in the
   ``zero`` and ``strict`` guard modes, with memoization on and off.
 
+``eval_pp`` keeps a program's compiled code for its next run, so the
+test runs each program through copies that serve a fixed number of runs
+each and compile afresh: the statistics must not depend on it.
+
 Any change to how the evaluators schedule, memoize or count work shows
 here as a changed entry.
 
@@ -22,9 +26,16 @@ from pathlib import Path
 
 import pytest
 
-from circsafe import interp
 from circsafe.corpus import proof
-from circsafe.interp import EvalConfig, EvalStats, FuelExhausted, GuardViolation, eval_pp, eval_proof
+from circsafe.interp import (
+    EvalConfig,
+    EvalStats,
+    FuelExhausted,
+    GuardViolation,
+    PPProgram,
+    eval_pp,
+    eval_proof,
+)
 from circsafe.translate import MAIN, TranslateError, translate
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "eval_stats.json"
@@ -72,7 +83,10 @@ def _entry(run) -> dict:
     }
 
 
-def eval_stats() -> dict[str, dict]:
+def eval_stats(reuse: int | None = None) -> dict[str, dict]:
+    """The golden entries, each program serving ``reuse`` ``eval_pp``
+    runs before a copy with no compiled code takes over (``None``: one
+    program for all its runs)."""
     out = {}
     for name in PROOFS:
         g = proof(name)
@@ -81,6 +95,7 @@ def eval_stats() -> dict[str, dict]:
             prog = translate(g)
         except TranslateError:  # N_UNSAFE is not accepted, so it has no program
             prog = None
+        runs = 0
         for xs, ys in _inputs(seq.boxed, seq.plain):
             args = f"{','.join(map(str, xs))};{','.join(map(str, ys))}"
             for memo in (True, False):
@@ -95,6 +110,10 @@ def eval_stats() -> dict[str, dict]:
                 for mode in ("zero", "strict"):
 
                     def by_program(fuel, stats):
+                        nonlocal prog, runs
+                        if reuse is not None and runs % reuse == 0:
+                            prog = PPProgram(dict(prog.functions), prog.guard)
+                        runs += 1
                         cfg = EvalConfig(fuel=fuel, memo=memo, guard_mode=mode)
                         return eval_pp(prog, MAIN, None, xs, ys, cfg, stats)
 
@@ -102,16 +121,12 @@ def eval_stats() -> dict[str, dict]:
     return out
 
 
-@pytest.mark.parametrize("short_run", [1, 5, None])
-def test_eval_stats_match_golden(monkeypatch, short_run):
-    # the point where an eval_pp run switches to long memo keys: at once,
-    # early enough that entries made before it are read after it, or the
-    # default, which these short runs never reach (eval_proof has long
-    # keys from the first expansion, so it runs the same code each time)
-    if short_run is not None:
-        monkeypatch.setattr(interp, "_SHORT_RUN", short_run)
+@pytest.mark.parametrize("reuse", [1, 5, None])
+def test_eval_stats_match_golden(reuse):
+    # each run compiles afresh, copies serve five runs (so kept code meets
+    # other inputs, memo settings and guard modes), or one program serves all
     want = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    got = eval_stats()
+    got = eval_stats(reuse)
     assert sorted(got) == sorted(want)
     for key, entry in want.items():
         assert got[key] == entry, key

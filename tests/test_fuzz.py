@@ -474,9 +474,46 @@ def test_memo_entries_for_a_run_started_below_the_root():
 def test_repeatable_on_the_corpus(proofs):
     from circsafe.interp import _repeatable
 
-    for name, kept in (("S", {"n7", "n8"}), ("L", {"l4", "l6"}), ("E", {"e0", "e3"})):
+    # S's n3 is the right premise of the cut n1, with ways in from n1 and
+    # n4, but a run of S expands it once
+    kept = {"S": {"n3", "n7", "n8"}, "L": {"l4", "l6"}, "E": {"e0", "e3"}, "P": {"p4", "p7"}, "C": set()}
+    for name, want in kept.items():
         g = proofs[name]
-        assert _repeatable(g, g.root) == kept, name
+        assert _repeatable(g, g.root) == want, name
+
+
+def test_repeatable_takes_linear_memory():
+    """The proof policy's traced peak on a chain of 8 * 10**4 nodes is at
+    most five times its peak on 2 * 10**4 (a quadratic one would take
+    sixteen)."""
+    import tracemalloc
+
+    from conftest import chain_graph
+
+    from circsafe.interp import _repeatable
+
+    peaks = []
+    for n in (2 * 10**4, 8 * 10**4):
+        g = chain_graph([j % 2 for j in range(n - 1)])
+        tracemalloc.start()
+        try:
+            assert _repeatable(g, g.root) == frozenset()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 5 * peaks[0], peaks
+
+
+def test_program_memo_policy_on_the_corpus(proofs):
+    """Translated S, C, L and P make at most one call per activation, so
+    no call keeps a memo entry; E and N call f0 twice from one body."""
+    from circsafe.interp import _ProgramCode
+
+    for name in ("S", "C", "L", "P", "E", "N"):
+        prog = translate(proofs[name])
+        for strict in (False, True):
+            want = {"f0"} if name in ("E", "N") else set()
+            assert _ProgramCode(prog.functions, strict).keep == want, name
 
 
 def _random_body(rng: random.Random, m: int, n: int, depth: int, me: int, sigs: list):
@@ -512,8 +549,9 @@ def _random_body(rng: random.Random, m: int, n: int, depth: int, me: int, sigs: 
 def test_eval_pp_matches_reference_with_calls_anywhere():
     """Values, guard failures and fuel accounting of ``eval_pp`` on random
     programs whose calls sit in every kind of position, against the
-    reference ``ref_pp``."""
-    from conftest import ref_pp
+    reference ``ref_pp``; with memoization on, value, statistics and the
+    outcome at less fuel against a run with a memo entry for every call."""
+    from conftest import memo_everywhere, pp_outcome, ref_pp
 
     from circsafe.interp import (
         EvalStats,
@@ -527,12 +565,13 @@ def test_eval_pp_matches_reference_with_calls_anywhere():
 
     rng = random.Random(90210)
     host = [OracleDef("h", 1, 1, lambda us, vs: 2 * us[0] + vs[0] % 4)]
-    checked = violations = 0
+    checked = violations = hits = 0
     for trial in range(80):
         sigs = [(rng.randrange(1, 3), rng.randrange(0, 3)) for _ in range(rng.randrange(1, 4))]
         prog = PPProgram(
             {f"f{i}": PPFunction(f"f{i}", m, n, _random_body(rng, m, n, 3, i, sigs)) for i, (m, n) in enumerate(sigs)}
         )
+        everywhere = memo_everywhere(prog)
         top = len(sigs) - 1
         for _ in range(8):
             xs, ys = sample_two_sorted(rng, *sigs[top], 3)
@@ -549,6 +588,13 @@ def test_eval_pp_matches_reference_with_calls_anywhere():
                         got = GuardViolation
                     assert got == want, (trial, xs, ys, strict, memo)
                     violations += got is GuardViolation
+                    if memo:
+                        for fuel in {cfg.fuel, stats.steps, max(1, stats.steps // 2)}:
+                            cut = EvalConfig(fuel, True, cfg.guard_mode)
+                            outcome = pp_outcome(everywhere, f"f{top}", OracleEnv(host), xs, ys, cut)
+                            assert pp_outcome(prog, f"f{top}", OracleEnv(host), xs, ys, cut) == outcome, (trial, fuel)
+                        off = EvalConfig(memo=False, guard_mode=cfg.guard_mode)
+                        hits += stats.steps < pp_outcome(prog, f"f{top}", OracleEnv(host), xs, ys, off)[1].steps
                     if memo or got is GuardViolation:
                         continue
                     # without a memo every call is entered: it costs one fuel and counts one step
@@ -557,7 +603,7 @@ def test_eval_pp_matches_reference_with_calls_anywhere():
                         with pytest.raises(FuelExhausted):
                             eval_pp(prog, f"f{top}", OracleEnv(host), xs, ys, EvalConfig(stats.steps - 1, False))
                     checked += 1
-    assert checked > 500 and violations > 50
+    assert checked > 500 and violations > 50 and hits > 100, hits
 
 
 # Prefix edits: a chain of s0/s1/p compiles to one edit ``v >> r << k | c``,
