@@ -16,10 +16,15 @@ host's oracles.  A chain of ``s0``/``s1``/``p`` compiles to one prefix
 edit, ``srec`` runs as a loop over the prefixes of its recursion
 argument (inline over its bits when both steps are edits of the
 recursion value or constants), so neither recurses once per chain link
-or input bit.  ``eval_pp`` keeps pending program calls on its own
-stack: the code on the path from a body to its calls hands each call to
-one loop as a request, so program-call depth uses no Python frames;
-the depth of terms other than chains does.
+or input bit.  ``snrec`` binds its recursion name to the level below
+the step, a cell whose argument tuple and bindings are built on the
+level's first call and kept, so the exponentially many recursive calls
+into one level share them and each is one call of the step; a call
+that passes the safes through unchanged does not copy them.
+``eval_pp`` keeps pending program calls on its own stack: the code on
+the path from a body to its calls hands each call to one loop as a
+request, so program-call depth uses no Python frames; the depth of
+terms other than chains does.
 """
 
 from __future__ import annotations
@@ -589,10 +594,13 @@ def map_terms(term: Term, f: Callable[[Term], Term]) -> Term:
 # normals and safes of the innermost program call (the frame its guards
 # compare against), b[3] is the ``_Run`` of the program run (all three
 # None outside programs).  Each recursion scheme appends one binding
-# per name it introduces, ``(code, bound, outer)``: the scheme's code,
-# the arguments it was entered with and the bindings around it.  So a
-# recursion name resolves at compile time to an index into b, and a
-# recursive call runs in its scheme's scope, never in the caller's.
+# per name it introduces.  A guarded scheme's is ``(code, bound, outer)``:
+# the scheme's code, the arguments it was entered with and the bindings
+# around it.  ``snrec``'s is the level below the step, a list whose
+# head, once a call has built it, is ``(code, normals, bindings)`` with
+# ``code(normals, ys, bindings) == f(x >> 1, tail; ys)`` (``_snrec``).
+# So a recursion name resolves at compile time to an index into b, and
+# a recursive call runs in its scheme's scope, never in the caller's.
 # Arities are fixed by the term, so they are checked here once; a
 # failed check compiles to code that raises when it is reached.
 
@@ -695,8 +703,13 @@ def _compile(term: Term, m: int, n: int, scope: tuple, prog: Optional["_ProgramC
         if isinstance(term, Call):
             return _named_call(term, nargs, sargs, prog)
         for k in range(len(scope) - 1, -1, -1):
-            if scope[k][0] == term.name:
-                return _rec_call(term.name, _FIXED + k, scope[k], nargs, sargs)
+            name, guard, bm, bn = scope[k]
+            if name == term.name:
+                if len(nargs) != bm or len(sargs) != bn:  # the arguments run, then this raises
+                    return _apply(nargs, sargs, _fail(f"oracle {name!r} arity mismatch"))
+                if guard is None:
+                    return _nested_call(_FIXED + k, term.safe_args, sargs, n)
+                return _rec_call(_FIXED + k, guard, nargs, sargs)
         return _oracle_call(term.name, _apply(nargs, sargs, _host_call(term)))
     if isinstance(term, CompSafe):
         h, g = _compile(term.h, m, n + 1, scope, prog), _compile(term.g, m, n, scope, prog)
@@ -728,16 +741,7 @@ def _compile(term: Term, m: int, n: int, scope: tuple, prog: Optional["_ProgramC
         return run
     if isinstance(term, SNRec):
         g = _compile(term.g, m - 1, n, scope, prog)
-        h = _compile(term.h, m, n, scope + ((term.rec_name, None, 0, n),), prog)
-
-        def run(xs, ys, b):
-            x0 = xs[0]
-            if x0 == 0:
-                return g(xs[1:], ys, b)
-            rest = (x0 >> 1,) + xs[1:]
-            return h(rest, ys, b + ((run, rest, b),))
-
-        return run
+        return _snrec(g, _compile(term.h, m, n, scope + ((term.rec_name, None, 0, n),), prog))
     if isinstance(term, (SRecPP, SNRecPP)):
         h = _compile(term.h, m, n, scope + ((term.rec_name, isinstance(term, SRecPP), m, n),), prog)
 
@@ -770,6 +774,33 @@ def _compile(term: Term, m: int, n: int, scope: tuple, prog: Optional["_ProgramC
 
         return run
     raise EvalError(f"cannot evaluate {term!r}")
+
+
+def _snrec(g, h):
+    """``snrec`` code.  A level ``[built, x, tail, outer, build]`` stands
+    for ``f(x, tail; ys)`` as a function of the safes, in the bindings
+    ``outer``.  ``build`` sets ``built`` on the level's first call, to
+    ``(code, normals, bindings)`` with ``code(normals, ys, bindings)``
+    that value: the step over a new level for ``x >> 1``, or ``g`` at
+    x = 0.  So calls into a level share one argument tuple and one
+    binding, and a level that no call reaches is never built."""
+
+    def build(lv):
+        _, x, tail, outer, _ = lv
+        if x:
+            y = x >> 1
+            lv[0] = h, (y,) + tail, outer + ([None, y, tail, outer, build],)
+        else:
+            lv[0] = g, tail, outer
+        return lv[0]
+
+    def run(xs, ys, b):
+        if xs[0] < 0:
+            raise EvalError("snrec on a negative input")
+        code, rest, inner = build([None, xs[0], xs[1:], b, build])
+        return code(rest, ys, inner)
+
+    return run
 
 
 def _srec_edits(g, e0: tuple, e1: tuple):
@@ -807,33 +838,9 @@ def _cond(w, x, y, z):
     return run
 
 
-def _rec_call(name: str, slot: int, binder: tuple, nargs: list, sargs: list):
-    """A call of the recursion name bound at ``slot`` by ``binder``."""
-    _, guard, bm, bn = binder
-    if len(nargs) != bm or len(sargs) != bn:
-
-        def bad(xs, ys, b):
-            for a in nargs + sargs:
-                a(xs, ys, b)
-            raise EvalError(f"oracle {name!r} arity mismatch")
-
-        return bad
+def _rec_call(slot: int, guard: bool, nargs: list, sargs: list):
+    """A call of the guarded recursion name bound at ``slot``."""
     us, vs = _tuple_of(nargs), _tuple_of(sargs)
-    if guard is None:  # nested recursion: f(pred x, rest; vs)
-        if len(sargs) == 1:  # the hot case, without the tuple builder's call
-            (a,) = sargs
-
-            def nested(xs, ys, b):
-                code, rest, outer = b[slot]
-                return code(rest, (a(xs, ys, b),), outer)
-
-        else:
-
-            def nested(xs, ys, b):
-                code, rest, outer = b[slot]
-                return code(rest, vs(xs, ys, b), outer)
-
-        return nested
 
     def guarded(xs, ys, b):  # prefix-permutation recursion: 0 below no descent
         code, (fx, fy), outer = b[slot]
@@ -843,6 +850,29 @@ def _rec_call(name: str, slot: int, binder: tuple, nargs: list, sargs: list):
         return code(u, v, outer)
 
     return guarded
+
+
+def _nested_call(slot: int, terms: tuple, sargs: list, n: int):
+    """A nested-recursion call at ``n`` safes into the level ``b[slot]``
+    (``_snrec``), built here on its first call.  The safes passed
+    through unchanged are not copied; other arguments run their code
+    ``sargs``, left to right."""
+    if [t.index if isinstance(t, Proj) and t.sort == "s" else None for t in terms] == list(range(n)):
+
+        def through(xs, ys, b):
+            lv = b[slot]
+            code, rest, inner = lv[0] or lv[4](lv)
+            return code(rest, ys, inner)
+
+        return through
+    vs = _tuple_of(sargs)
+
+    def call(xs, ys, b):
+        lv = b[slot]
+        code, rest, inner = lv[0] or lv[4](lv)
+        return code(rest, vs(xs, ys, b), inner)
+
+    return call
 
 
 def _apply(nargs: list, sargs: list, finish):

@@ -19,6 +19,7 @@ from circsafe.compilealg import nb_to_circular, srec_eliminate, term_to_derivati
 from circsafe.formats import parse_terms, serialize_program
 from circsafe.interp import (
     Call,
+    CompNormal,
     CompSafe,
     Cond,
     EvalConfig,
@@ -424,8 +425,15 @@ def test_recursion_on_notation_needs_a_nonnegative_normal():
     for term in (SRecN(y0, y0, y0), SNRec(y0, y0)):
         with pytest.raises(EvalError, match="needs a normal argument"):
             eval_term(term, None, [], [1])
-    with pytest.raises(EvalError, match="negative"):
-        eval_term(SRecN(y0, y0, y0), None, [-3], [1])
+    # both schemes refuse a negative recursion argument, in a term and in
+    # a program body; -1 >> 1 stays -1, so snrec would never reach 0
+    for term in (SRecN(y0, y0, y0), SNRec(y0, OracleCall("rec", (), (S1(y0),)))):
+        prog = PPProgram({"main": PPFunction("main", 1, 1, term)})
+        for x in (-1, -3):
+            with pytest.raises(EvalError, match="negative"):
+                eval_term(term, None, [x], [1])
+            with pytest.raises(EvalError, match="negative"):
+                eval_pp(prog, "main", None, [x], [1])
 
 
 def test_srec_order_of_host_oracle_calls_is_unchanged():
@@ -439,6 +447,79 @@ def test_srec_order_of_host_oracle_calls_is_unchanged():
         got = eval_term(term, OracleEnv(env), [x], [2])
         calls, seen[:] = list(seen), []
         assert got == ref_eval(term, (x,), (2,), ref_env(env)) and calls == seen, x
+
+
+def test_snrec_matches_reference_on_recursive_call_shapes():
+    # steps with several rec calls, rec calls as arguments, safes passed
+    # through, reordered or edited, at 1-3 safes and 1-2 normals, calls
+    # under a normal composition, renamed and shadowed recursion names,
+    # and a host oracle in the arguments, whose calls keep their order
+    x0, x1, x2 = (Proj("n", i) for i in range(3))
+    y0, y1, y2 = (Proj("s", j) for j in range(3))
+    rec = lambda *safes, name="rec": OracleCall(name, (), safes)
+    f = lambda t: OracleCall("f", (), (t,))
+    seen = []
+    env = [OracleDef("f", 0, 1, lambda us, vs: seen.append(vs[0]) or vs[0] + 1)]
+    cases = [  # (term, normals, safes)
+        (SNRec(S1(y0), CompSafe(rec(y1), rec(S1(y0)))), 1, 1),
+        (SNRec(y0, Cond(x0, rec(S0(S1(y0))), rec(Pred(y0)), S1(rec(rec(y0))))), 1, 1),
+        (SNRec(f(y0), rec(f(S1(y0)))), 1, 1),
+        (SNRec(S0(y1), rec(y0, rec(y0, y1))), 1, 2),
+        (SNRec(y0, rec(y1, rec(y1, y0))), 1, 2),
+        (SNRec(S0(y1), rec(rec(y0, S1(y1)), y0)), 1, 2),
+        (SNRec(S1(y1), CompSafe(Cond(y2, S0(y0), S1(rec(y0, y1)), S0(rec(y1, y2))), x0)), 1, 2),
+        (SNRec(f(y1), rec(f(y1), f(rec(y0, f(y0))))), 1, 2),
+        (SNRec(S1(y2), rec(y2, S0(y0), rec(y1, y2, y0))), 2, 3),
+        (SNRec(S1(x0), CompNormal(Cond(x2, rec(S0(y0)), rec(x1), S1(rec(y0))), S1(x0))), 2, 1),
+        # inner schemes: the outer rec under another name, then shadowed
+        (SNRec(S0(y0), SNRec(S1(y0), CompSafe(rec(y1, name="r"), rec(S0(y0)))), "r"), 2, 1),
+        (SNRec(S1(x0), SNRec(y0, S0(rec(rec(y0, name="r"), name="r")), "r"), "r"), 2, 1),
+        (SNRec(S1(y0), SNRec(f(y0), rec(f(rec(y0))))), 1, 1),
+    ]
+    rng = random.Random(59)
+    for term, m, n in cases:
+        for trial in range(25):
+            xs, ys = sample_two_sorted(rng, m, n, 5, 4)
+            if trial == 0:
+                xs = [0] * m
+            seen.clear()
+            got = eval_term(term, OracleEnv(env), xs, ys)
+            calls, seen[:] = list(seen), []
+            assert got == ref_eval(term, tuple(xs), tuple(ys), ref_env(env)) and calls == seen, (term, xs, ys)
+
+
+def test_snrec_with_program_calls_in_its_step_matches_reference():
+    # the step calls g, guarded or not, on the recursion value; g
+    # recurses on its normal through the program machine
+    x0, y0 = Proj("n", 0), Proj("s", 0)
+    g = PPFunction("g", 1, 1, Cond(x0, S1(y0), S0(Call("g", (Pred(x0),), (y0,), "strict")), y0))
+    for guard in (None, "strict", "strict_safe"):
+        step = Call("g", (x0,), (OracleCall("rec", (), (S0(y0),)),), guard)
+        prog = PPProgram({"main": PPFunction("main", 1, 1, SNRec(S1(y0), step)), "g": g})
+        for x in range(20):
+            for strict in (False, True):
+                try:
+                    want = ref_pp(prog, "main", [x], [3], strict=strict)
+                except GuardViolation:
+                    want = GuardViolation
+                cfg = EvalConfig(guard_mode="strict" if strict else "zero")
+                assert pp_outcome(prog, "main", None, [x], [3], cfg)[0] == want, (guard, x, strict)
+
+
+def test_snrec_builds_only_the_levels_its_calls_reach():
+    # the step never recurses: one level is built, one shift of x made,
+    # where all 10^4 levels would hold some 8 MB of shifted arguments
+    y0 = Proj("s", 0)
+    term = SNRec(y0, S1(y0))
+    x = random.Random(67).getrandbits(10**4) | 1 << (10**4 - 1)
+    assert eval_term(term, None, [1], [5]) == 11  # compiled before tracing
+    tracemalloc.start()
+    try:
+        assert eval_term(term, None, [x], [5]) == 11
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6, peak
 
 
 def test_long_srec_inputs_under_the_default_recursion_limit(terms):
