@@ -41,6 +41,7 @@ from .interp import (
     Term,
     TermDef,
     Zero,
+    _bears,
     eval_term,
     fold,
 )
@@ -243,7 +244,7 @@ def synthesize_bound(term: Term) -> BoundPair:
     compositions add their bounds (d adds only when both sides call
     oracles), and each recursion takes e(n) = (n + 1) * d^n * e_step(n)
     with the step's own d.  Beside its pair each subterm carries whether
-    it bears, that is contains an oracle or program call (``is_bearing``
+    it bears, that is contains an oracle or program call (``_bears``
     with no peers), so no subtree is scanned twice.
     """
     return fold(term, _bound_step)[0]
@@ -274,7 +275,7 @@ def _bound_step(t: Term, kids: list[tuple[BoundPair, bool]]) -> tuple[BoundPair,
                 d += s.d  # a call fed into a call: nesting
         for s in subs[:split]:
             e = badd(e, s.e)
-        return BoundPair(e, d), True
+        pair = BoundPair(e, d)
     elif isinstance(t, CompSafe):
         (h, hb), (g, gb) = kids
         # d adds over the sides that bear; every d is at least 1
@@ -291,7 +292,7 @@ def _bound_step(t: Term, kids: list[tuple[BoundPair, bool]]) -> tuple[BoundPair,
         pair = _recursion_bound(BoundPair(badd(badd(badd(Const(1), Var()), g.e), h.e), max(g.d, h.d)))
     else:  # SRecPP, SNRecPP: fold's children() knows no other term class
         pair = _recursion_bound(subs[0])
-    return pair, any([b for _, b in kids])
+    return pair, _bears(t, [b for _, b in kids], None)
 
 
 def _recursion_bound(step: BoundPair) -> BoundPair:

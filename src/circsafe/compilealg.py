@@ -27,7 +27,6 @@ from .interp import (
     Term,
     TermDef,
     check_term_class,
-    children,
     fold,
 )
 from .transform import ShapeViolation, pass_parameters
@@ -133,23 +132,24 @@ def _compile(g: _Graph, term: Term, m: int, n: int, oracle_sigs: dict[str, tuple
             raise CompileError(f"normal projection {term.index} out of range")
         return _proj_normal(g, m, n, term.index)
     if isinstance(term, Zero):
-        z = g.add(Rule(RuleKind.ZERO), Sequent(0, 0), ())
-        return _weaken_to(g, z, Sequent(0, 0), m, n)
-    if isinstance(term, (S0, S1)):
-        inner = _compile(g, term.t, m, n, oracle_sigs)
-        kind = RuleKind.S0 if isinstance(term, S0) else RuleKind.S1
-        return g.add(Rule(kind), seq, (inner,))
-    if isinstance(term, Pred):
-        if isinstance(term.t, Proj) and term.t.sort == "s" and term.t.index == n - 1:
-            zero = _weaken_to(g, g.add(Rule(RuleKind.ZERO), Sequent(0, 0), ()), Sequent(0, 0), m, n - 1)
-            keep = _proj_safe(g, m, n, n - 1)
-            return g.add(Rule(RuleKind.COND_N), seq, (zero, keep, keep))
-        value = _compile(g, term.t, m, n, oracle_sigs)
-        # p over the cut value: conditional on the last safe input
-        zero = _weaken_to(g, g.add(Rule(RuleKind.ZERO), Sequent(0, 0), ()), Sequent(0, 0), m, n)
-        keep = _proj_safe(g, m, n + 1, n)
-        body = g.add(Rule(RuleKind.COND_N), Sequent(m, n + 1), (zero, keep, keep))
-        return g.add(Rule(RuleKind.CUT_N), seq, (value, body))
+        return _weaken_to(g, g.add(Rule(RuleKind.ZERO), Sequent(0, 0), ()), Sequent(0, 0), m, n)
+    if isinstance(term, (S0, S1, Pred)):
+        # in a loop: the leaf first, then each node upward, in the order recursion would add them
+        chain = []
+        while isinstance(term, (S0, S1, Pred)):
+            chain.append(term)
+            term = term.t
+        if isinstance(chain[-1], Pred) and isinstance(term, Proj) and term.sort == "s" and term.index == n - 1:
+            chain.pop()  # p of the last safe needs no cut
+            cur = _pred_of_last(g, m, n - 1)
+        else:
+            cur = _compile(g, term, m, n, oracle_sigs)
+        for t in reversed(chain):
+            if isinstance(t, Pred):  # p over the cut value
+                cur = g.add(Rule(RuleKind.CUT_N), seq, (cur, _pred_of_last(g, m, n)))
+            else:
+                cur = g.add(Rule(RuleKind.S0 if isinstance(t, S0) else RuleKind.S1), seq, (cur,))
+        return cur
     if isinstance(term, Cond):
         w = _compile(g, term.w, m, n, oracle_sigs)
         x = _compile(g, term.x, m, n, oracle_sigs)
@@ -191,6 +191,13 @@ def _compile(g: _Graph, term: Term, m: int, n: int, oracle_sigs: dict[str, tuple
     if isinstance(term, OracleCall):
         return _compile_oracle_call(g, term, m, n, oracle_sigs)
     raise CompileError(f"cannot compile {type(term).__name__}")
+
+
+def _pred_of_last(g: _Graph, m: int, n: int) -> str:
+    """Derivation of (m; n + 1) => N: a conditional on the last safe returning its p."""
+    zero = _weaken_to(g, g.add(Rule(RuleKind.ZERO), Sequent(0, 0), ()), Sequent(0, 0), m, n)
+    keep = _proj_safe(g, m, n + 1, n)
+    return g.add(Rule(RuleKind.COND_N), Sequent(m, n + 1), (zero, keep, keep))
 
 
 def _compile_oracle_call(g: _Graph, term: OracleCall, m: int, n: int, oracle_sigs: dict[str, tuple[int, int]]) -> str:
@@ -276,17 +283,16 @@ def _reject_frozen_oracle_under_loop(h: Term, name: str) -> None:
     cannot realise the closure semantics without contraction.
     """
 
-    def scan(t: Term, under: bool) -> None:
-        if isinstance(t, OracleCall) and t.name == name and under:
+    def step(t: Term, kids: list[bool]) -> bool:
+        """Does ``t`` contain a recursive call?"""
+        if isinstance(t, (SRecN, SNRec)) and any(kids):
             raise CompileError(
                 f"recursive call {name!r} occurs under an inner recursion; "
                 "the backedge construction cannot freeze its parameters"
             )
-        inner = under or isinstance(t, (SRecN, SNRec))
-        for c in children(t):
-            scan(c, inner)
+        return isinstance(t, OracleCall) and t.name == name or any(kids)
 
-    scan(h, False)
+    fold(h, step)
 
 
 def _compiled(td: TermDef, cls: str, oracle_sigs: Optional[dict[str, tuple[int, int]]]) -> ProofGraph:

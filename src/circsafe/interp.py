@@ -523,9 +523,13 @@ def children(term: Term) -> tuple[Term, ...]:
     """Immediate subterms in field order.
 
     Call and OracleCall give their normal then safe arguments, SimRecPP
-    its components, TagDispatch its case bodies (never the tags).
+    its components, TagDispatch its case bodies (never the tags).  A
+    non-term raises ValueError.
     """
-    return _CHILDREN[type(term)](term)
+    get = _CHILDREN.get(type(term))
+    if get is None:
+        raise ValueError(f"unknown term {term!r}")
+    return get(term)
 
 
 def map_children(term: Term, f: Callable[[Term], Term]) -> Term:
@@ -1314,6 +1318,10 @@ def check_term_class(term, cls: str, *, _peers_bearing: frozenset[str] = frozens
 
     ``term`` may be a Term, a TermDef, or a whole PPProgram (each
     function body is then checked with its guarded peers as oracles).
+    One ``fold``, so linear time and no Python frame per level.  A node's
+    messages precede its subterms', a call argument's just before the
+    argument's own; a subterm object shared at several places reports
+    once, at its first place.  A non-term raises ValueError.
     """
     if cls not in _REC_KINDS:
         raise ValueError(f"unknown class {cls!r}")
@@ -1321,80 +1329,67 @@ def check_term_class(term, cls: str, *, _peers_bearing: frozenset[str] = frozens
         term = term.body
     if isinstance(term, PPProgram):
         return _check_program_class(term, cls)
-    violations: list[str] = []
-    _uses(term, cls, violations, _peers_bearing)
+    unnested, pp, kinds, peers = cls in _UNNESTED, cls in _PP, _REC_KINDS[cls], _peers_bearing
+
+    def step(t: Term, kids: list) -> tuple:
+        """(does ``t`` bear, None or a tuple of its messages and its children's reports)."""
+        flags, report = [b for b, _ in kids], []
+        if isinstance(t, (OracleCall, Call)):
+            head, split = _bears(t, (), peers), len(t.normal_args)
+            for i, (a, (bears, sub)) in enumerate(zip(children(t), kids)):
+                if i < split and bears:
+                    report.append(f"oracle-bearing term in normal position of {t.name}")
+                elif i < split and not isinstance(a, (Proj, Zero)) and head and not pp:
+                    report.append(
+                        f"computed normal argument of {t.name} needs the relaxed "
+                        "composition rule, absent from this class"
+                    )
+                elif i >= split and head and unnested and bears:
+                    report.append(f"nested call: oracle-bearing safe argument of {t.name}")
+                report.append(sub)
+            return _bears(t, flags, peers), tuple(report) if any(report) else None
+        if isinstance(t, CompSafe):
+            if unnested and flags[0] and flags[1]:
+                report.append("nested safe composition: neither side is oracle-free")
+        elif isinstance(t, CompNormal):
+            if flags[1]:
+                report.append("composition along a normal parameter with oracle-using g")
+            if not pp and flags[0]:
+                report.append(
+                    "composition along a normal parameter with oracle-using h "
+                    "needs the relaxed rule, absent from this class"
+                )
+        elif isinstance(t, (SRecN, SNRec, SRecPP, SNRecPP, SimRecPP)):
+            if not isinstance(t, kinds):
+                report.append(f"{type(t).__name__} is not a recursion scheme of {cls}")
+            if isinstance(t, SNRec) and flags[0]:
+                report.append("base case of nested recursion must be oracle-free")
+            if isinstance(t, SimRecPP) and cls == "Bpp" and not t.guard_safes:
+                report.append("simultaneous scheme without safe guards is not available here")
+        # initial functions, conditional branches and tag cases add none
+        report.extend([sub for _, sub in kids if sub])
+        return any(flags), tuple(report) or None
+
+    violations, seen, stack = [], set(), [fold(term, step)[1]]
+    while stack:  # flatten the reports in pre-order, each shared one once
+        r = stack.pop()
+        if isinstance(r, str):
+            violations.append(r)
+        elif r is not None and id(r) not in seen:
+            seen.add(id(r))
+            stack.extend(reversed(r))
     return violations
 
 
-def is_bearing(term: Term, peers: Optional[frozenset[str]] = None) -> bool:
-    """Does the term contain an oracle call or a bearing program call?
-
-    With ``peers`` None every Call bears (the reading of bound
-    synthesis, which folds this flag along its own pass: a call's output
-    length is unknown).  With a set of names only guarded calls and
-    calls to those peers bear (the class-check reading: plain
-    composition with an earlier function is oracle-free).
+def _bears(t: Term, kid_flags: Sequence[bool], peers: Optional[frozenset[str]]) -> bool:
+    """Does ``t`` contain an oracle call or a bearing program call, given
+    whether each of its children does?  With ``peers`` None every Call
+    bears (bound synthesis: a call's output length is unknown); with a
+    set of names only guarded calls and calls to those peers bear (the
+    class check: plain composition with an earlier function is oracle-free).
     """
-    stack = [term]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, OracleCall):
-            return True
-        if isinstance(t, Call) and (peers is None or t.guard is not None or t.name in peers):
-            return True
-        stack.extend(children(t))
-    return False
-
-
-def _uses(term: Term, cls: str, out: list[str], peers: frozenset[str]) -> None:
-    if isinstance(term, (Zero, Proj)):
-        return
-    unnested = cls in _UNNESTED
-    pp = cls in _PP
-    if isinstance(term, (OracleCall, Call)):
-        bearing_head = isinstance(term, OracleCall) or term.guard is not None or term.name in peers
-        for a in term.normal_args:
-            if is_bearing(a, peers):
-                out.append(f"oracle-bearing term in normal position of {_name(term)}")
-            elif not isinstance(a, (Proj, Zero)) and bearing_head and not pp:
-                out.append(
-                    f"computed normal argument of {_name(term)} needs the relaxed "
-                    "composition rule, absent from this class"
-                )
-            _uses(a, cls, out, peers)
-        for a in term.safe_args:
-            if bearing_head and unnested and is_bearing(a, peers):
-                out.append(f"nested call: oracle-bearing safe argument of {_name(term)}")
-            _uses(a, cls, out, peers)
-        return
-    if isinstance(term, CompSafe):
-        if unnested and is_bearing(term.h, peers) and is_bearing(term.g, peers):
-            out.append("nested safe composition: neither side is oracle-free")
-    elif isinstance(term, CompNormal):
-        if is_bearing(term.g, peers):
-            out.append("composition along a normal parameter with oracle-using g")
-        if not pp and is_bearing(term.h, peers):
-            out.append(
-                "composition along a normal parameter with oracle-using h "
-                "needs the relaxed rule, absent from this class"
-            )
-    elif isinstance(term, (SRecN, SNRec, SRecPP, SNRecPP, SimRecPP)):
-        if not isinstance(term, _REC_KINDS[cls]):
-            # still recurse below to surface deeper issues
-            out.append(f"{type(term).__name__} is not a recursion scheme of {cls}")
-        if isinstance(term, SNRec) and is_bearing(term.g, peers):
-            out.append("base case of nested recursion must be oracle-free")
-        if isinstance(term, SimRecPP) and cls == "Bpp" and not term.guard_safes:
-            out.append("simultaneous scheme without safe guards is not available here")
-    elif not isinstance(term, Term):
-        raise ValueError(f"unknown term {term!r}")
-    # initial functions, conditional branches and tag cases only recurse
-    for t in children(term):
-        _uses(t, cls, out, peers)
-
-
-def _name(term: Term) -> str:
-    return getattr(term, "name", type(term).__name__)
+    head = isinstance(t, Call) and (peers is None or t.guard is not None or t.name in peers)
+    return head or isinstance(t, OracleCall) or any(kid_flags)
 
 
 def _check_program_class(prog: PPProgram, cls: str) -> list[str]:
@@ -1403,10 +1398,7 @@ def _check_program_class(prog: PPProgram, cls: str) -> list[str]:
     violations: list[str] = []
     calls = prog.call_graph()
     comps = sccs(calls)
-    comp_of = {}
-    for i, scc in enumerate(comps):
-        for nm in scc:
-            comp_of[nm] = i
+    comp_of = {nm: i for i, scc in enumerate(comps) for nm in scc}
     for fn in prog.functions.values():
         peers = frozenset(
             nm for nm in comps[comp_of[fn.name]] if nm != fn.name or fn.name in calls[fn.name]

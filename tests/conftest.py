@@ -27,8 +27,8 @@ from circsafe.interp import (
     TagDispatch,
     Zero,
     _ProgramCode,
+    children,
     eval_pp,
-    is_bearing,
 )
 from circsafe.kernel import Node, ProofGraph, Rule, RuleKind, Sequent, TupleOrder, tuple_order
 
@@ -413,9 +413,14 @@ def pp_outcome(prog, fname, env, xs, ys, cfg) -> tuple:
 
 # Independent oracle for circsafe.bounds: bound synthesis, expression
 # evaluation, the polynomial test and the printer, each by structural
-# recursion on Python's stack, with ``is_bearing`` rescanning every
+# recursion on Python's stack, with ``ref_bears`` rescanning every
 # subterm it is asked about.  Quadratic and depth-limited: keep terms
 # small.
+
+
+def ref_bears(term) -> bool:
+    """Does ``term`` contain an oracle or program call?"""
+    return isinstance(term, (OracleCall, Call)) or any(ref_bears(c) for c in children(term))
 
 
 def ref_synthesize_bound(term):
@@ -444,7 +449,7 @@ def ref_synthesize_bound(term):
         for a in term.safe_args:
             s = ref_synthesize_bound(a)
             e = badd(e, s.e)
-            if is_bearing(a):
+            if ref_bears(a):
                 d += s.d
         for a in term.normal_args:
             s = ref_synthesize_bound(a)
@@ -452,7 +457,7 @@ def ref_synthesize_bound(term):
         return BoundPair(e, d)
     if isinstance(term, CompSafe):
         h, g = ref_synthesize_bound(term.h), ref_synthesize_bound(term.g)
-        hb, gb = is_bearing(term.h), is_bearing(term.g)
+        hb, gb = ref_bears(term.h), ref_bears(term.g)
         if hb and gb:
             d = h.d + g.d
         elif hb:
@@ -470,7 +475,7 @@ def ref_synthesize_bound(term):
         h0 = ref_synthesize_bound(term.h0)
         h1 = ref_synthesize_bound(term.h1)
         step_e = badd(badd(badd(Const(1), Var()), g.e), badd(h0.e, h1.e))
-        step_d = max(g.d, h0.d + (1 if is_bearing(term.h0) else 0), h1.d + (1 if is_bearing(term.h1) else 0))
+        step_d = max(g.d, h0.d + (1 if ref_bears(term.h0) else 0), h1.d + (1 if ref_bears(term.h1) else 0))
         return _recursion_bound(BoundPair(step_e, step_d))
     if isinstance(term, SNRec):
         g = ref_synthesize_bound(term.g)

@@ -36,7 +36,6 @@ from circsafe.interp import (
     check_term_class,
     children,
     eval_term,
-    is_bearing,
 )
 from circsafe.kernel import length
 from circsafe.translate import translate
@@ -64,11 +63,19 @@ def test_bounds_count_every_call_as_bearing():
     # bound synthesis cannot see a callee's output, so any Call bears
     h = Call("f", (), (Proj("s", 0),))
     g = Call("g", (), ())
-    assert is_bearing(h) and is_bearing(g)
+    # d adds over the sides of a composition and the safe arguments that bear
     assert synthesize_bound(CompSafe(h, g)).d == synthesize_bound(h).d + synthesize_bound(g).d == 2
+    assert synthesize_bound(Call("f", (), (g,))).d == 2
     # the class check reads an unguarded call to a non-peer as composition
-    assert not is_bearing(h, frozenset()) and is_bearing(h, frozenset({"f"}))
     assert check_term_class(CompSafe(h, g), "SB") == []
+    assert check_term_class(CompNormal(Proj("n", 0), h), "NBpp") == []
+    assert check_term_class(CompNormal(Proj("n", 0), h), "NBpp", _peers_bearing=frozenset({"f"})) == [
+        "composition along a normal parameter with oracle-using g"
+    ]
+    both = frozenset({"f", "g"})
+    assert check_term_class(CompSafe(h, g), "SB", _peers_bearing=both) == [
+        "nested safe composition: neither side is oracle-free"
+    ]
 
 
 def test_ex_is_nonpolynomial_with_d2(terms):

@@ -126,3 +126,62 @@ def test_children_and_map_children_agree_on_every_term_class():
         assert type(wrapped) is type(t)
         assert list(children(wrapped)) == [S1(c) for c in children(t)]
         assert map_children(wrapped, lambda c: c.t) == t  # tags and names kept
+
+
+def _o(name, normals=(), safes=()):
+    return OracleCall(name, normals, safes)
+
+
+def test_violation_lists_keep_their_messages_and_order():
+    # a node's messages precede its subterms', subterms go left to right,
+    # and each call argument's message comes just before its own
+    x0, y0 = Proj("n", 0), Proj("s", 0)
+    calls = CompSafe(
+        _o("f", (S0(x0), CompSafe(_o("a"), _o("b"))), (_o("b", (), (y0,)), y0)),
+        Call("g", (Pred(x0),), (S1(y0),), guard="strict"),
+    )
+    nested = "nested safe composition: neither side is oracle-free"
+    assert check_term_class(calls, "SB") == [
+        nested,
+        "computed normal argument of f needs the relaxed composition rule, absent from this class",
+        "oracle-bearing term in normal position of f",
+        nested,
+        "nested call: oracle-bearing safe argument of f",
+        "computed normal argument of g needs the relaxed composition rule, absent from this class",
+    ]
+    schemes = SNRec(_o("a"), CompNormal(_o("rec", (), (y0,)), Cond(y0, _o("b"), Zero(), y0)))
+    assert check_term_class(schemes, "B") == [
+        "SNRec is not a recursion scheme of B",
+        "base case of nested recursion must be oracle-free",
+        "composition along a normal parameter with oracle-using g",
+        "composition along a normal parameter with oracle-using h needs the relaxed rule, absent from this class",
+    ]
+    pp = SimRecPP((SNRecPP(_o("rec1", (x0,), (_o("rec2", (x0,), (y0,)),))), SRecPP(S1(y0))), 0, False)
+    assert check_term_class(pp, "Bpp") == [
+        "simultaneous scheme without safe guards is not available here",
+        "SNRecPP is not a recursion scheme of Bpp",
+        "nested call: oracle-bearing safe argument of rec1",
+    ]
+
+
+def test_a_shared_offending_subterm_is_reported_once():
+    both = CompSafe(_o("a"), _o("b"))
+    msg = "nested safe composition: neither side is oracle-free"
+    assert check_term_class(Cond(both, Zero(), both, S0(both)), "SB") == [msg]
+    # equal but distinct objects are separate places
+    assert check_term_class(Cond(both, Zero(), CompSafe(_o("a"), _o("b")), Zero()), "SB") == [msg] * 2
+    # the call's own message about a shared argument stays
+    assert check_term_class(_o("f", (both, both)), "SB") == [
+        "oracle-bearing term in normal position of f",
+        msg,
+        "oracle-bearing term in normal position of f",
+    ]
+
+
+@pytest.mark.parametrize(
+    "term", ["x0", None, S0("x0"), CompSafe(Zero(), 1), Call("f", ("x0",)), TagDispatch(0, (((), 3),))]
+)
+def test_class_check_rejects_a_non_term(term):
+    for cls in ("B", "NBpp"):
+        with pytest.raises(ValueError, match="unknown term"):
+            check_term_class(term, cls)

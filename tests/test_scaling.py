@@ -8,7 +8,10 @@ linear in the graph (2 * 10**4 nodes below), and ``classify`` is linear
 enough for 10**5 nodes.  Only ``cyclenf``'s printed position ids grow
 with the square of the depth, by format: they spell the root path, so
 a 10**5-node chain would print some 5 * 10**9 characters of ids.
-``eval_pp`` runs the translations of 2 * 10**4-node chains and loops.
+``eval_pp`` runs the translations of 2 * 10**4-node chains and loops,
+and the class check takes them in one linear pass.  ``compile`` builds
+``s0``/``s1``/``p`` chains in a loop, so a 10**4-deep term goes through
+the whole command-line pipeline.
 """
 
 import random
@@ -22,7 +25,7 @@ from circsafe.bounds import beval, synthesize_bound
 from circsafe.checker import classify
 from circsafe.cli import main
 from circsafe.formats import parse_proof, serialize_proof
-from circsafe.interp import CompSafe, EvalConfig, EvalStats, OracleCall, Proj, eval_pp
+from circsafe.interp import CompSafe, EvalConfig, EvalStats, OracleCall, Proj, check_term_class, eval_pp
 from circsafe.translate import MAIN, translate
 
 
@@ -73,6 +76,7 @@ def test_check_and_translate_on_20000_nodes(graph, capsys, tmp_path):
     # 3.11; root-path positions took 2.6 s for translate alone at 10**4
     # nodes and grow with the square of the depth
     assert elapsed < 15.0, elapsed
+    assert check_term_class(translate(graph), "Bpp") == []
 
 
 def _written(v: int, digits) -> int:
@@ -142,3 +146,52 @@ def test_bound_synthesis_on_a_20000_level_composition_chain():
     # that rescans each subterm's subtree for oracle calls is quadratic
     # and would take minutes
     assert elapsed < 10.0, elapsed
+    # the class check carries the same flag: every level nests in SB
+    assert check_term_class(term, "SB") == ["nested safe composition: neither side is oracle-free"] * 2 * 10**4
+    assert check_term_class(term, "NB") == []
+
+
+def _unary_term(name: str, ops: str) -> str:
+    """A term document defining ``name(0;1)`` as the chain ``ops`` of
+    ``s0``/``s1``/``p`` (one letter each, ``0``/``1``/``p``, the first
+    outermost) over ``y0``."""
+    chain = "".join({"0": "s0(", "1": "s1(", "p": "p("}[c] for c in ops)
+    return f"def {name}(0;1) = {chain}y0{')' * len(ops)}\n"
+
+
+def _unary_value(ops: str, y: int) -> int:
+    for c in reversed(ops):
+        y = y >> 1 if c == "p" else 2 * y + int(c)
+    return y
+
+
+def test_cli_pipeline_on_a_10000_deep_term(capsys, tmp_path):
+    digits = _digits(10**4, 8)
+    doc, proof, pp = tmp_path / "deep.term", tmp_path / "deep.proof", tmp_path / "deep.pp"
+    doc.write_text(_unary_term("deep", "".join(map(str, digits))))
+    limit = sys.getrecursionlimit()
+    assert limit <= 1000
+    assert main(["compile", str(doc), "--name", "deep", "-o", str(proof)]) == 0
+    assert main(["check", str(proof)]) == 0
+    assert "class=CB" in capsys.readouterr().out
+    assert main(["eval", str(proof), "--safes", "5"]) == 0
+    assert int(capsys.readouterr().out) == _written(5, digits)
+    assert main(["translate", str(proof), "-o", str(pp)]) == 0
+    assert main(["eval-pp", str(pp), "--safes", "5", "--guard-mode", "strict"]) == 0
+    assert int(capsys.readouterr().out) == _written(5, digits)
+    assert sys.getrecursionlimit() == limit
+
+
+def test_compile_and_eval_of_a_10000_deep_chain_with_predecessors(capsys, tmp_path):
+    rng = random.Random(9)
+    # ends in p(y0), the predecessor of the last safe, compiled without a cut
+    ops = "".join(rng.choice("01p") for _ in range(10**4 - 1)) + "p"
+    doc, proof = tmp_path / "deep.term", tmp_path / "deep.proof"
+    doc.write_text(_unary_term("deep", ops))
+    limit = sys.getrecursionlimit()
+    assert limit <= 1000
+    assert main(["compile", str(doc), "--name", "deep", "-o", str(proof)]) == 0
+    y = (1 << 300) - 12345
+    assert main(["eval", str(proof), "--safes", str(y)]) == 0
+    assert int(capsys.readouterr().out) == _unary_value(ops, y)
+    assert sys.getrecursionlimit() == limit
