@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -288,7 +289,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     if cap:  # values are read and printed in full, past CPython's cap on decimal digits
         sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not in the interpreter's final flush
+        return code
+    except BrokenPipeError:
+        # standard output closed early: send what is left to devnull, so
+        # the flush at exit finds nothing to fail on
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return REJECTED
     except ParseError as e:
         print(f"error: {e}", file=sys.stderr)
         return BAD_INPUT

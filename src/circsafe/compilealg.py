@@ -324,19 +324,16 @@ def srec_eliminate(graph: ProofGraph) -> ProofGraph:
         if node.rule.kind is not RuleKind.SREC:
             continue
         base, h0, h1 = node.premises
-        seq = node.sequent
-        k1 = f"{nid}_k{counter}"
-        counter += 1
-        if h0 == h1:
-            out.nodes[k1] = Node(Rule(RuleKind.CUT_N), seq, (nid, h0))
-            branches = (base, k1, k1)
-        else:
-            k2 = f"{nid}_k{counter}"
+        cuts = []
+        for h in dict.fromkeys((h0, h1)):
+            # one cut per distinct step; the node keeps its id, and each
+            # cut takes the next {nid}_k id that no node holds
+            while f"{nid}_k{counter}" in out.nodes:
+                counter += 1
+            cuts.append(f"{nid}_k{counter}")
             counter += 1
-            out.nodes[k1] = Node(Rule(RuleKind.CUT_N), seq, (nid, h0))
-            out.nodes[k2] = Node(Rule(RuleKind.CUT_N), seq, (nid, h1))
-            branches = (base, k1, k2)
-        out.nodes[nid] = Node(Rule(RuleKind.COND_B), seq, branches)
+            out.nodes[cuts[-1]] = Node(Rule(RuleKind.CUT_N), node.sequent, (nid, h))
+        out.nodes[nid] = Node(Rule(RuleKind.COND_B), node.sequent, (base, cuts[0], cuts[-1]))
     return out.pruned()
 
 

@@ -36,7 +36,8 @@ from typing import Callable, NamedTuple, Optional, Sequence, TypeVar
 
 from .kernel import (
     _R_BOX_L, _R_BOX_R, _R_COND_B, _R_COND_N, _R_CUT_B, _R_CUT_N, _R_EXCH_B, _R_EXCH_N, _R_ID,
-    _R_ORACLE, _R_S0, _R_S1, _R_SREC, _R_WEAK_B, _R_WEAK_N, _R_ZERO, ProofGraph, sccs, tuple_below,
+    _R_ORACLE, _R_S0, _R_S1, _R_SREC, _R_WEAK_B, _R_WEAK_N, _R_ZERO, ProofGraph, _reach, sccs,
+    tuple_below,
 )
 
 R = TypeVar("R")
@@ -290,17 +291,6 @@ def _long_key(n: str, xs: tuple, ys: tuple) -> tuple:
     one-bits to a value keeps its hash, and all-ones inputs or values
     grown by appending ones would share hashes."""
     return n, xs, ys, sum(map(_bits, xs)), sum(map(_bits, ys))
-
-
-def _reach(succ: dict, starts: Sequence) -> set:
-    """``starts`` and all they reach in the successor map ``succ``: O(V + E)."""
-    seen, stack = set(starts), list(starts)
-    while stack:
-        for p in succ.get(stack.pop(), ()):
-            if p not in seen:
-                seen.add(p)
-                stack.append(p)
-    return seen
 
 
 def _repeatable(graph: ProofGraph, nid: str) -> frozenset:

@@ -289,14 +289,18 @@ class ProofGraph:
             for p in self.nodes[n].premises:
                 if p in parents:
                     parents[p].append(n)
-        seen = {t for t in targets if t in parents}
-        frontier = list(seen)
-        while frontier:
-            for q in parents[frontier.pop()]:
-                if q not in seen:
-                    seen.add(q)
-                    frontier.append(q)
-        return seen
+        return _reach(parents, [t for t in targets if t in parents])
+
+
+def _reach(succ: dict, starts: Sequence) -> set:
+    """``starts`` and all they reach in the successor map ``succ``: O(V + E)."""
+    seen, stack = set(starts), list(starts)
+    while stack:
+        for p in succ.get(stack.pop(), ()):
+            if p not in seen:
+                seen.add(p)
+                stack.append(p)
+    return seen
 
 
 def sccs(adj: dict[T, Sequence[T]]) -> list[list[T]]:

@@ -276,26 +276,40 @@ def cnf_to_graph(cnf: CycleNF) -> ProofGraph:
 
 
 class _Builder:
-    """Node factory with deterministic fresh ids per base node."""
+    """Node factory for the graph rewrites, with one id rule: a node's
+    replacement keeps the node's id, and every added node gets an id
+    that neither the input graph nor the output holds, so no added node
+    overwrites another and nothing is renamed afterwards."""
 
-    def __init__(self, nodes: dict[str, Node]) -> None:
+    def __init__(self, graph: ProofGraph, nodes: dict[str, Node]) -> None:
+        self.taken = graph.nodes
         self.nodes = nodes
         self.counters: dict[str, int] = {}
 
     def fresh(self, base: str) -> str:
+        """``base.c`` for the least free c not drawn for ``base`` before."""
         c = self.counters.get(base, 0)
+        while (nid := f"{base}.{c}") in self.taken or nid in self.nodes:
+            c += 1
         self.counters[base] = c + 1
-        return f"{base}.{c}"
+        return nid
 
-    def exch_chain(self, base: str, seq: Sequent, positions: list[int], inner: str) -> str:
+    def named(self, nid: str) -> str:
+        """``nid`` itself when it is free, else ``fresh(nid)``."""
+        return self.fresh(nid) if nid in self.taken or nid in self.nodes else nid
+
+    def exch_chain(
+        self, base: str, seq: Sequent, positions: list[int], inner: str, bottom: Optional[str] = None
+    ) -> str:
         """Boxed exchange steps applied conclusion-to-premise at ``positions``.
 
-        Returns the id of the conclusion (bottom) node; empty position
-        lists return ``inner`` unchanged.
+        Returns the id of the conclusion (bottom) node, ``bottom`` when
+        given and the others drawn from ``base``; empty position lists
+        return ``inner`` unchanged.
         """
         cur = inner
-        for p in reversed(positions):
-            nid = self.fresh(base)
+        for i, p in enumerate(reversed(positions)):
+            nid = bottom if bottom is not None and i == len(positions) - 1 else self.fresh(base)
             self.nodes[nid] = Node(Rule(RuleKind.EXCH_B, pos=p), seq, (cur,))
             cur = nid
         return cur
@@ -310,12 +324,18 @@ def box_promote(graph: ProofGraph) -> ProofGraph:
     boxed ones, and the argument plumbing is explicit exchange chains.
     The output contains no plain weakening, exchange, cut or
     conditional.
+
+    Ids follow ``_Builder``'s rule: each node's replacement, the bottom
+    of its chain included, keeps the node's id, and added nodes get
+    fresh ones.  The one exception is a box-left over one input, which
+    becomes the identity: its id stands for its premise's, which
+    concludes N => N and so is never such a box-left itself.
     """
     _require_valid(graph)
 
     nodes: dict[str, Node] = {}
     alias: dict[str, str] = {}
-    b = _Builder(nodes)
+    b = _Builder(graph, nodes)
 
     def promoted(seq: Sequent) -> Sequent:
         return Sequent(seq.boxed + seq.plain, 0, seq.succedent)
@@ -328,18 +348,19 @@ def box_promote(graph: ProofGraph) -> ProofGraph:
         k = seq.boxed + seq.plain
         pr = node.premises
         if kind is RuleKind.ID:
-            nodes[nid] = Node(Rule(RuleKind.BOX_L), pseq, (nid + ".i",))
-            nodes[nid + ".i"] = Node(Rule(RuleKind.ID), Sequent(0, 1), ())
+            leaf = b.named(nid + ".i")
+            nodes[nid] = Node(Rule(RuleKind.BOX_L), pseq, (leaf,))
+            nodes[leaf] = Node(Rule(RuleKind.ID), Sequent(0, 1), ())
         elif kind is RuleKind.ZERO:
             nodes[nid] = Node(Rule(RuleKind.ZERO), pseq, ())
         elif kind in (RuleKind.S0, RuleKind.S1):
             nodes[nid] = Node(Rule(kind), pseq, (pr[0],))
         elif kind is RuleKind.WEAK_N:
             # rotate the dropped (last) input to the front, weaken it there
-            wid = nid + ".w"
+            positions = list(range(k - 2, -1, -1))
+            wid = b.named(nid + ".w") if positions else nid
             nodes[wid] = Node(Rule(RuleKind.WEAK_B), pseq, (pr[0],))
-            head = b.exch_chain(nid, pseq, list(range(k - 2, -1, -1)), wid)
-            _claim(nodes, alias, nid, head)
+            b.exch_chain(nid, pseq, positions, wid, nid)
         elif kind is RuleKind.WEAK_B:
             nodes[nid] = Node(Rule(RuleKind.WEAK_B), pseq, (pr[0],))
         elif kind is RuleKind.EXCH_N:
@@ -348,15 +369,17 @@ def box_promote(graph: ProofGraph) -> ProofGraph:
             nodes[nid] = Node(Rule(RuleKind.EXCH_B, pos=node.rule.pos), pseq, (pr[0],))
         elif kind is RuleKind.BOX_L:
             # first input moves to last place; with one input this is a no-op
-            head = b.exch_chain(nid, pseq, list(range(k - 1)), pr[0])
-            _claim(nodes, alias, nid, head)
+            if k == 1:
+                alias[nid] = pr[0]
+            b.exch_chain(nid, pseq, list(range(k - 1)), pr[0], nid)
         elif kind is RuleKind.BOX_R:
             nodes[nid] = Node(Rule(RuleKind.BOX_R), pseq, (pr[0],))
         elif kind is RuleKind.CUT_N:
             right_seq = Sequent(k + 1, 0, seq.succedent)
             right = b.exch_chain(nid + ".r", right_seq, list(range(k)), pr[1])
-            nodes[nid + ".b"] = Node(Rule(RuleKind.BOX_R), Sequent(k, 0, SType.BOXED), (pr[0],))
-            nodes[nid] = Node(Rule(RuleKind.CUT_B), pseq, (nid + ".b", right))
+            left = b.named(nid + ".b")
+            nodes[left] = Node(Rule(RuleKind.BOX_R), Sequent(k, 0, SType.BOXED), (pr[0],))
+            nodes[nid] = Node(Rule(RuleKind.CUT_B), pseq, (left, right))
         elif kind is RuleKind.CUT_B:
             nodes[nid] = Node(Rule(RuleKind.CUT_B), pseq, (pr[0], pr[1]))
         elif kind is RuleKind.COND_N:
@@ -365,9 +388,10 @@ def box_promote(graph: ProofGraph) -> ProofGraph:
                 # the boxed conditional hands back the scrutinee in front;
                 # the original branch expects it last
                 branches.append(b.exch_chain(f"{nid}.b{bi}", pseq, list(range(k - 1)), pr[bi]))
-            nodes[nid + ".c"] = Node(Rule(RuleKind.COND_B), pseq, tuple(branches))
-            head = b.exch_chain(nid, pseq, list(range(k - 2, -1, -1)), nid + ".c")
-            _claim(nodes, alias, nid, head)
+            positions = list(range(k - 2, -1, -1))
+            cid = b.named(nid + ".c") if positions else nid
+            nodes[cid] = Node(Rule(RuleKind.COND_B), pseq, tuple(branches))
+            b.exch_chain(nid, pseq, positions, cid, nid)
         elif kind is RuleKind.COND_B:
             nodes[nid] = Node(Rule(RuleKind.COND_B), pseq, tuple(pr))
         elif kind is RuleKind.ORACLE:
@@ -375,34 +399,18 @@ def box_promote(graph: ProofGraph) -> ProofGraph:
         else:
             raise TransformError(f"cannot promote rule {kind.value} at {nid}")
 
-    resolved = {nid: _resolve(alias, nid) for nid in list(nodes) + list(alias)}
     out_nodes = {
-        nid: Node(n.rule, n.sequent, tuple(resolved.get(p, p) for p in n.premises))
+        nid: Node(n.rule, n.sequent, tuple(alias.get(p, p) for p in n.premises))
         for nid, n in nodes.items()
     }
-    return ProofGraph(graph.name + "_boxed", resolved.get(graph.root, graph.root), out_nodes).pruned()
-
-
-def _claim(nodes: dict[str, Node], alias: dict[str, str], want: str, head: str) -> None:
-    """Make ``want`` name the chain at ``head``; alias when the chain is empty."""
-    if head in nodes and head not in alias and head.startswith(want + "."):
-        nodes[want] = nodes.pop(head)
-    else:
-        alias[want] = head
-
-
-def _resolve(alias: dict[str, str], nid: str) -> str:
-    seen = set()
-    while nid in alias:
-        if nid in seen:
-            raise TransformError("alias cycle")
-        seen.add(nid)
-        nid = alias[nid]
-    return nid
+    return ProofGraph(graph.name + "_boxed", alias.get(graph.root, graph.root), out_nodes).pruned()
 
 
 # ---------------------------------------------------------------------------
 # Stripping safe inputs under a boxed succedent
+
+
+_STRIPPED_IN_PLACE = (RuleKind.BOX_L, RuleKind.WEAK_B, RuleKind.EXCH_B, RuleKind.S0, RuleKind.S1, RuleKind.CUT_B)
 
 
 def strip_safe_inputs(graph: ProofGraph) -> ProofGraph:
@@ -419,7 +427,7 @@ def strip_safe_inputs(graph: ProofGraph) -> ProofGraph:
         raise TransformError("strip_safe_inputs needs a boxed succedent at the root")
 
     out_nodes: dict[str, Node] = dict(graph.nodes)
-    b = _Builder(out_nodes)
+    b = _Builder(graph, out_nodes)
     memo: dict[str, str] = {}
     in_progress: set[str] = set()
 
@@ -432,31 +440,18 @@ def strip_safe_inputs(graph: ProofGraph) -> ProofGraph:
         node = graph.nodes[nid]
         kind = node.rule.kind
         seq = node.sequent
-        target = Sequent(seq.boxed, 0, seq.succedent)
         if kind is RuleKind.BOX_R:
             res = nid
         elif kind in (RuleKind.WEAK_N, RuleKind.EXCH_N):
             res = strip(node.premises[0])
-        elif kind in (RuleKind.BOX_L, RuleKind.WEAK_B):
-            # either way one boxed input of the target is unused
-            inner = strip(node.premises[0])
-            res = b.fresh(nid)
-            out_nodes[res] = Node(Rule(RuleKind.WEAK_B), target, (inner,))
-        elif kind is RuleKind.EXCH_B:
-            inner = strip(node.premises[0])
-            res = b.fresh(nid)
-            out_nodes[res] = Node(Rule(RuleKind.EXCH_B, pos=node.rule.pos), target, (inner,))
-        elif kind in (RuleKind.S0, RuleKind.S1):
-            inner = strip(node.premises[0])
-            res = b.fresh(nid)
-            out_nodes[res] = Node(Rule(kind), target, (inner,))
         elif kind is RuleKind.CUT_N:
             res = strip(node.premises[1])
-        elif kind is RuleKind.CUT_B:
-            left = strip(node.premises[0])
-            right = strip(node.premises[1])
+        elif kind in _STRIPPED_IN_PLACE:
+            # a box-left's moved input goes unused in the target: a boxed weakening
+            rule = Rule(RuleKind.WEAK_B) if kind is RuleKind.BOX_L else node.rule
+            premises = tuple([strip(p) for p in node.premises])
             res = b.fresh(nid)
-            out_nodes[res] = Node(Rule(RuleKind.CUT_B), target, (left, right))
+            out_nodes[res] = Node(rule, Sequent(seq.boxed, 0, seq.succedent), premises)
         else:
             raise TransformError(f"rule {kind.value} at {nid} cannot conclude a boxed succedent")
         in_progress.discard(nid)
@@ -476,13 +471,14 @@ def pass_parameters(graph: ProofGraph, oracle: str) -> tuple[ProofGraph, str]:
 
     Requires the completeness-construction shape: oracle leaves carry
     all-plain contexts and no path from the root to such a leaf passes
-    a boxed cut, a box-left, or the leftmost premise of a boxed
-    conditional.  Each root thread ends at a boxed weakening on such a
-    path; those weakenings are removed and the threads run on into a
-    widened oracle (name returned) that takes the root's boxed inputs
-    in front of the original context.
+    a boxed cut, a box-left, an srec, or the leftmost premise of a boxed
+    conditional; srec nodes off those paths stay.  Each root thread
+    ends at a boxed weakening on such a path; those weakenings are
+    removed and the threads run on into a widened oracle (name
+    returned) that takes the root's boxed inputs in front of the
+    original context.
     """
-    _require_valid(graph)
+    _require_valid(graph, allow_srec=True)
     k = graph.nodes[graph.root].sequent.boxed
     star = oracle + "*"
     reach = graph.reachable()
@@ -509,7 +505,7 @@ def pass_parameters(graph: ProofGraph, oracle: str) -> tuple[ProofGraph, str]:
             )
 
     out_nodes: dict[str, Node] = {nid: graph.nodes[nid] for nid in reach}
-    b = _Builder(out_nodes)
+    b = _Builder(graph, out_nodes)
     memo: dict[tuple, str] = {}
 
     def widen(seq: Sequent, nd: int) -> Sequent:

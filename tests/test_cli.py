@@ -1,6 +1,8 @@
 """Exit-code contract and determinism of the command-line front end."""
 
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -270,3 +272,27 @@ def test_malformed_term_document_is_exit_2(capsys, tmp_path, doc, argv, message)
     code, out, err = run(capsys, argv[0], path, *argv[1:])
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and message in err, err
+
+
+@pytest.mark.parametrize(
+    "argv", [["eval", "S.proof", "--normals", "7"], ["eval-pp", "S.pp", "--normals", "7"], ["translate", "S.proof"]]
+)
+def test_closed_standard_output_is_no_traceback(tmp_path, argv):
+    """A reader that has gone before the command writes: exit 1, with
+    nothing on standard error, not even at interpreter exit."""
+    assert main(["translate", str(CORPUS / "S.proof"), "-o", str(tmp_path / "S.pp")]) == 0
+    files = {"S.proof": str(CORPUS / "S.proof"), "S.pp": str(tmp_path / "S.pp")}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "circsafe.cli", *(files.get(a, a) for a in argv)],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(CORPUS.parent / "src")},
+            timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (1, "")

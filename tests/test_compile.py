@@ -1,5 +1,6 @@
 """Completeness pipelines: terms to derivations to circular proofs."""
 
+import itertools
 import random
 
 import pytest
@@ -13,8 +14,10 @@ from circsafe.compilealg import (
     srec_eliminate,
     term_to_derivation,
 )
+from circsafe.formats import parse_terms
 from circsafe.interp import (
     CompSafe,
+    EvalConfig,
     OracleCall,
     Pred,
     Proj,
@@ -24,10 +27,12 @@ from circsafe.interp import (
     SRecN,
     TermDef,
     Zero,
+    eval_pp,
     eval_proof,
     eval_term,
 )
-from circsafe.kernel import RuleKind, validate_graph
+from circsafe.kernel import Node, ProofGraph, Rule, RuleKind, Sequent, validate_graph
+from circsafe.translate import translate
 
 B_NAMES = ("succ1", "half", "select", "append", "lenones", "parity", "lenunary")
 NB_NAMES = ("ex", "padones", "exquad", "cdr", "twoloops")
@@ -77,6 +82,25 @@ def test_srec_eliminate_strips_only_the_deriv_suffix():
     d = term_to_derivation(TermDef("a_deriv_b", 0, 1, S0(Proj("s", 0))))
     assert d.name == "a_deriv_b_deriv"
     assert srec_eliminate(d).name == "a_deriv_b_circ"
+
+
+def test_srec_eliminate_draws_no_id_of_the_input():
+    # the step nodes hold the ids the loop cuts would take first; a cut
+    # that took one would become its own right premise
+    nodes = {
+        "a": Node(Rule(RuleKind.SREC), Sequent(1, 0), ("z", "a_k0", "a_k1")),
+        "z": Node(Rule(RuleKind.ZERO), Sequent(0, 0), ()),
+        "a_k0": Node(Rule(RuleKind.S0), Sequent(1, 1), ("p",)),
+        "a_k1": Node(Rule(RuleKind.S1), Sequent(1, 1), ("p",)),
+        "p": Node(Rule(RuleKind.WEAK_B), Sequent(1, 1), ("i",)),
+        "i": Node(Rule(RuleKind.ID), Sequent(0, 1), ()),
+    }
+    d = ProofGraph("same_deriv", "a", nodes)
+    c = srec_eliminate(d)
+    assert validate_graph(c) == [] and c.nodes["a"].premises == ("z", "a_k2", "a_k3")
+    assert classify(c).cls == "CB"
+    for x in range(64):
+        assert eval_proof(d, d.root, [x], []) == eval_proof(c, c.root, [x], []) == x
 
 
 def test_b_pipeline(proofs, terms):
@@ -150,3 +174,29 @@ def test_later_recursive_call_argument_binding_a_safe_slot():
         for a in range(4):
             for b in range(4):
                 assert eval_proof(c, c.root, [x], [a, b]) == eval_term(td.body, None, [x], [a, b]), (x, a, b)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        "def u(1;1) = snrec(y0,comps(rec(;y0),srec(y0,s0(y1),s1(y1))))",
+        "def u(1;1) = snrec(s1(y0),comps(srec(y0,s1(y1),s0(y1)),rec(;y0)))",
+        "def u(1;1) = snrec(y0,cond(srec(0,s1(y0),s1(y0)),rec(;y0),s0(rec(;y0)),y0))",
+        "def u(1;2) = snrec(y1,comps(rec(;y2,y1),srec(y0,p(y2),s1(y2))))",
+    ],
+    ids=["srec-after-rec", "srec-before-rec", "srec-scrutinee", "two-safes"],
+)
+def test_snrec_step_holding_a_srec_that_does_not_recurse(doc):
+    # the step's srec is eliminated with the rest of the proof, after
+    # parameter passing has threaded the step's boxed inputs past it
+    td = parse_terms(doc).terms["u"]
+    c = nb_to_circular(td)
+    assert validate_graph(c) == [] and classify(c).cls == "CNB"
+    prog = translate(c)
+    for x in range(8):
+        for ys in itertools.product(range(7) if td.safes == 1 else range(4), repeat=td.safes):
+            want = eval_term(td.body, None, [x], ys)
+            assert eval_proof(c, c.root, [x], ys) == want, (x, ys)
+            for mode in ("strict", "zero"):
+                got = eval_pp(prog, "main", None, [x], ys, EvalConfig(guard_mode=mode))
+                assert got == want, (mode, x, ys)

@@ -1,6 +1,7 @@
 """Box promotion, safe-input stripping, parameter passing, simultaneous
 recursion reduction."""
 
+import itertools
 import random
 
 import pytest
@@ -40,6 +41,24 @@ FORBIDDEN_AFTER_PROMOTION = {RuleKind.WEAK_N, RuleKind.EXCH_N, RuleKind.CUT_N, R
 BITS = {"EPRIME": 2, "E": 5}
 
 
+def _graph(root, spec):
+    """Proof graph from {id: (rule or rule kind, sequent, premises)}."""
+    return ProofGraph(
+        "fx", root, {n: Node(r if isinstance(r, Rule) else Rule(r), q, p) for n, (r, q, p) in spec.items()}
+    )
+
+
+def _assert_promotes(g, m, n, env=None):
+    """box_promote(g) is valid and agrees with g on a grid of m boxed and n plain inputs."""
+    bp = box_promote(g)
+    assert validate_graph(bp, allow_oracle=True) == []
+    for xs in itertools.product(range(6), repeat=m):
+        for ys in itertools.product(range(6), repeat=n):
+            want = eval_proof(g, g.root, xs, ys, oracles=env)
+            assert eval_proof(bp, bp.root, xs + ys, (), oracles=env) == want, (xs, ys)
+    return bp
+
+
 def test_box_promote_census_and_values(proofs):
     rng = random.Random(41)
     for name, g in proofs.items():
@@ -64,6 +83,63 @@ def test_box_promote_id_case():
     assert root.rule.kind is RuleKind.BOX_L
     assert bp.nodes[root.premises[0]].rule.kind is RuleKind.ID
     assert len(bp.nodes) == 2
+
+
+def test_box_promote_plain_conditionals_and_oracle_leaves():
+    # plain conditionals over a boxed and a plain input (the boxed
+    # conditional sits above an exchange chain) and over one plain input
+    # (no chain: the boxed conditional keeps the node's id)
+    fst = lambda xs, ys: 3 * [*xs, *ys][0] + 1
+    env = OracleEnv([OracleDef("a", 0, 1, fst)])
+    g = _graph("c", {
+        "c": (RuleKind.COND_N, Sequent(1, 1), ("z", "b0", "b1")),
+        "z": (RuleKind.WEAK_B, Sequent(1, 0), ("zero",)),
+        "zero": (RuleKind.ZERO, Sequent(0, 0), ()),
+        "b0": (RuleKind.S0, Sequent(1, 1), ("p",)),
+        "p": (RuleKind.WEAK_B, Sequent(1, 1), ("a",)),
+        "a": (Rule(RuleKind.ORACLE, oracle="a"), Sequent(0, 1), ()),
+        "b1": (RuleKind.S1, Sequent(1, 1), ("q",)),
+        "q": (RuleKind.BOX_L, Sequent(1, 1), ("qe",)),
+        "qe": (Rule(RuleKind.EXCH_N, pos=0), Sequent(0, 2), ("qw",)),
+        "qw": (RuleKind.WEAK_N, Sequent(0, 2), ("c1",)),
+        "c1": (RuleKind.COND_N, Sequent(0, 1), ("zero", "c1s", "c1s")),
+        "c1s": (RuleKind.S1, Sequent(0, 1), ("id",)),
+        "id": (RuleKind.ID, Sequent(0, 1), ()),
+    })
+    assert validate_graph(g, allow_oracle=True) == []
+    bp = _assert_promotes(g, 1, 1, env)
+    assert bp.nodes["c"].rule.kind is RuleKind.EXCH_B and bp.nodes["c1"].rule.kind is RuleKind.COND_B
+    assert bp.nodes["a"] == Node(Rule(RuleKind.ORACLE, oracle="a"), Sequent(1, 0), ())
+
+
+def test_box_promote_keeps_input_ids_under_a_one_input_box_left():
+    # x's premise x.y starts with "x." and is reached first: it must keep
+    # its own id, and x stands for it
+    g = _graph("r", {
+        "r": (RuleKind.CUT_N, Sequent(1, 1), ("w", "rw")),
+        "w": (RuleKind.WEAK_B, Sequent(1, 1), ("x.y",)),
+        "x.y": (RuleKind.ID, Sequent(0, 1), ()),
+        "rw": (RuleKind.WEAK_N, Sequent(1, 2), ("rw2",)),
+        "rw2": (RuleKind.WEAK_N, Sequent(1, 1), ("x",)),
+        "x": (RuleKind.BOX_L, Sequent(1, 0), ("x.y",)),
+    })
+    bp = _assert_promotes(g, 1, 1)
+    assert "x" not in bp.nodes and bp.nodes["rw2.w"].premises == ("x.y",)
+
+
+def test_box_promote_draws_no_id_of_the_input():
+    # a.0 is the id the weakening's exchange chain would draw first
+    g = _graph("a", {
+        "a": (RuleKind.WEAK_N, Sequent(1, 2), ("a.0",)),
+        "a.0": (RuleKind.CUT_N, Sequent(1, 1), ("v", "s")),
+        "v": (RuleKind.S1, Sequent(1, 1), ("p",)),
+        "p": (RuleKind.WEAK_B, Sequent(1, 1), ("i",)),
+        "i": (RuleKind.ID, Sequent(0, 1), ()),
+        "s": (RuleKind.S1, Sequent(1, 2), ("sw",)),
+        "sw": (RuleKind.WEAK_B, Sequent(1, 2), ("sn",)),
+        "sn": (RuleKind.WEAK_N, Sequent(0, 2), ("i",)),
+    })
+    _assert_promotes(g, 1, 2)
 
 
 def test_box_promote_keeps_cycles_through_boxed_conditionals(proofs):
@@ -108,28 +184,40 @@ def test_strip_wn_rooted_drops_to_subproof(proofs):
         assert eval_proof(st, st.root, [x], []) == x + 1
 
 
-def test_strip_preserves_values_with_used_safe_inputs(proofs):
-    # a proof bN, N => bN whose value provably ignores its safe input:
-    # box-left moves it away, a boxed weakening forgets it
-    bp = box_promote(proofs["S"])
-    nodes = dict(bp.nodes)
-    nodes["r0"] = Node(Rule(RuleKind.BOX_R), Sequent(1, 0, B), (bp.root,))
-    nodes["w"] = Node(Rule(RuleKind.WEAK_B), Sequent(2, 0, B), ("r0",))
-    nodes["bl"] = Node(Rule(RuleKind.BOX_L), Sequent(1, 1, B), ("el",))
-    nodes["el"] = Node(Rule(RuleKind.EXCH_N), Sequent(0, 2, B), ("wn",))
-    # build instead: bN, N => bN via weakening the plain input then boxR
-    nodes2 = dict(bp.nodes)
-    nodes2["r0"] = Node(Rule(RuleKind.BOX_R), Sequent(1, 0, B), (bp.root,))
-    nodes2["top"] = Node(Rule(RuleKind.WEAK_N), Sequent(1, 1, B), ("r0",))
-    g = ProofGraph("mix", "top", nodes2)
-    assert validate_graph(g) == []
+def test_strip_preserves_values_with_used_safe_inputs():
+    # a proof bN, bN, N => bN that reads its safe input below the bar (a
+    # plain cut computes from it) but not in its value: a box-left moves
+    # a boxed input away and a boxed weakening forgets one
+    g = _graph("top", {
+        "top": (RuleKind.WEAK_B, Sequent(2, 1, B), ("r",)),
+        "r": (RuleKind.CUT_B, Sequent(1, 1, B), ("l", "rt")),
+        "l": (RuleKind.WEAK_N, Sequent(1, 1, B), ("lb",)),
+        "lb": (RuleKind.BOX_R, Sequent(1, 0, B), ("li",)),
+        "li": (RuleKind.S0, Sequent(1, 0), ("lx",)),
+        "lx": (RuleKind.BOX_L, Sequent(1, 0), ("id",)),
+        "id": (RuleKind.ID, Sequent(0, 1), ()),
+        "rt": (Rule(RuleKind.EXCH_B, pos=0), Sequent(2, 1, B), ("s",)),
+        "s": (RuleKind.S1, Sequent(2, 1, B), ("bl",)),
+        "bl": (RuleKind.BOX_L, Sequent(2, 1, B), ("wn",)),
+        "wn": (RuleKind.WEAK_N, Sequent(1, 2, B), ("c",)),
+        "c": (RuleKind.CUT_N, Sequent(1, 1, B), ("cl", "cr")),
+        "cl": (RuleKind.WEAK_B, Sequent(1, 1), ("id",)),
+        "cr": (RuleKind.WEAK_N, Sequent(1, 2, B), ("cr1",)),
+        "cr1": (RuleKind.WEAK_N, Sequent(1, 1, B), ("rb",)),
+        "rb": (RuleKind.BOX_R, Sequent(1, 0, B), ("lx",)),
+    })
     st = strip_safe_inputs(g)
     assert validate_graph(st) == []
-    rng = random.Random(43)
-    for _ in range(100):
-        x = rng.getrandbits(rng.randrange(8))
-        y = rng.getrandbits(rng.randrange(8))
-        assert eval_proof(g, g.root, [x], [y]) == eval_proof(st, st.root, [x], [])
+    # below the bar: each rule kind strip rebuilds (s1 standing for both
+    # successors) and a plain cut
+    kinds = {g.nodes[n].rule.kind for n in ("top", "r", "rt", "s", "bl", "c")}
+    assert kinds == {RuleKind.WEAK_B, RuleKind.CUT_B, RuleKind.EXCH_B, RuleKind.S1, RuleKind.BOX_L, RuleKind.CUT_N}
+    for z in range(4):
+        for x in range(8):
+            for y in range(4):
+                want = 4 * x + 1
+                assert eval_proof(g, g.root, [z, x], [y]) == want
+                assert eval_proof(st, st.root, [z, x], []) == want, (z, x, y)
 
 
 def test_strip_requires_boxed_succedent(proofs):
@@ -266,6 +354,31 @@ def test_pass_parameters_preserves_classification_off_region(proofs):
         assert eval_proof(g, g.root, [x], [], oracles=env) == eval_proof(
             out, out.root, [x], [], oracles=envs
         )
+
+
+def test_pass_parameters_exchange_and_off_region():
+    # the root's two boxed inputs are swapped, then both weakened: the
+    # widened oracle still sees them in root order, and the cut's left
+    # premise, off the oracle path, gets both weakened back in
+    g = _graph("r", {
+        "r": (Rule(RuleKind.EXCH_B, pos=0), Sequent(2, 0), ("w",)),
+        "w": (RuleKind.WEAK_B, Sequent(2, 0), ("w2",)),
+        "w2": (RuleKind.WEAK_B, Sequent(1, 0), ("c",)),
+        "c": (RuleKind.CUT_N, Sequent(0, 0), ("cl", "a")),
+        "cl": (RuleKind.S1, Sequent(0, 0), ("zero",)),
+        "zero": (RuleKind.ZERO, Sequent(0, 0), ()),
+        "a": (Rule(RuleKind.ORACLE, oracle="a"), Sequent(0, 1), ()),
+    })
+    assert validate_graph(g, allow_oracle=True) == []
+    out, star = pass_parameters(g, "a")
+    assert validate_graph(out, allow_oracle=True) == []
+    assert {out.nodes[n].rule.kind for n in out.reachable()} >= {RuleKind.EXCH_B, RuleKind.WEAK_B}
+    seen = []
+    env = OracleEnv([OracleDef("a", 0, 1, lambda xs, ys: 5 * ys[0])])
+    envs = OracleEnv([OracleDef(star, 2, 1, lambda xs, ys: seen.append(tuple(xs)) or 5 * ys[0])])
+    for xs in itertools.product(range(5), repeat=2):
+        assert eval_proof(g, g.root, xs, (), oracles=env) == eval_proof(out, out.root, xs, (), oracles=envs) == 5
+        assert seen.pop() == xs
 
 
 # ---------------------------------------------------------------------------
