@@ -55,6 +55,7 @@ from .interp import (
     TermDef,
     Zero,
     check_term_class,
+    descent_audit,
     eval_pp,
     eval_proof,
     eval_term,

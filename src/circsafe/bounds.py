@@ -53,7 +53,68 @@ from .kernel import length
 
 
 class BoundExpr:
+    """A bound expression.  Equality, hashing, ``repr`` and ``str`` are
+    loops over the nodes, not recursion, so expression depth is not
+    capped by Python's recursion limit; equality and hashing visit a
+    shared node once."""
+
     __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BoundExpr):
+            return NotImplemented
+        seen: set[tuple[int, int]] = set()
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b or (id(a), id(b)) in seen:
+                continue
+            t = type(a)
+            if t is not type(b) or t is Const and a.value != b.value:
+                return False
+            if t in _BINARY:
+                seen.add((id(a), id(b)))
+                operands = _BINARY[t][0]
+                stack += zip(operands(a), operands(b))
+        return True
+
+    def __hash__(self) -> int:
+        done: dict[int, int] = {}  # id -> hash of the nodes finished
+        stack = [(self, False)]
+        while stack:
+            x, ready = stack.pop()
+            t = type(x)
+            if t is Const:
+                done[id(x)] = hash((t, x.value))
+            elif t is Var:
+                done[id(x)] = hash(t)
+            elif ready:
+                a, b = _BINARY[t][0](x)
+                done[id(x)] = hash((t, done[id(a)], done[id(b)]))
+            elif id(x) not in done:
+                stack.append((x, True))
+                stack += [(o, False) for o in _BINARY[t][0](x)]
+        return done[id(self)]
+
+    def __repr__(self) -> str:
+        """The dataclass form, ``Add(left=Const(value=1), right=Var())``."""
+        out: list[str] = []
+        stack: list = [self]
+        while stack:
+            x = stack.pop()
+            t = type(x)
+            if t is str:
+                out.append(x)
+            elif t is Const:
+                out.append(f"Const(value={x.value!r})")
+            elif t is Var:
+                out.append("Var()")
+            else:
+                a, b = _BINARY[t][0](x)
+                first, second = x.__dataclass_fields__
+                out.append(f"{t.__name__}({first}=")
+                stack += [")", b, f", {second}=", a]
+        return "".join(out)
 
     def __add__(self, other: "BoundExpr") -> "BoundExpr":
         return badd(self, other)
@@ -83,35 +144,35 @@ class BoundExpr:
         return "".join(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Const(BoundExpr):
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Var(BoundExpr):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Add(BoundExpr):
     left: BoundExpr
     right: BoundExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Mul(BoundExpr):
     left: BoundExpr
     right: BoundExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Pow(BoundExpr):
     base: BoundExpr
     exp: BoundExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Subst(BoundExpr):
     """Evaluate ``outer`` at the value of ``inner`` (composition in n)."""
 

@@ -25,6 +25,16 @@ that passes the safes through unchanged does not copy them.
 the path from a body to its calls hands each call to one loop as a
 request, so program-call depth uses no Python frames; the depth of
 terms other than chains does.
+
+A guarded call is checked at run time only where the program text does
+not prove its guard.  ``descent_audit`` lists those calls: a call has a
+descent certificate when each normal argument is one of the caller's
+own normals under zero or more ``p``, or ``0``, no two on one normal,
+with a ``p`` inside a ``cond`` branch that knows its normal is nonzero
+(under ``strict_safe`` the safes likewise, not strictly).  A certified
+call site, like an unguarded one, compiles to one closure that builds
+its request; the calls ``descent_audit`` lists, and every call inside a
+recursion scheme or tag dispatch, keep their run-time check.
 """
 
 from __future__ import annotations
@@ -139,7 +149,8 @@ def eval_proof(
     Each expansion of a node at some inputs costs one unit of fuel and
     counts one step, a memo hit included.  With memoization on, the run
     keeps memo entries only at the nodes of ``_repeatable``, fixed before
-    the first expansion, under ``_long_key``s: a run with an entry at
+    the first expansion and kept with the graph (``_kept_repeatable``),
+    under ``_long_key``s: a run with an entry at
     every node finds its hits only there if it returns.  So a run that
     returns has that run's value, steps, fuel, memo hits and
     ``memo_keys``, and so does a run cut short on the way (out of fuel,
@@ -162,7 +173,7 @@ def eval_proof(
     nodes = graph.nodes
     fuel = cfg.fuel
     memo: Optional[dict] = {} if cfg.memo else None
-    repeat = _repeatable(graph, nid) if cfg.memo else ()  # nodes that keep memo entries
+    repeat = _kept_repeatable(graph, nid) if cfg.memo else ()  # nodes that keep memo entries
     keyed = 0  # expansions that looked up an entry
     work: list = []  # continuations, innermost last
     n, xs, ys = nid, tuple(normals), tuple(safes)
@@ -282,15 +293,34 @@ def eval_proof(
 _SUCC, _STORE = "succ", "store"
 
 
-_bits = int.bit_length
-
-
 def _long_key(n: str, xs: tuple, ys: tuple) -> tuple:
     """The memo key of both evaluators, which adds the inputs' bit
     lengths: an int hashes to itself modulo 2**61 - 1, so appending 61
     one-bits to a value keeps its hash, and all-ones inputs or values
-    grown by appending ones would share hashes."""
-    return n, xs, ys, sum(map(_bits, xs)), sum(map(_bits, ys))
+    grown by appending ones would share hashes.  Plain loops sum the
+    lengths: ``sum(map(...))`` costs twice as much on short tuples."""
+    lx = ly = 0
+    for x in xs:
+        lx += x.bit_length()
+    for y in ys:
+        ly += y.bit_length()
+    return n, xs, ys, lx, ly
+
+
+def _kept_repeatable(graph: ProofGraph, nid: str) -> frozenset:
+    """``_repeatable(graph, nid)``, computed once per start node and kept
+    on the graph.  ``graph.nodes`` is a mutable dict, so the kept sets
+    are served only while ``graph.root`` and ``graph.nodes`` are what
+    they were when the first set was computed: the same or equal
+    ``Node`` objects under the same ids.  Any change drops them all."""
+    kept = graph._memo_nodes
+    if kept is None or kept[0] != graph.root or kept[1] != graph.nodes:
+        kept = graph._memo_nodes = (graph.root, dict(graph.nodes), {})
+    sets = kept[2]
+    repeat = sets.get(nid)
+    if repeat is None:
+        repeat = sets[nid] = _repeatable(graph, nid)
+    return repeat
 
 
 def _repeatable(graph: ProofGraph, nid: str) -> frozenset:
@@ -889,14 +919,18 @@ def _oracle_call(name: str, args):
 
 
 def _host_call(term: OracleCall):
-    """``finish`` applying the host oracle of ``term`` to the argument values."""
+    """``finish`` applying the host oracle of ``term`` to the argument
+    values; a negative result raises EvalError."""
     name, m, n = term.name, len(term.normal_args), len(term.safe_args)
 
     def finish(u, v, b):
         d = b[0][name]
         if d.normals != m or d.safes != n:
             raise EvalError(f"oracle {name!r} arity mismatch")
-        return d.fn(u, v)
+        r = d.fn(u, v)
+        if r < 0:
+            raise EvalError(f"oracle {name!r} returned the negative value {r}")
+        return r
 
     return finish
 
@@ -978,8 +1012,9 @@ class _ProgramCode:
     with no call outside a recursion scheme compile to ``_compile``'s
     closures; the rest, the path from the body to its calls, compile to
     code that returns a request ``(callee, normals, safes)`` in place of
-    a value once it reaches a call (guard already checked), leaving on
-    the run's stack ``b[3].ks`` the frames that finish the caller:
+    a value once it reaches a call (its guard checked, or proved by a
+    descent certificate), leaving on the run's stack ``b[3].ks`` the
+    frames that finish the caller:
     ``frame[0](value, frame)`` takes the callee's value and returns the
     next value or request.  ``_Run.call`` runs that loop.
 
@@ -1023,25 +1058,33 @@ class _ProgramCode:
     def _body(self, name: str) -> Callable:
         """Compile function ``name``'s body along the marks of ``_walk``."""
         fn = self.functions[name]
-        code = self.bodies[name] = self._code(fn.body, fn.normals, fn.safes, self.marks.pop(name))
+        frame = (fn.normals, fn.safes, frozenset())
+        code = self.bodies[name] = self._code(fn.body, fn.normals, fn.safes, self.marks.pop(name), frame)
         return code
 
-    def _code(self, t: Term, m: int, n: int, suspends: set):
+    def _code(self, t: Term, m: int, n: int, suspends: set, frame: tuple):
         """Code of body subterm ``t`` at ``m`` normals and ``n`` safes:
-        ``_compile``'s closure unless ``t`` is in ``suspends``."""
+        ``_compile``'s closure unless ``t`` is in ``suspends``.  ``frame``
+        is what ``_descent_gap`` knows of the caller's arguments there."""
         if id(t) not in suspends:
             return _compile(t, m, n, (), self)
         if isinstance(t, (Call, OracleCall)):
-            args = [self._code(a, m, n, suspends) for a in t.normal_args + t.safe_args]
+            args = [self._code(a, m, n, suspends, frame) for a in t.normal_args + t.safe_args]
             flags = [id(a) in suspends for a in t.normal_args + t.safe_args]
-            if isinstance(t, Call):
-                return self._request(t, args, flags)
-            return _oracle_call(t.name, _args(args, flags, len(t.normal_args), _host_call(t)))
+            if isinstance(t, OracleCall):
+                return _oracle_call(t.name, _args(args, flags, len(t.normal_args), _host_call(t)))
+            if self.mismatch(t.name, len(t.normal_args), len(t.safe_args)) is None and (
+                t.guard is None or _descent_gap(t, *frame) is None
+            ):
+                return _unchecked(t, args, flags, m, n)
+            return self._request(t, args, flags)
         if isinstance(t, _EDITS):  # the chain's leaf suspends: one frame applies the whole edit
             leaf, r, k, c = _chain(t)
-            return _then(self._code(leaf, m, n, suspends), lambda v, fr: v >> r << k | c)
+            return _then(self._code(leaf, m, n, suspends, frame), lambda v, fr: v >> r << k | c)
         if isinstance(t, Cond):
-            w, x, y, z = (self._code(c, m, n, suspends) for c in (t.w, t.x, t.y, t.z))
+            inner = _branch_frame(t, frame)
+            w, x = (self._code(c, m, n, suspends, frame) for c in (t.w, t.x))
+            y, z = (self._code(c, m, n, suspends, inner) for c in (t.y, t.z))
             if id(t.w) not in suspends:
                 return _cond(w, x, y, z)
 
@@ -1051,22 +1094,23 @@ class _ProgramCode:
 
             return _then(w, pick)
         if isinstance(t, CompSafe):
-            h, g = self._code(t.h, m, n + 1, suspends), self._code(t.g, m, n, suspends)
+            h, g = self._code(t.h, m, n + 1, suspends, frame), self._code(t.g, m, n, suspends, frame)
             if id(t.g) not in suspends:
                 return lambda xs, ys, b: h(xs, ys + (g(xs, ys, b),), b)
             return _then(g, lambda v, fr: h(fr[1], fr[2] + (v,), fr[3]))
         if isinstance(t, CompNormal):
-            h, g = self._code(t.h, m + 1, n, suspends), self._code(t.g, m, 0, suspends)
+            h, g = self._code(t.h, m + 1, n, suspends, frame), self._code(t.g, m, 0, suspends, frame)
             if id(t.g) not in suspends:
                 return lambda xs, ys, b: h(xs + (g(xs, (), b),), ys, b)
             return _then(lambda xs, ys, b: g(xs, (), b), lambda v, fr: h(fr[1] + (v,), fr[2], fr[3]))
         raise AssertionError(f"{type(t).__name__} cannot suspend")  # pragma: no cover
 
     def _request(self, term: Call, args: list, flags: list):
-        """Code of a call site (``_args`` over the argument code ``args``):
-        the arguments, the guard against the caller's frame, then the
-        request.  A failed guard gives 0, or GuardViolation in strict
-        mode; after the guard, an unknown callee or a wrong arity raises."""
+        """Code of a call site with a check to make (``_args`` over the
+        argument code ``args``): the arguments, the guard against the
+        caller's frame, then the request.  A failed guard gives 0, or
+        GuardViolation in strict mode; after the guard, an unknown callee
+        or a wrong arity raises."""
         name, m = term.name, len(term.normal_args)
         bad = self.mismatch(name, m, len(term.safe_args))
         guard, strict, safe_guard = term.guard is not None, self.strict, term.guard == "strict_safe"
@@ -1081,6 +1125,54 @@ class _ProgramCode:
             return (name, u, v)
 
         return _args(args, flags, m, finish)
+
+
+def _unchecked(term: Call, args: list, flags: list, m: int, n: int):
+    """Code of a call site at ``m`` normals and ``n`` safes with no check
+    to make (unguarded or certified, its callee and arity right): the
+    request ``(name, normals, safes)``.  An argument that can suspend
+    keeps ``_args``.  Otherwise one closure builds the request: each
+    argument that is a prefix edit of a constant or a projection is
+    written in place (``xs[i] >> r``, ``ys[j] >> r``, ``0``), the others
+    are called, and arguments that are all of ``xs`` or of ``ys``, in
+    order, pass that tuple itself.  The closure's text holds only
+    indices, shifts and hexadecimal constants."""
+    name, split = term.name, len(term.normal_args)
+    if any(flags):
+        return _args(args, flags, split, lambda u, v, b: (name, u, v))
+    parts = [_inline(a, m, n) or f"a{i}(xs, ys, b)" for i, a in enumerate(term.normal_args + term.safe_args)]
+
+    def tup(items: list, whole: str, size: int) -> str:
+        if items == [f"{whole}[{i}]" for i in range(size)]:
+            return whole
+        return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
+
+    params = ", ".join(["name"] + [f"a{i}" for i in range(len(args))])
+    body = f"(name, {tup(parts[:split], 'xs', m)}, {tup(parts[split:], 'ys', n)})"
+    return _request_maker(f"lambda {params}: lambda xs, ys, b: {body}")(name, *args)
+
+
+@functools.lru_cache(maxsize=256)
+def _request_maker(text: str):
+    """The function that ``text`` from ``_unchecked`` defines, compiled
+    once per text: compiling one costs about 50 µs on CPython 3.11, and
+    call sites of one shape share a text."""
+    return eval(text, {})
+
+
+def _inline(t: Term, m: int, n: int) -> Optional[str]:
+    """``t`` as Python text over ``xs`` and ``ys`` at ``m`` normals and
+    ``n`` safes, if it is a prefix edit (``_chain``) of a constant or of
+    a projection in range; else None."""
+    leaf, r, k, c = _chain(t)
+    if isinstance(leaf, Zero):
+        return hex(c)
+    if not isinstance(leaf, Proj) or leaf.index >= (m if leaf.sort == "n" else n):
+        return None
+    text = f"{'xs' if leaf.sort == 'n' else 'ys'}[{leaf.index}]"
+    if r:
+        text += f" >> {r}"
+    return f"{text} << {k} | {hex(c)}" if k else text
 
 
 # Subterms whose calls run through ``_compile``'s closures, never suspending.
@@ -1264,7 +1356,17 @@ def eval_pp(
 
     The program's compiled code is kept with it for the next run; the
     memo, fuel and stack are this run's alone; calls of the functions in
-    ``_ProgramCode.keep`` keep memo entries, and only those.
+    ``_ProgramCode.keep`` keep memo entries, and only those.  Guarded
+    calls that carry a descent certificate run unchecked; the others,
+    those of ``descent_audit``, check their guard against the caller's
+    arguments and give 0 on failure, or raise GuardViolation when
+    ``cfg.guard_mode`` is "strict".
+
+    Raises EvalError on an unknown function, on inputs of the wrong
+    arity, on a negative input (values are natural numbers, and a
+    certified call trusts that), and when a host oracle returns a
+    negative value; FuelExhausted when ``cfg.fuel`` calls did not
+    finish the run.
     """
     cfg = cfg or EvalConfig()
     strict = cfg.guard_mode == "strict"
@@ -1275,6 +1377,8 @@ def eval_pp(
     bad = code.mismatch(fname, len(xs), len(ys))
     if bad is not None:
         raise EvalError(bad)
+    if any(v < 0 for v in xs + ys):
+        raise EvalError(f"negative input to {fname}: values are natural numbers")
     run = _Run(code, env or EMPTY_ORACLES, cfg)
     try:
         return run.call(fname, xs, ys)
@@ -1405,3 +1509,101 @@ def _check_program_class(prog: PPProgram, cls: str) -> list[str]:
             f"{fn.name}: {v}" for v in check_term_class(fn.body, cls, _peers_bearing=peers)
         )
     return violations
+
+
+# ---------------------------------------------------------------------------
+# Descent certificates for guarded calls
+
+
+class Uncertified(NamedTuple):
+    """A guarded call with no descent certificate (``descent_audit``):
+    the calling function, the call, and why, "no match" or "no strict
+    match"."""
+
+    caller: str
+    call: Call
+    reason: str
+
+
+def descent_audit(prog: PPProgram) -> list[Uncertified]:
+    """The guarded calls of ``prog`` that carry no descent certificate,
+    by function and, in each body, in pre-order; empty when the program
+    text proves every guard.
+
+    A certificate is the size-change principle restricted to prefix
+    descent (Lee, Jones & Ben-Amram, POPL 2001), read off the call
+    site: each normal argument is one of the caller's own normals under
+    zero or more ``p``, or ``0``, matched injectively, and at least one
+    ``p`` lies inside a ``cond`` branch that knows its normal is nonzero,
+    so the normals descend strictly in the prefix-permutation order.
+    Under ``strict_safe`` the safes match the same way, not strictly.
+    Inside a recursion scheme or a tag dispatch no argument counts as
+    the caller's own.  ``eval_pp`` checks exactly these calls at run
+    time: ``_ProgramCode`` asks the same ``_descent_gap`` when it
+    compiles a call site.
+    """
+    out = []
+    for fn in prog.functions.values():
+        stack = [(fn.body, (fn.normals, fn.safes, frozenset()))]
+        while stack:
+            t, frame = stack.pop()
+            if isinstance(t, Call) and t.guard is not None:
+                reason = _descent_gap(t, *frame)
+                if reason is not None:
+                    out.append(Uncertified(fn.name, t, reason))
+            kids = children(t)
+            if isinstance(t, _OPAQUE):
+                frames = [_NO_FRAME] * len(kids)
+            elif isinstance(t, Cond):
+                frames = [frame, frame] + [_branch_frame(t, frame)] * 2
+            else:
+                frames = [frame] * len(kids)
+            stack.extend(reversed(list(zip(kids, frames))))
+    return out
+
+
+# what a call site knows of the caller's arguments inside a recursion
+# scheme or tag dispatch: no parameter of its own, as those calls run
+# through ``_named_call``, which checks every guard
+_NO_FRAME = (0, 0, frozenset())
+
+
+def _branch_frame(cond: Cond, frame: tuple) -> tuple:
+    """``frame`` in the two branches of ``cond`` taken on a nonzero test:
+    a test that is one of the caller's normals under ``p``s proves that
+    normal nonzero there."""
+    m, n, nonzero = frame
+    leaf, _, k, _ = _chain(cond.w)
+    if isinstance(leaf, Proj) and leaf.sort == "n" and leaf.index < m and not k:
+        return m, n, nonzero | {leaf.index}
+    return frame
+
+
+def _descent_gap(call: Call, m: int, n: int, nonzero: frozenset) -> Optional[str]:
+    """Why the guarded ``call`` has no descent certificate, where the
+    caller has ``m`` normals and ``n`` safes and its normals ``nonzero``
+    are known to be nonzero; None when it has one (``descent_audit``)."""
+    normals = _own(call.normal_args, "n", m)
+    if normals is None or call.guard == "strict_safe" and _own(call.safe_args, "s", n) is None:
+        return "no match"
+    if not any(r and i in nonzero for i, r in normals):
+        return "no strict match"
+    return None
+
+
+def _own(args: tuple, sort: str, count: int) -> Optional[list[tuple[int, int]]]:
+    """``(i, r)`` for each of ``args`` that is the caller's parameter ``i``
+    of ``sort`` under ``r`` ``p``s, skipping those that are 0, when every
+    argument is one or the other, no two share a parameter and there are
+    ``count`` of them, the caller's number of that sort; else None."""
+    if len(args) != count:
+        return None
+    out = []
+    for a in args:
+        leaf, r, k, c = _chain(a)
+        if isinstance(leaf, Zero) and not c:
+            continue
+        if k or not isinstance(leaf, Proj) or leaf.sort != sort or leaf.index >= count:
+            return None
+        out.append((leaf.index, r))
+    return out if len({i for i, _ in out}) == len(out) else None

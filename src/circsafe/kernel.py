@@ -247,11 +247,16 @@ class Node:
 
 @dataclass
 class ProofGraph:
-    """Finite rooted labelled graph of inference steps; cycles allowed."""
+    """Finite rooted labelled graph of inference steps; cycles allowed.
+
+    ``eval_proof`` keeps its memo node sets here, for as long as ``root``
+    and ``nodes`` stay as they were (``interp._kept_repeatable``).
+    """
 
     name: str
     root: str
     nodes: dict[str, Node] = field(default_factory=dict)
+    _memo_nodes: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def reachable(self) -> list[str]:
         """Node ids reachable from the root, in deterministic BFS order."""

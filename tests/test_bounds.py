@@ -5,8 +5,10 @@ import random
 from conftest import ref_beval, ref_bound_str, ref_is_polynomial, ref_synthesize_bound
 
 from circsafe.bounds import (
+    Add,
     BoundPair,
     Const,
+    Mul,
     Var,
     badd,
     beval,
@@ -24,6 +26,7 @@ from circsafe.interp import (
     OracleCall,
     Pred,
     Proj,
+    S0,
     S1,
     SimRecPP,
     SNRec,
@@ -208,3 +211,26 @@ def test_verify_bound_with_and_without_an_explicit_pair(terms):
         rep = verify_bound(td, samples=20, seed=s)
         assert rep == verify_bound(td, samples=20, seed=s, pair=synthesize_bound(td.body)), td.name
         assert rep.samples == 20 and rep.violations == [], td.name
+
+
+def test_bound_expressions_compare_hash_and_print_at_depth_10000():
+    def chain_pair() -> BoundPair:
+        """The pair of a 10^4-deep s0 chain: an Add chain as deep."""
+        t = Proj("s", 0)
+        for _ in range(10**4):
+            t = S0(t)
+        return synthesize_bound(t)
+
+    a, b = chain_pair(), chain_pair()
+    assert a.e is not b.e
+    assert a == b and hash(a) == hash(b) and a.e == b.e and hash(a.e) == hash(b.e)
+    assert a != BoundPair(badd(Const(1), b.e), 1) and a != BoundPair(b.e, 2)
+    text = repr(a)
+    assert text.startswith("BoundPair(e=Add(left=Add(left=Const(value=1), right=Var()), right=Add(")
+    assert text.endswith("))), d=1)") and text.count("Var()") == 10**4 + 1
+    assert repr(badd(Const(2), Mul(Var(), Const(3)))) == "Add(left=Const(value=2), right=Mul(left=Var(), right=Const(value=3)))"
+    # shared subexpressions: 2^200 paths, compared and hashed once per node
+    e, f = Var(), Var()
+    for _ in range(200):
+        e, f = Add(e, e), Add(f, f)
+    assert e == f and hash(e) == hash(f) and e != Add(e, Const(1))

@@ -482,6 +482,34 @@ def test_repeatable_on_the_corpus(proofs):
         assert _repeatable(g, g.root) == want, name
 
 
+def test_memo_sets_are_kept_with_the_graph(monkeypatch):
+    """``eval_proof`` computes a start node's memo set once and keeps it on
+    the graph while its root and nodes stay the same (equal nodes count
+    as the same); a changed node map or root drops the kept sets."""
+    from dataclasses import replace
+
+    from circsafe import interp
+    from circsafe.corpus import proof
+
+    computed, real = [], interp._repeatable
+    monkeypatch.setattr(interp, "_repeatable", lambda g, nid: computed.append(nid) or real(g, nid))
+    g = proof("S")
+    for x in (5, 6, 2**100 - 1):
+        assert eval_proof(g, "n0", [x], []) == x + 1
+    assert eval_proof(g, "n0", [3], [], EvalConfig(memo=False)) == 4  # no memo, no set
+    assert computed == ["n0"]
+    for _ in range(2):
+        assert eval_proof(g, "n1", [], []) == 1
+    assert computed == ["n0", "n1"]
+    g.nodes["n1"] = replace(g.nodes["n1"])  # an equal node
+    assert eval_proof(g, "n0", [9], []) == 10 and computed == ["n0", "n1"]
+    g.nodes["extra"] = Node(Rule(RuleKind.ZERO), Sequent(0, 0), ())
+    assert eval_proof(g, "n0", [9], []) == 10 and computed == ["n0", "n1", "n0"]
+    g.root = "n1"
+    assert eval_proof(g, "n0", [9], []) == 10 and computed == ["n0", "n1", "n0", "n0"]
+    assert g._memo_nodes[2] == {"n0": real(g, "n0")}
+
+
 def test_repeatable_takes_linear_memory():
     """The proof policy's traced peak on a chain of 8 * 10**4 nodes is at
     most five times its peak on 2 * 10**4 (a quadratic one would take

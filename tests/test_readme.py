@@ -23,4 +23,4 @@ def test_python_api_example():
             continue
         assert eval(code, scope) == want, line
         checked.append(want)
-    assert checked == ["CB", 42, 42]
+    assert checked == ["CB", 42, [], 42]
