@@ -159,6 +159,9 @@ def eval_proof(
     expanding another node.  Successor steps with no other continuation
     between them share one frame, which returns ``v << count | bits`` at
     once.
+
+    Raises EvalError on an unknown node, on inputs of the wrong arity
+    and on a negative input, as ``eval_pp`` does.
     """
     cfg = cfg or EvalConfig()
     node = graph.nodes.get(nid)
@@ -170,13 +173,15 @@ def eval_proof(
             f"{len(normals)} normals, {len(safes)} safes"
         )
 
+    n, xs, ys = nid, tuple(normals), tuple(safes)
+    if any(v < 0 for v in xs + ys):
+        raise EvalError(f"negative input to {nid}: values are natural numbers")
     nodes = graph.nodes
     fuel = cfg.fuel
     memo: Optional[dict] = {} if cfg.memo else None
     repeat = _kept_repeatable(graph, nid) if cfg.memo else ()  # nodes that keep memo entries
     keyed = 0  # expansions that looked up an entry
     work: list = []  # continuations, innermost last
-    n, xs, ys = nid, tuple(normals), tuple(safes)
     try:
         while True:
             # expand (n, xs, ys) until it has a value v
@@ -993,6 +998,15 @@ class PPProgram:
         }
 
 
+def _must_guard(prog: PPProgram) -> Callable[[str, str], bool]:
+    """Whether a call from ``caller`` to ``callee`` must be guarded: the
+    callee lies in the caller's component of ``sccs(prog.call_graph())``
+    (a self-call does; an unknown callee does not).  ``translate`` places
+    guards by this rule and ``check_term_class`` requires them by it."""
+    comp_of = {nm: i for i, comp in enumerate(sccs(prog.call_graph())) for nm in comp}
+    return lambda caller, callee: comp_of.get(callee, -1) == comp_of[caller]
+
+
 def _calls(term: Term) -> list[Call]:
     """Every Call inside ``term``, in depth-first order."""
     out: list[Call] = []
@@ -1012,11 +1026,13 @@ class _ProgramCode:
     with no call outside a recursion scheme compile to ``_compile``'s
     closures; the rest, the path from the body to its calls, compile to
     code that returns a request ``(callee, normals, safes)`` in place of
-    a value once it reaches a call (its guard checked, or proved by a
-    descent certificate), leaving on the run's stack ``b[3].ks`` the
-    frames that finish the caller:
-    ``frame[0](value, frame)`` takes the callee's value and returns the
-    next value or request.  ``_Run.call`` runs that loop.
+    a value once it reaches a call, leaving on the run's stack ``b[3].ks``
+    the frames that finish the caller: ``frame[0](value, frame)`` takes
+    the callee's value and returns the next value or request.
+    ``_Run.call`` runs that loop.  ``checked`` holds the ids of the calls
+    ``descent_audit`` lists, taken when the code is built; only those
+    check their guard (a Call object that also sits at a certified site
+    checks there too).
 
     The code holds no state of a run; each run passes its own in b[3].
     A call site's arity check reads its callee when the site compiles,
@@ -1029,10 +1045,11 @@ class _ProgramCode:
     calls with one key lie below two calls of their lowest common activation.
     """
 
-    __slots__ = ("functions", "strict", "bodies", "marks", "keep")
+    __slots__ = ("functions", "strict", "bodies", "marks", "keep", "checked")
 
     def __init__(self, functions: dict[str, PPFunction], strict: bool) -> None:
         self.functions, self.strict = dict(functions), strict
+        self.checked = {id(u.call) for u in descent_audit(PPProgram(self.functions))}
         self.bodies: dict[str, Callable] = {}
         self.marks: dict[str, set] = {}  # each body's suspending subterms, until it compiles
         calls, starts = {}, []
@@ -1058,33 +1075,27 @@ class _ProgramCode:
     def _body(self, name: str) -> Callable:
         """Compile function ``name``'s body along the marks of ``_walk``."""
         fn = self.functions[name]
-        frame = (fn.normals, fn.safes, frozenset())
-        code = self.bodies[name] = self._code(fn.body, fn.normals, fn.safes, self.marks.pop(name), frame)
+        code = self.bodies[name] = self._code(fn.body, fn.normals, fn.safes, self.marks.pop(name))
         return code
 
-    def _code(self, t: Term, m: int, n: int, suspends: set, frame: tuple):
+    def _code(self, t: Term, m: int, n: int, suspends: set):
         """Code of body subterm ``t`` at ``m`` normals and ``n`` safes:
-        ``_compile``'s closure unless ``t`` is in ``suspends``.  ``frame``
-        is what ``_descent_gap`` knows of the caller's arguments there."""
+        ``_compile``'s closure unless ``t`` is in ``suspends``."""
         if id(t) not in suspends:
             return _compile(t, m, n, (), self)
         if isinstance(t, (Call, OracleCall)):
-            args = [self._code(a, m, n, suspends, frame) for a in t.normal_args + t.safe_args]
+            args = [self._code(a, m, n, suspends) for a in t.normal_args + t.safe_args]
             flags = [id(a) in suspends for a in t.normal_args + t.safe_args]
             if isinstance(t, OracleCall):
                 return _oracle_call(t.name, _args(args, flags, len(t.normal_args), _host_call(t)))
-            if self.mismatch(t.name, len(t.normal_args), len(t.safe_args)) is None and (
-                t.guard is None or _descent_gap(t, *frame) is None
-            ):
+            if id(t) not in self.checked and self.mismatch(t.name, len(t.normal_args), len(t.safe_args)) is None:
                 return _unchecked(t, args, flags, m, n)
             return self._request(t, args, flags)
         if isinstance(t, _EDITS):  # the chain's leaf suspends: one frame applies the whole edit
             leaf, r, k, c = _chain(t)
-            return _then(self._code(leaf, m, n, suspends, frame), lambda v, fr: v >> r << k | c)
+            return _then(self._code(leaf, m, n, suspends), lambda v, fr: v >> r << k | c)
         if isinstance(t, Cond):
-            inner = _branch_frame(t, frame)
-            w, x = (self._code(c, m, n, suspends, frame) for c in (t.w, t.x))
-            y, z = (self._code(c, m, n, suspends, inner) for c in (t.y, t.z))
+            w, x, y, z = (self._code(c, m, n, suspends) for c in (t.w, t.x, t.y, t.z))
             if id(t.w) not in suspends:
                 return _cond(w, x, y, z)
 
@@ -1094,12 +1105,12 @@ class _ProgramCode:
 
             return _then(w, pick)
         if isinstance(t, CompSafe):
-            h, g = self._code(t.h, m, n + 1, suspends, frame), self._code(t.g, m, n, suspends, frame)
+            h, g = self._code(t.h, m, n + 1, suspends), self._code(t.g, m, n, suspends)
             if id(t.g) not in suspends:
                 return lambda xs, ys, b: h(xs, ys + (g(xs, ys, b),), b)
             return _then(g, lambda v, fr: h(fr[1], fr[2] + (v,), fr[3]))
         if isinstance(t, CompNormal):
-            h, g = self._code(t.h, m + 1, n, suspends, frame), self._code(t.g, m, 0, suspends, frame)
+            h, g = self._code(t.h, m + 1, n, suspends), self._code(t.g, m, 0, suspends)
             if id(t.g) not in suspends:
                 return lambda xs, ys, b: h(xs + (g(xs, (), b),), ys, b)
             return _then(lambda xs, ys, b: g(xs, (), b), lambda v, fr: h(fr[1] + (v,), fr[2], fr[3]))
@@ -1487,24 +1498,23 @@ def _bears(t: Term, kid_flags: Sequence[bool], peers: Optional[frozenset[str]]) 
 
 
 def _check_program_class(prog: PPProgram, cls: str) -> list[str]:
+    """Known callees, guards where ``_must_guard`` asks (in Bpp on the
+    safes too), and each body in ``cls`` with its guarded peers as oracles."""
     if cls not in _PP:
         return [f"programs with guarded calls live in the pp classes, not {cls}"]
     violations: list[str] = []
-    calls = prog.call_graph()
-    comps = sccs(calls)
-    comp_of = {nm: i for i, scc in enumerate(comps) for nm in scc}
+    must_guard = _must_guard(prog)
     for fn in prog.functions.values():
-        peers = frozenset(
-            nm for nm in comps[comp_of[fn.name]] if nm != fn.name or fn.name in calls[fn.name]
-        )
-        for c in _calls(fn.body):
-            if c.guard is not None:
-                if cls == "Bpp" and c.guard != "strict_safe":
-                    violations.append(f"{fn.name}: call to {c.name} lacks the safe-zone guard")
-                if comp_of[c.name] > comp_of[fn.name]:
-                    violations.append(f"{fn.name}: guarded call forward to {c.name}")
-            elif comp_of.get(c.name) == comp_of[fn.name] and c.name != fn.name:
-                violations.append(f"{fn.name}: unguarded call to mutual peer {c.name}")
+        calls = _calls(fn.body)
+        for c in calls:
+            if c.name not in prog.functions:
+                violations.append(f"{fn.name}: call to unknown function {c.name!r}")
+            elif c.guard is None and must_guard(fn.name, c.name):
+                peer = "itself" if c.name == fn.name else f"mutual peer {c.name}"
+                violations.append(f"{fn.name}: unguarded call to {peer}")
+            if cls == "Bpp" and c.guard not in (None, "strict_safe"):
+                violations.append(f"{fn.name}: call to {c.name} lacks the safe-zone guard")
+        peers = frozenset(c.name for c in calls if must_guard(fn.name, c.name))
         violations.extend(
             f"{fn.name}: {v}" for v in check_term_class(fn.body, cls, _peers_bearing=peers)
         )
@@ -1539,8 +1549,7 @@ def descent_audit(prog: PPProgram) -> list[Uncertified]:
     Under ``strict_safe`` the safes match the same way, not strictly.
     Inside a recursion scheme or a tag dispatch no argument counts as
     the caller's own.  ``eval_pp`` checks exactly these calls at run
-    time: ``_ProgramCode`` asks the same ``_descent_gap`` when it
-    compiles a call site.
+    time: ``_ProgramCode`` takes them from here when it is built.
     """
     out = []
     for fn in prog.functions.values():
@@ -1552,31 +1561,16 @@ def descent_audit(prog: PPProgram) -> list[Uncertified]:
                 if reason is not None:
                     out.append(Uncertified(fn.name, t, reason))
             kids = children(t)
-            if isinstance(t, _OPAQUE):
-                frames = [_NO_FRAME] * len(kids)
-            elif isinstance(t, Cond):
-                frames = [frame, frame] + [_branch_frame(t, frame)] * 2
-            else:
-                frames = [frame] * len(kids)
+            if isinstance(t, _OPAQUE):  # inside, no argument is the caller's own
+                frame = (0, 0, frozenset())
+            frames = [frame] * len(kids)
+            if isinstance(t, Cond):  # a test on a normal under ``p``s proves it nonzero in the nonzero branches
+                m, n, nonzero = frame
+                leaf, _, k, _ = _chain(t.w)
+                if isinstance(leaf, Proj) and leaf.sort == "n" and leaf.index < m and not k:
+                    frames[2:] = [(m, n, nonzero | {leaf.index})] * 2
             stack.extend(reversed(list(zip(kids, frames))))
     return out
-
-
-# what a call site knows of the caller's arguments inside a recursion
-# scheme or tag dispatch: no parameter of its own, as those calls run
-# through ``_named_call``, which checks every guard
-_NO_FRAME = (0, 0, frozenset())
-
-
-def _branch_frame(cond: Cond, frame: tuple) -> tuple:
-    """``frame`` in the two branches of ``cond`` taken on a nonzero test:
-    a test that is one of the caller's normals under ``p``s proves that
-    normal nonzero there."""
-    m, n, nonzero = frame
-    leaf, _, k, _ = _chain(cond.w)
-    if isinstance(leaf, Proj) and leaf.sort == "n" and leaf.index < m and not k:
-        return m, n, nonzero | {leaf.index}
-    return frame
 
 
 def _descent_gap(call: Call, m: int, n: int, nonzero: frozenset) -> Optional[str]:

@@ -91,33 +91,8 @@ def tuple_below(xs: Sequence[int], ys: Sequence[int], strict: bool) -> bool:
     related at all (not ``strict``), without building its witness."""
     if len(xs) != len(ys):
         raise ValueError("tuple_below: length mismatch (%d vs %d)" % (len(xs), len(ys)))
-    if len(xs) == 1:  # the guard of most program calls
-        x, y = xs[0], ys[0]
-        if x < 0 or y < 0:
-            raise ValueError("values are natural numbers")
-        k = y.bit_length() - x.bit_length()
-        return (k > 0 if strict else k >= 0) and y >> k == x
-    if not xs:
-        return not strict
-    if len(xs) == 2:  # both pairings, as translated programs on two normals guard
-        (a, b), (c, d) = xs, ys
-        if a < 0 or b < 0 or c < 0 or d < 0:
-            raise ValueError("values are natural numbers")
-        la, lb, lc, ld = a.bit_length(), b.bit_length(), c.bit_length(), d.bit_length()
-        k = lc + ld - la - lb
-        if k < 0 or strict and k == 0:
-            return False
-        return (lc >= la and c >> (lc - la) == a and ld >= lb and d >> (ld - lb) == b) or (
-            ld >= la and d >> (ld - la) == a and lc >= lb and c >> (lc - lb) == b
-        )
-    lx = ly = 0
-    for x in xs:
-        lx += length(x)
-    for y in ys:
-        ly += length(y)
-    if lx > ly or strict and lx == ly:
-        return False
-    return _prefix_matching(xs, ys) is not None
+    lx, ly = sum(map(length, xs)), sum(map(length, ys))
+    return (lx < ly if strict else lx <= ly) and _prefix_matching(xs, ys) is not None
 
 
 def tuple_order(
@@ -318,8 +293,7 @@ def sccs(adj: dict[T, Sequence[T]]) -> list[list[T]]:
     successors in the order ``adj`` lists them, so callers that need a
     canonical answer pass their successor lists sorted.  The witness
     cycle of ``checker.check_progressing_safe`` (first cyclic component)
-    and the forward-call check of ``interp._check_program_class``
-    (component indices) depend on this order.
+    depends on this order.
     """
     index: dict[T, int] = {}
     low: dict[T, int] = {}

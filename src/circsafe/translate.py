@@ -18,7 +18,7 @@ from typing import Optional
 
 from .kernel import (
     _R_BOX_L, _R_BOX_R, _R_COND_B, _R_COND_N, _R_CUT_B, _R_CUT_N, _R_EXCH_B, _R_EXCH_N, _R_ID,
-    _R_ORACLE, _R_S0, _R_S1, _R_WEAK_B, _R_WEAK_N, _R_ZERO, ProofGraph, sccs,
+    _R_ORACLE, _R_S0, _R_S1, _R_WEAK_B, _R_WEAK_N, _R_ZERO, ProofGraph,
 )
 from .checker import classify
 from .interp import (
@@ -33,6 +33,7 @@ from .interp import (
     S1,
     Term,
     Zero,
+    _must_guard,
     map_terms,
 )
 from .transform import _cycle_normal_form
@@ -53,10 +54,10 @@ def translate(graph: ProofGraph) -> PPProgram:
 
     The entry point is the function ``main`` with the root's arities;
     one further function exists per companion of the cycle normal form.
-    A call is guarded when its callee is in the caller's component of
-    ``sccs(prog.call_graph())``.  Every companion function is padded
-    with ``Zero()`` to the largest arities among all companion
-    functions of the program, not of one component.  The constant is a
+    A call is guarded when it is recursive (``interp._must_guard``, by
+    which ``check_term_class`` requires guards).  Every companion
+    function is padded with ``Zero()`` to the largest arities among all
+    companion functions of the program, not of one component.  The constant is a
     prefix of everything and equal padding never supplies the strict
     component, so guard outcomes on genuine slots are unchanged.
     """
@@ -157,7 +158,7 @@ def translate(graph: ProofGraph) -> PPProgram:
 
     companion_fns = [walk(c, c) for c in fname]
     draft = PPProgram({f.name: f for f in companion_fns + [walk(0, None)]}, guard)
-    comp_of = {nm: i for i, comp in enumerate(sccs(draft.call_graph())) for nm in comp}
+    must_guard = _must_guard(draft)
     big_m = max((f.normals for f in companion_fns), default=0)
     big_n = max((f.safes for f in companion_fns), default=0)
 
@@ -168,7 +169,7 @@ def translate(graph: ProofGraph) -> PPProgram:
             t.name,
             t.normal_args + (Zero(),) * (big_m - len(t.normal_args)),
             t.safe_args + (Zero(),) * (big_n - len(t.safe_args)),
-            guard=guard if comp_of[t.name] == comp_of[caller] else None,
+            guard=guard if must_guard(caller, t.name) else None,
         )
 
     fns = {}

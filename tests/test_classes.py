@@ -108,6 +108,35 @@ def test_class_check_sees_unguarded_peer_inside_tag_dispatch():
     assert want in check_term_class(program(_dispatch), "NBpp")
 
 
+def test_class_check_requires_a_guard_on_every_recursive_call():
+    # f(x0;) and f(s1(x0);) call themselves unguarded and never return
+    x0 = Proj("n", 0)
+    for arg in (x0, S1(x0)):
+        prog = PPProgram({"f": PPFunction("f", 1, 0, Call("f", (arg,), ()))})
+        for cls in ("Bpp", "NBpp"):
+            assert "f: unguarded call to itself" in check_term_class(prog, cls), (arg, cls)
+    # guarded, the same self-call is in both classes
+    prog = PPProgram({"f": PPFunction("f", 1, 0, Call("f", (Pred(x0),), (), guard="strict_safe"))})
+    assert check_term_class(prog, "Bpp") == check_term_class(prog, "NBpp") == []
+    # a guarded call that is not recursive is allowed, an unguarded one is composition
+    for guard in (None, "strict_safe"):
+        prog = PPProgram(
+            {
+                "f": PPFunction("f", 1, 0, S0(x0)),
+                "g": PPFunction("g", 1, 0, Call("f", (x0,), (), guard=guard)),
+            }
+        )
+        assert check_term_class(prog, "Bpp") == [], guard
+
+
+def test_class_check_reports_an_unknown_callee():
+    x0 = Proj("n", 0)
+    for guard in (None, "strict", "strict_safe"):
+        prog = PPProgram({"f": PPFunction("f", 1, 0, S1(Call("nowhere", (x0,), (), guard=guard)))})
+        for cls in ("Bpp", "NBpp"):
+            assert "f: call to unknown function 'nowhere'" in check_term_class(prog, cls), (guard, cls)
+
+
 def test_children_and_map_children_agree_on_every_term_class():
     z, y = Zero(), Proj("s", 0)
     samples = [

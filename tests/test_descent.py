@@ -44,9 +44,10 @@ GOLDEN = Path(__file__).parent / "golden" / "translate.json"
 x0, x1, y0, y1 = Proj("n", 0), Proj("n", 1), Proj("s", 0), Proj("s", 1)
 
 # Known failures of translation, as the current translate writes them
-# (ROADMAP item 1): `bug` and `g` are the compiled terms
+# (ROADMAP item 1): `bug`, `g` and `t` are the compiled terms
 #   def bug(1;1) = comps(s1(y1),srec(y0,s0(y1),s1(y1)))
 #   def g(1;1) = p(srec(cond(0,y0,0,0),comps(x0,x0),p(y1)))
+#   def t(1;1) = p(srec(p(y0),p(y1),comps(0,y0)))
 # and NEST the hand-written CB proof with nested companions.  Each enters
 # its cycle through a guarded call at unchanged arguments.  Kept as data,
 # so the audit's verdict on them holds once translate changes.
@@ -61,6 +62,12 @@ ITEM_1 = {
         "program g_circ guard strictsafe\n"
         "fn f0(1;1) = cond(@f1(x0;y0),0,p(@f1(x0;y0)),p(@f1(x0;y0)))\n"
         "fn f1(1;1) = cond(x0,cond(0,y0,0,0),p(x0),@f0(p(x0);y0))\n"
+        "fn main(1;1) = f0(x0;y0)\n"
+    ),
+    "t": (
+        "program t_circ guard strictsafe\n"
+        "fn f0(1;1) = cond(@f1(x0;y0),0,p(@f1(x0;y0)),p(@f1(x0;y0)))\n"
+        "fn f1(1;1) = cond(x0,cond(y0,0,p(y0),p(y0)),@f0(p(x0);y0),0)\n"
         "fn main(1;1) = f0(x0;y0)\n"
     ),
     "NEST": (
@@ -120,7 +127,7 @@ def test_audit_names_the_uncertified_calls_of_the_known_failures():
         for name, text in ITEM_1.items()
     }
     entry = ("f0", "@f1(x0;y0)", "no strict match")
-    assert got == {"bug": [entry], "g": [entry] * 3, "NEST": [entry]}
+    assert got == {"bug": [entry], "g": [entry] * 3, "t": [entry] * 3, "NEST": [entry]}
 
 
 def test_audit_reasons():

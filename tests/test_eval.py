@@ -131,6 +131,18 @@ def test_arity_mismatch_raises(proofs):
         eval_proof(s, s.root, [], [1])
 
 
+def test_negative_inputs_raise_eval_error_as_in_eval_pp(proofs):
+    # unchecked, S at -3 would give -2, and L at (-1,), (0,) would never end, as -1 >> 1 is -1
+    s, l = proofs["S"], proofs["L"]
+    for g, xs, ys in ((s, [-3], []), (l, [-1], [0]), (l, [5], [-3])):
+        stats = EvalStats()
+        with pytest.raises(EvalError, match=f"negative input to {g.root}: values are natural numbers"):
+            eval_proof(g, g.root, xs, ys, stats=stats)
+        assert stats.steps == 0
+        with pytest.raises(EvalError, match="negative input to main: values are natural numbers"):
+            eval_pp(translate(g), MAIN, None, xs, ys)
+
+
 def test_memo_changes_steps_not_values(proofs):
     # the boxed-cut unary converter queries each recursive value twice,
     # so memoization genuinely shortens the run

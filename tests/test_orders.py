@@ -124,7 +124,7 @@ def test_tuple_order_and_tuple_below_match_permutation_search():
         assert tuple_order(xs, ys)[0] is want, (xs, ys)
         assert tuple_below(xs, ys, True) == (want is TupleOrder.SUBSET_STRICT), (xs, ys)
         assert tuple_below(xs, ys, False) == (want is not TupleOrder.NOT_RELATED), (xs, ys)
-    # tuple_below has its own paths for k = 0, 1 and 2; each k sees every outcome it can
+    # each tuple length k sees every outcome it can
     assert seen >= {(k, want) for k in (1, 2, 3, 4) for want in TupleOrder} | {(0, TupleOrder.SUBSET_EQ)}
 
 
@@ -135,7 +135,7 @@ def test_tuple_below_length_mismatch():
 
 
 def test_tuple_below_rejects_negative_values():
-    # one- and two-element tuples take their own paths; every path refuses negatives
+    # a negative value anywhere, in tuples of every length, is refused
     for xs, ys in (([-1], [3]), ([1], [-3]), ([-1], [-1]), ([0, -1], [1, 3]), ([1, 2], [5, -2]), ([1, 2, -3], [5, 2, 3])):
         for strict in (True, False):
             with pytest.raises(ValueError):
