@@ -8,9 +8,10 @@ programs over the prefix-permutation order add guarded calls between
 named functions.  Memo entries are kept only where a run can read them.
 
 Terms and programs compile once into closures for fixed argument counts
-(``eval_term`` caches them per term; a program keeps its compiled
-bodies, each compiled on its first call, while its functions stay the
-same objects).  A run's state travels with it, never in the code.
+(``eval_term`` caches them per term; a program keeps one code for both
+guard modes while its functions stay the same objects, each body
+compiled on its first call).  A run's state and guard mode travel with
+it, never in the code.
 Recursion names are scoped lexically: a program body sees only the
 host's oracles.  A chain of ``s0``/``s1``/``p`` compiles to one prefix
 edit, ``srec`` runs as a loop over the prefixes of its recursion
@@ -33,8 +34,9 @@ own normals under zero or more ``p``, or ``0``, no two on one normal,
 with a ``p`` inside a ``cond`` branch that knows its normal is nonzero
 (under ``strict_safe`` the safes likewise, not strictly).  A certified
 call site, like an unguarded one, compiles to one closure that builds
-its request; the calls ``descent_audit`` lists, and every call inside a
-recursion scheme or tag dispatch, keep their run-time check.
+its request; the calls ``descent_audit`` lists (one walk of each body,
+``_walk``, finds them and what else the code needs), and every call
+inside a recursion scheme or tag dispatch, keep their run-time check.
 """
 
 from __future__ import annotations
@@ -973,16 +975,18 @@ class PPProgram:
     """Mutually recursive named functions with guarded calls.
 
     ``eval_pp`` keeps its compiled code and memo policy here, one
-    ``_ProgramCode`` per guard mode, and uses it again while
+    ``_ProgramCode`` for both guard modes, and uses it again while
     ``functions`` holds the same ``PPFunction`` objects.
     """
 
     functions: dict[str, PPFunction]
     guard: str = "strict"  # family default: "strict" or "strict_safe"
-    _code: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _code: Optional[_ProgramCode] = field(default=None, init=False, repr=False, compare=False)
 
     def validate(self) -> None:
-        for fn in self.functions.values():
+        for nm, fn in self.functions.items():
+            if fn.name != nm:
+                raise EvalError(f"function {fn.name} is stored under the name {nm!r}")
             for c in _calls(fn.body):
                 if c.name not in self.functions:
                     raise EvalError(f"{fn.name} calls unknown function {c.name!r}")
@@ -1020,9 +1024,10 @@ def _calls(term: Term) -> list[Call]:
 
 
 class _ProgramCode:
-    """A program's compiled bodies for one guard mode, shared by its runs.
+    """A program's compiled bodies, shared by its runs in both guard modes.
 
-    A body compiles the first time a run enters its function.  Subterms
+    Built from one ``_walk`` of each body; a body compiles the first time
+    a run enters its function.  Subterms
     with no call outside a recursion scheme compile to ``_compile``'s
     closures; the rest, the path from the body to its calls, compile to
     code that returns a request ``(callee, normals, safes)`` in place of
@@ -1030,9 +1035,8 @@ class _ProgramCode:
     the frames that finish the caller: ``frame[0](value, frame)`` takes
     the callee's value and returns the next value or request.
     ``_Run.call`` runs that loop.  ``checked`` holds the ids of the calls
-    ``descent_audit`` lists, taken when the code is built; only those
-    check their guard (a Call object that also sits at a certified site
-    checks there too).
+    ``descent_audit`` lists; only those check their guard (a Call object
+    also at a certified site checks there too), in the run's guard mode.
 
     The code holds no state of a run; each run passes its own in b[3].
     A call site's arity check reads its callee when the site compiles,
@@ -1041,20 +1045,20 @@ class _ProgramCode:
 
     ``keep`` holds the functions whose calls keep memo entries: those
     reachable in the call graph from a callee of a body that can make
-    two calls in one activation (``_walk``).  As in ``_repeatable``, two
+    two calls in one activation.  As in ``_repeatable``, two
     calls with one key lie below two calls of their lowest common activation.
     """
 
-    __slots__ = ("functions", "strict", "bodies", "marks", "keep", "checked")
+    __slots__ = ("functions", "bodies", "marks", "keep", "checked")
 
-    def __init__(self, functions: dict[str, PPFunction], strict: bool) -> None:
-        self.functions, self.strict = dict(functions), strict
-        self.checked = {id(u.call) for u in descent_audit(PPProgram(self.functions))}
+    def __init__(self, functions: dict[str, PPFunction]) -> None:
+        self.functions, self.checked = dict(functions), set()
         self.bodies: dict[str, Callable] = {}
         self.marks: dict[str, set] = {}  # each body's suspending subterms, until it compiles
         calls, starts = {}, []
         for name, fn in self.functions.items():
-            self.marks[name], calls[name], twice = _walk(fn.body)
+            self.marks[name], calls[name], twice, uncertified = _walk(fn)
+            self.checked.update([id(u.call) for u in uncertified])
             starts += calls[name] if twice else ()
         self.keep = frozenset(_reach(calls, starts))
 
@@ -1120,15 +1124,19 @@ class _ProgramCode:
         """Code of a call site with a check to make (``_args`` over the
         argument code ``args``): the arguments, the guard against the
         caller's frame, then the request.  A failed guard gives 0, or
-        GuardViolation in strict mode; after the guard, an unknown callee
-        or a wrong arity raises."""
+        GuardViolation in a strict run; a guard fails on tuples of other
+        lengths than the frame's.  After the guard, an unknown callee or a
+        wrong arity raises."""
         name, m = term.name, len(term.normal_args)
         bad = self.mismatch(name, m, len(term.safe_args))
-        guard, strict, safe_guard = term.guard is not None, self.strict, term.guard == "strict_safe"
+        guard, safe_guard = term.guard is not None, term.guard == "strict_safe"
 
         def finish(u, v, b):
-            if guard and (not tuple_below(u, b[1], True) or safe_guard and not tuple_below(v, b[2], False)):
-                if strict:
+            if guard and not (
+                len(u) == len(b[1]) and tuple_below(u, b[1], True)
+                and (not safe_guard or len(v) == len(b[2]) and tuple_below(v, b[2], False))
+            ):
+                if b[3].strict:
                     raise GuardViolation(f"guarded call to {name} with normals {u} against frame {b[1]}")
                 return 0
             if bad is not None:
@@ -1190,28 +1198,46 @@ def _inline(t: Term, m: int, n: int) -> Optional[str]:
 _OPAQUE = (SRecN, SNRec, SRecPP, SNRecPP, SimRecPP, TagDispatch)
 
 
-def _walk(body: Term) -> tuple[set, set, bool]:
-    """One pass over a program body: the ids of the subterms that can
-    suspend (with a call outside ``_OPAQUE`` forms), the names it calls,
-    and whether an activation can make two calls: a conditional counts
-    its condition and costliest branch, a call inside an ``_OPAQUE`` form
-    (which may run it again) two, and other forms the sum of their parts."""
-    suspends, callees = set(), set()
-
-    def mark(t: Term, kids: list[tuple[bool, int]]) -> tuple[bool, int]:
-        s, count = any([k[0] for k in kids]), sum([k[1] for k in kids])
-        if isinstance(t, Call):
-            callees.add(t.name)
-            s, count = True, count + 1
-        elif isinstance(t, _OPAQUE):
-            s, count = False, 2 * count
-        elif isinstance(t, Cond):
-            count = kids[0][1] + max(k[1] for k in kids[1:])
-        if s:
-            suspends.add(id(t))
-        return s, count
-
-    return suspends, callees, fold(body, mark)[1] > 1
+def _walk(fn: PPFunction) -> tuple[set, set, bool, list]:
+    """The one pass over a program body, on an explicit stack: down it
+    carries the frame ``(m, n, nonzero)`` of ``_descent_gap``, up whether
+    a subterm can suspend (with a call outside ``_OPAQUE`` forms) and its
+    call count (a conditional counts its condition and costliest branch,
+    an ``_OPAQUE`` form twice its parts).  Gives those subterms' ids, the
+    names called, whether an activation can make two calls, and the
+    uncertified guarded calls in pre-order, at each place of a shared one."""
+    suspends, callees, uncertified, up = set(), set(), [], []
+    stack: list = [(fn.body, (fn.normals, fn.safes, frozenset()))]
+    while stack:
+        t, down = stack.pop()
+        if down.__class__ is int:  # the ``down`` children of t are done
+            kids, up[len(up) - down :] = up[len(up) - down :], []
+            s, count = any([k[0] for k in kids]), sum([k[1] for k in kids])
+            if isinstance(t, Call):
+                callees.add(t.name)
+                s, count = True, count + 1
+            elif isinstance(t, _OPAQUE):
+                s, count = False, 2 * count
+            elif isinstance(t, Cond):
+                count = kids[0][1] + max(k[1] for k in kids[1:])
+            if s:
+                suspends.add(id(t))
+            up.append((s, count))
+            continue
+        if isinstance(t, Call) and t.guard is not None and (reason := _descent_gap(t, *down)):
+            uncertified.append(Uncertified(fn.name, t, reason))
+        kids = children(t)
+        if not kids and not isinstance(t, Call):
+            up.append((False, 0))
+            continue
+        down = (0, 0, frozenset()) if isinstance(t, _OPAQUE) else down  # inside, no argument is the caller's own
+        stack += [(t, len(kids))] + [(c, down) for c in reversed(kids)]
+        if isinstance(t, Cond):  # a test on a normal under ``p``s proves it nonzero in the nonzero branches
+            leaf, _, k, _ = _chain(t.w)
+            if isinstance(leaf, Proj) and leaf.sort == "n" and leaf.index < down[0] and not k:
+                known = (*down[:2], down[2] | {leaf.index})
+                stack[-4:-2] = [(t.z, known), (t.y, known)]  # the branches after w, x
+    return suspends, callees, up[0][1] > 1, uncertified
 
 
 def _then(code, then):
@@ -1306,10 +1332,10 @@ class _Run:
     memo cells ``[value]``, under ``_long_key``s; ``keyed`` counts them.
     """
 
-    __slots__ = ("code", "defs", "memo", "keep", "fuel", "keyed", "depth", "max_depth", "steps", "ks")
+    __slots__ = ("code", "defs", "strict", "memo", "keep", "fuel", "keyed", "depth", "max_depth", "steps", "ks")
 
     def __init__(self, code: _ProgramCode, env: OracleEnv, cfg: EvalConfig) -> None:
-        self.code, self.defs = code, env._defs
+        self.code, self.defs, self.strict = code, env._defs, cfg.guard_mode == "strict"
         self.memo, self.keep = ({}, code.keep) if cfg.memo else (None, frozenset())
         self.fuel, self.keyed = cfg.fuel, 0
         self.depth, self.max_depth, self.steps = 0, 0, 0
@@ -1380,10 +1406,9 @@ def eval_pp(
     finish the run.
     """
     cfg = cfg or EvalConfig()
-    strict = cfg.guard_mode == "strict"
-    code = prog._code.get(strict)
+    code = prog._code
     if code is None or not code.current(prog.functions):  # first run, or the functions changed
-        code = prog._code[strict] = _ProgramCode(prog.functions, strict)
+        code = prog._code = _ProgramCode(prog.functions)
     xs, ys = tuple(normals), tuple(safes)
     bad = code.mismatch(fname, len(xs), len(ys))
     if bad is not None:
@@ -1498,26 +1523,28 @@ def _bears(t: Term, kid_flags: Sequence[bool], peers: Optional[frozenset[str]]) 
 
 
 def _check_program_class(prog: PPProgram, cls: str) -> list[str]:
-    """Known callees, guards where ``_must_guard`` asks (in Bpp on the
-    safes too), and each body in ``cls`` with its guarded peers as oracles."""
+    """Functions under their own names, known callees, guards where
+    ``_must_guard`` asks (in Bpp on the safes too) on as many arguments as
+    the caller's, and each body in ``cls`` with its guarded peers as oracles."""
     if cls not in _PP:
         return [f"programs with guarded calls live in the pp classes, not {cls}"]
-    violations: list[str] = []
+    violations = [f"{nm}: holds function {fn.name!r}" for nm, fn in prog.functions.items() if fn.name != nm]
     must_guard = _must_guard(prog)
-    for fn in prog.functions.values():
+    for nm, fn in prog.functions.items():
         calls = _calls(fn.body)
         for c in calls:
             if c.name not in prog.functions:
-                violations.append(f"{fn.name}: call to unknown function {c.name!r}")
-            elif c.guard is None and must_guard(fn.name, c.name):
-                peer = "itself" if c.name == fn.name else f"mutual peer {c.name}"
-                violations.append(f"{fn.name}: unguarded call to {peer}")
+                violations.append(f"{nm}: call to unknown function {c.name!r}")
+            elif c.guard is None and must_guard(nm, c.name):
+                peer = "itself" if c.name == nm else f"mutual peer {c.name}"
+                violations.append(f"{nm}: unguarded call to {peer}")
             if cls == "Bpp" and c.guard not in (None, "strict_safe"):
-                violations.append(f"{fn.name}: call to {c.name} lacks the safe-zone guard")
-        peers = frozenset(c.name for c in calls if must_guard(fn.name, c.name))
-        violations.extend(
-            f"{fn.name}: {v}" for v in check_term_class(fn.body, cls, _peers_bearing=peers)
-        )
+                violations.append(f"{nm}: call to {c.name} lacks the safe-zone guard")
+            m, n = len(c.normal_args), len(c.safe_args)
+            if c.guard is not None and (m != fn.normals or c.guard == "strict_safe" and n != fn.safes):
+                violations.append(f"{nm}: guarded call to {c.name} at ({m};{n}) against ({fn.normals};{fn.safes})")
+        peers = frozenset(c.name for c in calls if must_guard(nm, c.name))
+        violations.extend(f"{nm}: {v}" for v in check_term_class(fn.body, cls, _peers_bearing=peers))
     return violations
 
 
@@ -1549,28 +1576,9 @@ def descent_audit(prog: PPProgram) -> list[Uncertified]:
     Under ``strict_safe`` the safes match the same way, not strictly.
     Inside a recursion scheme or a tag dispatch no argument counts as
     the caller's own.  ``eval_pp`` checks exactly these calls at run
-    time: ``_ProgramCode`` takes them from here when it is built.
+    time: the walk that builds its code (``_walk``) finds them.
     """
-    out = []
-    for fn in prog.functions.values():
-        stack = [(fn.body, (fn.normals, fn.safes, frozenset()))]
-        while stack:
-            t, frame = stack.pop()
-            if isinstance(t, Call) and t.guard is not None:
-                reason = _descent_gap(t, *frame)
-                if reason is not None:
-                    out.append(Uncertified(fn.name, t, reason))
-            kids = children(t)
-            if isinstance(t, _OPAQUE):  # inside, no argument is the caller's own
-                frame = (0, 0, frozenset())
-            frames = [frame] * len(kids)
-            if isinstance(t, Cond):  # a test on a normal under ``p``s proves it nonzero in the nonzero branches
-                m, n, nonzero = frame
-                leaf, _, k, _ = _chain(t.w)
-                if isinstance(leaf, Proj) and leaf.sort == "n" and leaf.index < m and not k:
-                    frames[2:] = [(m, n, nonzero | {leaf.index})] * 2
-            stack.extend(reversed(list(zip(kids, frames))))
-    return out
+    return [u for fn in prog.functions.values() for u in _walk(fn)[3]]
 
 
 def _descent_gap(call: Call, m: int, n: int, nonzero: frozenset) -> Optional[str]:

@@ -418,9 +418,10 @@ def strip_safe_inputs(graph: ProofGraph) -> ProofGraph:
     the boxed-input semantics.
 
     Only rules with boxed succedents occur below the box-right bar, and
-    in a progressing graph that region is acyclic, so the memoized
-    recursion terminates; sub-proofs at and above the bar are shared
-    unchanged.
+    in a progressing graph that region is acyclic, so the walk below it,
+    depth-first on an explicit stack, ends; a node is rebuilt after its
+    premises, left to right, and sub-proofs at and above the bar are
+    shared unchanged.
     """
     _require_valid(graph)
     if graph.nodes[graph.root].sequent.succedent is not SType.BOXED:
@@ -429,37 +430,40 @@ def strip_safe_inputs(graph: ProofGraph) -> ProofGraph:
     out_nodes: dict[str, Node] = dict(graph.nodes)
     b = _Builder(graph, out_nodes)
     memo: dict[str, str] = {}
-    in_progress: set[str] = set()
-
-    def strip(nid: str) -> str:
+    opened: set[str] = set()  # nodes whose premises are being stripped
+    stack = [graph.root]
+    while stack:
+        nid = stack.pop()
         if nid in memo:
-            return memo[nid]
-        if nid in in_progress:
-            raise NotProgressing(f"cycle of boxed-succedent steps through {nid}")
-        in_progress.add(nid)
+            continue
         node = graph.nodes[nid]
-        kind = node.rule.kind
-        seq = node.sequent
+        kind, seq = node.rule.kind, node.sequent
         if kind is RuleKind.BOX_R:
-            res = nid
+            premises = ()
         elif kind in (RuleKind.WEAK_N, RuleKind.EXCH_N):
-            res = strip(node.premises[0])
+            premises = node.premises[:1]
         elif kind is RuleKind.CUT_N:
-            res = strip(node.premises[1])
+            premises = node.premises[1:]
         elif kind in _STRIPPED_IN_PLACE:
-            # a box-left's moved input goes unused in the target: a boxed weakening
-            rule = Rule(RuleKind.WEAK_B) if kind is RuleKind.BOX_L else node.rule
-            premises = tuple([strip(p) for p in node.premises])
-            res = b.fresh(nid)
-            out_nodes[res] = Node(rule, Sequent(seq.boxed, 0, seq.succedent), premises)
+            premises = node.premises
         else:
             raise TransformError(f"rule {kind.value} at {nid} cannot conclude a boxed succedent")
-        in_progress.discard(nid)
-        memo[nid] = res
-        return res
+        todo = [p for p in premises if p not in memo]
+        if todo:  # strip them first; meeting nid again before they are done closes a cycle
+            if nid in opened:
+                raise NotProgressing(f"cycle of boxed-succedent steps through {nid}")
+            opened.add(nid)
+            stack += [nid, *reversed(todo)]
+            continue
+        if kind in _STRIPPED_IN_PLACE:
+            # a box-left's moved input goes unused in the target: a boxed weakening
+            rule = Rule(RuleKind.WEAK_B) if kind is RuleKind.BOX_L else node.rule
+            res = memo[nid] = b.fresh(nid)
+            out_nodes[res] = Node(rule, Sequent(seq.boxed, 0, seq.succedent), tuple([memo[p] for p in premises]))
+        else:
+            memo[nid] = memo[premises[0]] if premises else nid
 
-    root = strip(graph.root)
-    return ProofGraph(graph.name + "_stripped", root, out_nodes).pruned()
+    return ProofGraph(graph.name + "_stripped", memo[graph.root], out_nodes).pruned()
 
 
 # ---------------------------------------------------------------------------

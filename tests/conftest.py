@@ -394,9 +394,8 @@ def memo_everywhere(prog):
     """A copy of ``prog`` whose ``eval_pp`` runs keep a memo entry for
     every call, in either guard mode."""
     copy = PPProgram(dict(prog.functions), prog.guard)
-    for strict in (False, True):
-        code = copy._code[strict] = _ProgramCode(copy.functions, strict)
-        code.keep = frozenset(copy.functions)
+    copy._code = _ProgramCode(copy.functions)
+    copy._code.keep = frozenset(copy.functions)
     return copy
 
 

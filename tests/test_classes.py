@@ -137,6 +137,40 @@ def test_class_check_reports_an_unknown_callee():
             assert "f: call to unknown function 'nowhere'" in check_term_class(prog, cls), (guard, cls)
 
 
+def test_class_check_reports_guarded_calls_at_other_argument_counts():
+    x0, y0, y1 = Proj("n", 0), Proj("s", 0), Proj("s", 1)
+    for guard in ("strict", "strict_safe"):
+        two = Call("g", (Pred(x0), Pred(x0)), (), guard)
+        one = Call("main", (Pred(x0),), (), guard)
+        prog = PPProgram({
+            "main": PPFunction("main", 1, 0, Cond(x0, Zero(), two, two)),
+            "g": PPFunction("g", 2, 0, Cond(x0, Zero(), one, one)),
+        })
+        for cls in ("Bpp", "NBpp"):
+            got = check_term_class(prog, cls)
+            assert got.count("main: guarded call to g at (2;0) against (1;0)") == 2, (guard, cls)
+            assert got.count("g: guarded call to main at (1;0) against (2;0)") == 2, (guard, cls)
+    # other safe counts than the caller's count only under strict_safe
+    pair = ["main: guarded call to g at (1;1) against (1;2)"] * 2 + ["g: guarded call to main at (1;2) against (1;1)"] * 2
+    for guard, want in (("strict", []), ("strict_safe", pair)):
+        call = Call("g", (Pred(x0),), (y1,), guard)
+        back = Call("main", (Pred(x0),), (y0, y0), guard)
+        prog = PPProgram({
+            "main": PPFunction("main", 1, 2, Cond(x0, y0, call, call)),
+            "g": PPFunction("g", 1, 1, Cond(x0, y0, back, back)),
+        })
+        assert check_term_class(prog, "NBpp") == want, guard
+
+
+def test_a_function_under_another_name_is_reported():
+    x0 = Proj("n", 0)
+    prog = PPProgram({"main": PPFunction("f", 1, 0, Cond(x0, x0, Call("main", (Pred(x0),), (), "strict"), x0))})
+    with pytest.raises(EvalError, match="function f is stored under the name 'main'"):
+        prog.validate()
+    for cls in ("SBpp", "NBpp"):
+        assert check_term_class(prog, cls) == ["main: holds function 'f'"]
+
+
 def test_children_and_map_children_agree_on_every_term_class():
     z, y = Zero(), Proj("s", 0)
     samples = [

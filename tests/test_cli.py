@@ -136,6 +136,19 @@ def test_translate_then_eval_pp(capsys, tmp_path):
     assert code == 0 and out.strip() == "10"
 
 
+def test_eval_pp_guard_at_other_argument_counts(capsys, tmp_path):
+    # main calls g with two normals against its one: the guard fails
+    prog = tmp_path / "two.pp"
+    prog.write_text(
+        "program two guard strict\n"
+        "fn main(1;0) = cond(x0,0,@g(p(x0),p(x0);),@g(p(x0),p(x0);))\n"
+        "fn g(2;0) = cond(x0,0,@main(p(x0);),@main(p(x0);))\n"
+    )
+    assert run(capsys, "eval-pp", prog, "--normals", "3") == (0, "0\n", "")
+    code, out, err = run(capsys, "eval-pp", prog, "--normals", "3", "--guard-mode", "strict")
+    assert (code, err) == (1, "") and out.startswith("guard-violation: guarded call to g")
+
+
 def test_translate_rejects_unaccepted(capsys, tmp_path):
     code, _, err = run(capsys, "translate", CORPUS / "I.proof", "-o", tmp_path / "x.pp")
     assert code == 1 and "rejected" in err

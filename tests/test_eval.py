@@ -42,6 +42,7 @@ from circsafe.interp import (
     SRecN,
     SRecPP,
     Zero,
+    descent_audit,
     eval_pp,
     eval_proof,
     eval_term,
@@ -645,7 +646,7 @@ def test_calls_inside_recursion_schemes_reenter_the_program_machine():
             for fuel in (10**6, 9, 3):
                 cfg = EvalConfig(fuel=fuel)
                 assert pp_outcome(p, "main", None, xs, [], cfg) == pp_outcome(everywhere, "main", None, xs, [], cfg)
-        assert p._code[False].keep == {"g"}
+        assert p._code.keep == {"g"}
 
 
 def test_bad_program_calls_raise_after_their_arguments_and_guard():
@@ -676,6 +677,36 @@ def test_bad_program_calls_raise_after_their_arguments_and_guard():
         eval_pp(prog, "main", None, [3], [1])
 
 
+def test_guarded_calls_at_other_argument_counts_fail_their_guard():
+    # each guard compares tuples of other lengths than its caller's: two
+    # normals against one and back, two normals inside an srec's step,
+    # and a strict_safe call with one safe against two; the guard fails
+    # before the arity check of the srec's call to main
+    x0 = Proj("n", 0)
+    mutual, safes = (
+        parse_terms(text).programs["p"]
+        for text in (
+            "program p guard strict\n"
+            "fn main(1;0) = cond(x0,0,@g(p(x0),p(x0);),@g(p(x0),p(x0);))\n"
+            "fn g(2;0) = cond(x0,0,@main(p(x0);),@main(p(x0);))\n",
+            "program p guard strictsafe\n"
+            "fn main(1;2) = cond(x0,y0,@g(p(x0);y1),@g(p(x0);y1))\n"
+            "fn g(1;1) = cond(x0,y0,@main(p(x0);y0,y0),@main(p(x0);y0,y0))\n",
+        )
+    )
+    step = S1(Call("main", (Pred(x0), x0), (), "strict"))
+    srec = PPProgram({"main": PPFunction("main", 1, 0, SRecN(Zero(), step, S1(Proj("s", 0))))})
+    for prog, xs, ys, want, text in (
+        (mutual, [3], [], 0, "guarded call to g with normals (1, 1) against frame (3,)"),
+        (srec, [2], [], 1, "guarded call to main with normals (0, 1) against frame (2,)"),
+        (safes, [3], [5, 6], 0, "guarded call to g with normals (1,) against frame (3,)"),
+    ):
+        assert eval_pp(prog, "main", None, xs, ys) == want
+        with pytest.raises(GuardViolation) as e:
+            eval_pp(prog, "main", None, xs, ys, EvalConfig(guard_mode="strict"))
+        assert str(e.value) == text
+
+
 def _counting_compiles(monkeypatch) -> list:
     """Names of the function bodies ``eval_pp`` compiles from now on."""
     compiled, real = [], interp._ProgramCode._body
@@ -694,10 +725,9 @@ def test_eval_pp_compiles_each_program_once(proofs, monkeypatch):
     assert eval_pp(prog, MAIN, None, [13, 2], [9], EvalConfig(memo=False)) == c_program(13, 2, 9)
     assert eval_pp(prog, MAIN, None, [0, 0], [0]) == c_program(0, 0, 0)
     assert compiled == []
-    # the other guard mode has code of its own, and both are kept
+    # the other guard mode runs the same code
     assert eval_pp(prog, MAIN, None, [5, 6], [7], strict) == c_program(5, 6, 7)
-    assert sorted(compiled) == ["f0", "f1", "main"]
-    compiled.clear()
+    assert compiled == []
     assert eval_pp(prog, MAIN, None, [6, 5], [1], strict) == c_program(6, 5, 1)
     assert eval_pp(prog, MAIN, None, [6, 5], [1]) == c_program(6, 5, 1)
     assert compiled == []
@@ -718,6 +748,17 @@ def test_eval_pp_compiles_each_program_once(proofs, monkeypatch):
     assert sorted(compiled) == ["f0", "f1", "main"]
     compiled.clear()
     assert eval_pp(prog, "g", None, [3], []) == 6 and compiled == ["g"]
+
+
+def test_both_guard_modes_and_the_audit_walk_each_body_once(proofs, monkeypatch):
+    compiled, walked, real = _counting_compiles(monkeypatch), [], interp._walk
+    monkeypatch.setattr(interp, "_walk", lambda fn: walked.append(fn.name) or real(fn))
+    prog = translate(proofs["C"])
+    for mode in ("zero", "strict"):
+        assert eval_pp(prog, MAIN, None, [5, 6], [7], EvalConfig(guard_mode=mode)) == c_program(5, 6, 7)
+    assert sorted(walked) == sorted(compiled) == ["f0", "f1", "main"]
+    assert descent_audit(prog) == []
+    assert sorted(walked) == ["f0", "f0", "f1", "f1", "main", "main"] and len(compiled) == 3
 
 
 def test_kept_code_still_checks_call_sites_when_reached(monkeypatch):

@@ -539,9 +539,8 @@ def test_program_memo_policy_on_the_corpus(proofs):
 
     for name in ("S", "C", "L", "P", "E", "N"):
         prog = translate(proofs[name])
-        for strict in (False, True):
-            want = {"f0"} if name in ("E", "N") else set()
-            assert _ProgramCode(prog.functions, strict).keep == want, name
+        want = {"f0"} if name in ("E", "N") else set()
+        assert _ProgramCode(prog.functions).keep == want, name
 
 
 def _random_body(rng: random.Random, m: int, n: int, depth: int, me: int, sigs: list):

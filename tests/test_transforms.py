@@ -27,6 +27,7 @@ from circsafe.interp import (
 )
 from circsafe.kernel import Node, ProofGraph, Rule, RuleKind, Sequent, SType, validate_graph
 from circsafe.transform import (
+    NotProgressing,
     ShapeViolation,
     box_promote,
     flatten_program,
@@ -225,6 +226,26 @@ def test_strip_requires_boxed_succedent(proofs):
 
     with pytest.raises(TransformError):
         strip_safe_inputs(proofs["S"])
+
+
+def test_strip_runs_below_a_deep_bar(proofs):
+    # 10^4 boxed s0 steps above a plain weakening over the bar: no Python
+    # frame per node, and the value shifts the bar's by 10^4 bits
+    nodes = dict(_boxed_succ_fixture(proofs).nodes)
+    n = 10**4
+    for j in range(n):
+        nodes[f"c{j}"] = Node(Rule(RuleKind.S0), Sequent(1, 1, B), (f"c{j + 1}" if j + 1 < n else "w",))
+    nodes["w"] = Node(Rule(RuleKind.WEAK_N), Sequent(1, 1, B), ("r",))
+    st = strip_safe_inputs(ProofGraph("deep", "c0", nodes))
+    assert validate_graph(st) == []
+    assert st.nodes[st.root].sequent == Sequent(1, 0, B)
+    assert eval_proof(st, st.root, [5], []) == 6 << n
+
+
+def test_strip_rejects_a_cycle_below_the_bar():
+    nodes = {nid: Node(Rule(RuleKind.S0), Sequent(1, 1, B), (other,)) for nid, other in (("a", "b"), ("b", "a"))}
+    with pytest.raises(NotProgressing, match="cycle of boxed-succedent steps through a"):
+        strip_safe_inputs(ProofGraph("loop", "a", nodes))
 
 
 def test_strip_preserves_classification(proofs):
