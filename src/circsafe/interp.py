@@ -22,21 +22,21 @@ the step, a cell whose argument tuple and bindings are built on the
 level's first call and kept, so the exponentially many recursive calls
 into one level share them and each is one call of the step; a call
 that passes the safes through unchanged does not copy them.
-``eval_pp`` keeps pending program calls on its own stack: the code on
-the path from a body to its calls hands each call to one loop as a
-request, so program-call depth uses no Python frames; the depth of
-terms other than chains does.
+One compiler, ``_compile``, builds terms and program bodies.  A body
+hands each call on its path to ``eval_pp``'s loop as a request, so
+program-call depth uses no Python frames; term depth other than chains
+does, as does each active call inside a recursion scheme (a nested loop).
 
 A guarded call is checked at run time only where the program text does
 not prove its guard.  ``descent_audit`` lists those calls: a call has a
 descent certificate when each normal argument is one of the caller's
 own normals under zero or more ``p``, or ``0``, no two on one normal,
 with a ``p`` inside a ``cond`` branch that knows its normal is nonzero
-(under ``strict_safe`` the safes likewise, not strictly).  A certified
-call site, like an unguarded one, compiles to one closure that builds
-its request; the calls ``descent_audit`` lists (one walk of each body,
-``_walk``, finds them and what else the code needs), and every call
-inside a recursion scheme or tag dispatch, keep their run-time check.
+(under ``strict_safe`` the safes likewise, not strictly).  Every other
+call of a known callee at the right arity builds its request in one
+closure.  One walk of each body, ``_walk``, finds the listed calls
+(every guarded call inside a recursion scheme or tag dispatch among
+them); it and the compile do a shared subterm object once.
 """
 
 from __future__ import annotations
@@ -659,21 +659,23 @@ def _chain(term: Term) -> tuple[Term, int, int, int]:
     return term, r, k, c
 
 
-def _edit_code(term: Term, m: int, n: int, scope: tuple, prog: Optional["_ProgramCode"]):
+def _edit_code(term: Term, m: int, n: int, scope: tuple, prog: Optional[_ProgramCode], suspends: set):
     """``_compile`` of an ``s0``/``s1``/``p`` chain: one edit, fused into
-    a constant or projection leaf.  An edit with k = 0 (so c = 0) is a
-    bare right shift."""
+    a constant or projection leaf, or applied by one frame when the leaf
+    suspends.  An edit with k = 0 (so c = 0) is a bare right shift."""
     leaf, r, k, c = _chain(term)
     if isinstance(leaf, Zero):
         return lambda xs, ys, b: c
     if not (r or k):  # p(s0(t)) is t
-        return _compile(leaf, m, n, scope, prog)
+        return _compile(leaf, m, n, scope, prog, suspends)
     if isinstance(leaf, Proj) and leaf.index < (m if leaf.sort == "n" else n):
         i = leaf.index
         if leaf.sort == "n":
             return (lambda xs, ys, b: xs[i] >> r << k | c) if k else lambda xs, ys, b: xs[i] >> r
         return (lambda xs, ys, b: ys[i] >> r << k | c) if k else lambda xs, ys, b: ys[i] >> r
-    t = _compile(leaf, m, n, scope, prog)
+    t = _compile(leaf, m, n, scope, prog, suspends)
+    if id(leaf) in suspends:
+        return _then(t, lambda v, fr: v >> r << k | c)
     return (lambda xs, ys, b: t(xs, ys, b) >> r << k | c) if k else lambda xs, ys, b: t(xs, ys, b) >> r
 
 
@@ -709,14 +711,27 @@ def _tuple_of(args: list):
     return lambda xs, ys, b: tuple([a(xs, ys, b) for a in args])
 
 
-def _compile(term: Term, m: int, n: int, scope: tuple, prog: Optional["_ProgramCode"]):
+def _compile(term: Term, m: int, n: int, scope: tuple, prog: Optional[_ProgramCode], suspends=frozenset(), reuse=True):
     """Code of ``term`` at ``m`` normal and ``n`` safe arguments.
 
     ``scope`` holds the recursion names bound around ``term``, outermost
     first, as ``(name, guard, normals, safes)``: guard None for nested
     recursion, else whether the safes are guarded too.  ``prog`` resolves
-    named calls (None outside programs).
+    named calls (None outside programs).  The subterms of a program body
+    in ``suspends`` (``_walk``), those on the path to its calls, return a
+    request ``(callee, normals, safes)`` in place of a value once they
+    reach a call, leaving on ``b[3].ks`` the frames that finish the
+    caller: ``frame[0](value, frame)`` takes the callee's value and
+    returns the next value or request (``_Run.call`` runs that loop).
+    Recursion schemes and tag dispatch compile their parts with no
+    suspending ids.  A subterm object in ``prog.shared`` compiles once
+    per arity, scope and suspension (a miss compiles it with ``reuse`` False).
     """
+    if reuse and prog is not None and id(term) in prog.shared:
+        key = (id(term), m, n, scope, id(term) in suspends)
+        if key not in prog.codes:
+            prog.codes[key] = _compile(term, m, n, scope, prog, suspends, False)
+        return prog.codes[key]
     if isinstance(term, Zero):
         return lambda xs, ys, b: 0
     if isinstance(term, Proj):
@@ -725,28 +740,50 @@ def _compile(term: Term, m: int, n: int, scope: tuple, prog: Optional["_ProgramC
             return _fail(f"projection {'n' if normal else 's'}{i} out of range")
         return (lambda xs, ys, b: xs[i]) if normal else (lambda xs, ys, b: ys[i])
     if isinstance(term, _EDITS):
-        return _edit_code(term, m, n, scope, prog)
+        return _edit_code(term, m, n, scope, prog, suspends)
     if isinstance(term, Cond):
-        return _cond(*(_compile(t, m, n, scope, prog) for t in (term.w, term.x, term.y, term.z)))
+        w, x, y, z = (_compile(t, m, n, scope, prog, suspends) for t in (term.w, term.x, term.y, term.z))
+        if id(term.w) in suspends:
+            return _then(w, lambda v, fr: (x if v == 0 else y if v % 2 == 0 else z)(fr[1], fr[2], fr[3]))
+        return _cond(w, x, y, z)
     if isinstance(term, (OracleCall, Call)):
-        nargs = [_compile(a, m, n, scope, prog) for a in term.normal_args]
-        sargs = [_compile(a, m, n, scope, prog) for a in term.safe_args]
-        if isinstance(term, Call):
-            return _named_call(term, nargs, sargs, prog)
+        parts, split = term.normal_args + term.safe_args, len(term.normal_args)
+        args = [_compile(a, m, n, scope, prog, suspends) for a in parts]
+        flags = [id(a) in suspends for a in parts]
+        if isinstance(term, Call):  # the one rule for every call site
+            if prog is None:
+                return _fail("named calls only occur inside programs")
+            bad = prog.mismatch(term.name, split, len(parts) - split)
+            if bad is None and id(term) not in prog.checked:
+                request = _unchecked(term, args, flags, m, n)
+            else:
+                request = _request(term, args, flags, bad)
+            if id(term) in suspends:
+                return request
+
+            def run(xs, ys, b):  # inside a recursion scheme: a nested loop runs the request
+                r = request(xs, ys, b)
+                return b[3].call(*r) if r.__class__ is tuple else r
+
+            return run
         for k in range(len(scope) - 1, -1, -1):
             name, guard, bm, bn = scope[k]
             if name == term.name:
-                if len(nargs) != bm or len(sargs) != bn:  # the arguments run, then this raises
-                    return _apply(nargs, sargs, _fail(f"oracle {name!r} arity mismatch"))
+                if split != bm or len(args) - split != bn:  # the arguments run, then this raises
+                    return _args(args, flags, split, _fail(f"oracle {name!r} arity mismatch"))
                 if guard is None:
-                    return _nested_call(_FIXED + k, term.safe_args, sargs, n)
-                return _rec_call(_FIXED + k, guard, nargs, sargs)
-        return _oracle_call(term.name, _apply(nargs, sargs, _host_call(term)))
+                    return _nested_call(_FIXED + k, term.safe_args, args[split:], n)
+                return _rec_call(_FIXED + k, guard, args[:split], args[split:])
+        return _host_call(term, args, flags)
     if isinstance(term, CompSafe):
-        h, g = _compile(term.h, m, n + 1, scope, prog), _compile(term.g, m, n, scope, prog)
+        h, g = _compile(term.h, m, n + 1, scope, prog, suspends), _compile(term.g, m, n, scope, prog, suspends)
+        if id(term.g) in suspends:
+            return _then(g, lambda v, fr: h(fr[1], fr[2] + (v,), fr[3]))
         return lambda xs, ys, b: h(xs, ys + (g(xs, ys, b),), b)
     if isinstance(term, CompNormal):
-        h, g = _compile(term.h, m + 1, n, scope, prog), _compile(term.g, m, 0, scope, prog)
+        h, g = _compile(term.h, m + 1, n, scope, prog, suspends), _compile(term.g, m, 0, scope, prog, suspends)
+        if id(term.g) in suspends:
+            return _then(lambda xs, ys, b: g(xs, (), b), lambda v, fr: h(fr[1] + (v,), fr[2], fr[3]))
         return lambda xs, ys, b: h(xs + (g(xs, (), b),), ys, b)
     if isinstance(term, (SRecN, SNRec)) and m == 0:
         return _fail(f"{type(term).__name__} needs a normal argument")
@@ -906,28 +943,10 @@ def _nested_call(slot: int, terms: tuple, sargs: list, n: int):
     return call
 
 
-def _apply(nargs: list, sargs: list, finish):
-    """Code evaluating ``nargs`` and ``sargs``, then ``finish(normals,
-    safes, b)`` on their values."""
-    us, vs = _tuple_of(nargs), _tuple_of(sargs)
-    return lambda xs, ys, b: finish(us(xs, ys, b), vs(xs, ys, b), b)
-
-
-def _oracle_call(name: str, args):
-    """A call of the host oracle ``name``: looked up when it runs, before
-    ``args`` evaluates the arguments and finishes (``_host_call``)."""
-
-    def run(xs, ys, b):
-        if name not in b[0]:
-            raise EvalError(f"unknown oracle {name!r}")
-        return args(xs, ys, b)
-
-    return run
-
-
-def _host_call(term: OracleCall):
-    """``finish`` applying the host oracle of ``term`` to the argument
-    values; a negative result raises EvalError."""
+def _host_call(term: OracleCall, args: list, flags: list):
+    """A call of the host oracle of ``term``: looked up when it runs,
+    before ``_args`` runs the argument code ``args`` and applies the
+    oracle to their values; a negative result raises EvalError."""
     name, m, n = term.name, len(term.normal_args), len(term.safe_args)
 
     def finish(u, v, b):
@@ -939,7 +958,14 @@ def _host_call(term: OracleCall):
             raise EvalError(f"oracle {name!r} returned the negative value {r}")
         return r
 
-    return finish
+    code = _args(args, flags, m, finish)
+
+    def run(xs, ys, b):
+        if name not in b[0]:
+            raise EvalError(f"unknown oracle {name!r}")
+        return code(xs, ys, b)
+
+    return run
 
 
 @functools.lru_cache(maxsize=256)
@@ -1026,17 +1052,12 @@ def _calls(term: Term) -> list[Call]:
 class _ProgramCode:
     """A program's compiled bodies, shared by its runs in both guard modes.
 
-    Built from one ``_walk`` of each body; a body compiles the first time
-    a run enters its function.  Subterms
-    with no call outside a recursion scheme compile to ``_compile``'s
-    closures; the rest, the path from the body to its calls, compile to
-    code that returns a request ``(callee, normals, safes)`` in place of
-    a value once it reaches a call, leaving on the run's stack ``b[3].ks``
-    the frames that finish the caller: ``frame[0](value, frame)`` takes
-    the callee's value and returns the next value or request.
-    ``_Run.call`` runs that loop.  ``checked`` holds the ids of the calls
-    ``descent_audit`` lists; only those check their guard (a Call object
-    also at a certified site checks there too), in the run's guard mode.
+    Built from one ``_walk`` of each body; a body compiles with
+    ``_compile`` the first time a run enters its function.  ``checked``
+    holds the ids of the calls ``descent_audit`` lists; only those check
+    their guard (a Call object also at a certified site checks there
+    too), in the run's guard mode.  ``shared`` holds the ids of the
+    subterm objects a walk met at two places, ``codes`` their code.
 
     The code holds no state of a run; each run passes its own in b[3].
     A call site's arity check reads its callee when the site compiles,
@@ -1049,16 +1070,18 @@ class _ProgramCode:
     calls with one key lie below two calls of their lowest common activation.
     """
 
-    __slots__ = ("functions", "bodies", "marks", "keep", "checked")
+    __slots__ = ("functions", "bodies", "marks", "keep", "checked", "shared", "codes")
 
     def __init__(self, functions: dict[str, PPFunction]) -> None:
-        self.functions, self.checked = dict(functions), set()
+        self.functions, self.checked, self.shared = dict(functions), set(), set()
         self.bodies: dict[str, Callable] = {}
         self.marks: dict[str, set] = {}  # each body's suspending subterms, until it compiles
+        self.codes: dict[tuple, Callable] = {}
         calls, starts = {}, []
         for name, fn in self.functions.items():
-            self.marks[name], calls[name], twice, uncertified = _walk(fn)
+            self.marks[name], calls[name], twice, uncertified, shared = _walk(fn)
             self.checked.update([id(u.call) for u in uncertified])
+            self.shared |= shared
             starts += calls[name] if twice else ()
         self.keep = frozenset(_reach(calls, starts))
 
@@ -1079,71 +1102,33 @@ class _ProgramCode:
     def _body(self, name: str) -> Callable:
         """Compile function ``name``'s body along the marks of ``_walk``."""
         fn = self.functions[name]
-        code = self.bodies[name] = self._code(fn.body, fn.normals, fn.safes, self.marks.pop(name))
+        code = self.bodies[name] = _compile(fn.body, fn.normals, fn.safes, (), self, self.marks.pop(name))
         return code
 
-    def _code(self, t: Term, m: int, n: int, suspends: set):
-        """Code of body subterm ``t`` at ``m`` normals and ``n`` safes:
-        ``_compile``'s closure unless ``t`` is in ``suspends``."""
-        if id(t) not in suspends:
-            return _compile(t, m, n, (), self)
-        if isinstance(t, (Call, OracleCall)):
-            args = [self._code(a, m, n, suspends) for a in t.normal_args + t.safe_args]
-            flags = [id(a) in suspends for a in t.normal_args + t.safe_args]
-            if isinstance(t, OracleCall):
-                return _oracle_call(t.name, _args(args, flags, len(t.normal_args), _host_call(t)))
-            if id(t) not in self.checked and self.mismatch(t.name, len(t.normal_args), len(t.safe_args)) is None:
-                return _unchecked(t, args, flags, m, n)
-            return self._request(t, args, flags)
-        if isinstance(t, _EDITS):  # the chain's leaf suspends: one frame applies the whole edit
-            leaf, r, k, c = _chain(t)
-            return _then(self._code(leaf, m, n, suspends), lambda v, fr: v >> r << k | c)
-        if isinstance(t, Cond):
-            w, x, y, z = (self._code(c, m, n, suspends) for c in (t.w, t.x, t.y, t.z))
-            if id(t.w) not in suspends:
-                return _cond(w, x, y, z)
 
-            def pick(v, fr):
-                _, xs, ys, b = fr
-                return (x if v == 0 else y if v % 2 == 0 else z)(xs, ys, b)
+def _request(term: Call, args: list, flags: list, bad: Optional[str]):
+    """Code of a call site with a check to make (``_args`` over the
+    argument code ``args``): the arguments, the guard against the
+    caller's frame, then the request.  A failed guard gives 0, or
+    GuardViolation in a strict run; a guard fails on tuples of other
+    lengths than the frame's.  After the guard, ``bad``, why the callee
+    cannot take these arguments, raises."""
+    name, m = term.name, len(term.normal_args)
+    guard, safe_guard = term.guard is not None, term.guard == "strict_safe"
 
-            return _then(w, pick)
-        if isinstance(t, CompSafe):
-            h, g = self._code(t.h, m, n + 1, suspends), self._code(t.g, m, n, suspends)
-            if id(t.g) not in suspends:
-                return lambda xs, ys, b: h(xs, ys + (g(xs, ys, b),), b)
-            return _then(g, lambda v, fr: h(fr[1], fr[2] + (v,), fr[3]))
-        if isinstance(t, CompNormal):
-            h, g = self._code(t.h, m + 1, n, suspends), self._code(t.g, m, 0, suspends)
-            if id(t.g) not in suspends:
-                return lambda xs, ys, b: h(xs + (g(xs, (), b),), ys, b)
-            return _then(lambda xs, ys, b: g(xs, (), b), lambda v, fr: h(fr[1] + (v,), fr[2], fr[3]))
-        raise AssertionError(f"{type(t).__name__} cannot suspend")  # pragma: no cover
+    def finish(u, v, b):
+        if guard and not (
+            len(u) == len(b[1]) and tuple_below(u, b[1], True)
+            and (not safe_guard or len(v) == len(b[2]) and tuple_below(v, b[2], False))
+        ):
+            if b[3].strict:
+                raise GuardViolation(f"guarded call to {name} with normals {u} against frame {b[1]}")
+            return 0
+        if bad is not None:
+            raise EvalError(bad)
+        return (name, u, v)
 
-    def _request(self, term: Call, args: list, flags: list):
-        """Code of a call site with a check to make (``_args`` over the
-        argument code ``args``): the arguments, the guard against the
-        caller's frame, then the request.  A failed guard gives 0, or
-        GuardViolation in a strict run; a guard fails on tuples of other
-        lengths than the frame's.  After the guard, an unknown callee or a
-        wrong arity raises."""
-        name, m = term.name, len(term.normal_args)
-        bad = self.mismatch(name, m, len(term.safe_args))
-        guard, safe_guard = term.guard is not None, term.guard == "strict_safe"
-
-        def finish(u, v, b):
-            if guard and not (
-                len(u) == len(b[1]) and tuple_below(u, b[1], True)
-                and (not safe_guard or len(v) == len(b[2]) and tuple_below(v, b[2], False))
-            ):
-                if b[3].strict:
-                    raise GuardViolation(f"guarded call to {name} with normals {u} against frame {b[1]}")
-                return 0
-            if bad is not None:
-                raise EvalError(bad)
-            return (name, u, v)
-
-        return _args(args, flags, m, finish)
+    return _args(args, flags, m, finish)
 
 
 def _unchecked(term: Call, args: list, flags: list, m: int, n: int):
@@ -1194,24 +1179,27 @@ def _inline(t: Term, m: int, n: int) -> Optional[str]:
     return f"{text} << {k} | {hex(c)}" if k else text
 
 
-# Subterms whose calls run through ``_compile``'s closures, never suspending.
+# Forms that compile their parts with no suspending ids: a call there runs in a nested loop.
 _OPAQUE = (SRecN, SNRec, SRecPP, SNRecPP, SimRecPP, TagDispatch)
 
 
-def _walk(fn: PPFunction) -> tuple[set, set, bool, list]:
+def _walk(fn: PPFunction) -> tuple[set, set, bool, list, set]:
     """The one pass over a program body, on an explicit stack: down it
     carries the frame ``(m, n, nonzero)`` of ``_descent_gap``, up whether
     a subterm can suspend (with a call outside ``_OPAQUE`` forms) and its
     call count (a conditional counts its condition and costliest branch,
     an ``_OPAQUE`` form twice its parts).  Gives those subterms' ids, the
-    names called, whether an activation can make two calls, and the
-    uncertified guarded calls in pre-order, at each place of a shared one."""
-    suspends, callees, uncertified, up = set(), set(), [], []
+    names called, whether an activation can make two calls, the
+    uncertified guarded calls in pre-order, at each place of a shared one,
+    and the ids of the subterm objects met at two places.  An object met
+    again in a frame it was walked in gives what it gave there."""
+    suspends, callees, uncertified, up, done, shared = set(), set(), [], [], {}, set()
     stack: list = [(fn.body, (fn.normals, fn.safes, frozenset()))]
     while stack:
         t, down = stack.pop()
-        if down.__class__ is int:  # the ``down`` children of t are done
-            kids, up[len(up) - down :] = up[len(up) - down :], []
+        if down.__class__ is list:  # t's children are done: [t's frame, their number, t's first entry]
+            down, size, start = down
+            kids, up[len(up) - size :] = up[len(up) - size :], []
             s, count = any([k[0] for k in kids]), sum([k[1] for k in kids])
             if isinstance(t, Call):
                 callees.add(t.name)
@@ -1223,21 +1211,30 @@ def _walk(fn: PPFunction) -> tuple[set, set, bool, list]:
             if s:
                 suspends.add(id(t))
             up.append((s, count))
+            done[id(t)] = (down, up[-1], start, len(uncertified))
             continue
+        seen = done.get(id(t))
+        if seen is not None:
+            shared.add(id(t))
+            if seen[0] == down:
+                up.append(seen[1])
+                uncertified += uncertified[seen[2] : seen[3]]
+                continue
+        start = len(uncertified)
         if isinstance(t, Call) and t.guard is not None and (reason := _descent_gap(t, *down)):
             uncertified.append(Uncertified(fn.name, t, reason))
         kids = children(t)
         if not kids and not isinstance(t, Call):
             up.append((False, 0))
             continue
-        down = (0, 0, frozenset()) if isinstance(t, _OPAQUE) else down  # inside, no argument is the caller's own
-        stack += [(t, len(kids))] + [(c, down) for c in reversed(kids)]
+        inner = (0, 0, frozenset()) if isinstance(t, _OPAQUE) else down  # inside, no argument is the caller's own
+        stack += [(t, [down, len(kids), start])] + [(c, inner) for c in reversed(kids)]
         if isinstance(t, Cond):  # a test on a normal under ``p``s proves it nonzero in the nonzero branches
             leaf, _, k, _ = _chain(t.w)
             if isinstance(leaf, Proj) and leaf.sort == "n" and leaf.index < down[0] and not k:
                 known = (*down[:2], down[2] | {leaf.index})
                 stack[-4:-2] = [(t.z, known), (t.y, known)]  # the branches after w, x
-    return suspends, callees, up[0][1] > 1, uncertified
+    return suspends, callees, up[0][1] > 1, uncertified, shared
 
 
 def _then(code, then):
@@ -1260,7 +1257,8 @@ def _args(args: list, flags: list, m: int, finish):
     """Code evaluating ``args`` left to right, then ``finish(normals,
     safes, b)`` on the first ``m`` values and the rest."""
     if not any(flags):
-        return _apply(args[:m], args[m:], finish)
+        us, vs = _tuple_of(args[:m]), _tuple_of(args[m:])
+        return lambda xs, ys, b: finish(us(xs, ys, b), vs(xs, ys, b), b)
     if flags.index(True) == len(args) - 1:  # only the last one can suspend
         head, last = _tuple_of(args[:-1]), args[-1]
 
@@ -1305,31 +1303,17 @@ def _args(args: list, flags: list, m: int, finish):
     return run
 
 
-def _named_call(term: Call, nargs: list, sargs: list, prog: Optional[_ProgramCode]):
-    """A call of a program function from ``_compile``'s closures: the
-    call site's request, run to its value by a nested ``_Run.call``."""
-    if prog is None:
-        return _fail("named calls only occur inside programs")
-    request = prog._request(term, nargs + sargs, [False] * (len(nargs) + len(sargs)))
-
-    def run(xs, ys, b):
-        r = request(xs, ys, b)
-        return b[3].call(*r) if r.__class__ is tuple else r
-
-    return run
-
-
 class _Run:
     """The state of one ``eval_pp`` run, and the machine loop over it.
 
     ``call`` runs the program's code with the pending program calls on
     the run's own stack ``ks``, so program-call depth uses no Python
     frames.  ``translate`` never puts a call inside a recursion scheme
-    or a tag dispatch.  A program that does gets such calls compiled by
-    ``_compile`` as closures that run ``call`` again, one Python-level
-    loop per active call of that kind, sharing the run's fuel, memo,
-    statistics and stack.  Only calls of the code's ``keep`` look up
-    memo cells ``[value]``, under ``_long_key``s; ``keyed`` counts them.
+    or a tag dispatch; a call there runs its request by calling ``call``
+    again, one Python-level loop per active call of that kind, sharing
+    the run's fuel, memo, statistics and stack.  Only calls of the
+    code's ``keep`` look up memo cells ``[value]``, under ``_long_key``s;
+    ``keyed`` counts them.
     """
 
     __slots__ = ("code", "defs", "strict", "memo", "keep", "fuel", "keyed", "depth", "max_depth", "steps", "ks")

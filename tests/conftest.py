@@ -297,9 +297,10 @@ def ref_env(defs=()) -> ChainMap:
 
 
 def _descends(us, vs, frame, safes: bool) -> bool:
-    if tuple_order(us, frame[0])[0] is not TupleOrder.SUBSET_STRICT:
+    """The guard: tuples of other lengths than the frame's fail it."""
+    if len(us) != len(frame[0]) or tuple_order(us, frame[0])[0] is not TupleOrder.SUBSET_STRICT:
         return False
-    return not safes or tuple_order(vs, frame[1])[0] is not TupleOrder.NOT_RELATED
+    return not safes or len(vs) == len(frame[1]) and tuple_order(vs, frame[1])[0] is not TupleOrder.NOT_RELATED
 
 
 def ref_eval(t, xs, ys, env, run=None, frame=None):

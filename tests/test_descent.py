@@ -6,6 +6,7 @@ every guard."""
 import itertools
 import json
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -157,6 +158,36 @@ def test_audit_reasons():
         assert [u.reason for u in descent_audit(prog)] == want, body
 
 
+def test_a_shared_subterm_is_walked_and_compiled_once():
+    """f(x) = cond(x, 0, t, t), with t d nested comps(t', t') over one
+    call object: 2**(d + 1) places of that call, d + 2 objects."""
+
+    def shared(call: Call, d: int) -> PPProgram:
+        t = call
+        for _ in range(d):
+            t = CompSafe(t, t)
+        return PPProgram({"f": PPFunction("f", 1, 0, Cond(x0, Zero(), t, t))})
+
+    prog = shared(Call("f", (Pred(x0),), (), "strict"), 18)
+    start = time.perf_counter()
+    assert descent_audit(prog) == []
+    audited = time.perf_counter()
+    assert eval_pp(prog, "f", None, [0], []) == 0
+    assert audited - start < 1 and time.perf_counter() - audited < 1, (audited - start, time.perf_counter() - audited)
+    # an uncertified call is listed at each of its places
+    call = Call("f", (x0,), (), "strict")
+    assert descent_audit(shared(call, 3)) == [interp.Uncertified("f", call, "no strict match")] * 16
+    # one object in two frames: uncertified where x0 may be 0, certified
+    # where it is not, and checked at both
+    call = Call("f", (Pred(x0),), (), "strict")
+    prog = PPProgram({"f": PPFunction("f", 1, 0, Cond(x0, S1(call), call, CompSafe(y0, call)))})
+    assert descent_audit(prog) == [interp.Uncertified("f", call, "no strict match")]
+    for x in (0, 1, 2, 5):
+        assert eval_pp(prog, "f", None, [x], []) == ref_pp(prog, "f", [x], []), x
+        with pytest.raises(GuardViolation):
+            eval_pp(prog, "f", None, [x], [], EvalConfig(guard_mode="strict"))
+
+
 def _all_checked(monkeypatch):
     """From now on no call site has a certificate, so every guarded call
     checks its guard at run time."""
@@ -203,17 +234,19 @@ def test_certified_runs_match_the_reference_and_checked_runs(proofs, terms, monk
     assert len(runs) > 2000 and violations > 20
 
 
-def _descent_body(rng: random.Random, m: int, n: int, depth: int, own: tuple, nonzero: frozenset, sigs: list):
+def _descent_body(rng: random.Random, m: int, n: int, depth: int, own: tuple, nonzero: frozenset, sigs, kind=None):
     """A random body at (m; n) inputs for the last function of ``sigs``,
     whose parameters are the first ``own`` = (normals, safes) of those
     inputs, with ``nonzero`` the normals known nonzero here.  Conds often
     test a parameter, and guarded calls to itself often take arguments
-    of a certificate's shape, in every kind of position, so its calls
+    of a certificate's shape, in every kind of position (in srec steps
+    too, and in subterm objects used at several places), so its calls
     are certified, uncertified and failing alike; plain calls go to
     earlier functions."""
     me = len(sigs) - 1
     leaves = [Zero()] + [Proj("n", i) for i in range(m)] + [Proj("s", j) for j in range(n)]
-    kind = rng.randrange(8) if depth > 0 else 0
+    if kind is None:  # 8 and above make a call
+        kind = rng.randrange(11) if depth > 0 else 0
     sub = lambda mm, nn, known=nonzero: _descent_body(rng, mm, nn, depth - 1, own, known, sigs)  # noqa: E731
     if kind == 0:
         return rng.choice(leaves)
@@ -229,6 +262,12 @@ def _descent_body(rng: random.Random, m: int, n: int, depth: int, own: tuple, no
         return CompNormal(sub(m + 1, n), sub(m, 0))
     if kind == 5:
         return OracleCall("h", (sub(m, n),), (sub(m, n),))
+    if kind == 6:  # a call as a step, and a base case without the recursion argument
+        step = _descent_body(rng, m, n + 1, depth - 1, own, nonzero, sigs, kind=8)
+        return SRecN(rng.choice(leaves[:m] + leaves[m + 1 :]), step, sub(m, n + 1))
+    if kind == 7:  # one subterm object at several places, in one frame or in two
+        t, i = sub(m, n), rng.randrange(own[0])
+        return rng.choice([Cond(Proj("n", i), t, t, CompSafe(t, t)), OracleCall("h", (t,), (t,))])
     j = rng.randrange(me + 1)
     if j < me:
         return Call(f"f{j}", tuple(sub(m, n) for _ in range(sigs[j][0])), tuple(sub(m, n) for _ in range(sigs[j][1])))
@@ -270,6 +309,12 @@ def test_certified_runs_match_checked_runs_with_calls_anywhere(monkeypatch):
     guarded = sum(c.guard is not None for fns, _, _ in cases for fn in fns.values() for c in interp._calls(fn.body))
     uncertified = sum(len(descent_audit(PPProgram(fns))) for fns, _, _ in cases)
     assert guarded - uncertified > 100 and uncertified > 100, (guarded, uncertified)
+
+    def in_step(t, kids) -> bool:  # does an srec step in t hold a call?
+        return any(kids) or isinstance(t, SRecN) and bool(interp._calls(t.h0) + interp._calls(t.h1))
+
+    assert sum(interp.fold(fn.body, in_step) for fns, _, _ in cases for fn in fns.values()) > 20
+    assert sum(bool(interp._ProgramCode(fns).shared) for fns, _, _ in cases) > 20
 
     def runs():
         for fns, top, inputs in cases:

@@ -701,10 +701,12 @@ def test_guarded_calls_at_other_argument_counts_fail_their_guard():
         (srec, [2], [], 1, "guarded call to main with normals (0, 1) against frame (2,)"),
         (safes, [3], [5, 6], 0, "guarded call to g with normals (1,) against frame (3,)"),
     ):
-        assert eval_pp(prog, "main", None, xs, ys) == want
+        assert eval_pp(prog, "main", None, xs, ys) == ref_pp(prog, "main", xs, ys) == want
         with pytest.raises(GuardViolation) as e:
             eval_pp(prog, "main", None, xs, ys, EvalConfig(guard_mode="strict"))
         assert str(e.value) == text
+        with pytest.raises(GuardViolation):
+            ref_pp(prog, "main", xs, ys, strict=True)
 
 
 def _counting_compiles(monkeypatch) -> list:
