@@ -34,9 +34,10 @@ own normals under zero or more ``p``, or ``0``, no two on one normal,
 with a ``p`` inside a ``cond`` branch that knows its normal is nonzero
 (under ``strict_safe`` the safes likewise, not strictly).  Every other
 call of a known callee at the right arity builds its request in one
-closure.  One walk of each body, ``_walk``, finds the listed calls
-(every guarded call inside a recursion scheme or tag dispatch among
-them); it and the compile do a shared subterm object once.
+closure.  One walk of each body, ``_walk``, kept with the program,
+finds the listed calls (every guarded call inside a recursion scheme or
+tag dispatch among them) and answers validation, the call graph and the
+class check; it and the compile do a shared subterm object once.
 """
 
 from __future__ import annotations
@@ -1000,9 +1001,9 @@ class PPFunction:
 class PPProgram:
     """Mutually recursive named functions with guarded calls.
 
-    ``eval_pp`` keeps its compiled code and memo policy here, one
-    ``_ProgramCode`` for both guard modes, and uses it again while
-    ``functions`` holds the same ``PPFunction`` objects.
+    Every question about the program's calls (``validate``,
+    ``call_graph``, the class check, ``descent_audit``) and ``eval_pp``
+    read one ``_ProgramCode``, kept here by ``_kept_code``.
     """
 
     functions: dict[str, PPFunction]
@@ -1010,10 +1011,11 @@ class PPProgram:
     _code: Optional[_ProgramCode] = field(default=None, init=False, repr=False, compare=False)
 
     def validate(self) -> None:
+        calls = _kept_code(self).calls
         for nm, fn in self.functions.items():
             if fn.name != nm:
                 raise EvalError(f"function {fn.name} is stored under the name {nm!r}")
-            for c in _calls(fn.body):
+            for c in calls[nm]:
                 if c.name not in self.functions:
                     raise EvalError(f"{fn.name} calls unknown function {c.name!r}")
                 callee = self.functions[c.name]
@@ -1022,47 +1024,44 @@ class PPProgram:
 
     def call_graph(self) -> dict[str, tuple[str, ...]]:
         """Callee names of each function, sorted, for ``kernel.sccs``."""
-        return {
-            nm: tuple(sorted({c.name for c in _calls(fn.body)}))
-            for nm, fn in self.functions.items()
-        }
+        callees = _kept_code(self).callees
+        return {nm: callees[nm] for nm in self.functions}
 
 
-def _must_guard(prog: PPProgram) -> Callable[[str, str], bool]:
-    """Whether a call from ``caller`` to ``callee`` must be guarded: the
-    callee lies in the caller's component of ``sccs(prog.call_graph())``
-    (a self-call does; an unknown callee does not).  ``translate`` places
-    guards by this rule and ``check_term_class`` requires them by it."""
-    comp_of = {nm: i for i, comp in enumerate(sccs(prog.call_graph())) for nm in comp}
+def _must_guard(graph: dict[str, Sequence[str]]) -> Callable[[str, str], bool]:
+    """Whether a call from ``caller`` to ``callee`` must be guarded, given
+    the callee names of each function: the callee lies in the caller's
+    component of ``sccs(graph)`` (a self-call does; an unknown callee
+    does not).  ``translate`` places guards by this rule and
+    ``check_term_class`` requires them by it."""
+    comp_of = {nm: i for i, comp in enumerate(sccs(graph)) for nm in comp}
     return lambda caller, callee: comp_of.get(callee, -1) == comp_of[caller]
 
 
-def _calls(term: Term) -> list[Call]:
-    """Every Call inside ``term``, in depth-first order."""
-    out: list[Call] = []
-    stack = [term]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, Call):
-            out.append(t)
-        stack.extend(children(t))
-    return out
+def _kept_code(prog: PPProgram) -> _ProgramCode:
+    """The code of ``prog``, built by the first caller that needs it and
+    kept while ``prog.functions`` holds exactly the objects it was built
+    from (call sites read their callee's arity when they compile)."""
+    code, fns = prog._code, prog.functions
+    if code is None or len(fns) != len(code.functions) or any(fns.get(k) is not f for k, f in code.functions.items()):
+        code = prog._code = _ProgramCode(fns)
+    return code
 
 
 class _ProgramCode:
-    """A program's compiled bodies, shared by its runs in both guard modes.
+    """A program's calls and compiled bodies, shared by its runs in both
+    guard modes and by every question about its calls.
 
-    Built from one ``_walk`` of each body; a body compiles with
-    ``_compile`` the first time a run enters its function.  ``checked``
-    holds the ids of the calls ``descent_audit`` lists; only those check
-    their guard (a Call object also at a certified site checks there
-    too), in the run's guard mode.  ``shared`` holds the ids of the
-    subterm objects a walk met at two places, ``codes`` their code.
-
-    The code holds no state of a run; each run passes its own in b[3].
-    A call site's arity check reads its callee when the site compiles,
-    so the code keeps the functions it was built from and serves only a
-    program that holds those very objects (``current``).
+    Built from one ``_walk`` of each body: ``calls`` holds each body's
+    ``Call`` objects, each once, in pre-order, ``callees`` their names,
+    sorted, and ``uncertified`` the calls ``descent_audit`` lists.  A
+    body compiles with ``_compile`` the first time a run enters its
+    function.  ``checked`` holds the ids of the uncertified calls; only
+    those check their guard (a Call object also at a certified site
+    checks there too), in the run's guard mode.  ``shared`` holds the
+    ids of the subterm objects a walk met at two places, ``codes`` their
+    code.  The code holds no state of a run; each run passes its own in
+    b[3].
 
     ``keep`` holds the functions whose calls keep memo entries: those
     reachable in the call graph from a callee of a body that can make
@@ -1070,25 +1069,20 @@ class _ProgramCode:
     calls with one key lie below two calls of their lowest common activation.
     """
 
-    __slots__ = ("functions", "bodies", "marks", "keep", "checked", "shared", "codes")
+    __slots__ = ("functions", "bodies", "marks", "calls", "callees", "uncertified", "keep", "checked", "shared", "codes")
 
     def __init__(self, functions: dict[str, PPFunction]) -> None:
         self.functions, self.checked, self.shared = dict(functions), set(), set()
-        self.bodies: dict[str, Callable] = {}
         self.marks: dict[str, set] = {}  # each body's suspending subterms, until it compiles
-        self.codes: dict[tuple, Callable] = {}
-        calls, starts = {}, []
+        self.bodies, self.calls, self.callees, self.uncertified, self.codes = {}, {}, {}, {}, {}
+        starts = []
         for name, fn in self.functions.items():
-            self.marks[name], calls[name], twice, uncertified, shared = _walk(fn)
-            self.checked.update([id(u.call) for u in uncertified])
+            self.marks[name], self.calls[name], twice, self.uncertified[name], shared = _walk(fn)
+            self.callees[name] = tuple(sorted({c.name for c in self.calls[name]}))
+            self.checked.update([id(u.call) for u in self.uncertified[name]])
             self.shared |= shared
-            starts += calls[name] if twice else ()
-        self.keep = frozenset(_reach(calls, starts))
-
-    def current(self, functions: dict[str, PPFunction]) -> bool:
-        """Does ``functions`` hold exactly the objects this code was built from?"""
-        own = self.functions
-        return len(functions) == len(own) and all(functions.get(k) is f for k, f in own.items())
+            starts += self.callees[name] if twice else ()
+        self.keep = frozenset(_reach(self.callees, starts))
 
     def mismatch(self, name: str, m: int, n: int) -> Optional[str]:
         """Why function ``name`` cannot take m normals and n safes, or None."""
@@ -1183,17 +1177,18 @@ def _inline(t: Term, m: int, n: int) -> Optional[str]:
 _OPAQUE = (SRecN, SNRec, SRecPP, SNRecPP, SimRecPP, TagDispatch)
 
 
-def _walk(fn: PPFunction) -> tuple[set, set, bool, list, set]:
+def _walk(fn: PPFunction) -> tuple[set, list, bool, list, set]:
     """The one pass over a program body, on an explicit stack: down it
     carries the frame ``(m, n, nonzero)`` of ``_descent_gap``, up whether
     a subterm can suspend (with a call outside ``_OPAQUE`` forms) and its
     call count (a conditional counts its condition and costliest branch,
     an ``_OPAQUE`` form twice its parts).  Gives those subterms' ids, the
-    names called, whether an activation can make two calls, the
-    uncertified guarded calls in pre-order, at each place of a shared one,
-    and the ids of the subterm objects met at two places.  An object met
-    again in a frame it was walked in gives what it gave there."""
-    suspends, callees, uncertified, up, done, shared = set(), set(), [], [], {}, set()
+    Call objects in pre-order, each once, whether an activation can make
+    two calls, the uncertified guarded calls in pre-order, at each place
+    of a shared one, and the ids of the subterm objects met at two
+    places.  An object met again in a frame it was walked in gives what
+    it gave there."""
+    suspends, calls, uncertified, up, done, shared = set(), [], [], [], {}, set()
     stack: list = [(fn.body, (fn.normals, fn.safes, frozenset()))]
     while stack:
         t, down = stack.pop()
@@ -1202,7 +1197,6 @@ def _walk(fn: PPFunction) -> tuple[set, set, bool, list, set]:
             kids, up[len(up) - size :] = up[len(up) - size :], []
             s, count = any([k[0] for k in kids]), sum([k[1] for k in kids])
             if isinstance(t, Call):
-                callees.add(t.name)
                 s, count = True, count + 1
             elif isinstance(t, _OPAQUE):
                 s, count = False, 2 * count
@@ -1220,6 +1214,8 @@ def _walk(fn: PPFunction) -> tuple[set, set, bool, list, set]:
                 up.append(seen[1])
                 uncertified += uncertified[seen[2] : seen[3]]
                 continue
+        elif isinstance(t, Call):  # its first place
+            calls.append(t)
         start = len(uncertified)
         if isinstance(t, Call) and t.guard is not None and (reason := _descent_gap(t, *down)):
             uncertified.append(Uncertified(fn.name, t, reason))
@@ -1234,7 +1230,7 @@ def _walk(fn: PPFunction) -> tuple[set, set, bool, list, set]:
             if isinstance(leaf, Proj) and leaf.sort == "n" and leaf.index < down[0] and not k:
                 known = (*down[:2], down[2] | {leaf.index})
                 stack[-4:-2] = [(t.z, known), (t.y, known)]  # the branches after w, x
-    return suspends, callees, up[0][1] > 1, uncertified, shared
+    return suspends, calls, up[0][1] > 1, uncertified, shared
 
 
 def _then(code, then):
@@ -1390,9 +1386,7 @@ def eval_pp(
     finish the run.
     """
     cfg = cfg or EvalConfig()
-    code = prog._code
-    if code is None or not code.current(prog.functions):  # first run, or the functions changed
-        code = prog._code = _ProgramCode(prog.functions)
+    code = _kept_code(prog)
     xs, ys = tuple(normals), tuple(safes)
     bad = code.mismatch(fname, len(xs), len(ys))
     if bad is not None:
@@ -1507,27 +1501,29 @@ def _bears(t: Term, kid_flags: Sequence[bool], peers: Optional[frozenset[str]]) 
 
 
 def _check_program_class(prog: PPProgram, cls: str) -> list[str]:
-    """Functions under their own names, known callees, guards where
-    ``_must_guard`` asks (in Bpp on the safes too) on as many arguments as
-    the caller's, and each body in ``cls`` with its guarded peers as oracles."""
+    """Functions under their own names, known callees at their arities,
+    guards where ``_must_guard`` asks (in Bpp on the safes too) on as many
+    arguments as the caller's, and each body in ``cls`` with its guarded
+    peers as oracles.  Each ``Call`` object reports once, in pre-order."""
     if cls not in _PP:
         return [f"programs with guarded calls live in the pp classes, not {cls}"]
     violations = [f"{nm}: holds function {fn.name!r}" for nm, fn in prog.functions.items() if fn.name != nm]
-    must_guard = _must_guard(prog)
+    calls, must_guard = _kept_code(prog).calls, _must_guard(prog.call_graph())
     for nm, fn in prog.functions.items():
-        calls = _calls(fn.body)
-        for c in calls:
-            if c.name not in prog.functions:
+        for c in calls[nm]:
+            callee, m, n = prog.functions.get(c.name), len(c.normal_args), len(c.safe_args)
+            if callee is None:
                 violations.append(f"{nm}: call to unknown function {c.name!r}")
-            elif c.guard is None and must_guard(nm, c.name):
+            elif (m, n) != (callee.normals, callee.safes):
+                violations.append(f"{nm}: call to {c.name} with wrong arity")
+            if c.guard is None and must_guard(nm, c.name):
                 peer = "itself" if c.name == nm else f"mutual peer {c.name}"
                 violations.append(f"{nm}: unguarded call to {peer}")
             if cls == "Bpp" and c.guard not in (None, "strict_safe"):
                 violations.append(f"{nm}: call to {c.name} lacks the safe-zone guard")
-            m, n = len(c.normal_args), len(c.safe_args)
             if c.guard is not None and (m != fn.normals or c.guard == "strict_safe" and n != fn.safes):
                 violations.append(f"{nm}: guarded call to {c.name} at ({m};{n}) against ({fn.normals};{fn.safes})")
-        peers = frozenset(c.name for c in calls if must_guard(nm, c.name))
+        peers = frozenset(c.name for c in calls[nm] if must_guard(nm, c.name))
         violations.extend(f"{nm}: {v}" for v in check_term_class(fn.body, cls, _peers_bearing=peers))
     return violations
 
@@ -1560,9 +1556,10 @@ def descent_audit(prog: PPProgram) -> list[Uncertified]:
     Under ``strict_safe`` the safes match the same way, not strictly.
     Inside a recursion scheme or a tag dispatch no argument counts as
     the caller's own.  ``eval_pp`` checks exactly these calls at run
-    time: the walk that builds its code (``_walk``) finds them.
+    time: the audit reads the code it keeps (``_kept_code``).
     """
-    return [u for fn in prog.functions.values() for u in _walk(fn)[3]]
+    uncertified = _kept_code(prog).uncertified
+    return [u for nm in prog.functions for u in uncertified[nm]]
 
 
 def _descent_gap(call: Call, m: int, n: int, nonzero: frozenset) -> Optional[str]:

@@ -59,7 +59,9 @@ def translate(graph: ProofGraph) -> PPProgram:
     function is padded with ``Zero()`` to the largest arities among all
     companion functions of the program, not of one component.  The constant is a
     prefix of everything and equal padding never supplies the strict
-    component, so guard outcomes on genuine slots are unchanged.
+    component, so guard outcomes on genuine slots are unchanged.  Each
+    call fits its companion's sequent when emitted and is padded as the
+    companion is, so the program validates without a further check.
     """
     cl = classify(graph)
     if cl.cls not in ("CB", "CNB"):
@@ -69,17 +71,19 @@ def translate(graph: ProofGraph) -> PPProgram:
     guard = "strict_safe" if cl.cls == "CB" else "strict"
     cnf = _cycle_normal_form(graph)  # classify validated it
     fname = {pos: f"f{i}" for i, pos in enumerate(sorted(cnf.companions))}
+    callees: dict[str, set] = {}  # the names each function calls, the program's call graph
 
     def walk(top: int, start: Optional[int]) -> PPFunction:
         """The function for the tree region at ``top``, built on an
-        explicit stack; its calls are unguarded and unpadded.
+        explicit stack; its calls are unguarded, unpadded and recorded.
 
         ``todo`` holds positions to visit with their environments, and
         continuations: ``_BUILD`` pops finished subterms into a node,
         ``_CUT`` feeds a cut's left value into its right premise.  The
         subterms of a node are built left to right, as in the rules.
         """
-        seq = cnf.tree[top].sequent
+        seq, name = cnf.tree[top].sequent, fname.get(start, MAIN)
+        called = callees[name] = set()
         nenv = [Proj("n", i) for i in range(seq.boxed)]
         senv = [Proj("s", j) for j in range(seq.plain)]
         done: list[Term] = []
@@ -106,6 +110,7 @@ def translate(graph: ProofGraph) -> PPProgram:
                         f"call into {fname[target]} with {len(nenv)};{len(senv)} arguments "
                         f"against sequent {tseq}"
                     )
+                called.add(fname[target])
                 done.append(Call(fname[target], tuple(nenv), tuple(senv)))
                 continue
             node = cnf.tree[pos]
@@ -154,11 +159,11 @@ def translate(graph: ProofGraph) -> PPProgram:
             else:
                 raise TranslateError(f"rule {kind.value} at {cnf.label(pos)} is not translatable")
         (body,) = done
-        return PPFunction(fname.get(start, MAIN), seq.boxed, seq.plain, body)
+        return PPFunction(name, seq.boxed, seq.plain, body)
 
     companion_fns = [walk(c, c) for c in fname]
-    draft = PPProgram({f.name: f for f in companion_fns + [walk(0, None)]}, guard)
-    must_guard = _must_guard(draft)
+    unpadded = companion_fns + [walk(0, None)]
+    must_guard = _must_guard(callees)
     big_m = max((f.normals for f in companion_fns), default=0)
     big_n = max((f.safes for f in companion_fns), default=0)
 
@@ -173,9 +178,7 @@ def translate(graph: ProofGraph) -> PPProgram:
         )
 
     fns = {}
-    for f in draft.functions.values():
+    for f in unpadded:
         m, n = (f.normals, f.safes) if f.name == MAIN else (big_m, big_n)
         fns[f.name] = PPFunction(f.name, m, n, map_terms(f.body, partial(guard_and_pad, f.name)))
-    prog = PPProgram(fns, guard)
-    prog.validate()
-    return prog
+    return PPProgram(fns, guard)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from collections import ChainMap
 
@@ -25,6 +26,7 @@ from circsafe.interp import (
     SRecN,
     SRecPP,
     TagDispatch,
+    Term,
     Zero,
     _ProgramCode,
     children,
@@ -384,6 +386,26 @@ def ref_pp(prog, fname, xs, ys, defs=(), strict=False):
     host = ref_env(defs)
     xs, ys = tuple(xs), tuple(ys)
     return ref_eval(prog.functions[fname].body, xs, ys, host, (prog, host, strict), (xs, ys))
+
+
+def ref_calls(term) -> list:
+    """Every Call inside ``term``, at each of its places, in pre-order,
+    read off the dataclass fields (not through ``interp.children``), on
+    an explicit stack."""
+    out, stack = [], [term]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Call):
+            out.append(t)
+        kids = []
+        for f in dataclasses.fields(t):
+            v = getattr(t, f.name)
+            for x in v if isinstance(v, tuple) else (v,):
+                x = x[1] if isinstance(x, tuple) else x  # a TagDispatch case is (tags, body)
+                if isinstance(x, Term):
+                    kids.append(x)
+        stack.extend(reversed(kids))
+    return out
 
 
 # Reference for the memo policy of interp.eval_pp, which keeps memo

@@ -1,5 +1,7 @@
 """Syntactic membership in the algebra tower."""
 
+from dataclasses import replace
+
 import pytest
 
 from circsafe.interp import (
@@ -25,6 +27,7 @@ from circsafe.interp import (
     Zero,
     check_term_class,
     children,
+    eval_pp,
     eval_term,
     map_children,
 )
@@ -135,23 +138,30 @@ def test_class_check_reports_an_unknown_callee():
         prog = PPProgram({"f": PPFunction("f", 1, 0, S1(Call("nowhere", (x0,), (), guard=guard)))})
         for cls in ("Bpp", "NBpp"):
             assert "f: call to unknown function 'nowhere'" in check_term_class(prog, cls), (guard, cls)
+    # calls report in pre-order, left to right, and validate raises on the first
+    prog = PPProgram({"f": PPFunction("f", 1, 0, Cond(x0, Call("a", (x0,), ()), Call("b", (x0,), ()), Zero()))})
+    assert check_term_class(prog, "NBpp") == ["f: call to unknown function 'a'", "f: call to unknown function 'b'"]
+    with pytest.raises(EvalError, match="f calls unknown function 'a'"):
+        prog.validate()
 
 
 def test_class_check_reports_guarded_calls_at_other_argument_counts():
     x0, y0, y1 = Proj("n", 0), Proj("s", 0), Proj("s", 1)
     for guard in ("strict", "strict_safe"):
-        two = Call("g", (Pred(x0), Pred(x0)), (), guard)
-        one = Call("main", (Pred(x0),), (), guard)
-        prog = PPProgram({
-            "main": PPFunction("main", 1, 0, Cond(x0, Zero(), two, two)),
-            "g": PPFunction("g", 2, 0, Cond(x0, Zero(), one, one)),
-        })
-        for cls in ("Bpp", "NBpp"):
-            got = check_term_class(prog, cls)
-            assert got.count("main: guarded call to g at (2;0) against (1;0)") == 2, (guard, cls)
-            assert got.count("g: guarded call to main at (1;0) against (2;0)") == 2, (guard, cls)
+        # one Call object at two places reports once; two equal objects report twice
+        for copies, places in ((lambda c: (c, c), 1), (lambda c: (c, replace(c)), 2)):
+            two = copies(Call("g", (Pred(x0), Pred(x0)), (), guard))
+            one = copies(Call("main", (Pred(x0),), (), guard))
+            prog = PPProgram({
+                "main": PPFunction("main", 1, 0, Cond(x0, Zero(), *two)),
+                "g": PPFunction("g", 2, 0, Cond(x0, Zero(), *one)),
+            })
+            for cls in ("Bpp", "NBpp"):
+                got = check_term_class(prog, cls)
+                assert got.count("main: guarded call to g at (2;0) against (1;0)") == places, (guard, cls)
+                assert got.count("g: guarded call to main at (1;0) against (2;0)") == places, (guard, cls)
     # other safe counts than the caller's count only under strict_safe
-    pair = ["main: guarded call to g at (1;1) against (1;2)"] * 2 + ["g: guarded call to main at (1;2) against (1;1)"] * 2
+    pair = ["main: guarded call to g at (1;1) against (1;2)", "g: guarded call to main at (1;2) against (1;1)"]
     for guard, want in (("strict", []), ("strict_safe", pair)):
         call = Call("g", (Pred(x0),), (y1,), guard)
         back = Call("main", (Pred(x0),), (y0, y0), guard)
@@ -160,6 +170,21 @@ def test_class_check_reports_guarded_calls_at_other_argument_counts():
             "g": PPFunction("g", 1, 1, Cond(x0, y0, back, back)),
         })
         assert check_term_class(prog, "NBpp") == want, guard
+
+
+def test_class_check_reports_a_call_at_the_wrong_arity():
+    x0, y0 = Proj("n", 0), Proj("s", 0)
+    prog = PPProgram({
+        "main": PPFunction("main", 1, 1, Call("g", (x0,), (y0, y0))),
+        "g": PPFunction("g", 1, 1, S0(y0)),
+    })
+    for cls in ("Bpp", "SBpp", "NBpp"):
+        assert check_term_class(prog, cls) == ["main: call to g with wrong arity"], cls
+    with pytest.raises(EvalError, match="main calls g with wrong arity"):
+        prog.validate()
+    with pytest.raises(EvalError, match="g expects \\(1;1\\) arguments"):
+        eval_pp(prog, "main", None, [1], [1])
+
 
 
 def test_a_function_under_another_name_is_reported():

@@ -10,7 +10,7 @@ import time
 from pathlib import Path
 
 import pytest
-from conftest import ref_pp, sample_two_sorted
+from conftest import ref_calls, ref_pp, sample_two_sorted
 
 from circsafe import interp
 from circsafe.compilealg import nb_to_circular, srec_eliminate, term_to_derivation
@@ -35,6 +35,7 @@ from circsafe.interp import (
     S1,
     SRecN,
     Zero,
+    check_term_class,
     descent_audit,
     eval_pp,
     eval_term,
@@ -118,7 +119,7 @@ def test_audit_is_empty_on_translated_corpus_and_compiled_shapes(proofs, terms):
     guarded = 0
     for name, prog in progs.items():
         assert descent_audit(prog) == [], name
-        guarded += sum(c.guard is not None for fn in prog.functions.values() for c in interp._calls(fn.body))
+        guarded += sum(c.guard is not None for fn in prog.functions.values() for c in ref_calls(fn.body))
     assert len(progs) == 24 and guarded > 30
 
 
@@ -158,9 +159,9 @@ def test_audit_reasons():
         assert [u.reason for u in descent_audit(prog)] == want, body
 
 
-def test_a_shared_subterm_is_walked_and_compiled_once():
+def test_a_shared_subterm_is_walked_and_compiled_once(monkeypatch):
     """f(x) = cond(x, 0, t, t), with t d nested comps(t', t') over one
-    call object: 2**(d + 1) places of that call, d + 2 objects."""
+    call object: 2**(d + 1) places of that call, d + 5 objects."""
 
     def shared(call: Call, d: int) -> PPProgram:
         t = call
@@ -186,6 +187,16 @@ def test_a_shared_subterm_is_walked_and_compiled_once():
         assert eval_pp(prog, "f", None, [x], []) == ref_pp(prog, "f", [x], []), x
         with pytest.raises(GuardViolation):
             eval_pp(prog, "f", None, [x], [], EvalConfig(guard_mode="strict"))
+    # validate, call_graph and the class check, each on a fresh program,
+    # ask interp.children about each object a bounded number of times
+    asked, children = [], interp.children
+    monkeypatch.setattr(interp, "children", lambda t: asked.append(t) or children(t))
+    questions = (PPProgram.validate, PPProgram.call_graph, lambda p: check_term_class(p, "NBpp"))
+    for d in (12, 16):
+        for question in questions:
+            asked.clear()
+            assert question(shared(Call("f", (Pred(x0),), (), "strict"), d)) in (None, {"f": ("f",)}, [])
+            assert len(asked) <= 4 * (d + 5), (question, d, len(asked))
 
 
 def _all_checked(monkeypatch):
@@ -306,12 +317,12 @@ def test_certified_runs_match_checked_runs_with_calls_anywhere(monkeypatch):
             fns[f"f{i}"] = PPFunction(f"f{i}", m, n, top)
         inputs = [sample_two_sorted(rng, *sigs[-1], 3) for _ in range(6)]
         cases.append((fns, f"f{len(sigs) - 1}", inputs))
-    guarded = sum(c.guard is not None for fns, _, _ in cases for fn in fns.values() for c in interp._calls(fn.body))
+    guarded = sum(c.guard is not None for fns, _, _ in cases for fn in fns.values() for c in ref_calls(fn.body))
     uncertified = sum(len(descent_audit(PPProgram(fns))) for fns, _, _ in cases)
     assert guarded - uncertified > 100 and uncertified > 100, (guarded, uncertified)
 
     def in_step(t, kids) -> bool:  # does an srec step in t hold a call?
-        return any(kids) or isinstance(t, SRecN) and bool(interp._calls(t.h0) + interp._calls(t.h1))
+        return any(kids) or isinstance(t, SRecN) and bool(ref_calls(t.h0) + ref_calls(t.h1))
 
     assert sum(interp.fold(fn.body, in_step) for fns, _, _ in cases for fn in fns.values()) > 20
     assert sum(bool(interp._ProgramCode(fns).shared) for fns, _, _ in cases) > 20

@@ -42,6 +42,7 @@ from circsafe.interp import (
     SRecN,
     SRecPP,
     Zero,
+    check_term_class,
     descent_audit,
     eval_pp,
     eval_proof,
@@ -753,14 +754,26 @@ def test_eval_pp_compiles_each_program_once(proofs, monkeypatch):
 
 
 def test_both_guard_modes_and_the_audit_walk_each_body_once(proofs, monkeypatch):
+    """Runs in both guard modes, descent_audit, validate, call_graph and
+    the class check all read one walk of each body, on a translated
+    program and on one parsed from text alike; translate walks none."""
     compiled, walked, real = _counting_compiles(monkeypatch), [], interp._walk
     monkeypatch.setattr(interp, "_walk", lambda fn: walked.append(fn.name) or real(fn))
-    prog = translate(proofs["C"])
-    for mode in ("zero", "strict"):
-        assert eval_pp(prog, MAIN, None, [5, 6], [7], EvalConfig(guard_mode=mode)) == c_program(5, 6, 7)
-    assert sorted(walked) == sorted(compiled) == ["f0", "f1", "main"]
-    assert descent_audit(prog) == []
-    assert sorted(walked) == ["f0", "f0", "f1", "f1", "main", "main"] and len(compiled) == 3
+    translated = translate(proofs["C"])
+    assert walked == []
+    parsed = parse_terms(serialize_program(translated, "c")).programs["c"]
+    assert sorted(walked) == ["f0", "f1", "main"]  # parse_terms validates
+    for prog in (parsed, translated):
+        walked.clear()
+        compiled.clear()
+        for mode in ("zero", "strict"):
+            assert eval_pp(prog, MAIN, None, [5, 6], [7], EvalConfig(guard_mode=mode)) == c_program(5, 6, 7)
+        assert descent_audit(prog) == []
+        prog.validate()
+        assert prog.call_graph() == {"f0": ("f0", "f1"), "f1": ("f1",), "main": ("f0",)}
+        assert check_term_class(prog, "Bpp") == []
+        assert sorted(walked) == ([] if prog is parsed else ["f0", "f1", "main"])
+        assert sorted(compiled) == ["f0", "f1", "main"]
 
 
 def test_kept_code_still_checks_call_sites_when_reached(monkeypatch):

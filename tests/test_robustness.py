@@ -84,13 +84,16 @@ def test_ex_step_proof_parameter_passing(terms):
 
 
 def test_cli_deterministic_across_processes(tmp_path):
+    """translate writes the same bytes under two hash seeds, for every
+    accepted corpus proof."""
     outs = []
     for i in range(2):
-        target = tmp_path / f"out{i}"
-        subprocess.run(
-            [sys.executable, "-m", "circsafe.cli", "translate", str(CORPUS / "C.proof"), "-o", str(target)],
-            check=True,
-            env={"PYTHONHASHSEED": str(i), "PATH": "/usr/bin:/bin", "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
-        )
-        outs.append(target.read_bytes())
-    assert outs[0] == outs[1]
+        for name in ("S", "C", "E", "P", "L", "N"):
+            target = tmp_path / f"{name}{i}"
+            subprocess.run(
+                [sys.executable, "-m", "circsafe.cli", "translate", str(CORPUS / f"{name}.proof"), "-o", str(target)],
+                check=True,
+                env={"PYTHONHASHSEED": str(i), "PATH": "/usr/bin:/bin", "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
+            )
+            outs.append(target.read_bytes())
+    assert outs[:6] == outs[6:]

@@ -4,9 +4,12 @@ import random
 
 import pytest
 
-from conftest import sample_two_sorted
+from conftest import chain_graph, loop_graph, nest_graph, ref_calls, sample_two_sorted
+
+from circsafe.checker import classify
 
 from circsafe.compilealg import nb_to_circular, srec_eliminate, term_to_derivation
+from circsafe.formats import parse_terms
 from circsafe.interp import (
     Call,
     EvalConfig,
@@ -16,7 +19,6 @@ from circsafe.interp import (
     PPProgram,
     Proj,
     Zero,
-    _calls,
     check_term_class,
     eval_pp,
     eval_proof,
@@ -108,7 +110,7 @@ def test_companion_functions_are_padded_with_zero(proofs):
     assert len(companion_fns) == 2
     assert all((f.normals, f.safes) == (2, 1) for f in companion_fns)
     # f0 enters the narrower f1 with one genuine normal, padded by Zero()
-    into_f1 = [c for c in _calls(prog.functions["f0"].body) if c.name == "f1"]
+    into_f1 = [c for c in ref_calls(prog.functions["f0"].body) if c.name == "f1"]
     assert [c.normal_args[1] for c in into_f1] == [Zero()]
     rng = random.Random(71)
     for _ in range(100):
@@ -220,3 +222,24 @@ def test_grand_tour_nb_terms(terms):
         for _ in range(50):
             xs, ys = sample_two_sorted(rng, td.normals, td.safes, 8)
             assert eval_pp(prog, MAIN, None, xs, ys, STRICT) == eval_term(td.body, None, xs, ys), name
+
+
+def test_every_translation_validates(proofs, terms):
+    """translate does not validate the program it builds: each call it
+    emits names a companion function and fits that function's sequent,
+    and padding gives every call and companion function one arity."""
+    graphs = [g for g in proofs.values() if classify(g).cls in ("CB", "CNB")]
+    graphs += [nb_to_circular(td) for td in terms.values() if check_term_class(td, "NB") == []]
+    graphs += [chain_graph([1, 0, 1]), loop_graph([0, 1], [1, 1, 0]), nest_graph(4)]
+    loops = "y0"  # five recursions on notation in sequence, one companion each
+    for j in range(5):
+        loops = f"comps(srec(y1,s{j % 2}(y2),s1(y2)),{loops})"
+        graphs.append(nb_to_circular(parse_terms(f"def loops{j}(1;1) = {loops}").terms[f"loops{j}"]))
+    for g in graphs:
+        prog = translate(g)
+        prog.validate()
+        calls = [c for f in prog.functions.values() for c in ref_calls(f.body)]
+        arities = {(f.normals, f.safes) for f in prog.functions.values() if f.name != MAIN}
+        arities |= {(len(c.normal_args), len(c.safe_args)) for c in calls}
+        assert len(arities) <= 1 and {c.name for c in calls} <= prog.functions.keys() - {MAIN}, g.name
+    assert len(graphs) == 26 and sum(len(translate(g).functions) > 2 for g in graphs) > 5
