@@ -15,7 +15,6 @@ once and then evaluate it for each sample as compiled code ``n -> int``.
 
 from __future__ import annotations
 
-import functools
 import random
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -42,6 +41,7 @@ from .interp import (
     TermDef,
     Zero,
     _bears,
+    _kept_on,
     eval_term,
     fold,
 )
@@ -368,10 +368,10 @@ def _prepared(pair: BoundPair) -> tuple[BoundPair, str, bool, Callable[[int], in
     return pair, str(pair.e), is_polynomial(pair.e), compile_bound(pair.e)
 
 
-@functools.lru_cache(maxsize=256)
 def _term_bound(term: Term) -> tuple[BoundPair, str, bool, Callable[[int], int]]:
-    """(pair, printed e, polynomial flag, compiled e) of ``term``'s bound."""
-    return _prepared(synthesize_bound(term))
+    """(pair, printed e, polynomial flag, compiled e) of ``term``'s bound,
+    kept on the term object."""
+    return _kept_on(term, "bound", lambda: _prepared(synthesize_bound(term)))
 
 
 def input_bound(term: Term, constants: Sequence[int] = ()) -> "InputBound":

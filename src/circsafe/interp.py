@@ -8,20 +8,27 @@ programs over the prefix-permutation order add guarded calls between
 named functions.  Memo entries are kept only where a run can read them.
 
 Terms and programs compile once into closures for fixed argument counts
-(``eval_term`` caches them per term; a program keeps one code for both
+(``eval_term`` keeps them on the term object, ``_kept_on``, so no run
+hashes a term; a program keeps one code for both
 guard modes while its functions stay the same objects, each body
 compiled on its first call).  A run's state and guard mode travel with
 it, never in the code.
 Recursion names are scoped lexically: a program body sees only the
 host's oracles.  A chain of ``s0``/``s1``/``p`` compiles to one prefix
 edit, ``srec`` runs as a loop over the prefixes of its recursion
-argument (inline over its bits when both steps are edits of the
-recursion value or constants), so neither recurses once per chain link
-or input bit.  ``snrec`` binds its recursion name to the level below
-the step, a cell whose argument tuple and bindings are built on the
-level's first call and kept, so the exponentially many recursive calls
-into one level share them and each is one call of the step; a call
-that passes the safes through unchanged does not copy them.
+argument, so neither recurses once per chain link or input bit.  When
+both steps are edits of the recursion value or constants, the edits
+fold over the argument's digits in linear time (``_edit_fold``: one
+``str.translate`` when every edit appends), not one Python step a bit.
+A program function that recurses on notation, ``cond(x0, g, B0, B1)``
+with a branch that edits a self-call at ``p(x0)`` (``_notation_loop``),
+runs as one loop with the same fold; fuel, steps and depth are charged
+per call as before, all the loop's calls at once.  ``snrec`` binds its
+recursion name to the level below the step, a cell whose argument tuple
+and bindings are built on the level's first call and kept, so the
+exponentially many recursive calls into one level share them and each
+is one call of the step; a call that passes the safes through unchanged
+does not copy them.
 One compiler, ``_compile``, builds terms and program bodies.  A body
 hands each call on its path to ``eval_pp``'s loop as a request, so
 program-call depth uses no Python frames; term depth other than chains
@@ -873,16 +880,68 @@ def _snrec(g, h):
 
 
 def _srec_edits(g, e0: tuple, e1: tuple):
-    """``srec`` whose steps are ``_step_edit``s: the edits run inline over
-    the bits of the recursion argument, most significant first, with
-    no step call and no argument tuple per bit."""
+    """``srec`` whose steps are ``_step_edit``s: the edits fold over the
+    bits of the recursion argument, most significant first, with no
+    step call and no argument tuple per bit (``_edit_fold``)."""
+    fold = _edit_fold(e0, e1)
 
     def run(xs, ys, b):
         x0 = xs[0]
         if x0 < 0:
             raise EvalError("srec on a negative input")
         v = g(xs[1:], ys, b)
-        for d in format(x0, "b") if x0 else "":
+        return fold(v, format(x0, "b")) if x0 else v
+
+    return run
+
+
+_SHORT = 4  # digit strings up to this long fold one digit at a time
+_BASE32 = "0123456789abcdefghijklmnopqrstuv"
+
+
+@functools.lru_cache(maxsize=256)
+def _edit_fold(e0: Optional[tuple], e1: Optional[tuple]):
+    """``fold(v, digits)``: ``v`` after the edit ``(r, k, c, keep)`` of
+    each digit of the string ``digits`` in turn, ``e0`` for "0" and
+    ``e1`` for "1" (None for a digit that never occurs); an edit that
+    does not keep its value gives the constant c.  Built once per pair
+    of edits, tables included.
+
+    Past ``_SHORT`` digits, a constant forgets what came before its last
+    occurrence, and when every edit left appends (r = 0) the fold is
+    ``v << K | C`` in linear time: C is one ``str.translate`` of the
+    digits, into base-2**k digits when both appends have one width k of
+    1 to 5, else into k binary digits each.  Otherwise one Python step a
+    digit, as on short strings."""
+    edits = {"0": e0, "1": e1}
+    consts = [d for d, e in edits.items() if e and not e[3]]
+    shifts = [d for d, e in edits.items() if e and e[3] and e[0]]
+    appends = {d: e for d, e in edits.items() if e and e[3] and not e[0]}
+    widths = {e[1] for e in appends.values()}
+    width = widths.pop() if len(widths) == 1 else 0
+    if 0 < width <= 5:
+        table, base = str.maketrans({d: _BASE32[e[2]] for d, e in appends.items()}), 1 << width
+    else:
+        binary = {d: format(e[2], f"0{e[1]}b") if e[1] else "" for d, e in appends.items()}
+        table, base, width = str.maketrans(binary), 2, 1
+
+    last = len(consts) == 2  # the value is the last digit's constant
+    const = consts[0] if len(consts) == 1 else None
+    shift = shifts[0] if len(shifts) == 1 else None
+    fast = len(shifts) < 2
+
+    def fold(v, digits):
+        if len(digits) > _SHORT and fast:
+            if last:
+                return edits[digits[-1]][2]
+            if const is not None:
+                i = digits.rfind(const)
+                if i >= 0:
+                    v, digits = edits[const][2], digits[i + 1 :]
+            if shift is None or shift not in digits:
+                t = digits.translate(table)
+                return v << width * len(t) | int(t, base) if t else v
+        for d in digits:
             r, k, c, keep = e1 if d == "1" else e0
             if not keep:
                 v = c
@@ -892,7 +951,7 @@ def _srec_edits(g, e0: tuple, e1: tuple):
                 v = v << k | c
         return v
 
-    return run
+    return fold
 
 
 def _cond(w, x, y, z):
@@ -926,7 +985,7 @@ def _nested_call(slot: int, terms: tuple, sargs: list, n: int):
     (``_snrec``), built here on its first call.  The safes passed
     through unchanged are not copied; other arguments run their code
     ``sargs``, left to right."""
-    if [t.index if isinstance(t, Proj) and t.sort == "s" else None for t in terms] == list(range(n)):
+    if _through(terms, n):
 
         def through(xs, ys, b):
             lv = b[slot]
@@ -942,6 +1001,11 @@ def _nested_call(slot: int, terms: tuple, sargs: list, n: int):
         return code(rest, vs(xs, ys, b), inner)
 
     return call
+
+
+def _through(terms: tuple, n: int) -> bool:
+    """Whether ``terms`` are the ``n`` safes ``y0 .. y(n-1)``, in order."""
+    return [t.index if isinstance(t, Proj) and t.sort == "s" else None for t in terms] == list(range(n))
 
 
 def _host_call(term: OracleCall, args: list, flags: list):
@@ -969,9 +1033,23 @@ def _host_call(term: OracleCall, args: list, flags: list):
     return run
 
 
-@functools.lru_cache(maxsize=256)
+def _kept_on(term: Term, key, make: Callable[[], R]) -> R:
+    """``make()``, kept on the term object under ``key``, outside its
+    fields, as ``_kept_code`` keeps a program's code: the term is never
+    hashed, which for a frozen dataclass walks the whole tree on Python's
+    stack."""
+    kept = term.__dict__.get("_kept")
+    if kept is None:
+        kept = {}
+        object.__setattr__(term, "_kept", kept)
+    value = kept.get(key)
+    if value is None:
+        value = kept[key] = make()
+    return value
+
+
 def _term_code(term: Term, normals: int, safes: int):
-    return _compile(term, normals, safes, (), None)
+    return _kept_on(term, (normals, safes), lambda: _compile(term, normals, safes, (), None))
 
 
 def eval_term(
@@ -1094,10 +1172,103 @@ class _ProgramCode:
         return None
 
     def _body(self, name: str) -> Callable:
-        """Compile function ``name``'s body along the marks of ``_walk``."""
+        """Compile function ``name``'s body along the marks of ``_walk``;
+        a recursion on notation outside ``keep`` runs as one loop
+        (``_notation_loop``)."""
         fn = self.functions[name]
-        code = self.bodies[name] = _compile(fn.body, fn.normals, fn.safes, (), self, self.marks.pop(name))
+        code = _compile(fn.body, fn.normals, fn.safes, (), self, self.marks.pop(name))
+        if name not in self.keep:
+            code = _notation_loop(name, fn, code, self) or code
+        self.bodies[name] = code
         return code
+
+
+def _notation_loop(name: str, fn: PPFunction, body, code: _ProgramCode):
+    """The body of function ``name`` as one loop, where it recurses on
+    notation, else None; ``body`` is its compiled code.
+
+    The shape is ``cond(x0, g, B0, B1)`` where at least one branch is an
+    ``s0``/``s1``/``p`` chain around a call of ``name`` itself that checks
+    no guard, whose first normal is ``p(x0)``, each other normal the
+    caller's own or 0 (one map in both such branches) and the safes the
+    caller's, in order.  At ``x0`` the recursion descends k levels: one
+    per digit when both branches recurse, else the trailing run of the
+    recursing digit.  The loop charges k calls' fuel, steps and depth at
+    once, as ``_Run.call`` would, runs ``body`` at the innermost level
+    (which takes ``g`` or the other branch, its calls going to the
+    machine as requests), and folds the k edits on the way out
+    (``_edit_fold``).  With less than k fuel left it runs ``body``."""
+    t = fn.body
+    if not (isinstance(t, Cond) and isinstance(t.w, Proj) and t.w.sort == "n" and t.w.index == 0):
+        return None
+    m, n = fn.normals, fn.safes
+    steps = []
+    for branch in (t.y, t.z):
+        call, r, k, c = _chain(branch)
+        zeros = None
+        if isinstance(call, Call) and call.name == name and id(call) not in code.checked:
+            zeros = _self_normals(call.normal_args, m) if _through(call.safe_args, n) else None
+        steps.append(None if zeros is None else ((r, k, c, True), zeros))
+    s0, s1 = steps
+    if s0 is None and s1 is None or s0 and s1 and s0[1] != s1[1]:
+        return None
+    zeros = (s0 or s1)[1]
+    fold = _edit_fold(s0 and s0[0], s1 and s1[0])
+    both, odd, zeros_in = s0 is not None and s1 is not None, int(s1 is not None), any(zeros)
+    digit = str(odd)
+
+    def finish(v, fr):
+        fr[3].depth -= fr[1]
+        return fold(v, fr[2])
+
+    def loop(xs, ys, b):
+        x = xs[0]
+        if both:
+            k = x.bit_length()
+        elif x & 1 != odd or not x:  # no call at this level
+            return body(xs, ys, b)
+        else:  # the trailing run of the recursing digit: 2**(k+1) - 1 or 2**k
+            k = ((x ^ (x + 1)) if odd else (x & -x)).bit_length() - 1
+        machine = b[3]
+        if not k or machine.fuel < k:
+            return body(xs, ys, b)
+        machine.fuel -= k
+        machine.steps += k
+        depth = machine.depth = machine.depth + k
+        if depth > machine.max_depth:
+            machine.max_depth = depth
+        inner = (x >> k,) + (tuple([0 if z else v for z, v in zip(zeros, xs[1:])]) if zeros_in else xs[1:])
+        frame = (finish, k, format(x, "b") if both else digit * k, machine)
+        ks = machine.ks
+        ks.append(frame)
+        v = body(inner, ys, (b[0], inner, ys, machine))
+        if v.__class__ is tuple:
+            return v
+        ks.pop()
+        return finish(v, frame)
+
+    return loop
+
+
+def _self_normals(args: tuple, m: int) -> Optional[tuple[bool, ...]]:
+    """For a self-call's normal arguments ``args``, at ``m`` normals: if
+    the first is ``p(x0)`` and each other is the caller's own normal at
+    its place or 0, whether each other one is 0; else None."""
+    if len(args) != m:
+        return None
+    leaf, r, k, _ = _chain(args[0])
+    if not (isinstance(leaf, Proj) and leaf.sort == "n" and leaf.index == 0 and (r, k) == (1, 0)):
+        return None
+    zeros = []
+    for i, a in enumerate(args[1:], 1):
+        leaf, r, k, c = _chain(a)
+        if isinstance(leaf, Zero) and not c:
+            zeros.append(True)
+        elif isinstance(leaf, Proj) and leaf.sort == "n" and leaf.index == i and not (r or k):
+            zeros.append(False)
+        else:
+            return None
+    return tuple(zeros)
 
 
 def _request(term: Call, args: list, flags: list, bad: Optional[str]):

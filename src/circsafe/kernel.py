@@ -378,10 +378,12 @@ def validate_step(graph: ProofGraph, nid: str) -> list[StepError]:
         prem.append(pn.sequent)
 
     N, B = SType.PLAIN, SType.BOXED
-    if kind is _R_ID:
-        _expect(seq == Sequent(0, 1, N), nid, f"id concludes N => N, got {seq}", errors)
+    if kind is _R_ID:  # the message is built only when the check fails
+        if seq != Sequent(0, 1, N):
+            errors.append(StepError(nid, f"id concludes N => N, got {seq}"))
     elif kind is _R_ZERO:
-        _expect(seq == Sequent(0, 0, N), nid, f"zero concludes => N, got {seq}", errors)
+        if seq != Sequent(0, 0, N):
+            errors.append(StepError(nid, f"zero concludes => N, got {seq}"))
     elif kind is _R_S0 or kind is _R_S1:
         _expect(prem[0] == seq, nid, "successor premise must repeat the conclusion", errors)
     elif kind is _R_WEAK_N:
@@ -402,13 +404,13 @@ def validate_step(graph: ProofGraph, nid: str) -> list[StepError]:
         )
     elif kind is _R_EXCH_N:
         _expect(rule.pos is not None, nid, "eN carries a position", errors)
-        if rule.pos is not None:
-            _expect(0 <= rule.pos <= seq.plain - 2, nid, f"eN position {rule.pos} out of range", errors)
+        if rule.pos is not None and not 0 <= rule.pos <= seq.plain - 2:
+            errors.append(StepError(nid, f"eN position {rule.pos} out of range"))
         _expect(prem[0] == seq, nid, "eN premise must repeat the conclusion", errors)
     elif kind is _R_EXCH_B:
         _expect(rule.pos is not None, nid, "eB carries a position", errors)
-        if rule.pos is not None:
-            _expect(0 <= rule.pos <= seq.boxed - 2, nid, f"eB position {rule.pos} out of range", errors)
+        if rule.pos is not None and not 0 <= rule.pos <= seq.boxed - 2:
+            errors.append(StepError(nid, f"eB position {rule.pos} out of range"))
         _expect(prem[0] == seq, nid, "eB premise must repeat the conclusion", errors)
     elif kind is _R_BOX_L:
         _expect(seq.boxed >= 1, nid, "boxL needs a boxed formula", errors)

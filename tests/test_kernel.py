@@ -138,3 +138,24 @@ def test_rule_kind_aliases_name_their_members():
 
     for kind in RuleKind:
         assert getattr(kernel, f"_R_{kind.name}") is kind
+
+
+def test_failing_leaf_and_exchange_checks_name_the_sequent_and_position():
+    # the text is built only for a failing check; it reads as it always has
+    g = ProofGraph(
+        "t",
+        "a",
+        {
+            "a": Node(Rule(RuleKind.ID), Sequent(1, 1), ()),
+            "z": Node(Rule(RuleKind.ZERO), Sequent(0, 1), ()),
+            "e": Node(Rule(RuleKind.EXCH_N, pos=1), Sequent(0, 2), ("e",)),
+            "f": Node(Rule(RuleKind.EXCH_B, pos=0), Sequent(1, 0), ("f",)),
+            "ok": Node(Rule(RuleKind.EXCH_N, pos=0), Sequent(0, 2), ("ok",)),
+        },
+    )
+    assert [str(e) for n in ("a", "z", "e", "f", "ok") for e in validate_step(g, n)] == [
+        "a: id concludes N => N, got bN,N => N",
+        "z: zero concludes => N, got N => N",
+        "e: eN position 1 out of range",
+        "f: eB position 0 out of range",
+    ]

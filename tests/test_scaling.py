@@ -11,7 +11,7 @@ a 10**5-node chain would print some 5 * 10**9 characters of ids.
 ``eval_pp`` runs the translations of 2 * 10**4-node chains and loops,
 and the class check takes them in one linear pass.  ``compile`` builds
 ``s0``/``s1``/``p`` chains in a loop, so a 10**4-deep term goes through
-the whole command-line pipeline.
+the whole command-line pipeline, and through ``verify-bound``.
 """
 
 import random
@@ -24,8 +24,8 @@ from conftest import chain_graph, loop_graph
 from circsafe.bounds import beval, synthesize_bound
 from circsafe.checker import classify
 from circsafe.cli import main
-from circsafe.formats import parse_proof, serialize_proof
-from circsafe.interp import CompSafe, EvalConfig, EvalStats, OracleCall, Proj, check_term_class, eval_pp
+from circsafe.formats import parse_proof, parse_terms, serialize_proof
+from circsafe.interp import CompSafe, EvalConfig, EvalStats, OracleCall, Proj, check_term_class, eval_pp, eval_term
 from circsafe.translate import MAIN, translate
 
 
@@ -130,6 +130,18 @@ def test_bound_of_a_10000_deep_term(capsys, tmp_path):
     assert sys.getrecursionlimit() == limit
     assert out.endswith("\nd = 1\npolynomial = true\n")
     assert out.count("(1 + n)") == 10**4 + 1  # one per s0 and one for y0
+
+
+def test_verify_bound_and_eval_term_of_a_10000_deep_term(capsys, tmp_path):
+    # the term's code and bound are kept on the term object, so no
+    # evaluation path hashes the frozen tree one level per Python frame
+    doc = tmp_path / "deep.term"
+    doc.write_text("def deep(0;1) = " + "s0(" * 10**4 + "y0" + ")" * 10**4 + "\n")
+    assert main(["verify-bound", str(doc), "--name", "deep", "--samples", "20"]) == 0
+    out = capsys.readouterr().out
+    assert "samples = 20\nviolations = 0\n" in out
+    term = parse_terms(doc.read_text()).terms["deep"].body
+    assert eval_term(term, None, [], [5]) == 5 << 10**4 and eval_term(term, None, [], [5]).bit_length() == 10003
 
 
 def test_bound_synthesis_on_a_20000_level_composition_chain():
