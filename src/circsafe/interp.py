@@ -18,8 +18,8 @@ host's oracles.  A chain of ``s0``/``s1``/``p`` compiles to one prefix
 edit, ``srec`` runs as a loop over the prefixes of its recursion
 argument, so neither recurses once per chain link or input bit.  When
 both steps are edits of the recursion value or constants, the edits
-fold over the argument's digits in linear time (``_edit_fold``: one
-``str.translate`` when every edit appends), not one Python step a bit.
+fold over the argument's digits (``_edit_fold``), in linear time when
+every edit appends (one ``str.translate``) or both steps are constants.
 A program function that recurses on notation, ``cond(x0, g, B0, B1)``
 with a branch that edits a self-call at ``p(x0)`` (``_notation_loop``),
 runs as one loop with the same fold; fuel, steps and depth are charged
@@ -896,7 +896,6 @@ def _srec_edits(g, e0: tuple, e1: tuple):
 
 
 _SHORT = 4  # digit strings up to this long fold one digit at a time
-_BASE32 = "0123456789abcdefghijklmnopqrstuv"
 
 
 @functools.lru_cache(maxsize=256)
@@ -905,42 +904,27 @@ def _edit_fold(e0: Optional[tuple], e1: Optional[tuple]):
     each digit of the string ``digits`` in turn, ``e0`` for "0" and
     ``e1`` for "1" (None for a digit that never occurs); an edit that
     does not keep its value gives the constant c.  Built once per pair
-    of edits, tables included.
+    of edits, its table included.
 
-    Past ``_SHORT`` digits, a constant forgets what came before its last
-    occurrence, and when every edit left appends (r = 0) the fold is
-    ``v << K | C`` in linear time: C is one ``str.translate`` of the
-    digits, into base-2**k digits when both appends have one width k of
-    1 to 5, else into k binary digits each.  Otherwise one Python step a
-    digit, as on short strings."""
+    Past ``_SHORT`` digits, when both edits are constants the value is
+    the last digit's, and when every edit appends (r = 0) the fold is
+    ``v << K | C`` in linear time, C one ``str.translate`` of the digits
+    into k binary digits each.  Otherwise one Python step a digit, as
+    on short strings."""
     edits = {"0": e0, "1": e1}
-    consts = [d for d, e in edits.items() if e and not e[3]]
-    shifts = [d for d, e in edits.items() if e and e[3] and e[0]]
-    appends = {d: e for d, e in edits.items() if e and e[3] and not e[0]}
-    widths = {e[1] for e in appends.values()}
-    width = widths.pop() if len(widths) == 1 else 0
-    if 0 < width <= 5:
-        table, base = str.maketrans({d: _BASE32[e[2]] for d, e in appends.items()}), 1 << width
-    else:
-        binary = {d: format(e[2], f"0{e[1]}b") if e[1] else "" for d, e in appends.items()}
-        table, base, width = str.maketrans(binary), 2, 1
-
-    last = len(consts) == 2  # the value is the last digit's constant
-    const = consts[0] if len(consts) == 1 else None
-    shift = shifts[0] if len(shifts) == 1 else None
-    fast = len(shifts) < 2
+    present = {d: e for d, e in edits.items() if e}
+    last = len(present) == 2 and not (e0[3] or e1[3])  # the value is the last digit's constant
+    table = None
+    if all(e[3] and not e[0] for e in present.values()):
+        table = str.maketrans({d: format(e[2], f"0{e[1]}b") if e[1] else "" for d, e in present.items()})
 
     def fold(v, digits):
-        if len(digits) > _SHORT and fast:
+        if len(digits) > _SHORT:
             if last:
                 return edits[digits[-1]][2]
-            if const is not None:
-                i = digits.rfind(const)
-                if i >= 0:
-                    v, digits = edits[const][2], digits[i + 1 :]
-            if shift is None or shift not in digits:
+            if table is not None:
                 t = digits.translate(table)
-                return v << width * len(t) | int(t, base) if t else v
+                return v << len(t) | int(t, 2) if t else v
         for d in digits:
             r, k, c, keep = e1 if d == "1" else e0
             if not keep:
@@ -1198,10 +1182,9 @@ def _notation_loop(name: str, fn: PPFunction, body, code: _ProgramCode):
     (which takes ``g`` or the other branch, its calls going to the
     machine as requests), and folds the k edits on the way out
     (``_edit_fold``).  With less than k fuel left it runs ``body``."""
-    t = fn.body
-    if not (isinstance(t, Cond) and isinstance(t.w, Proj) and t.w.sort == "n" and t.w.index == 0):
+    t, m, n = fn.body, fn.normals, fn.safes
+    if not (isinstance(t, Cond) and isinstance(t.w, Proj) and t.w.sort == "n" and t.w.index == 0 < m):
         return None
-    m, n = fn.normals, fn.safes
     steps = []
     for branch in (t.y, t.z):
         call, r, k, c = _chain(branch)

@@ -21,7 +21,8 @@ from circsafe.compilealg import nb_to_circular
 from circsafe.corpus import proof, term_corpus
 from circsafe.formats import parse_terms
 from circsafe.interp import (
-    Call, Cond, EvalConfig, OracleDef, OracleEnv, PPFunction, PPProgram, Pred, Proj, S0, S1, SRecN, Zero, eval_term,
+    Call, Cond, EvalConfig, EvalError, OracleDef, OracleEnv, PPFunction, PPProgram, Pred, Proj, S0, S1, SRecN, Zero,
+    eval_pp, eval_term,
 )
 from circsafe.translate import translate
 
@@ -127,6 +128,17 @@ NEAR_MISSES = {
         "fn f(1;1) = cond(x0,h(x0;y0),s1(s1(@f(p(x0);y0))),p(l(x0;y0)))\n"
         "fn l(1;1) = cond(x0,y0,p(@l(p(x0);y0)),s1(@l(p(x0);y0)))", 1, {"f", "l"}),
 }
+
+
+def test_a_condition_on_a_missing_normal_raises_as_the_request_machine_does():
+    # no normals, so x0 is out of range: the shape of a recursion on
+    # notation, but the body raises where it reads x0
+    prog = parse_terms("program near guard strict\nfn f(0;1) = cond(x0,y0,s0(f(;y0)),y0)\n").programs["near"]
+    for cfg in (EvalConfig(), EvalConfig(guard_mode="strict")):
+        for ys in ([0], [5]):
+            with pytest.raises(EvalError, match="projection n0 out of range"):
+                eval_pp(prog, "f", None, [], ys, cfg)
+    assert "f" in prog._code.bodies and _loops(prog) == set()
 
 
 @pytest.mark.parametrize("name", sorted(NEAR_MISSES))
