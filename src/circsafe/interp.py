@@ -2,7 +2,12 @@
 
 Proof graphs are run as equational programs on an explicit work stack
 (cycles unfold lazily, a fuel budget bounds the number of rule-step
-expansions).  Terms are a two-sorted function algebra with oracles and
+expansions).  A boxed conditional whose digit branches re-enter it at
+``x >> 1`` (``_notation_companion``) runs its levels as one loop: fuel
+and steps are charged per node as before, the way down at once, and the
+edits fold on the way out (``_edit_fold``), or return one level at a
+time where the way back keeps memo entries.  Terms are a two-sorted
+function algebra with oracles and
 the recursion schemes on notation and on permutations of prefixes;
 programs over the prefix-permutation order add guarded calls between
 named functions.  Memo entries are kept only where a run can read them.
@@ -159,7 +164,7 @@ def eval_proof(
     Each expansion of a node at some inputs costs one unit of fuel and
     counts one step, a memo hit included.  With memoization on, the run
     keeps memo entries only at the nodes of ``_repeatable``, fixed before
-    the first expansion and kept with the graph (``_kept_repeatable``),
+    the first expansion and kept with the graph (``_kept``),
     under ``_long_key``s: a run with an entry at
     every node finds its hits only there if it returns.  So a run that
     returns has that run's value, steps, fuel, memo hits and
@@ -169,6 +174,16 @@ def eval_proof(
     expanding another node.  Successor steps with no other continuation
     between them share one frame, which returns ``v << count | bits`` at
     once.
+
+    A condB companion whose digit branches re-enter it at ``x >> 1``
+    (``_Loop``) descends k >= ``_FEW`` levels at once when fuel covers
+    the way down: it charges their expansions and leaves one frame.  On
+    the way back, when no node there keeps memo entries and fuel covers
+    it, the k levels' edits fold in one ``_edit_fold``; otherwise the
+    levels return one at a time, innermost first, with each expansion's
+    fuel and memo lookup as the frames of a stepwise descent would take
+    them.  Values, steps, memo keys and the node that fuel refuses stay
+    those of a run one expansion at a time.
 
     Raises EvalError on an unknown node, on inputs of the wrong arity
     and on a negative input, as ``eval_pp`` does.
@@ -189,7 +204,8 @@ def eval_proof(
     nodes = graph.nodes
     fuel = cfg.fuel
     memo: Optional[dict] = {} if cfg.memo else None
-    repeat = _kept_repeatable(graph, nid) if cfg.memo else ()  # nodes that keep memo entries
+    # nodes that keep memo entries, and the notation companions met so far
+    repeat, loops = _kept(graph, nid) if cfg.memo else ((), None)
     keyed = 0  # expansions that looked up an entry
     work: list = []  # continuations, innermost last
     try:
@@ -213,8 +229,21 @@ def eval_proof(
                     x0 = xs[0]
                     if x0 == 0:
                         n, xs = pr[0], xs[1:]
-                    else:
-                        n, xs = pr[1 + (x0 & 1)], (x0 >> 1,) + xs[1:]
+                        continue
+                    if x0 >= _FEW_X:  # perhaps _FEW levels or more to descend at once
+                        if loops is None:
+                            loops = _kept(graph, None)[1]
+                        loop = loops.get(n)
+                        if loop is None:  # False: not a notation companion
+                            loop = loops[n] = _notation_companion(nodes, n, repeat) or False
+                        if loop and x0 & loop.mask == loop.low and len(xs) == loop.boxed and len(ys) == loop.plain:
+                            k, down, back = loop.levels(x0)
+                            if down <= fuel:
+                                fuel -= down
+                                work.append((_LOOP, loop, x0, k, back, xs[1:], ys))
+                                xs = (x0 >> k,) + xs[1:]
+                                continue
+                    n, xs = pr[1 + (x0 & 1)], (x0 >> 1,) + xs[1:]
                     continue
                 if kind is _R_COND_N:
                     w = ys[-1]
@@ -285,6 +314,16 @@ def eval_proof(
                     v = v << frame[2] | frame[1]
                 elif op is _STORE:
                     frame[1][0] = v
+                elif op is _LOOP:
+                    _, loop, x, k, back, rest, ys0 = frame
+                    if back <= fuel and not loop.keyed:
+                        fuel -= back
+                        v = loop.fold(v, loop.digits(x, k))
+                    else:
+                        v, fuel, lookups, refused = loop.unwind(v, x, k, rest, ys0, fuel, memo)
+                        keyed += lookups
+                        if refused is not None:
+                            raise FuelExhausted(f"fuel exhausted while expanding {refused}")
                 else:
                     _, n, xs, ys = frame
                     if op is _R_CUT_N:
@@ -303,9 +342,13 @@ def eval_proof(
 
 
 # continuation frames of eval_proof: a cut's (kind, right premise, xs,
-# ys), a memo cell's (_STORE, cell), and a run of successors'
-# [_SUCC, bits, count], which returns v << count | bits
-_SUCC, _STORE = "succ", "store"
+# ys), a memo cell's (_STORE, cell), a run of successors'
+# [_SUCC, bits, count], which returns v << count | bits, and a notation
+# companion's (_LOOP, loop, x, k, back, rest, ys) for the k levels that
+# descended at once from (x,) + rest, whose ways back take back expansions
+_SUCC, _STORE, _LOOP = "succ", "store", "loop"
+_FEW = 3  # levels below which a notation companion descends one at a time
+_FEW_X = 1 << _FEW - 1  # the least x with _FEW digits
 
 
 def _long_key(n: str, xs: tuple, ys: tuple) -> tuple:
@@ -322,20 +365,216 @@ def _long_key(n: str, xs: tuple, ys: tuple) -> tuple:
     return n, xs, ys, lx, ly
 
 
-def _kept_repeatable(graph: ProofGraph, nid: str) -> frozenset:
-    """``_repeatable(graph, nid)``, computed once per start node and kept
-    on the graph.  ``graph.nodes`` is a mutable dict, so the kept sets
-    are served only while ``graph.root`` and ``graph.nodes`` are what
-    they were when the first set was computed: the same or equal
-    ``Node`` objects under the same ids.  Any change drops them all."""
+def _kept(graph: ProofGraph, nid: Optional[str]) -> tuple[frozenset, dict]:
+    """What runs of ``graph`` from ``nid`` with memoization (None: runs
+    without) derive from the graph: the nodes that keep memo entries,
+    ``_repeatable(graph, nid)`` (none without memo), and a dict that the
+    runs fill as they first reach a condB node with levels to descend,
+    with its ``_notation_companion`` or False.  Kept on the graph, in
+    ``graph._memo_nodes = (root, nodes, {nid: (repeat, loops)})``.
+    ``graph.nodes`` is a mutable dict, so they are served only while
+    ``graph.root`` and ``graph.nodes`` are what they were when the first
+    was computed: the same or equal ``Node`` objects under the same ids.
+    Any change drops them all."""
     kept = graph._memo_nodes
     if kept is None or kept[0] != graph.root or kept[1] != graph.nodes:
         kept = graph._memo_nodes = (graph.root, dict(graph.nodes), {})
-    sets = kept[2]
-    repeat = sets.get(nid)
-    if repeat is None:
-        repeat = sets[nid] = _repeatable(graph, nid)
-    return repeat
+    runs = kept[2]
+    run = runs.get(nid)
+    if run is None:
+        run = runs[nid] = (frozenset() if nid is None else _repeatable(graph, nid)), {}
+    return run
+
+
+class _Loop:
+    """A condB node ``c`` whose digit branches re-enter it at ``x >> 1``
+    (``_notation_companion``), as ``eval_proof`` runs it: k levels
+    descend at once, and their returns fold into one ``_edit_fold`` or,
+    where the way back keeps memo entries or fuel may run out on it, run
+    one level at a time (``unwind``).
+
+    Per digit d (0 where d's branch does not recurse): ``down[d]``
+    expansions from the branch to c and ``back[d]`` on a level's way
+    back; ``path[d]`` that way back, None for a chain of successors,
+    else ``(node, kept, xs, ys, digit)`` per node: whether it keeps memo
+    entries, the slices of the cut's normals and safes (its value last)
+    that its key holds, and the digit it writes if it is a successor;
+    ``succ[d]`` the ``(bits, count)`` that the level's successors write;
+    ``xs_used[d]``: a kept node on the way back sees the level's first
+    normal.  ``keyed``: some node on a way back keeps memo entries.
+    ``boxed`` and ``plain`` are c's input counts, which the way back was
+    worked out for."""
+
+    __slots__ = ("both", "odd", "mask", "low", "boxed", "plain", "down", "back", "path", "succ", "xs_used",
+                 "keyed", "fold")
+
+    def __init__(self, branches: list, boxed: int, plain: int) -> None:
+        self.both = None not in branches
+        self.odd = int(branches[1] is not None)
+        self.mask = 0 if self.both else (1 << _FEW) - 1  # x & mask == low: _FEW levels or more from x
+        self.low = self.mask if self.odd else 0
+        self.boxed, self.plain = boxed, plain
+        self.down, self.back, self.path, self.succ, self.xs_used = zip(
+            *(b or (0, 0, None, None, False) for b in branches))
+        self.keyed = any(p and any(step[1] for step in p) for p in self.path)
+        self.fold = _edit_fold(*(b and (0, b[3][1], b[3][0], True) for b in branches))
+
+    def levels(self, x: int) -> tuple[int, int, int]:
+        """``(k, down, back)``: the k levels from ``x > 0`` down that
+        re-enter c (every digit when both branches recurse, else the
+        trailing run of the recursing digit), the expansions after c at
+        x down to c at ``x >> k``, and those of the levels' ways back."""
+        if self.both:
+            k = x.bit_length()
+            ones = x.bit_count()
+        else:
+            k = ((x ^ (x + 1)) if self.odd else (x & -x)).bit_length() - 1
+            ones = k * self.odd
+        down, back = self.down, self.back
+        return k, k - 1 + (k - ones) * down[0] + ones * down[1], (k - ones) * back[0] + ones * back[1]
+
+    def digits(self, x: int, k: int) -> str:
+        """The digits of the k levels from x, innermost level first."""
+        return format(x, "b") if self.both else "01"[self.odd] * k
+
+    def unwind(self, v: int, x: int, k: int, rest: tuple, ys: tuple, fuel: int, memo: Optional[dict]):
+        """Return ``v`` through the k levels that descended from ``(x,) +
+        rest`` and ``ys``, innermost first, as ``eval_proof``'s frames
+        would: fuel per expansion, and at each kept node the memo lookup
+        under the same ``_long_key``, a hit ending its level's way back.
+        Gives ``(v, fuel, lookups, node)``, with the node that fuel
+        refused, or None."""
+        lookups = 0
+        paths, succ, xs_used = self.path, self.succ, self.xs_used
+        fixed = (None,) + rest  # the cut's normals, where no key holds the first
+        for i, d in enumerate(self.digits(x, k)):
+            d = d == "1"
+            path = paths[d]
+            if path is None:  # successors back to c write on the way out, with no expansion
+                bits, count = succ[d]
+                v = v << count | bits
+                continue
+            xs = (x >> (k - i),) + rest if xs_used[d] else fixed
+            vs = ys + (v,)
+            pending = []  # memo cells to fill and digits to write, innermost last
+            for n, kept, xsl, ysl, digit in path:
+                fuel -= 1
+                if fuel < 0:
+                    return v, fuel, lookups, n
+                if kept:
+                    lookups += 1
+                    kx, ky = xs[xsl], vs[ysl]
+                    lx = ly = 0  # as _long_key sums them
+                    for a in kx:
+                        lx += a.bit_length()
+                    for a in ky:
+                        ly += a.bit_length()
+                    cell = memo.setdefault((n, kx, ky, lx, ly), [None])
+                    if cell[0] is not None:
+                        v = cell[0]
+                        break
+                    pending.append(cell)
+                if digit is not None:
+                    pending.append(digit)
+            for p in reversed(pending):  # with no hit, the id returned v itself
+                if p.__class__ is int:
+                    v = v << 1 | p
+                else:
+                    p[0] = v
+        return v, fuel, lookups, None
+
+
+def _notation_companion(nodes: dict, c: str, repeat) -> Optional[_Loop]:
+    """The ``_Loop`` of the condB node ``c``, or None where no digit
+    branch re-enters it.  A branch re-enters c when it is a chain of
+    successors back to c, or a ``cutN`` whose left premise is c and whose
+    right premise runs through weakenings, exchanges and successors to an
+    id that returns the cut's value.  No node on the way down may keep
+    memo entries (nor c), and a walk stops on a node it has seen."""
+    nd = nodes[c]
+    pr = nd.premises
+    if c in repeat or len(pr) < 3:
+        return None
+    seq = nd.sequent
+    branches = [_branch(nodes, c, b, seq.boxed, seq.plain, repeat) for b in pr[1:3]]
+    if branches == [None, None]:
+        return None
+    return _Loop(branches, seq.boxed, seq.plain)
+
+
+def _branch(nodes: dict, c: str, b: str, boxed: int, plain: int, repeat) -> Optional[tuple]:
+    """``(down, back, path, (bits, count), xs_used)`` of the branch ``b``
+    of ``c`` (``_Loop``), or None.  The way back is walked on stand-ins
+    for c's ``boxed`` and ``plain`` inputs, with the same tuple
+    operations as ``eval_proof``, so it holds for any run whose inputs at
+    c have those counts; each kept node's key must hold a slice of the
+    cut's inputs, in order."""
+    bits = count = 0
+    seen: set = set()
+    nd = nodes.get(b)
+    if nd is not None and nd.rule.kind is _R_CUT_N and len(nd.premises) > 1 and nd.premises[0] == c:
+        if b in repeat:
+            return None
+        n, path, xs_used = nd.premises[1], [], False
+        xs, ys = tuple(range(boxed)), tuple(range(plain + 1))  # the cut's inputs by place; plain: its value
+        while True:
+            nd = nodes.get(n)
+            if nd is None or n in seen:
+                return None
+            seen.add(n)
+            kind, pr, pos = nd.rule.kind, nd.premises, nd.rule.pos
+            kept = n in repeat
+            if kept:
+                xsl, ysl = _slice(xs), _slice(ys)
+                if xsl is None or ysl is None:
+                    return None
+                xs_used = xs_used or 0 in xs
+            digit = int(kind is _R_S1) if kind is _R_S0 or kind is _R_S1 else None
+            path.append((n, kept, xsl if kept else None, ysl if kept else None, digit))
+            if kind is _R_ID:
+                if ys[:1] != (plain,):
+                    return None
+                return 1, len(path), tuple(path), (bits, count), xs_used
+            if not pr:
+                return None
+            if digit is not None:
+                bits |= digit << count
+                count += 1
+            elif kind is _R_WEAK_N:
+                ys = ys[:-1]
+            elif kind is _R_WEAK_B:
+                xs = xs[1:]
+            elif kind is _R_EXCH_N or kind is _R_EXCH_B:
+                try:
+                    if kind is _R_EXCH_N:
+                        ys = ys[:pos] + (ys[pos + 1], ys[pos]) + ys[pos + 2 :]
+                    else:
+                        xs = xs[:pos] + (xs[pos + 1], xs[pos]) + xs[pos + 2 :]
+                except (IndexError, TypeError):
+                    return None
+            else:
+                return None
+            n = pr[0]
+    n = b
+    while n != c:
+        nd = nodes.get(n)
+        if nd is None or n in seen or n in repeat or not nd.premises:
+            return None
+        kind = nd.rule.kind
+        if not (kind is _R_S0 or kind is _R_S1):
+            return None
+        seen.add(n)
+        bits |= (kind is _R_S1) << count
+        count += 1
+        n = nd.premises[0]
+    return count, 0, None, (bits, count), False
+
+
+def _slice(places: tuple) -> Optional[slice]:
+    """The slice that picks ``places`` out of a tuple, if they are a run
+    of consecutive places in order; else None."""
+    start = places[0] if places else 0
+    return slice(start, start + len(places)) if places == tuple(range(start, start + len(places))) else None
 
 
 def _repeatable(graph: ProofGraph, nid: str) -> frozenset:

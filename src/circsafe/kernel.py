@@ -224,8 +224,9 @@ class Node:
 class ProofGraph:
     """Finite rooted labelled graph of inference steps; cycles allowed.
 
-    ``eval_proof`` keeps its memo node sets here, for as long as ``root``
-    and ``nodes`` stay as they were (``interp._kept_repeatable``).
+    ``eval_proof`` keeps its memo node sets and notation companions
+    here, for as long as ``root`` and ``nodes`` stay as they were
+    (``interp._kept``).
     """
 
     name: str

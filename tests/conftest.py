@@ -215,13 +215,27 @@ def ref_proof_stats(graph: ProofGraph, normals, safes, memo: bool = True, fuel=N
     root.  Past ``fuel`` steps the value is None and the counts are those
     when the next step would have begun.  Oracle leaves call the functions
     that ``oracles`` (an ``OracleEnv``) names."""
+    return _ref_proof_run(graph, normals, safes, memo, fuel, oracles)[:4]
+
+
+def ref_proof_outcome(graph: ProofGraph, normals, safes, memo: bool = True, fuel=None) -> tuple:
+    """(value, steps, memo keys begun) as ``ref_proof_stats`` gives them,
+    with the text of the ``FuelExhausted`` that ``interp.eval_proof``
+    raises in place of the value when fuel runs out: it names the node
+    whose step would have begun."""
+    value, steps, keys, _, refused = _ref_proof_run(graph, normals, safes, memo, fuel, None)
+    return (f"fuel exhausted while expanding {refused}" if refused is not None else value), steps, keys
+
+
+def _ref_proof_run(graph: ProofGraph, normals, safes, memo: bool, fuel, oracles) -> tuple:
+    """``ref_proof_stats``'s counts and the node whose step fuel refused, or None."""
     table: dict = {}
     begun: set = set()
     count = {"steps": 0, "hits": 0}
 
     def ev(n, xs, ys):
         if count["steps"] == fuel:
-            raise _OutOfFuel
+            raise _OutOfFuel(n)
         count["steps"] += 1
         key = (n, xs, ys)
         if memo:
@@ -275,10 +289,10 @@ def ref_proof_stats(graph: ProofGraph, normals, safes, memo: bool = True, fuel=N
         return v
 
     try:
-        value = ev(graph.root, tuple(normals), tuple(safes))
-    except _OutOfFuel:
-        value = None
-    return value, count["steps"], len(begun), count["hits"]
+        value, refused = ev(graph.root, tuple(normals), tuple(safes)), None
+    except _OutOfFuel as out:
+        value, refused = None, out.args[0]
+    return value, count["steps"], len(begun), count["hits"], refused
 
 
 class _OutOfFuel(Exception):

@@ -485,7 +485,9 @@ def test_repeatable_on_the_corpus(proofs):
 def test_memo_sets_are_kept_with_the_graph(monkeypatch):
     """``eval_proof`` computes a start node's memo set once and keeps it on
     the graph while its root and nodes stay the same (equal nodes count
-    as the same); a changed node map or root drops the kept sets."""
+    as the same); a changed node map or root drops the kept sets.  Beside
+    each set it keeps the notation companions that runs from that start
+    node reached, and runs without memo keep theirs under None."""
     from dataclasses import replace
 
     from circsafe import interp
@@ -507,7 +509,13 @@ def test_memo_sets_are_kept_with_the_graph(monkeypatch):
     assert eval_proof(g, "n0", [9], []) == 10 and computed == ["n0", "n1", "n0"]
     g.root = "n1"
     assert eval_proof(g, "n0", [9], []) == 10 and computed == ["n0", "n1", "n0", "n0"]
-    assert g._memo_nodes[2] == {"n0": real(g, "n0")}
+    assert g._memo_nodes[2].keys() == {"n0"}
+    repeat, loops = g._memo_nodes[2]["n0"]
+    assert repeat == real(g, "n0") and loops.keys() == {"n0"} and loops["n0"].odd == 1
+    assert eval_proof(g, "n0", [3], [], EvalConfig(memo=False)) == 4  # no levels to descend: nothing worked out
+    assert eval_proof(g, "n0", [2**9 - 1], [], EvalConfig(memo=False)) == 2**9
+    assert g._memo_nodes[2].keys() == {"n0", None} and g._memo_nodes[2][None][1].keys() == {"n0"}
+    assert computed == ["n0", "n1", "n0", "n0"]
 
 
 def test_repeatable_takes_linear_memory():
