@@ -6,7 +6,10 @@ expansions).  A boxed conditional whose digit branches re-enter it at
 ``x >> 1`` (``_notation_companion``) runs its levels as one loop: fuel
 and steps are charged per node as before, the way down at once, and the
 edits fold on the way out (``_edit_fold``), or return one level at a
-time where the way back keeps memo entries.  Terms are a two-sorted
+time where the way back keeps memo entries.  A run from the companion
+keeps none on a way back whose keys grow with every level
+(``_growing``), so S and L fold; P keeps the entry its runs hit.
+Terms are a two-sorted
 function algebra with oracles and
 the recursion schemes on notation and on permutations of prefixes;
 programs over the prefix-permutation order add guarded calls between
@@ -179,10 +182,11 @@ def eval_proof(
     (``_Loop``) descends k >= ``_FEW`` levels at once when fuel covers
     the way down: it charges their expansions and leaves one frame.  On
     the way back, when no node there keeps memo entries and fuel covers
-    it, the k levels' edits fold in one ``_edit_fold``; otherwise the
-    levels return one at a time, innermost first, with each expansion's
-    fuel and memo lookup as the frames of a stepwise descent would take
-    them.  Values, steps, memo keys and the node that fuel refuses stay
+    it, the k levels' edits fold in one ``_edit_fold``: so C, and S and
+    L from their roots, whose ways back keep none (``_growing``);
+    otherwise the levels return one at a time, innermost first, with
+    each expansion's fuel and memo lookup as the frames of a stepwise
+    descent would take them: so P, which keeps ``p7``.  Values, steps, memo keys and the node that fuel refuses stay
     those of a run one expansion at a time.
 
     Raises EvalError on an unknown node, on inputs of the wrong arity
@@ -391,7 +395,9 @@ class _Loop:
     (``_notation_companion``), as ``eval_proof`` runs it: k levels
     descend at once, and their returns fold into one ``_edit_fold`` or,
     where the way back keeps memo entries or fuel may run out on it, run
-    one level at a time (``unwind``).
+    one level at a time (``unwind``).  A run from ``c`` keeps no entry
+    on a way back whose keys grow with every level (``_growing``): C,
+    S and L fold, and P unwinds, as its runs hit ``p7``.
 
     Per digit d (0 where d's branch does not recurse): ``down[d]``
     expansions from the branch to c and ``back[d]`` on a level's way
@@ -594,6 +600,9 @@ def _repeatable(graph: ProofGraph, nid: str) -> frozenset:
     a hit at a node with one such way in means its parent missed at
     inputs it had expanded before: that expansion finished, and then the
     parent would have hit, or it encloses this one, which never returns.
+
+    When ``nid`` is a notation companion, the nodes on its ways back
+    whose keys no run repeats (``_growing``) keep no entries either.
     """
     nodes = graph.nodes
     adj = {n: nd.premises for n, nd in nodes.items()}
@@ -610,7 +619,73 @@ def _repeatable(graph: ProofGraph, nid: str) -> frozenset:
         step = 2 if kind is _R_WEAK_N or kind is _R_WEAK_B else 1
         for p in pr:
             ways[p] = ways.get(p, 0) + step
-    return frozenset(n for n in _reach(adj, seconds) & nodes.keys() if ways[n] > 1)
+    kept = frozenset(n for n in _reach(adj, seconds) & nodes.keys() if ways[n] > 1)
+    return kept - _growing(nodes, adj, nid) if kept and nodes[nid].rule.kind is _R_COND_B else kept
+
+
+def _growing(nodes: dict, adj: dict, c: str) -> frozenset:
+    """Nodes on the ways back of the condB node ``c`` (``_branch``) whose
+    keys no run from ``c`` repeats, so that they need no memo entries.
+
+    Every recursing branch must be a cut whose way back appends a digit.
+    A run expands a node p on a way back once at each level whose way
+    back passes it, with the value w that ``c`` returned at the level
+    below at the place in its key that the id below p returns, and
+    otherwise only below the one base it takes at the innermost level
+    (premise 0, or a digit branch that does not recurse).  The w's
+    strictly grow when every recursing branch's digits hold a 1, or when
+    every base's value is positive: a spine below it (cuts' right
+    premises, box, weakening, exchange and successor rules) holds an
+    ``s1``.
+
+    A base that reaches p must reach it on its spine, each node down to
+    p entered only by the spine's edge from the nodes the base reaches.
+    The base then expands p once, at a key that holds some u where the
+    levels' keys hold w, and its spine must hold an ``s1``: the base's
+    value, which every w is at least, is u edited, an ``s1`` among the
+    edits, so it exceeds u.  A base that reaches ``c`` again reaches
+    every way back through ``c`` and a cut, which no spine passes, so
+    they all keep their entries; otherwise the levels lie on one chain
+    ``x, x >> 1, ...``.  A run of P at a power of two hits ``p7``, which
+    its base reaches through an ``s0`` only, so ``p7`` keeps its entries."""
+    nd = nodes[c]
+    pr = nd.premises
+    if len(pr) != 3:
+        return frozenset()
+    seq = nd.sequent
+    cuts = {b: _branch(nodes, c, b, seq.boxed, seq.plain, ()) for b in set(pr[1:])}
+    cuts = {b: shape for b, shape in cuts.items() if shape is not None}
+    if not cuts or any(path is None or count == 0 for _, _, path, (_, count), _ in cuts.values()):
+        return frozenset()
+    spines = []  # per base: the nodes it reaches, those its one expansion expands once, an s1 on its spine
+    for r in {pr[0]} | {b for b in pr[1:] if b not in cuts}:
+        reach = _reach(adj, (r,)) & nodes.keys()
+        ways: dict = {}  # ways into each node from the nodes r reaches
+        for n in reach:
+            for q in adj[n]:
+                ways[q] = ways.get(q, 0) + 1
+        seen, once, single, s1, n = set(), set(), True, False, r
+        while n in nodes and n not in seen:
+            seen.add(n)
+            single = single and ways.get(n, 0) == (n != r)  # so far each entered by the spine's edge alone
+            if single:
+                once.add(n)
+            kind = nodes[n].rule.kind
+            s1 = s1 or kind is _R_S1
+            at = 1 if kind is _R_CUT_N or kind is _R_CUT_B else 0
+            if kind not in _FLOW or len(adj[n]) <= at:
+                break
+            n = adj[n][at]
+        spines.append((reach, once, s1))
+    if not (all(bits for _, _, _, (bits, _), _ in cuts.values()) or all(s1 for _, _, s1 in spines)):
+        return frozenset()
+    return frozenset(
+        p for _, _, path, _, _ in cuts.values() for p, *_ in path
+        if all(p in once and s1 for reach, once, s1 in spines if p in reach))
+
+
+# the rules whose value is an edit of one premise's: a cut's right premise, else the first
+_FLOW = frozenset({_R_CUT_N, _R_CUT_B, _R_S0, _R_S1, _R_WEAK_N, _R_WEAK_B, _R_EXCH_N, _R_EXCH_B, _R_BOX_L, _R_BOX_R})
 
 
 # ---------------------------------------------------------------------------

@@ -12,15 +12,17 @@ taken for a loop, one expansion at a time.
 """
 
 import random
+import tracemalloc
 
 import pytest
 
-from conftest import loop_graph, ref_proof_outcome
+from conftest import loop_graph, ref_proof_outcome, ref_proof_stats
 
 from circsafe.compilealg import nb_to_circular
 from circsafe.corpus import proof, term_corpus
 from circsafe import interp
-from circsafe.interp import EvalConfig, EvalStats, FuelExhausted, _Loop, eval_proof
+from circsafe.formats import parse_proof
+from circsafe.interp import EvalConfig, EvalStats, FuelExhausted, _Loop, _repeatable, eval_proof
 from circsafe.kernel import Node, ProofGraph, Rule, RuleKind
 
 
@@ -58,6 +60,8 @@ def _graphs() -> dict:
     # and L with l6 as s0 keeps y = 0 at 0
     graphs["S_hits"] = _with(graphs["S"], "n3", RuleKind.S0)
     graphs["L_hits"] = _with(graphs["L"], "l6", RuleKind.S0)
+    # and a way back that grows all the same: L_hits with its base through an s1 into the way back's id
+    graphs["L_grows"] = _with(graphs["L_hits"], "l1", RuleKind.S1, ["l7"])
     return graphs
 
 
@@ -117,6 +121,117 @@ def test_the_way_back_hits_the_memo_level_by_level(name):
     on, off = _outcome(g, xs, ys, EvalConfig()), _outcome(g, xs, ys, EvalConfig(memo=False))
     assert on[0] == off[0] and on[1] < off[1], (on, off)
     assert on == ref_proof_outcome(g, xs, ys)
+
+
+# The memo policy on the ways back (``interp._growing``): a node there
+# keeps no entry when its keys provably never repeat, and the graphs
+# below mark the rule's edges.  "L_twice" enters L's companion from its
+# base too (at y > 0 the base runs L at 2h and then at 2h + 1, h = y >> 1,
+# safe 0), so the second run hits l4 at the key the first one stored;
+# the evaluator does not check the shapes that its base's cuts break.
+# "L_forgets" (l4 as wB, a mutant the fuzz sweep meets) drops the cut's
+# value, so its way back is no path to an id returning it.
+L_TWICE = parse_proof("""proof L_twice root l0
+node l0 : condB seq bN,N => N premises [t0,l2,l2]
+node t0 : condN seq N => N premises [t1,t2,t2]
+node t1 : zero seq  => N premises []
+node t2 : cutN seq N => N premises [t3,t4]
+node t3 : cutB seq N => N premises [t5,t7]
+node t4 : wN seq N,N => N premises [t6]
+node t5 : s0 seq N => N premises [t9]
+node t6 : cutB seq N => N premises [t8,t7]
+node t7 : wN seq bN,N => N premises [t10]
+node t8 : s1 seq N => N premises [t9]
+node t9 : id seq N => N premises []
+node t10 : cutN seq bN => N premises [t1,l0]
+node l2 : cutN seq bN,N => N premises [l0,l3]
+node l3 : wB seq bN,N,N => N premises [l4]
+node l4 : eN(0) seq N,N => N premises [l5]
+node l5 : wN seq N,N => N premises [l6]
+node l6 : s1 seq N => N premises [l7]
+node l7 : id seq N => N premises []
+""")
+KEPT = {  # graph: (nodes on a way back that keep entries, inputs whose memo-everywhere run hits the memo)
+    # P's base reaches p7 through s0 only: P(1) = 0, and the level above 1 looks p7 up at 0
+    "P": ({"p7"}, [([1 << j], []) for j in (1, 2, 5, 40)]),
+    # a recursing edit s0 with a base through s0 (S), or with a base that may return 0 (L)
+    "S_hits": ({"n7", "n8"}, [([2**j - 1], []) for j in (2, 5, 40)]),
+    "L_hits": ({"l4", "l6"}, [([2**j - 1], [0]) for j in (2, 5, 40)]),
+    # a way back with no successor keeps the base's value, positive as it is
+    "S_flat": ({"n8"}, [([2**j - 1], []) for j in (2, 5, 40)]),
+    # the even base expands n8 twice at one key, so its spine enters n8 twice
+    "S_base_twice": ({"n8"}, [([6], []), ([6 << 5 | 31], []), ([6 << 40 | 2**40 - 1], [])]),
+    "L_twice": ({"l4", "l6"}, [([x], [y]) for x in (0, 5, 2**20 - 1) for y in (1, 6)]),
+    "L_forgets": ({"l4"}, [([12], [2]), ([2**20 - 1], [3])]),
+}
+
+
+def _kept_graph(name: str) -> ProofGraph:
+    if name == "L_twice":
+        return L_TWICE
+    if name == "L_forgets":
+        return _with(proof("L"), "l4", RuleKind.WEAK_B)
+    if name == "S_flat":
+        return _with(proof("S"), "n6", premises=["n8"])
+    if name == "S_base_twice":  # S's even base: n3 at h, then n8 at h again under an s1
+        g = _with(proof("S"), "n4", premises=["n9"])
+        g.nodes.update(parse_proof("""proof more root n9
+node n9 : cutN seq N => N premises [n3,n10]
+node n10 : wN seq N,N => N premises [n11]
+node n11 : s1 seq N => N premises [n8]
+node n3 : s1 seq N => N premises [n8]
+node n8 : id seq N => N premises []
+""").nodes)
+        return g
+    return GRAPHS[name]
+
+
+def test_way_backs_that_only_grow_keep_no_entries():
+    """S and L keep no entry on their ways back, nor P at p4; S keeps n3,
+    which its bases share (``tests/test_fuzz.py`` pins the corpus sets).
+    Each equals the memo-everywhere reference, folding its way back."""
+    assert _repeatable(proof("S"), "n0") == {"n3"} and _repeatable(proof("L"), "l0") == frozenset()
+    assert "p4" not in _repeatable(proof("P"), "p0") and _repeatable(GRAPHS["L_grows"], "l0") == frozenset()
+    runs = (("S", [2**60 - 1], []), ("L", [2**60 - 1], [0]), ("L", [2**60 - 1], [5]), ("L_grows", [2**60 - 1], [0]),
+            ("P", [2**60], []))
+    for name, xs, ys in runs:
+        g = GRAPHS[name]
+        value, steps, keys, hits = ref_proof_stats(g, xs, ys)
+        assert hits == (name == "P") and _outcome(g, xs, ys, EvalConfig()) == (value, steps, keys), name
+
+
+@pytest.mark.parametrize("name", sorted(KEPT))
+def test_way_backs_that_may_repeat_keep_their_entries(name):
+    """Where the rule cannot show that keys never repeat, the nodes keep
+    their entries and the runs hit them, as the memo-everywhere
+    reference does, at fuel = steps, steps - 1 and steps // 2."""
+    g = _kept_graph(name)
+    want_kept, inputs = KEPT[name]
+    assert want_kept <= _repeatable(g, g.root), name
+    hits = 0
+    for xs, ys in inputs:
+        want = ref_proof_outcome(g, xs, ys)
+        steps = want[1]
+        assert _outcome(g, xs, ys, EvalConfig()) == want, (xs, ys)
+        for fuel in sorted({steps - 1, steps // 2} - {0}):
+            assert _outcome(g, xs, ys, EvalConfig(fuel=fuel)) == ref_proof_outcome(g, xs, ys, True, fuel), (xs, ys, fuel)
+        hits += ref_proof_stats(g, xs, ys)[3]
+    assert hits > 0
+
+
+def test_a_way_back_that_only_grows_folds_in_linear_memory():
+    """``eval_proof`` of S and L at 2**14 all-ones bits, memo on, peaks
+    below 1 MB in tracemalloc: no memo entry holds a level's value."""
+    x = 2 ** 2**14 - 1
+    for name, xs, ys in (("S", [x], []), ("L", [x], [x])):
+        g = proof(name)
+        tracemalloc.start()
+        try:
+            eval_proof(g, g.root, xs, ys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, (name, peak)
 
 
 def test_long_all_ones_inputs_charge_every_level():
