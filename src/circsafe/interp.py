@@ -186,8 +186,9 @@ def eval_proof(
     L from their roots, whose ways back keep none (``_growing``);
     otherwise the levels return one at a time, innermost first, with
     each expansion's fuel and memo lookup as the frames of a stepwise
-    descent would take them: so P, which keeps ``p7``.  Values, steps, memo keys and the node that fuel refuses stay
-    those of a run one expansion at a time.
+    descent would take them: so P, which keeps ``p7``.  Values, steps,
+    memo keys and the node that fuel refuses stay those of a run one
+    expansion at a time.
 
     Raises EvalError on an unknown node, on inputs of the wrong arity
     and on a negative input, as ``eval_pp`` does.

@@ -23,7 +23,7 @@ from circsafe.corpus import proof, term_corpus
 from circsafe import interp
 from circsafe.formats import parse_proof
 from circsafe.interp import EvalConfig, EvalStats, FuelExhausted, _Loop, _repeatable, eval_proof
-from circsafe.kernel import Node, ProofGraph, Rule, RuleKind
+from circsafe.kernel import Node, ProofGraph, Rule, RuleKind, Sequent
 
 
 def _outcome(g, xs, ys, cfg):
@@ -151,39 +151,28 @@ node l5 : wN seq N,N => N premises [l6]
 node l6 : s1 seq N => N premises [l7]
 node l7 : id seq N => N premises []
 """)
-KEPT = {  # graph: (nodes on a way back that keep entries, inputs whose memo-everywhere run hits the memo)
+def _s_base_twice() -> ProofGraph:
+    """S whose even base runs n3 at h, then n8 at h again under another s1."""
+    g = _with(proof("S"), "n4", premises=["n9"])
+    g.nodes["n9"] = Node(Rule(RuleKind.CUT_N), Sequent(0, 1), ("n3", "n10"))
+    g.nodes["n10"] = Node(Rule(RuleKind.WEAK_N), Sequent(0, 2), ("n11",))
+    g.nodes["n11"] = g.nodes["n3"]  # s1 over n8
+    return g
+
+
+KEPT = {  # graph, the nodes on its way back that keep entries, inputs whose memo-everywhere run hits the memo
     # P's base reaches p7 through s0 only: P(1) = 0, and the level above 1 looks p7 up at 0
-    "P": ({"p7"}, [([1 << j], []) for j in (1, 2, 5, 40)]),
+    "P": (GRAPHS["P"], {"p7"}, [([1 << j], []) for j in (1, 2, 5, 40)]),
     # a recursing edit s0 with a base through s0 (S), or with a base that may return 0 (L)
-    "S_hits": ({"n7", "n8"}, [([2**j - 1], []) for j in (2, 5, 40)]),
-    "L_hits": ({"l4", "l6"}, [([2**j - 1], [0]) for j in (2, 5, 40)]),
+    "S_hits": (GRAPHS["S_hits"], {"n7", "n8"}, [([2**j - 1], []) for j in (2, 5, 40)]),
+    "L_hits": (GRAPHS["L_hits"], {"l4", "l6"}, [([2**j - 1], [0]) for j in (2, 5, 40)]),
     # a way back with no successor keeps the base's value, positive as it is
-    "S_flat": ({"n8"}, [([2**j - 1], []) for j in (2, 5, 40)]),
-    # the even base expands n8 twice at one key, so its spine enters n8 twice
-    "S_base_twice": ({"n8"}, [([6], []), ([6 << 5 | 31], []), ([6 << 40 | 2**40 - 1], [])]),
-    "L_twice": ({"l4", "l6"}, [([x], [y]) for x in (0, 5, 2**20 - 1) for y in (1, 6)]),
-    "L_forgets": ({"l4"}, [([12], [2]), ([2**20 - 1], [3])]),
+    "S_flat": (_with(proof("S"), "n6", premises=["n8"]), {"n8"}, [([2**j - 1], []) for j in (2, 5, 40)]),
+    # the even base enters n8 twice, so not on a spine entered once
+    "S_base_twice": (_s_base_twice(), {"n8"}, [([6], []), ([6 << 5 | 31], []), ([6 << 40 | 2**40 - 1], [])]),
+    "L_twice": (L_TWICE, {"l4", "l6"}, [([x], [y]) for x in (0, 5, 2**20 - 1) for y in (1, 6)]),
+    "L_forgets": (_with(proof("L"), "l4", RuleKind.WEAK_B), {"l4"}, [([12], [2]), ([2**20 - 1], [3])]),
 }
-
-
-def _kept_graph(name: str) -> ProofGraph:
-    if name == "L_twice":
-        return L_TWICE
-    if name == "L_forgets":
-        return _with(proof("L"), "l4", RuleKind.WEAK_B)
-    if name == "S_flat":
-        return _with(proof("S"), "n6", premises=["n8"])
-    if name == "S_base_twice":  # S's even base: n3 at h, then n8 at h again under an s1
-        g = _with(proof("S"), "n4", premises=["n9"])
-        g.nodes.update(parse_proof("""proof more root n9
-node n9 : cutN seq N => N premises [n3,n10]
-node n10 : wN seq N,N => N premises [n11]
-node n11 : s1 seq N => N premises [n8]
-node n3 : s1 seq N => N premises [n8]
-node n8 : id seq N => N premises []
-""").nodes)
-        return g
-    return GRAPHS[name]
 
 
 def test_way_backs_that_only_grow_keep_no_entries():
@@ -205,8 +194,7 @@ def test_way_backs_that_may_repeat_keep_their_entries(name):
     """Where the rule cannot show that keys never repeat, the nodes keep
     their entries and the runs hit them, as the memo-everywhere
     reference does, at fuel = steps, steps - 1 and steps // 2."""
-    g = _kept_graph(name)
-    want_kept, inputs = KEPT[name]
+    g, want_kept, inputs = KEPT[name]
     assert want_kept <= _repeatable(g, g.root), name
     hits = 0
     for xs, ys in inputs:
