@@ -12,17 +12,17 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .kernel import (
-    _R_BOX_L, _R_COND_B, _R_COND_N, _R_CUT_B, _R_CUT_N, _R_WEAK_B, _R_WEAK_N, ProofGraph, sccs,
-    validate_graph,
+    _R_BOX_L, _R_COND_B, _R_COND_N, _R_CUT_B, _R_CUT_N, _R_WEAK_B, _R_WEAK_N, ProofGraph, has_cycle,
+    sccs, validate_graph,
 )
 
 
 Adjacency = dict[str, tuple[str, ...]]
 
 
-def _adjacency(graph: ProofGraph) -> Adjacency:
-    """Premise edges of the root-reachable part, in BFS order."""
-    return {n: graph.nodes[n].premises for n in graph.reachable()}
+def _adjacency(graph: ProofGraph, order: list[str]) -> Adjacency:
+    """Premise edges of the root-reachable part, in its BFS ``order``."""
+    return {n: graph.nodes[n].premises for n in order}
 
 
 def _cyclic(adj: Adjacency, comps: list[list[str]]) -> list[list[str]]:
@@ -84,13 +84,13 @@ class ProgressOutcome:
     witness_cycle: Optional[list[str]] = None
 
 
-# The checks below take the reachable adjacency and its components, so
-# classify computes them once for all three; the public wrappers that
-# follow compute them per call.
+# The checks below take the reachable adjacency and its (cyclic)
+# components, so classify computes them once for all three; the public
+# wrappers that follow compute them per call.
 
 
-def _safety(graph: ProofGraph, adj: Adjacency, comps: list[list[str]]) -> CheckOutcome:
-    for comp in _cyclic(adj, comps):
+def _safety(graph: ProofGraph, adj: Adjacency, cyclic: list[list[str]]) -> CheckOutcome:
+    for comp in cyclic:
         for nid in comp:
             if graph.nodes[nid].rule.kind is _R_CUT_B:
                 return CheckOutcome(False, _shortest_cycle_through(adj, comp, nid))
@@ -109,27 +109,30 @@ def _left_leaning(graph: ProofGraph, adj: Adjacency, comps: list[list[str]]) -> 
     return CheckOutcome(True)
 
 
-def _progress(graph: ProofGraph, adj: Adjacency, safety: CheckOutcome) -> ProgressOutcome:
+def _progress(graph: ProofGraph, adj: Adjacency, cyclic: list[list[str]], safety: CheckOutcome) -> ProgressOutcome:
+    """A cycle avoiding every condB lies inside a ``cyclic`` component,
+    so a peel of their other nodes decides; only then does a second
+    Tarjan pass, over the whole condB-free subgraph, pick the witness."""
     if not safety.ok:
         return ProgressOutcome("unknown_unsafe", safety.witness_cycle)
-    kept = {n for n in adj if graph.nodes[n].rule.kind is not _R_COND_B}
+    nodes = graph.nodes
+    if not has_cycle({n: adj[n] for comp in cyclic for n in comp if nodes[n].rule.kind is not _R_COND_B}):
+        return ProgressOutcome("progressing")
+    kept = {n for n in adj if nodes[n].rule.kind is not _R_COND_B}
     sub = {n: tuple(p for p in ps if p in kept) for n, ps in adj.items() if n in kept}
-    cyc = _cyclic(sub, sccs(sub))
-    if cyc:
-        comp = cyc[0]
-        return ProgressOutcome("not_progressing", _shortest_cycle_through(sub, comp, comp[0]))
-    return ProgressOutcome("progressing")
+    comp = _cyclic(sub, sccs(sub))[0]
+    return ProgressOutcome("not_progressing", _shortest_cycle_through(sub, comp, comp[0]))
 
 
 def check_safety(graph: ProofGraph) -> CheckOutcome:
     """Unsafe iff some reachable cycle passes a boxed-cut conclusion."""
-    adj = _adjacency(graph)
-    return _safety(graph, adj, sccs(adj))
+    adj = _adjacency(graph, graph.reachable())
+    return _safety(graph, adj, _cyclic(adj, sccs(adj)))
 
 
 def check_left_leaning(graph: ProofGraph) -> CheckOutcome:
     """Violated iff some cycle takes the right premise of a plain cut."""
-    adj = _adjacency(graph)
+    adj = _adjacency(graph, graph.reachable())
     return _left_leaning(graph, adj, sccs(adj))
 
 
@@ -139,8 +142,9 @@ def check_progressing_safe(graph: ProofGraph) -> ProgressOutcome:
     On unsafe graphs the cycle criterion is not equivalent to the
     thread condition, so the answer is unknown.
     """
-    adj = _adjacency(graph)
-    return _progress(graph, adj, _safety(graph, adj, sccs(adj)))
+    adj = _adjacency(graph, graph.reachable())
+    cyclic = _cyclic(adj, sccs(adj))
+    return _progress(graph, adj, cyclic, _safety(graph, adj, cyclic))
 
 
 @dataclass
@@ -153,6 +157,9 @@ class Classification:
     witness_cycle: Optional[list[str]]
     cls: str  # "CB" | "CNB" | "none"
     diagnostics: list[str] = field(default_factory=list)
+    # classify's BFS order of a valid graph, and whether it has a cycle
+    _order: Optional[list[str]] = field(default=None, init=False, repr=False, compare=False)
+    _cyclic: bool = field(default=False, init=False, repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -167,19 +174,23 @@ class Classification:
 
 
 def classify(graph: ProofGraph) -> Classification:
-    """Full classification into the circular systems."""
-    errors = validate_graph(graph)
+    """Full classification into the circular systems: one BFS serves
+    validation and the adjacency, one Tarjan pass all three checks.  The
+    result keeps the BFS order and whether a cycle exists."""
+    order = graph.reachable()
+    errors = validate_graph(graph, order=order)
     if errors:
         return Classification(
             graph.name, False, False, False, None, None, "none",
             [str(e) for e in errors],
         )
     diagnostics: list[str] = []
-    adj = _adjacency(graph)
+    adj = _adjacency(graph, order)
     comps = sccs(adj)
-    safety = _safety(graph, adj, comps)
+    cyclic = _cyclic(adj, comps)
+    safety = _safety(graph, adj, cyclic)
     leaning = _left_leaning(graph, adj, comps)
-    progress = _progress(graph, adj, safety)
+    progress = _progress(graph, adj, cyclic, safety)
     witness = None
     if not safety.ok:
         witness = safety.witness_cycle
@@ -207,9 +218,9 @@ def classify(graph: ProofGraph) -> Classification:
         cls = "CB" if leaning.ok else "CNB"
     else:
         cls = "none"
-    return Classification(
-        graph.name, True, safety.ok, leaning.ok, progressing, witness, cls, diagnostics
-    )
+    out = Classification(graph.name, True, safety.ok, leaning.ok, progressing, witness, cls, diagnostics)
+    out._order, out._cyclic = order, bool(cyclic)
+    return out
 
 
 # ---------------------------------------------------------------------------

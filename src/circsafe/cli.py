@@ -62,10 +62,10 @@ def _load_term(args: argparse.Namespace) -> TermDef:
     return doc.terms[args.name]
 
 
-def _invalid(graph: ProofGraph, **allow: bool) -> bool:
-    """Whether ``validate_graph(graph, **allow)`` finds an error; the
+def _invalid(graph: ProofGraph, **options) -> bool:
+    """Whether ``validate_graph(graph, **options)`` finds an error; the
     first one is printed."""
-    errors = validate_graph(graph, **allow)
+    errors = validate_graph(graph, **options)
     if errors:
         print(f"{graph.name}: invalid ({errors[0]})")
     return bool(errors)
@@ -163,9 +163,10 @@ def cmd_translate(args: argparse.Namespace) -> int:
 
 def cmd_cyclenf(args: argparse.Namespace) -> int:
     graph = _load_proof(args.file)
-    if _invalid(graph, allow_oracle=True):
+    order = graph.reachable()
+    if _invalid(graph, allow_oracle=True, order=order):
         return BAD_INPUT
-    cnf = _cycle_normal_form(graph)  # validated just above
+    cnf = _cycle_normal_form(graph, order)  # validated just above
     folded = cnf_to_graph(cnf)
     if args.dot:
         _write_out(args.dot, export_dot(folded))

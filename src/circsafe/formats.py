@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Container, NamedTuple, Optional
 
 from .kernel import Node, ProofGraph, Rule, RuleKind, Sequent, SType
 from .interp import (
@@ -36,7 +36,6 @@ from .interp import (
     TermDef,
     Zero,
     children,
-    map_terms,
 )
 
 
@@ -256,12 +255,13 @@ _PROJ = re.compile(r"[xy][0-9]+")
 
 
 class _Open:
-    """A form whose ')' is still to come; ``form`` is None for a call."""
+    """A form whose ')' is still to come; ``form`` is None for a call, of
+    a program function (``call``) or else of an oracle."""
 
-    __slots__ = ("name", "form", "guard", "kids", "split", "rec_name")
+    __slots__ = ("name", "form", "call", "guard", "kids", "split", "rec_name")
 
-    def __init__(self, name: str, form: Optional[_Form], guard: Optional[str]) -> None:
-        self.name, self.form, self.guard = name, form, guard
+    def __init__(self, name: str, form: Optional[_Form], call: bool, guard: Optional[str]) -> None:
+        self.name, self.form, self.call, self.guard = name, form, call, guard
         self.kids: list[Term] = []
         self.split: Optional[int] = None  # where a call's safe arguments start
         self.rec_name = REC
@@ -271,7 +271,7 @@ class _Open:
         if form is None:  # without ';' every argument is safe
             k = self.split or 0
             normals, safes = tuple(kids[:k]), tuple(kids[k:])
-            return Call(name, normals, safes, self.guard) if self.guard else OracleCall(name, normals, safes)
+            return Call(name, normals, safes, self.guard) if self.call else OracleCall(name, normals, safes)
         if not kids or form.count not in (None, len(kids)):
             raise ParseError(f"{name} takes {_COUNTS[form.count]}", lineno, col)
         if form.count is None:
@@ -288,13 +288,15 @@ def _number(digits: str, lineno: int, col: int) -> int:
         raise ParseError(f"numeral of {len(digits)} digits is too long", lineno, col) from None
 
 
-def _parse_term(text: str, pos: int, lineno: int, guard: Optional[str]) -> Term:
+def _parse_term(text: str, pos: int, lineno: int, guard: Optional[str], functions: Container[str] = ()) -> Term:
     """The term that is the whole of ``text[pos:]``.
 
     ``@f(...)`` is a call guarded by ``guard``, the program's guard kind,
-    and an error outside programs (``guard`` None).  One loop over an
-    explicit stack of open forms, so term depth costs no Python frames.
-    Columns are 1-based in ``text``, the line.
+    and an error outside programs (``guard`` None).  A plain ``f(...)``
+    is an unguarded call when ``functions`` (the program's function
+    names) holds ``f``, else an oracle call.  One loop over an explicit
+    stack of open forms, so term depth costs no Python frames.  Columns
+    are 1-based in ``text``, the line.
     """
 
     def token() -> re.Match:
@@ -326,7 +328,8 @@ def _parse_term(text: str, pos: int, lineno: int, guard: Optional[str]) -> Term:
             m = token()
             if m[2] != "(":
                 raise fail("expected '('", m)
-            top = _Open(name, None if call_guard else _FORMS.get(name), call_guard)
+            call = bool(call_guard) or name in functions
+            top = _Open(name, None if call_guard else _FORMS.get(name), call, call_guard)
             stack.append(top)
             m = token()
             if m[2] == ";" and top.form is None:
@@ -375,9 +378,22 @@ def _arities(m: re.Match, lineno: int) -> tuple[int, ...]:
 
 
 def parse_terms(text: str | bytes) -> TermDocument:
-    """Parse named term and program definitions."""
+    """Parse named term and program definitions.
+
+    A first pass lists the functions that each program defines, so each
+    body is built once, its plain calls of them as unguarded ``Call``s.
+    """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
+    lines = text.splitlines()
+    functions: dict[int, set[str]] = {}  # a program header's line -> the names its fn lines define
+    current: Optional[set[str]] = None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line.startswith("program "):
+            current = functions[lineno] = set()
+        elif current is not None and (m := _DEF_RE.match(line)) and m[1] == "fn":
+            current.add(m[2])
     terms: dict[str, TermDef] = {}
     programs: dict[str, PPProgram] = {}
     oracles: dict[str, tuple[int, int]] = {}
@@ -388,7 +404,7 @@ def parse_terms(text: str | bytes) -> TermDocument:
     def close_program() -> None:
         nonlocal current_prog, prog_fns
         if current_prog is not None:
-            prog = PPProgram(_link_calls(prog_fns), prog_guard)
+            prog = PPProgram(prog_fns, prog_guard)
             try:
                 prog.validate()
             except EvalError as e:  # an unknown callee or a wrong arity
@@ -396,7 +412,7 @@ def parse_terms(text: str | bytes) -> TermDocument:
             programs[current_prog] = prog
         current_prog, prog_fns = None, {}
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         code = raw.split("#", 1)[0]
         line = code.strip()
         if not line:
@@ -420,7 +436,8 @@ def parse_terms(text: str | bytes) -> TermDocument:
         if not m:
             raise ParseError("malformed definition", lineno, 1)
         kw, name = m[1], m[2]
-        body = _parse_term(code, m.start("rhs"), lineno, prog_guard if kw == "fn" else None)
+        names = functions[prog_line] if kw == "fn" and current_prog is not None else ()
+        body = _parse_term(code, m.start("rhs"), lineno, prog_guard if kw == "fn" else None, names)
         normals, safes = _arities(m, lineno)
         if kw == "def":
             if current_prog is not None:
@@ -436,18 +453,6 @@ def parse_terms(text: str | bytes) -> TermDocument:
             prog_fns[name] = PPFunction(name, normals, safes, body)
     close_program()
     return TermDocument(terms, programs, oracles)
-
-
-def _link_calls(functions: dict[str, PPFunction]) -> dict[str, PPFunction]:
-    """``functions`` with each plain invocation of one of them made an
-    unguarded call."""
-
-    def link(t: Term) -> Term:
-        if isinstance(t, OracleCall) and t.name in functions:
-            return Call(t.name, t.normal_args, t.safe_args)
-        return t
-
-    return {n: PPFunction(n, f.normals, f.safes, map_terms(f.body, link)) for n, f in functions.items()}
 
 
 def serialize_term(term: Term) -> str:

@@ -338,6 +338,27 @@ def sccs(adj: dict[T, Sequence[T]]) -> list[list[T]]:
     return comps
 
 
+def has_cycle(adj: dict[T, Sequence[T]]) -> bool:
+    """Whether ``adj`` has a cycle: peeling nodes of in-degree 0 (Kahn
+    1962) leaves the nodes a cycle reaches.  Successors missing from
+    ``adj`` are ignored.  O(V + E), no recursion."""
+    indegree = dict.fromkeys(adj, 0)
+    for succs in adj.values():
+        for w in succs:
+            if w in indegree:
+                indegree[w] += 1
+    free = [n for n, d in indegree.items() if not d]
+    left = len(indegree)
+    while free:
+        left -= 1
+        for w in adj[free.pop()]:
+            if w in indegree:
+                indegree[w] -= 1
+                if not indegree[w]:
+                    free.append(w)
+    return left > 0
+
+
 @dataclass(frozen=True)
 class StepError:
     node: str
@@ -478,12 +499,14 @@ def validate_graph(
     allow_srec: bool = False,
     allow_oracle: bool = False,
     allow_dis: bool = False,
+    order: Optional[list[str]] = None,
 ) -> list[StepError]:
-    """Validate every reachable node; returns all errors found."""
+    """Validate every reachable node (``order``, when the caller has
+    ``graph.reachable()`` already); returns all errors found."""
     errors: list[StepError] = []
     if graph.root not in graph.nodes:
         return [StepError(graph.root, "root unresolved")]
-    reach = graph.reachable()
+    reach = graph.reachable() if order is None else order
     for nid in reach:
         kind = graph.nodes[nid].rule.kind
         if kind is _R_SREC and not allow_srec:

@@ -19,6 +19,7 @@ from .kernel import (
     RuleKind,
     Sequent,
     SType,
+    has_cycle,
     sccs,
     validate_graph,
 )
@@ -59,7 +60,7 @@ class NotProgressing(TransformError):
 # Bisimulation minimization and cycle normal form
 
 
-def bisimulation_classes(graph: ProofGraph) -> dict[str, int]:
+def bisimulation_classes(graph: ProofGraph, order: Optional[list[str]] = None) -> dict[str, int]:
     """Coarsest partition of the reachable nodes into bisimilar classes.
 
     Two nodes are bisimilar when they carry the same (rule, sequent)
@@ -70,8 +71,9 @@ def bisimulation_classes(graph: ProofGraph) -> dict[str, int]:
     block queues only its smaller half.  O(k n log n) time for n
     reachable nodes and at most k = 3 premises each, no recursion.
     Class ids only mean equality; their numbering is arbitrary.
+    ``order`` is ``graph.reachable()`` when the caller has it.
     """
-    order = sorted(graph.reachable())
+    order = sorted(graph.reachable() if order is None else order)
     index = {n: i for i, n in enumerate(order)}
     k = max((len(graph.nodes[n].premises) for n in order), default=0)
     preds: list[list[list[int]]] = [[[] for _ in order] for _ in range(k)]
@@ -165,19 +167,20 @@ class CycleNF:
 def cycle_normal_form(graph: ProofGraph) -> CycleNF:
     """``_cycle_normal_form`` of a graph that passes ``validate_graph``
     (srec and oracle leaves allowed); TransformError otherwise."""
-    _require_valid(graph, allow_srec=True)
-    return _cycle_normal_form(graph)
+    order = graph.reachable()
+    _require_valid(graph, allow_srec=True, order=order)
+    return _cycle_normal_form(graph, order)
 
 
-def _require_valid(graph: ProofGraph, allow_srec: bool = False) -> None:
+def _require_valid(graph: ProofGraph, allow_srec: bool = False, order: Optional[list[str]] = None) -> None:
     """TransformError on the first error ``validate_graph`` finds
     (oracle leaves allowed)."""
-    errors = validate_graph(graph, allow_srec=allow_srec, allow_oracle=True)
+    errors = validate_graph(graph, allow_srec=allow_srec, allow_oracle=True, order=order)
     if errors:
         raise TransformError(f"invalid input graph: {errors[0]}")
 
 
-def _cycle_normal_form(graph: ProofGraph) -> CycleNF:
+def _cycle_normal_form(graph: ProofGraph, order: list[str], cyclic: Optional[bool] = None) -> CycleNF:
     """Unfold the bisimulation-minimized graph, cutting at repetitions.
 
     Depth-first, leftmost premise first; a node whose minimized class
@@ -187,10 +190,15 @@ def _cycle_normal_form(graph: ProofGraph) -> CycleNF:
     One explicit-stack walk numbers the positions in the order it enters
     them and keeps one map from class to position for the root path, so
     it runs without recursion in time linear in the tree, after the
-    O(n log n) minimisation.  Callers that have validated ``graph`` more
-    strictly call this directly.
+    O(n log n) minimisation of a graph with a cycle (``cyclic``, which
+    ``has_cycle`` decides when not given).  An acyclic graph has no buds,
+    as a node's unfolding is taller than its descendants', so there each
+    node is its own class.  ``order`` is ``graph.reachable()``.  Callers
+    that have validated ``graph`` more strictly call this directly.
     """
-    classes = bisimulation_classes(graph)
+    if cyclic is None:
+        cyclic = has_cycle({n: graph.nodes[n].premises for n in order})
+    classes = bisimulation_classes(graph, order) if cyclic else dict(zip(order, range(len(order))))
     cnf = CycleNF(graph.name)
     tree, buds, node_of, parent, index = cnf.tree, cnf.buds, cnf.node_of, cnf.parent, cnf.index
     on_path: dict[int, int] = {}  # class -> its position on the root path

@@ -9,6 +9,8 @@ the program's call graph; calls that cannot call back are ordinary
 composition with other functions.  Left-leaning inputs get the stronger
 guards that also confine the safe zone, placing the program in the
 smaller algebra.
+The call graph comes first, so one walk builds each body with its
+calls guarded and padded.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .interp import (
     Term,
     Zero,
     _must_guard,
-    map_terms,
 )
 from .transform import _cycle_normal_form
 
@@ -62,6 +63,8 @@ def translate(graph: ProofGraph) -> PPProgram:
     component, so guard outcomes on genuine slots are unchanged.  Each
     call fits its companion's sequent when emitted and is padded as the
     companion is, so the program validates without a further check.
+    ``classify``'s BFS order and cycle test feed the cycle normal form,
+    and a scan of each region's positions gives the call graph.
     """
     cl = classify(graph)
     if cl.cls not in ("CB", "CNB"):
@@ -69,21 +72,38 @@ def translate(graph: ProofGraph) -> PPProgram:
             f"{graph.name}: only accepted proofs translate (classified {cl.cls}: {'; '.join(cl.diagnostics)})"
         )
     guard = "strict_safe" if cl.cls == "CB" else "strict"
-    cnf = _cycle_normal_form(graph)  # classify validated it
+    cnf = _cycle_normal_form(graph, cl._order, cl._cyclic)  # classify validated it
+    tree, buds = cnf.tree, cnf.buds
     fname = {pos: f"f{i}" for i, pos in enumerate(sorted(cnf.companions))}
-    callees: dict[str, set] = {}  # the names each function calls, the program's call graph
+    regions = [(c, c) for c in fname] + [(0, None)]  # (top, its companion): the functions, main last
+
+    def callees(top: int, start: Optional[int]) -> set[str]:
+        """The functions of the buds and companions the region at ``top`` meets."""
+        out, todo = set(), [top]
+        while todo:
+            pos = todo.pop()
+            if pos in buds or (pos != start and pos in fname):
+                out.add(fname[buds.get(pos, pos)])
+            else:
+                todo += tree[pos].children
+        return out
+
+    calls = {fname.get(start, MAIN): callees(top, start) for top, start in regions}
+    must_guard = _must_guard(calls)
+    big_m = max((tree[c].sequent.boxed for c in fname), default=0)
+    big_n = max((tree[c].sequent.plain for c in fname), default=0)
 
     def walk(top: int, start: Optional[int]) -> PPFunction:
         """The function for the tree region at ``top``, built on an
-        explicit stack; its calls are unguarded, unpadded and recorded.
+        explicit stack.
 
         ``todo`` holds positions to visit with their environments, and
         continuations: ``_BUILD`` pops finished subterms into a node,
         ``_CUT`` feeds a cut's left value into its right premise.  The
         subterms of a node are built left to right, as in the rules.
         """
-        seq, name = cnf.tree[top].sequent, fname.get(start, MAIN)
-        called = callees[name] = set()
+        seq, name = tree[top].sequent, fname.get(start, MAIN)
+        guards = {f: guard if must_guard(name, f) else None for f in calls[name]}
         nenv = [Proj("n", i) for i in range(seq.boxed)]
         senv = [Proj("s", j) for j in range(seq.plain)]
         done: list[Term] = []
@@ -102,18 +122,18 @@ def translate(graph: ProofGraph) -> PPProgram:
                 todo.append((_VISIT, pos, [v] + nenv, senv) if boxed else (_VISIT, pos, nenv, senv + [v]))
                 continue
             _, pos, nenv, senv = task
-            if pos in cnf.buds or (pos != start and pos in fname):
-                target = cnf.buds.get(pos, pos)
-                tseq = cnf.tree[target].sequent
+            if pos in buds or (pos != start and pos in fname):
+                target = buds.get(pos, pos)
+                tseq = tree[target].sequent
                 if len(nenv) != tseq.boxed or len(senv) != tseq.plain:
                     raise TranslateError(
                         f"call into {fname[target]} with {len(nenv)};{len(senv)} arguments "
                         f"against sequent {tseq}"
                     )
-                called.add(fname[target])
-                done.append(Call(fname[target], tuple(nenv), tuple(senv)))
+                f, pad_m, pad_n = fname[target], (Zero(),) * (big_m - len(nenv)), (Zero(),) * (big_n - len(senv))
+                done.append(Call(f, (*nenv, *pad_m), (*senv, *pad_n), guards[f]))
                 continue
-            node = cnf.tree[pos]
+            node = tree[pos]
             kind = node.rule.kind
             ch = node.children
             if kind is _R_ID:
@@ -159,26 +179,8 @@ def translate(graph: ProofGraph) -> PPProgram:
             else:
                 raise TranslateError(f"rule {kind.value} at {cnf.label(pos)} is not translatable")
         (body,) = done
-        return PPFunction(name, seq.boxed, seq.plain, body)
+        m, n = (seq.boxed, seq.plain) if start is None else (big_m, big_n)
+        return PPFunction(name, m, n, body)
 
-    companion_fns = [walk(c, c) for c in fname]
-    unpadded = companion_fns + [walk(0, None)]
-    must_guard = _must_guard(callees)
-    big_m = max((f.normals for f in companion_fns), default=0)
-    big_n = max((f.safes for f in companion_fns), default=0)
-
-    def guard_and_pad(caller: str, t: Term) -> Term:
-        if not isinstance(t, Call):
-            return t
-        return Call(
-            t.name,
-            t.normal_args + (Zero(),) * (big_m - len(t.normal_args)),
-            t.safe_args + (Zero(),) * (big_n - len(t.safe_args)),
-            guard=guard if must_guard(caller, t.name) else None,
-        )
-
-    fns = {}
-    for f in unpadded:
-        m, n = (f.normals, f.safes) if f.name == MAIN else (big_m, big_n)
-        fns[f.name] = PPFunction(f.name, m, n, map_terms(f.body, partial(guard_and_pad, f.name)))
-    return PPProgram(fns, guard)
+    fns = [walk(top, start) for top, start in regions]
+    return PPProgram({f.name: f for f in fns}, guard)

@@ -200,6 +200,82 @@ def nest_graph(m: int) -> ProofGraph:
     return ProofGraph(f"nest{m}", "e0", nodes)
 
 
+def mutate(rng: random.Random, g: ProofGraph) -> ProofGraph:
+    """``g`` with one node changed at random: a premise redirected, a
+    context grown by one formula, or the rule replaced."""
+    nodes = dict(g.nodes)
+    nid = rng.choice(sorted(nodes))
+    node = nodes[nid]
+    what = rng.randrange(3)
+    if what == 0 and node.premises:
+        others = sorted(nodes)
+        prem = list(node.premises)
+        prem[rng.randrange(len(prem))] = rng.choice(others)
+        nodes[nid] = Node(node.rule, node.sequent, tuple(prem))
+    elif what == 1:
+        s = node.sequent
+        bump = rng.choice([(1, 0), (0, 1)])
+        nodes[nid] = Node(node.rule, Sequent(s.boxed + bump[0], s.plain + bump[1], s.succedent), node.premises)
+    else:
+        kinds = [k for k in RuleKind if k not in (RuleKind.DIS,)]
+        nodes[nid] = Node(Rule(rng.choice(kinds), pos=0), node.sequent, node.premises)
+    return ProofGraph(g.name, g.root, nodes)
+
+
+def graph_passes_inputs() -> list[ProofGraph]:
+    """Inputs for the differential tests of the graph passes: the corpus
+    proofs, the corpus terms compiled both ways, the chain, loop and
+    nest families at several sizes, and mutants of the corpus proofs
+    that pass ``validate_graph`` (srec and oracle leaves allowed), some
+    of them with a cycle and some without."""
+    from circsafe.compilealg import nb_to_circular, term_to_derivation
+    from circsafe.corpus import proof
+    from circsafe.interp import check_term_class
+    from circsafe.kernel import validate_graph
+
+    rng = random.Random(29)
+    graphs = list(standard_proofs().values()) + [proof("P_UNSAFE"), proof("N_UNSAFE")]
+    for td in term_corpus().values():
+        graphs.append(nb_to_circular(td))
+        if check_term_class(td.body, "B") == []:
+            graphs.append(term_to_derivation(td))
+    for n in (1, 2, 11, 60, 150):
+        digits = [rng.getrandbits(1) for _ in range(n)]
+        graphs.append(chain_graph(digits))
+        graphs.append(loop_graph(digits, digits[::-1]))
+    graphs += [nest_graph(m) for m in (2, 3, 8, 30)]
+    corpus = graphs[:]
+    mutants = 0
+    while mutants < 150:
+        g = mutate(rng, rng.choice(corpus))
+        if not validate_graph(g, allow_srec=True, allow_oracle=True):
+            graphs.append(g)
+            mutants += 1
+    return graphs
+
+
+# Independent oracle for checker's progress check: the check as it ran
+# before progress was decided inside the cyclic components, a second
+# Tarjan pass over the condB-free subgraph of the whole reachable part,
+# whose first cyclic component gives the witness.
+
+
+def ref_progress(graph: ProofGraph) -> tuple:
+    """``(status, witness cycle)`` as ``check_progressing_safe`` gives them."""
+    from circsafe.checker import _shortest_cycle_through, check_safety
+    from circsafe.kernel import sccs
+
+    safety = check_safety(graph)
+    if not safety.ok:
+        return "unknown_unsafe", safety.witness_cycle
+    kept = {n for n in graph.reachable() if graph.nodes[n].rule.kind is not RuleKind.COND_B}
+    sub = {n: tuple(p for p in graph.nodes[n].premises if p in kept) for n in graph.reachable() if n in kept}
+    cyclic = [c for c in sccs(sub) if len(c) > 1 or c[0] in sub[c[0]]]
+    if cyclic:
+        return "not_progressing", _shortest_cycle_through(sub, cyclic[0], cyclic[0][0])
+    return "progressing", None
+
+
 # Independent oracle for the statistics of interp.eval_proof: the rules
 # read as equations, one Python call per expansion, with a memo entry
 # for every (node, normals, safes) key once its value is known.  A

@@ -2,15 +2,18 @@
 
 import random
 
+from conftest import graph_passes_inputs, ref_progress
+
 from circsafe.corpus import proof
 from circsafe.checker import (
+    ProgressOutcome,
     check_left_leaning,
     check_progressing_safe,
     check_safety,
     classify,
     cycle_path_diagnostics,
 )
-from circsafe.kernel import Node, ProofGraph, Rule, RuleKind, Sequent
+from circsafe.kernel import Node, ProofGraph, Rule, RuleKind, Sequent, sccs
 from circsafe.transform import cycle_normal_form
 
 
@@ -176,3 +179,71 @@ def test_classify_rejects_invalid():
     g = ProofGraph("broken", "a", {"a": Node(Rule(RuleKind.ID), Sequent(1, 1), ())})
     c = classify(g)
     assert not c.valid and c.cls == "none"
+
+
+def _two_loops(first_free: bool, second_free: bool, joined: bool) -> ProofGraph:
+    """Two cyclic components over bN,N: ``a0 -> a1 -> a0`` and ``b0 -> b1
+    -> b0``, each through a boxed conditional at its ``0`` node unless
+    it is ``free``.  The root ``r`` is a plain conditional entering the
+    a loop from its s0 branch and the b loop from its s1 branch; when
+    ``joined``, the b loop also enters the a loop, so the a component
+    comes first in ``sccs`` order either way."""
+    bn_n, b_n = Sequent(1, 1), Sequent(1, 0)
+    nodes = {
+        "r": Node(Rule(RuleKind.COND_N), bn_n, ("q", "a0", "b0")),
+        "q": Node(Rule(RuleKind.BOX_L), b_n, ("z",)),
+        "z": Node(Rule(RuleKind.ID), Sequent(0, 1), ()),
+    }
+    for tag, free, exit_ in (("a", first_free, "a1"), ("b", second_free, "a0" if joined else "b1")):
+        if free:
+            nodes[f"{tag}0"] = Node(Rule(RuleKind.COND_N), bn_n, ("q", f"{tag}1", exit_))
+        else:
+            nodes[f"{tag}0"] = Node(Rule(RuleKind.COND_B), bn_n, ("z", f"{tag}1", exit_))
+        nodes[f"{tag}1"] = Node(Rule(RuleKind.S1), bn_n, (f"{tag}0",))
+    return ProofGraph(f"two_loops_{first_free:d}{second_free:d}{joined:d}", "r", nodes)
+
+
+def test_two_loops_pin_the_witness_order():
+    for joined in (False, True):
+        g = _two_loops(False, True, joined)
+        adj = {n: g.nodes[n].premises for n in g.reachable()}
+        cyclic = [c for c in sccs(adj) if len(c) > 1]
+        assert cyclic == [["a0", "a1"], ["b0", "b1"]]
+        c = classify(g)
+        assert (c.valid, c.safe, c.left_leaning, c.progressing, c.cls) == (True, True, True, False, "none")
+        assert c.witness_cycle == ["b0", "b1"]
+        assert c.diagnostics == ["not progressing: cycle avoiding boxed conditionals: b0->b1"]
+        assert classify(_two_loops(True, True, joined)).witness_cycle == ["a0", "a1"]
+        assert classify(_two_loops(False, False, joined)).progressing is True
+
+
+def test_classification_matches_the_second_tarjan_pass():
+    """The progress check inside the cyclic components gives the verdict,
+    witness cycle and diagnostics of the check over the whole condB-free
+    subgraph (``conftest.ref_progress``)."""
+    graphs = graph_passes_inputs() + [_two_loops(*flags) for flags in
+                                       ((a, b, j) for a in (0, 1) for b in (0, 1) for j in (0, 1))]
+    verdicts = {}
+    for g in graphs:
+        c = classify(g)
+        if not c.valid:
+            continue
+        status, witness = ref_progress(g)
+        assert check_progressing_safe(g) == ProgressOutcome(status, witness), g.name
+        safety, leaning = check_safety(g), check_left_leaning(g)
+        diagnostics, witnesses = [], [safety.witness_cycle, leaning.witness_cycle]
+        if not safety.ok:
+            diagnostics.append("unsafe: cycle through a boxed cut: " + "->".join(safety.witness_cycle))
+        if not leaning.ok:
+            diagnostics.append("not left-leaning: cycle through the right premise of a plain cut: "
+                               + "->".join(leaning.witness_cycle))
+        if status == "not_progressing":
+            diagnostics.append("not progressing: cycle avoiding boxed conditionals: " + "->".join(witness))
+            witnesses.append(witness)
+        elif status == "unknown_unsafe":
+            diagnostics.append("progressiveness unknown: the cycle criterion needs safety")
+        progressing = {"progressing": True, "not_progressing": False, "unknown_unsafe": None}[status]
+        assert (c.progressing, c.diagnostics) == (progressing, diagnostics), g.name
+        assert c.witness_cycle == next(filter(None, witnesses), None), g.name
+        verdicts[status] = verdicts.get(status, 0) + 1
+    assert verdicts["not_progressing"] >= 10 and verdicts["progressing"] > 50 and verdicts["unknown_unsafe"] >= 5

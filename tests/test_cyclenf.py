@@ -2,12 +2,15 @@
 
 import random
 
-from conftest import chain_graph, loop_graph, moore_classes, nest_graph, same_partition
+from conftest import chain_graph, graph_passes_inputs, loop_graph, moore_classes, nest_graph, same_partition
 
+from circsafe.checker import classify
 from circsafe.compilealg import nb_to_circular, srec_eliminate, term_to_derivation
 from circsafe.interp import check_term_class
-from circsafe.kernel import Node, ProofGraph, Rule, RuleKind, Sequent
+from circsafe.kernel import Node, ProofGraph, Rule, RuleKind, Sequent, has_cycle
 from circsafe.transform import (
+    CnfNode,
+    _cycle_normal_form,
     bisimulation_classes,
     close_open_sets,
     cnf_to_graph,
@@ -205,3 +208,47 @@ def test_bisimulation_classes_match_moore_refinement(proofs, terms):
     for g in graphs:
         reach = {n: g.nodes[n] for n in g.reachable()}
         assert same_partition(bisimulation_classes(g), moore_classes(reach)), g.name
+
+
+def ref_cycle_normal_form(g: ProofGraph) -> tuple:
+    """``(tree, buds, node_of)`` of the unfolding of ``g``, leftmost
+    premise first and numbered in pre-order, cut at a node whose class
+    in ``moore_classes`` already occurs on its root path.  Recursive, so
+    keep the unfolding's depth small."""
+    classes = moore_classes({n: g.nodes[n] for n in g.reachable()})
+    tree, buds, node_of = {}, {}, []
+
+    def unfold(nid: str, path: dict) -> int:
+        pos = len(node_of)
+        node_of.append(nid)
+        if classes[nid] in path:
+            buds[pos] = path[classes[nid]]
+            return pos
+        node, children = g.nodes[nid], []
+        tree[pos] = CnfNode(node.rule, node.sequent, children)
+        for p in node.premises:
+            children.append(unfold(p, {**path, classes[nid]: pos}))
+        return pos
+
+    unfold(g.root, {})
+    return tree, buds, node_of
+
+
+def test_cycle_normal_form_matches_the_unfolding_by_moore_classes():
+    """Minimisation runs on cyclic graphs only; acyclic ones unfold with
+    each node its own class.  Both agree with the reference, and a graph
+    has buds exactly when it has a cycle."""
+    seen = set()
+    for g in graph_passes_inputs():
+        want = ref_cycle_normal_form(g)
+        cnf = cycle_normal_form(g)
+        assert (cnf.tree, cnf.buds, cnf.node_of) == want, g.name
+        cyclic = has_cycle({n: g.nodes[n].premises for n in g.reachable()})
+        assert bool(cnf.buds) == cyclic, g.name
+        seen.add(cyclic)
+        cl = classify(g)
+        if cl.valid:  # as translate calls it, with what classify derived
+            assert (cl._order, cl._cyclic) == (g.reachable(), cyclic), g.name
+            cnf = _cycle_normal_form(g, cl._order, cl._cyclic)
+            assert (cnf.tree, cnf.buds, cnf.node_of) == want, g.name
+    assert seen == {False, True}

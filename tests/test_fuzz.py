@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from conftest import sample_two_sorted
+from conftest import mutate, sample_two_sorted
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -115,32 +115,12 @@ def test_random_b_term_bounds_hold():
         assert pair.d == 1 and pair.is_polynomial, trial
 
 
-def _mutate(rng: random.Random, g: ProofGraph) -> ProofGraph:
-    nodes = dict(g.nodes)
-    nid = rng.choice(sorted(nodes))
-    node = nodes[nid]
-    what = rng.randrange(3)
-    if what == 0 and node.premises:
-        others = sorted(nodes)
-        prem = list(node.premises)
-        prem[rng.randrange(len(prem))] = rng.choice(others)
-        nodes[nid] = Node(node.rule, node.sequent, tuple(prem))
-    elif what == 1:
-        s = node.sequent
-        bump = rng.choice([(1, 0), (0, 1)])
-        nodes[nid] = Node(node.rule, Sequent(s.boxed + bump[0], s.plain + bump[1], s.succedent), node.premises)
-    else:
-        kinds = [k for k in RuleKind if k not in (RuleKind.DIS,)]
-        nodes[nid] = Node(Rule(rng.choice(kinds), pos=0), node.sequent, node.premises)
-    return ProofGraph(g.name, g.root, nodes)
-
-
 def test_checker_totality_on_mutants():
     # classify never crashes and stays coherent on arbitrary corruption
     rng = random.Random(31007)
     for name, g in standard_proofs().items():
         for _ in range(60):
-            mutant = _mutate(rng, g)
+            mutant = mutate(rng, g)
             c = classify(mutant)
             if c.cls == "CB":
                 assert c.safe and c.left_leaning and c.progressing is True
@@ -245,7 +225,7 @@ def test_eval_proof_statistics_match_the_memo_everywhere_reference(cut):
         nb = TermDef(f"nb{trial}", m, n, SNRec(random_b_term(rng, m - 1, n, 2, [0]), step))
         graphs.append((nb_to_circular(nb), 5))
     corpus = list(standard_proofs().values())
-    graphs += [(_mutate(rng, rng.choice(corpus)), 5) for _ in range(400)]
+    graphs += [(mutate(rng, rng.choice(corpus)), 5) for _ in range(400)]
 
     checked, hits = 0, {}
     for g, bits in graphs:

@@ -1,7 +1,7 @@
 """Graph passes at sizes past Python's recursion limit.
 
 ``check``, ``cyclenf`` and ``translate`` run on explicit stacks, so a
-3200-node chain or loop goes through the command line under the
+3200-node chain, loop or nest goes through the command line under the
 default recursion limit.  ``check`` and ``translate`` number tree
 positions by pre-order and build no root path, so they take time
 linear in the graph (2 * 10**4 nodes below), and ``classify`` is linear
@@ -19,7 +19,7 @@ import sys
 import time
 
 import pytest
-from conftest import chain_graph, loop_graph
+from conftest import chain_graph, loop_graph, nest_graph
 
 from circsafe.bounds import beval, synthesize_bound
 from circsafe.checker import classify
@@ -35,24 +35,34 @@ def _digits(n: int, seed: int) -> list[int]:
 
 
 @pytest.mark.parametrize(
-    "graph",
-    [chain_graph(_digits(3199, 1)), loop_graph(_digits(1599, 2), _digits(1599, 3))],
-    ids=["chain3200", "loop3200"],
+    "graph, cls",
+    [
+        (chain_graph(_digits(3199, 1)), "CB"),
+        (loop_graph(_digits(1599, 2), _digits(1599, 3)), "CB"),
+        (nest_graph(1067), "CNB"),
+    ],
+    ids=["chain3200", "loop3200", "nest3201"],
 )
-def test_cli_pipeline_on_3200_nodes(graph, capsys, tmp_path):
-    assert len(graph.nodes) == 3200
+def test_cli_pipeline_on_3200_nodes(graph, cls, capsys, tmp_path):
+    assert len(graph.nodes) == 3200 + graph.name.startswith("nest")
     limit = sys.getrecursionlimit()
     src, cnf, pp = tmp_path / "g.proof", tmp_path / "g.cnf.proof", tmp_path / "g.pp"
     src.write_text(serialize_proof(graph))
     assert main(["check", str(src)]) == 0
-    assert "class=CB" in capsys.readouterr().out
+    assert f"class={cls}" in capsys.readouterr().out
     assert main(["cyclenf", str(src), "-o", str(cnf)]) == 0
     assert main(["translate", str(src), "-o", str(pp)]) == 0
     assert sys.getrecursionlimit() == limit
-    # one node per graph node, plus the loop's dis marker
+    # one node per position off the buds, plus a dis marker per
+    # companion: the chain's graph nodes, the loop's and its root's
+    # marker, and for nest_graph(m) 6m - 3 positions (its unfolding
+    # takes the m cuts twice, once per recursing branch) and the root's
+    # marker, with 2m buds pointing at the root
     folded = parse_proof(cnf.read_text())
-    assert len(folded.nodes) == 3200 + (graph.name.startswith("loop"))
-    assert pp.read_text().startswith(f"program {graph.name} guard strictsafe\n")
+    want = {"chain": 3200, "loop": 3201, "nest": 6 * 1067 - 2}[graph.name.rstrip("0123456789")]
+    assert len(folded.nodes) == want
+    guard = "strictsafe" if cls == "CB" else "strict"
+    assert pp.read_text().startswith(f"program {graph.name} guard {guard}\n")
 
 
 @pytest.mark.parametrize(
@@ -72,9 +82,9 @@ def test_check_and_translate_on_20000_nodes(graph, capsys, tmp_path):
     elapsed = time.perf_counter() - start
     assert sys.getrecursionlimit() == limit
     assert pp.read_text().startswith(f"program {graph.name} guard strictsafe\n")
-    # about 3 s for the chain on a 2-core x86-64 machine with CPython
-    # 3.11; root-path positions took 2.6 s for translate alone at 10**4
-    # nodes and grow with the square of the depth
+    # about 0.5 s for the chain on a 2-core x86-64 machine with CPython
+    # 3.11 (min of 3 runs); root-path positions took 2.6 s for translate
+    # alone at 10**4 nodes and grow with the square of the depth
     assert elapsed < 15.0, elapsed
     assert check_term_class(translate(graph), "Bpp") == []
 
@@ -115,9 +125,9 @@ def test_classify_on_a_100000_node_chain():
     cls = classify(graph)
     elapsed = time.perf_counter() - start
     assert cls.cls == "CB" and not cls.diagnostics
-    # about 2.5 s on a 2-core x86-64 machine with CPython 3.11; the
-    # margin is for a loaded machine, while a pass quadratic in n takes
-    # far longer at this size
+    # about 0.8 s on a 2-core x86-64 machine with CPython 3.11 (min of
+    # 3 runs); the margin is for a loaded machine, while a pass
+    # quadratic in n takes far longer at this size
     assert elapsed < 10.0, elapsed
 
 
