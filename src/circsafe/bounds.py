@@ -41,11 +41,10 @@ from .interp import (
     TermDef,
     Zero,
     _bears,
-    _kept_on,
     eval_term,
     fold,
 )
-from .kernel import length
+from .kernel import _kept_on, length
 
 
 # ---------------------------------------------------------------------------

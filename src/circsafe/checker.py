@@ -12,22 +12,12 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .kernel import (
-    _R_BOX_L, _R_COND_B, _R_COND_N, _R_CUT_B, _R_CUT_N, _R_WEAK_B, _R_WEAK_N, ProofGraph, has_cycle,
-    sccs, validate_graph,
+    _R_BOX_L, _R_COND_B, _R_COND_N, _R_CUT_B, _R_CUT_N, _R_WEAK_B, _R_WEAK_N, ProofGraph, _adjacency,
+    _components, _kept_on, _loops, has_cycle, sccs, validate_graph,
 )
 
 
 Adjacency = dict[str, tuple[str, ...]]
-
-
-def _adjacency(graph: ProofGraph, order: list[str]) -> Adjacency:
-    """Premise edges of the root-reachable part, in its BFS ``order``."""
-    return {n: graph.nodes[n].premises for n in order}
-
-
-def _cyclic(adj: Adjacency, comps: list[list[str]]) -> list[list[str]]:
-    """The components of ``comps`` that carry a cycle."""
-    return [c for c in comps if len(c) > 1 or c[0] in adj.get(c[0], ())]
 
 
 def _shortest_path(adj: Adjacency, members: set[str], src: str, dst: str) -> list[str]:
@@ -84,20 +74,21 @@ class ProgressOutcome:
     witness_cycle: Optional[list[str]] = None
 
 
-# The checks below take the reachable adjacency and its (cyclic)
-# components, so classify computes them once for all three; the public
-# wrappers that follow compute them per call.
+# The checks read the reachable adjacency and components the graph keeps.
 
 
-def _safety(graph: ProofGraph, adj: Adjacency, cyclic: list[list[str]]) -> CheckOutcome:
-    for comp in cyclic:
-        for nid in comp:
-            if graph.nodes[nid].rule.kind is _R_CUT_B:
-                return CheckOutcome(False, _shortest_cycle_through(adj, comp, nid))
-    return CheckOutcome(True)
+def check_safety(graph: ProofGraph) -> CheckOutcome:
+    """Unsafe iff some reachable cycle passes a boxed-cut conclusion; the
+    shortest cycle through the first one met is kept with the graph."""
+    nodes, adj = graph.nodes, _adjacency(graph)
+    cuts = ((c, n) for c in _components(graph)[1] for n in c if nodes[n].rule.kind is _R_CUT_B)
+    cycle = _kept_on(graph, "unsafe cycle", lambda: next((_shortest_cycle_through(adj, *cut) for cut in cuts), []))
+    return CheckOutcome(not cycle, cycle[:] or None)
 
 
-def _left_leaning(graph: ProofGraph, adj: Adjacency, comps: list[list[str]]) -> CheckOutcome:
+def check_left_leaning(graph: ProofGraph) -> CheckOutcome:
+    """Violated iff some cycle takes the right premise of a plain cut."""
+    adj, comps = _adjacency(graph), _components(graph)[0]
     comp_of = {n: i for i, comp in enumerate(comps) for n in comp}
     for nid in sorted(adj):
         node = graph.nodes[nid]
@@ -109,42 +100,25 @@ def _left_leaning(graph: ProofGraph, adj: Adjacency, comps: list[list[str]]) -> 
     return CheckOutcome(True)
 
 
-def _progress(graph: ProofGraph, adj: Adjacency, cyclic: list[list[str]], safety: CheckOutcome) -> ProgressOutcome:
-    """A cycle avoiding every condB lies inside a ``cyclic`` component,
-    so a peel of their other nodes decides; only then does a second
-    Tarjan pass, over the whole condB-free subgraph, pick the witness."""
-    if not safety.ok:
-        return ProgressOutcome("unknown_unsafe", safety.witness_cycle)
-    nodes = graph.nodes
-    if not has_cycle({n: adj[n] for comp in cyclic for n in comp if nodes[n].rule.kind is not _R_COND_B}):
-        return ProgressOutcome("progressing")
-    kept = {n for n in adj if nodes[n].rule.kind is not _R_COND_B}
-    sub = {n: tuple(p for p in ps if p in kept) for n, ps in adj.items() if n in kept}
-    comp = _cyclic(sub, sccs(sub))[0]
-    return ProgressOutcome("not_progressing", _shortest_cycle_through(sub, comp, comp[0]))
-
-
-def check_safety(graph: ProofGraph) -> CheckOutcome:
-    """Unsafe iff some reachable cycle passes a boxed-cut conclusion."""
-    adj = _adjacency(graph, graph.reachable())
-    return _safety(graph, adj, _cyclic(adj, sccs(adj)))
-
-
-def check_left_leaning(graph: ProofGraph) -> CheckOutcome:
-    """Violated iff some cycle takes the right premise of a plain cut."""
-    adj = _adjacency(graph, graph.reachable())
-    return _left_leaning(graph, adj, sccs(adj))
-
-
 def check_progressing_safe(graph: ProofGraph) -> ProgressOutcome:
     """Safe-case progressiveness: every cycle crosses a boxed conditional.
 
     On unsafe graphs the cycle criterion is not equivalent to the
-    thread condition, so the answer is unknown.
+    thread condition, so the answer is unknown.  A cycle avoiding every
+    condB lies inside a cyclic component, so a peel of their other nodes
+    decides; only then does a second Tarjan pass, over the whole
+    condB-free subgraph, pick the witness.
     """
-    adj = _adjacency(graph, graph.reachable())
-    cyclic = _cyclic(adj, sccs(adj))
-    return _progress(graph, adj, cyclic, _safety(graph, adj, cyclic))
+    safety = check_safety(graph)
+    if not safety.ok:
+        return ProgressOutcome("unknown_unsafe", safety.witness_cycle)
+    nodes, adj = graph.nodes, _adjacency(graph)
+    if not has_cycle({n: adj[n] for c in _components(graph)[1] for n in c if nodes[n].rule.kind is not _R_COND_B}):
+        return ProgressOutcome("progressing")
+    kept = {n for n in adj if nodes[n].rule.kind is not _R_COND_B}
+    sub = {n: tuple(p for p in ps if p in kept) for n, ps in adj.items() if n in kept}
+    comp = _loops(sub, sccs(sub))[0]
+    return ProgressOutcome("not_progressing", _shortest_cycle_through(sub, comp, comp[0]))
 
 
 @dataclass
@@ -157,9 +131,6 @@ class Classification:
     witness_cycle: Optional[list[str]]
     cls: str  # "CB" | "CNB" | "none"
     diagnostics: list[str] = field(default_factory=list)
-    # classify's BFS order of a valid graph, and whether it has a cycle
-    _order: Optional[list[str]] = field(default=None, init=False, repr=False, compare=False)
-    _cyclic: bool = field(default=False, init=False, repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -174,23 +145,19 @@ class Classification:
 
 
 def classify(graph: ProofGraph) -> Classification:
-    """Full classification into the circular systems: one BFS serves
-    validation and the adjacency, one Tarjan pass all three checks.  The
-    result keeps the BFS order and whether a cycle exists."""
-    order = graph.reachable()
-    errors = validate_graph(graph, order=order)
+    """Full classification into the circular systems: the graph's kept
+    BFS order serves validation and the adjacency, its kept components
+    all three checks."""
+    errors = validate_graph(graph)
     if errors:
         return Classification(
             graph.name, False, False, False, None, None, "none",
             [str(e) for e in errors],
         )
     diagnostics: list[str] = []
-    adj = _adjacency(graph, order)
-    comps = sccs(adj)
-    cyclic = _cyclic(adj, comps)
-    safety = _safety(graph, adj, cyclic)
-    leaning = _left_leaning(graph, adj, comps)
-    progress = _progress(graph, adj, cyclic, safety)
+    safety = check_safety(graph)
+    leaning = check_left_leaning(graph)
+    progress = check_progressing_safe(graph)
     witness = None
     if not safety.ok:
         witness = safety.witness_cycle
@@ -218,9 +185,7 @@ def classify(graph: ProofGraph) -> Classification:
         cls = "CB" if leaning.ok else "CNB"
     else:
         cls = "none"
-    out = Classification(graph.name, True, safety.ok, leaning.ok, progressing, witness, cls, diagnostics)
-    out._order, out._cyclic = order, bool(cyclic)
-    return out
+    return Classification(graph.name, True, safety.ok, leaning.ok, progressing, witness, cls, diagnostics)
 
 
 # ---------------------------------------------------------------------------

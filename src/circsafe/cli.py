@@ -163,10 +163,9 @@ def cmd_translate(args: argparse.Namespace) -> int:
 
 def cmd_cyclenf(args: argparse.Namespace) -> int:
     graph = _load_proof(args.file)
-    order = graph.reachable()
-    if _invalid(graph, allow_oracle=True, order=order):
+    if _invalid(graph, allow_oracle=True):
         return BAD_INPUT
-    cnf = _cycle_normal_form(graph, order)  # validated just above
+    cnf = _cycle_normal_form(graph)  # validated just above
     folded = cnf_to_graph(cnf)
     if args.dot:
         _write_out(args.dot, export_dot(folded))

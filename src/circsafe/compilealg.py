@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .kernel import Node, ProofGraph, Rule, RuleKind, Sequent, SType
+from .kernel import Node, ProofGraph, Rule, RuleKind, Sequent, SType, _reached
 from .interp import (
     Zero,
     CompNormal,
@@ -317,10 +317,10 @@ def srec_eliminate(graph: ProofGraph) -> ProofGraph:
     left of a plain cut whose right side is the original step proof, so
     the output is safe, progressing and left-leaning.
     """
-    out = ProofGraph(graph.name.removesuffix("_deriv") + "_circ", graph.root, dict(graph.nodes))
+    nodes = graph.nodes.copy()
     counter = 0
-    for nid in list(out.reachable()):
-        node = out.nodes[nid]
+    for nid in _reached(graph):
+        node = nodes[nid]
         if node.rule.kind is not RuleKind.SREC:
             continue
         base, h0, h1 = node.premises
@@ -328,13 +328,13 @@ def srec_eliminate(graph: ProofGraph) -> ProofGraph:
         for h in dict.fromkeys((h0, h1)):
             # one cut per distinct step; the node keeps its id, and each
             # cut takes the next {nid}_k id that no node holds
-            while f"{nid}_k{counter}" in out.nodes:
+            while f"{nid}_k{counter}" in nodes:
                 counter += 1
             cuts.append(f"{nid}_k{counter}")
             counter += 1
-            out.nodes[cuts[-1]] = Node(Rule(RuleKind.CUT_N), node.sequent, (nid, h))
-        out.nodes[nid] = Node(Rule(RuleKind.COND_B), node.sequent, (base, cuts[0], cuts[-1]))
-    return out.pruned()
+            nodes[cuts[-1]] = Node(Rule(RuleKind.CUT_N), node.sequent, (nid, h))
+        nodes[nid] = Node(Rule(RuleKind.COND_B), node.sequent, (base, cuts[0], cuts[-1]))
+    return ProofGraph(graph.name.removesuffix("_deriv") + "_circ", graph.root, nodes).pruned()
 
 
 def nb_to_circular(td: TermDef, oracle_sigs: Optional[dict[str, tuple[int, int]]] = None) -> ProofGraph:
@@ -351,7 +351,7 @@ def nb_to_circular(td: TermDef, oracle_sigs: Optional[dict[str, tuple[int, int]]
 
 
 def _assert_no_boxed_cut_to_oracles(graph: ProofGraph) -> None:
-    leaves = [x for x in graph.reachable() if graph.nodes[x].rule.kind is RuleKind.ORACLE]
+    leaves = [x for x in _reached(graph) if graph.nodes[x].rule.kind is RuleKind.ORACLE]
     for x in sorted(graph.reaching(leaves)):
         if graph.nodes[x].rule.kind is RuleKind.CUT_B:
             raise ShapeViolation(f"boxed cut at {x} on a path to an oracle leaf")

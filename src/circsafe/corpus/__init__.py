@@ -38,7 +38,7 @@ def _read(name: str) -> str:
 
 def proof(name: str) -> ProofGraph:
     """The proof document ``<name>.proof``, parsed afresh on every call,
-    so the caller may change the graph it gets."""
+    so each caller gets a graph of its own, with no facts kept yet."""
     return parse_proof(_read(f"{name}.proof"))
 
 

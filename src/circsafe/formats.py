@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from typing import Container, NamedTuple, Optional
 
-from .kernel import Node, ProofGraph, Rule, RuleKind, Sequent, SType
+from .kernel import Node, ProofGraph, Rule, RuleKind, Sequent, SType, _reached
 from .interp import (
     REC,
     Call,
@@ -169,7 +169,7 @@ def export_dot(graph: ProofGraph) -> str:
     """One digraph; edges closing a cycle (to a node on the current DFS
     stack) are styled as back edges."""
     lines = [f'digraph "{graph.name}" {{', "  rankdir=BT;"]
-    reach = graph.reachable()
+    reach = _reached(graph)
     for nid in reach:
         node = graph.nodes[nid]
         label = f"{node.rule} : {node.sequent}".replace('"', "'")

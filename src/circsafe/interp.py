@@ -15,12 +15,12 @@ the recursion schemes on notation and on permutations of prefixes;
 programs over the prefix-permutation order add guarded calls between
 named functions.  Memo entries are kept only where a run can read them.
 
-Terms and programs compile once into closures for fixed argument counts
-(``eval_term`` keeps them on the term object, ``_kept_on``, so no run
-hashes a term; a program keeps one code for both
-guard modes while its functions stay the same objects, each body
-compiled on its first call).  A run's state and guard mode travel with
-it, never in the code.
+Graphs, programs and terms are immutable and keep what is derived from
+them (``kernel._kept_on``): a graph its memo node sets and notation
+companions per start node (``_run_facts``), a term its code per
+argument counts, so no run hashes a term, and a program one code for
+both guard modes (``_program_code``), each body compiled on its first
+call.  A run's state and guard mode travel with it, never in the code.
 Recursion names are scoped lexically: a program body sees only the
 host's oracles.  A chain of ``s0``/``s1``/``p`` compiles to one prefix
 edit, ``srec`` runs as a loop over the prefixes of its recursion
@@ -58,14 +58,15 @@ class check; it and the compile do a shared subterm object once.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from operator import attrgetter, is_
-from typing import Callable, NamedTuple, Optional, Sequence, TypeVar
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence, TypeVar
 
 from .kernel import (
     _R_BOX_L, _R_BOX_R, _R_COND_B, _R_COND_N, _R_CUT_B, _R_CUT_N, _R_EXCH_B, _R_EXCH_N, _R_ID,
-    _R_ORACLE, _R_S0, _R_S1, _R_SREC, _R_WEAK_B, _R_WEAK_N, _R_ZERO, ProofGraph, _reach, sccs,
-    tuple_below,
+    _R_ORACLE, _R_S0, _R_S1, _R_SREC, _R_WEAK_B, _R_WEAK_N, _R_ZERO, ProofGraph, _kept_on, _reach,
+    sccs, tuple_below,
 )
 
 R = TypeVar("R")
@@ -167,7 +168,7 @@ def eval_proof(
     Each expansion of a node at some inputs costs one unit of fuel and
     counts one step, a memo hit included.  With memoization on, the run
     keeps memo entries only at the nodes of ``_repeatable``, fixed before
-    the first expansion and kept with the graph (``_kept``),
+    the first expansion and kept with the graph (``_run_facts``),
     under ``_long_key``s: a run with an entry at
     every node finds its hits only there if it returns.  So a run that
     returns has that run's value, steps, fuel, memo hits and
@@ -210,7 +211,7 @@ def eval_proof(
     fuel = cfg.fuel
     memo: Optional[dict] = {} if cfg.memo else None
     # nodes that keep memo entries, and the notation companions met so far
-    repeat, loops = _kept(graph, nid) if cfg.memo else ((), None)
+    repeat, loops = _run_facts(graph, nid) if cfg.memo else ((), None)
     keyed = 0  # expansions that looked up an entry
     work: list = []  # continuations, innermost last
     try:
@@ -237,7 +238,7 @@ def eval_proof(
                         continue
                     if x0 >= _FEW_X:  # perhaps _FEW levels or more to descend at once
                         if loops is None:
-                            loops = _kept(graph, None)[1]
+                            loops = _run_facts(graph, None)[1]
                         loop = loops.get(n)
                         if loop is None:  # False: not a notation companion
                             loop = loops[n] = _notation_companion(nodes, n, repeat) or False
@@ -370,25 +371,13 @@ def _long_key(n: str, xs: tuple, ys: tuple) -> tuple:
     return n, xs, ys, lx, ly
 
 
-def _kept(graph: ProofGraph, nid: Optional[str]) -> tuple[frozenset, dict]:
+def _run_facts(graph: ProofGraph, nid: Optional[str]) -> tuple[frozenset, dict]:
     """What runs of ``graph`` from ``nid`` with memoization (None: runs
-    without) derive from the graph: the nodes that keep memo entries,
-    ``_repeatable(graph, nid)`` (none without memo), and a dict that the
-    runs fill as they first reach a condB node with levels to descend,
-    with its ``_notation_companion`` or False.  Kept on the graph, in
-    ``graph._memo_nodes = (root, nodes, {nid: (repeat, loops)})``.
-    ``graph.nodes`` is a mutable dict, so they are served only while
-    ``graph.root`` and ``graph.nodes`` are what they were when the first
-    was computed: the same or equal ``Node`` objects under the same ids.
-    Any change drops them all."""
-    kept = graph._memo_nodes
-    if kept is None or kept[0] != graph.root or kept[1] != graph.nodes:
-        kept = graph._memo_nodes = (graph.root, dict(graph.nodes), {})
-    runs = kept[2]
-    run = runs.get(nid)
-    if run is None:
-        run = runs[nid] = (frozenset() if nid is None else _repeatable(graph, nid)), {}
-    return run
+    without) derive from the graph, kept with it: the nodes that keep
+    memo entries, ``_repeatable(graph, nid)`` (none without memo), and a
+    dict that the runs fill as they first reach a condB node with levels
+    to descend, with its ``_notation_companion`` or False."""
+    return _kept_on(graph, ("run", nid), lambda: ((frozenset() if nid is None else _repeatable(graph, nid)), {}))
 
 
 class _Loop:
@@ -1332,21 +1321,6 @@ def _host_call(term: OracleCall, args: list, flags: list):
     return run
 
 
-def _kept_on(term: Term, key, make: Callable[[], R]) -> R:
-    """``make()``, kept on the term object under ``key``, outside its
-    fields, as ``_kept_code`` keeps a program's code: the term is never
-    hashed, which for a frozen dataclass walks the whole tree on Python's
-    stack."""
-    kept = term.__dict__.get("_kept")
-    if kept is None:
-        kept = {}
-        object.__setattr__(term, "_kept", kept)
-    value = kept.get(key)
-    if value is None:
-        value = kept[key] = make()
-    return value
-
-
 def _term_code(term: Term, normals: int, safes: int):
     return _kept_on(term, (normals, safes), lambda: _compile(term, normals, safes, (), None))
 
@@ -1374,21 +1348,28 @@ class PPFunction:
     body: Term
 
 
-@dataclass
+@dataclass(frozen=True)
 class PPProgram:
     """Mutually recursive named functions with guarded calls.
 
-    Every question about the program's calls (``validate``,
-    ``call_graph``, the class check, ``descent_audit``) and ``eval_pp``
-    read one ``_ProgramCode``, kept here by ``_kept_code``.
+    An immutable value: ``functions`` is a read-only copy of the mapping
+    it is built from, so a changed program is a new one.  Every question
+    about the program's calls (``validate``, ``call_graph``, the class
+    check, ``descent_audit``) and ``eval_pp`` read one ``_ProgramCode``,
+    built on first use and kept with the program (``_program_code``).
     """
 
-    functions: dict[str, PPFunction]
+    functions: Mapping[str, PPFunction]
     guard: str = "strict"  # family default: "strict" or "strict_safe"
-    _code: Optional[_ProgramCode] = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "functions", MappingProxyType(dict(self.functions)))
+
+    def __reduce__(self):  # pickles and deep copies rebuild it, with nothing kept
+        return PPProgram, (self.functions.copy(), self.guard)
 
     def validate(self) -> None:
-        calls = _kept_code(self).calls
+        calls = _program_code(self).calls
         for nm, fn in self.functions.items():
             if fn.name != nm:
                 raise EvalError(f"function {fn.name} is stored under the name {nm!r}")
@@ -1401,7 +1382,7 @@ class PPProgram:
 
     def call_graph(self) -> dict[str, tuple[str, ...]]:
         """Callee names of each function, sorted, for ``kernel.sccs``."""
-        callees = _kept_code(self).callees
+        callees = _program_code(self).callees
         return {nm: callees[nm] for nm in self.functions}
 
 
@@ -1415,14 +1396,10 @@ def _must_guard(graph: dict[str, Sequence[str]]) -> Callable[[str, str], bool]:
     return lambda caller, callee: comp_of.get(callee, -1) == comp_of[caller]
 
 
-def _kept_code(prog: PPProgram) -> _ProgramCode:
+def _program_code(prog: PPProgram) -> _ProgramCode:
     """The code of ``prog``, built by the first caller that needs it and
-    kept while ``prog.functions`` holds exactly the objects it was built
-    from (call sites read their callee's arity when they compile)."""
-    code, fns = prog._code, prog.functions
-    if code is None or len(fns) != len(code.functions) or any(fns.get(k) is not f for k, f in code.functions.items()):
-        code = prog._code = _ProgramCode(fns)
-    return code
+    kept with the program."""
+    return _kept_on(prog, "code", lambda: _ProgramCode(prog.functions))
 
 
 class _ProgramCode:
@@ -1448,8 +1425,8 @@ class _ProgramCode:
 
     __slots__ = ("functions", "bodies", "marks", "calls", "callees", "uncertified", "keep", "checked", "shared", "codes")
 
-    def __init__(self, functions: dict[str, PPFunction]) -> None:
-        self.functions, self.checked, self.shared = dict(functions), set(), set()
+    def __init__(self, functions: Mapping[str, PPFunction]) -> None:
+        self.functions, self.checked, self.shared = functions, set(), set()
         self.marks: dict[str, set] = {}  # each body's suspending subterms, until it compiles
         self.bodies, self.calls, self.callees, self.uncertified, self.codes = {}, {}, {}, {}, {}
         starts = []
@@ -1855,7 +1832,7 @@ def eval_pp(
     finish the run.
     """
     cfg = cfg or EvalConfig()
-    code = _kept_code(prog)
+    code = _program_code(prog)
     xs, ys = tuple(normals), tuple(safes)
     bad = code.mismatch(fname, len(xs), len(ys))
     if bad is not None:
@@ -1977,7 +1954,7 @@ def _check_program_class(prog: PPProgram, cls: str) -> list[str]:
     if cls not in _PP:
         return [f"programs with guarded calls live in the pp classes, not {cls}"]
     violations = [f"{nm}: holds function {fn.name!r}" for nm, fn in prog.functions.items() if fn.name != nm]
-    calls, must_guard = _kept_code(prog).calls, _must_guard(prog.call_graph())
+    calls, must_guard = _program_code(prog).calls, _must_guard(prog.call_graph())
     for nm, fn in prog.functions.items():
         for c in calls[nm]:
             callee, m, n = prog.functions.get(c.name), len(c.normal_args), len(c.safe_args)
@@ -2025,9 +2002,9 @@ def descent_audit(prog: PPProgram) -> list[Uncertified]:
     Under ``strict_safe`` the safes match the same way, not strictly.
     Inside a recursion scheme or a tag dispatch no argument counts as
     the caller's own.  ``eval_pp`` checks exactly these calls at run
-    time: the audit reads the code it keeps (``_kept_code``).
+    time: the audit reads the code it keeps (``_program_code``).
     """
-    uncertified = _kept_code(prog).uncertified
+    uncertified = _program_code(prog).uncertified
     return [u for nm in prog.functions for u in uncertified[nm]]
 
 

@@ -12,9 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Optional, Sequence, TypeVar
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, Optional, Sequence, TypeVar
 
 T = TypeVar("T")
+R = TypeVar("R")
 
 
 # ---------------------------------------------------------------------------
@@ -220,42 +222,66 @@ class Node:
     premises: tuple[str, ...] = ()
 
 
-@dataclass
+def _kept_on(obj, key, make: Callable[[], R]) -> R:
+    """``make()``, kept on ``obj`` under ``key``, outside its fields: the
+    one home for what is derived from an immutable graph, program or
+    term, so nothing kept goes stale.  The object is never hashed, which
+    for a frozen term walks the whole tree on Python's stack."""
+    kept = obj.__dict__.setdefault("_kept", {})
+    value = kept.get(key)
+    if value is None:
+        value = kept[key] = make()
+    return value
+
+
+@dataclass(frozen=True)
 class ProofGraph:
     """Finite rooted labelled graph of inference steps; cycles allowed.
 
-    ``eval_proof`` keeps its memo node sets and notation companions
-    here, for as long as ``root`` and ``nodes`` stay as they were
-    (``interp._kept``).
+    An immutable value: ``nodes`` is a read-only copy of the mapping it
+    is built from, so a changed graph is a new one, such as
+    ``ProofGraph(g.name, g.root, {**g.nodes, nid: node})``.  What passes
+    derive from it is computed on first use and kept with it
+    (``_kept_on``): the BFS order, the reachable adjacency, its components
+    and cycle flag, and ``eval_proof``'s memo sets per start node.
     """
 
     name: str
     root: str
-    nodes: dict[str, Node] = field(default_factory=dict)
-    _memo_nodes: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    nodes: Mapping[str, Node] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "nodes", MappingProxyType(dict(self.nodes)))
+
+    def __reduce__(self):  # pickles and deep copies rebuild it, with nothing kept
+        return ProofGraph, (self.name, self.root, self.nodes.copy())
 
     def reachable(self) -> list[str]:
         """Node ids reachable from the root, in deterministic BFS order."""
-        if self.root not in self.nodes:
+        nodes = self.nodes
+        if self.root not in nodes:
             return []
         seen = {self.root}
         order = [self.root]
         i = 0
         while i < len(order):  # order doubles as the BFS queue
-            for p in self.nodes[order[i]].premises:
-                if p in self.nodes and p not in seen:
+            for p in nodes[order[i]].premises:
+                if p in nodes and p not in seen:
                     seen.add(p)
                     order.append(p)
             i += 1
         return order
 
     def pruned(self) -> "ProofGraph":
-        """A copy without the nodes the root cannot reach.
+        """The graph without the nodes the root cannot reach: itself when
+        it has none.
 
         Every pass that builds a graph node by node ends here; the
         surviving nodes keep their insertion order.
         """
-        keep = set(self.reachable())
+        keep = set(_reached(self))
+        if len(keep) == len(self.nodes):
+            return self
         return ProofGraph(self.name, self.root, {k: v for k, v in self.nodes.items() if k in keep})
 
     def reaching(self, targets: Iterable[str]) -> set[str]:
@@ -264,13 +290,52 @@ class ProofGraph:
         The reverse closure of ``targets`` over premise edges, taken
         inside the root's reachable part; reachable targets are members.
         """
-        reach = self.reachable()
-        parents: dict[str, list[str]] = {n: [] for n in reach}
-        for n in reach:
-            for p in self.nodes[n].premises:
+        adj = _adjacency(self)
+        parents: dict[str, list[str]] = {n: [] for n in adj}
+        for n, premises in adj.items():
+            for p in premises:
                 if p in parents:
                     parents[p].append(n)
         return _reach(parents, [t for t in targets if t in parents])
+
+
+# The facts every graph keeps, each computed on its first use.
+
+
+def _reached(graph: ProofGraph) -> list[str]:
+    """``graph.reachable()``, kept with the graph."""
+    return _kept_on(graph, "reached", graph.reachable)
+
+
+def _adjacency(graph: ProofGraph) -> dict[str, tuple[str, ...]]:
+    """Premise edges of the root-reachable part, in BFS order; kept."""
+    nodes = graph.nodes
+    return _kept_on(graph, "adjacency", lambda: {n: nodes[n].premises for n in _reached(graph)})
+
+
+def _components(graph: ProofGraph) -> tuple[list[list[str]], list[list[str]]]:
+    """``sccs`` of the reachable adjacency, and those of them that carry
+    a cycle; kept, and with them whether the graph has a cycle."""
+
+    def make() -> tuple:
+        adj = _adjacency(graph)
+        comps = sccs(adj)
+        loops = _loops(adj, comps)
+        _kept_on(graph, "has cycle", lambda: bool(loops))
+        return comps, loops
+
+    return _kept_on(graph, "components", make)
+
+
+def _has_cycles(graph: ProofGraph) -> bool:
+    """Whether the reachable part has a cycle, kept: read off
+    ``_components`` if they came first, else one ``has_cycle`` peel."""
+    return _kept_on(graph, "has cycle", lambda: has_cycle(_adjacency(graph)))
+
+
+def _loops(adj: dict[T, Sequence[T]], comps: list[list[T]]) -> list[list[T]]:
+    """The components of ``comps`` that carry a cycle."""
+    return [c for c in comps if len(c) > 1 or c[0] in adj.get(c[0], ())]
 
 
 def _reach(succ: dict, starts: Sequence) -> set:
@@ -494,19 +559,13 @@ def validate_step(graph: ProofGraph, nid: str) -> list[StepError]:
 
 
 def validate_graph(
-    graph: ProofGraph,
-    *,
-    allow_srec: bool = False,
-    allow_oracle: bool = False,
-    allow_dis: bool = False,
-    order: Optional[list[str]] = None,
+    graph: ProofGraph, *, allow_srec: bool = False, allow_oracle: bool = False, allow_dis: bool = False
 ) -> list[StepError]:
-    """Validate every reachable node (``order``, when the caller has
-    ``graph.reachable()`` already); returns all errors found."""
+    """Validate every reachable node; returns all errors found."""
     errors: list[StepError] = []
     if graph.root not in graph.nodes:
         return [StepError(graph.root, "root unresolved")]
-    reach = graph.reachable() if order is None else order
+    reach = _reached(graph)
     for nid in reach:
         kind = graph.nodes[nid].rule.kind
         if kind is _R_SREC and not allow_srec:

@@ -19,7 +19,8 @@ from .kernel import (
     RuleKind,
     Sequent,
     SType,
-    has_cycle,
+    _has_cycles,
+    _reached,
     sccs,
     validate_graph,
 )
@@ -60,7 +61,7 @@ class NotProgressing(TransformError):
 # Bisimulation minimization and cycle normal form
 
 
-def bisimulation_classes(graph: ProofGraph, order: Optional[list[str]] = None) -> dict[str, int]:
+def bisimulation_classes(graph: ProofGraph) -> dict[str, int]:
     """Coarsest partition of the reachable nodes into bisimilar classes.
 
     Two nodes are bisimilar when they carry the same (rule, sequent)
@@ -71,9 +72,8 @@ def bisimulation_classes(graph: ProofGraph, order: Optional[list[str]] = None) -
     block queues only its smaller half.  O(k n log n) time for n
     reachable nodes and at most k = 3 premises each, no recursion.
     Class ids only mean equality; their numbering is arbitrary.
-    ``order`` is ``graph.reachable()`` when the caller has it.
     """
-    order = sorted(graph.reachable() if order is None else order)
+    order = sorted(_reached(graph))
     index = {n: i for i, n in enumerate(order)}
     k = max((len(graph.nodes[n].premises) for n in order), default=0)
     preds: list[list[list[int]]] = [[[] for _ in order] for _ in range(k)]
@@ -167,20 +167,19 @@ class CycleNF:
 def cycle_normal_form(graph: ProofGraph) -> CycleNF:
     """``_cycle_normal_form`` of a graph that passes ``validate_graph``
     (srec and oracle leaves allowed); TransformError otherwise."""
-    order = graph.reachable()
-    _require_valid(graph, allow_srec=True, order=order)
-    return _cycle_normal_form(graph, order)
+    _require_valid(graph, allow_srec=True)
+    return _cycle_normal_form(graph)
 
 
-def _require_valid(graph: ProofGraph, allow_srec: bool = False, order: Optional[list[str]] = None) -> None:
+def _require_valid(graph: ProofGraph, allow_srec: bool = False) -> None:
     """TransformError on the first error ``validate_graph`` finds
     (oracle leaves allowed)."""
-    errors = validate_graph(graph, allow_srec=allow_srec, allow_oracle=True, order=order)
+    errors = validate_graph(graph, allow_srec=allow_srec, allow_oracle=True)
     if errors:
         raise TransformError(f"invalid input graph: {errors[0]}")
 
 
-def _cycle_normal_form(graph: ProofGraph, order: list[str], cyclic: Optional[bool] = None) -> CycleNF:
+def _cycle_normal_form(graph: ProofGraph) -> CycleNF:
     """Unfold the bisimulation-minimized graph, cutting at repetitions.
 
     Depth-first, leftmost premise first; a node whose minimized class
@@ -190,15 +189,14 @@ def _cycle_normal_form(graph: ProofGraph, order: list[str], cyclic: Optional[boo
     One explicit-stack walk numbers the positions in the order it enters
     them and keeps one map from class to position for the root path, so
     it runs without recursion in time linear in the tree, after the
-    O(n log n) minimisation of a graph with a cycle (``cyclic``, which
-    ``has_cycle`` decides when not given).  An acyclic graph has no buds,
-    as a node's unfolding is taller than its descendants', so there each
-    node is its own class.  ``order`` is ``graph.reachable()``.  Callers
-    that have validated ``graph`` more strictly call this directly.
+    O(n log n) minimisation of a graph with a cycle (the flag the graph
+    keeps, ``kernel._has_cycles``).  An acyclic graph has no buds, as a
+    node's unfolding is taller than its descendants', so there each node
+    is its own class.  Callers that have validated ``graph`` more
+    strictly call this directly.
     """
-    if cyclic is None:
-        cyclic = has_cycle({n: graph.nodes[n].premises for n in order})
-    classes = bisimulation_classes(graph, order) if cyclic else dict(zip(order, range(len(order))))
+    order = _reached(graph)
+    classes = bisimulation_classes(graph) if _has_cycles(graph) else dict(zip(order, range(len(order))))
     cnf = CycleNF(graph.name)
     tree, buds, node_of, parent, index = cnf.tree, cnf.buds, cnf.node_of, cnf.parent, cnf.index
     on_path: dict[int, int] = {}  # class -> its position on the root path
@@ -348,7 +346,7 @@ def box_promote(graph: ProofGraph) -> ProofGraph:
     def promoted(seq: Sequent) -> Sequent:
         return Sequent(seq.boxed + seq.plain, 0, seq.succedent)
 
-    for nid in graph.reachable():
+    for nid in _reached(graph):
         node = graph.nodes[nid]
         kind = node.rule.kind
         seq = node.sequent
@@ -435,7 +433,7 @@ def strip_safe_inputs(graph: ProofGraph) -> ProofGraph:
     if graph.nodes[graph.root].sequent.succedent is not SType.BOXED:
         raise TransformError("strip_safe_inputs needs a boxed succedent at the root")
 
-    out_nodes: dict[str, Node] = dict(graph.nodes)
+    out_nodes: dict[str, Node] = graph.nodes.copy()
     b = _Builder(graph, out_nodes)
     memo: dict[str, str] = {}
     opened: set[str] = set()  # nodes whose premises are being stripped
@@ -493,7 +491,7 @@ def pass_parameters(graph: ProofGraph, oracle: str) -> tuple[ProofGraph, str]:
     _require_valid(graph, allow_srec=True)
     k = graph.nodes[graph.root].sequent.boxed
     star = oracle + "*"
-    reach = graph.reachable()
+    reach = _reached(graph)
 
     leaves = [
         n
@@ -665,7 +663,7 @@ def flatten_program(prog: PPProgram) -> PPProgram:
     dispatches on the rotation tags; the block's original names remain
     as thin selector wrappers, so callers are unaffected.
     """
-    out: dict[str, PPFunction] = dict(prog.functions)
+    out: dict[str, PPFunction] = prog.functions.copy()
     for scc in sccs(prog.call_graph()):
         if len(scc) < 2:
             continue

@@ -63,8 +63,9 @@ def translate(graph: ProofGraph) -> PPProgram:
     component, so guard outcomes on genuine slots are unchanged.  Each
     call fits its companion's sequent when emitted and is padded as the
     companion is, so the program validates without a further check.
-    ``classify``'s BFS order and cycle test feed the cycle normal form,
-    and a scan of each region's positions gives the call graph.
+    The cycle normal form reads the BFS order and the cycle flag that
+    ``classify`` left kept with the graph, and a scan of each region's
+    positions gives the call graph.
     """
     cl = classify(graph)
     if cl.cls not in ("CB", "CNB"):
@@ -72,7 +73,7 @@ def translate(graph: ProofGraph) -> PPProgram:
             f"{graph.name}: only accepted proofs translate (classified {cl.cls}: {'; '.join(cl.diagnostics)})"
         )
     guard = "strict_safe" if cl.cls == "CB" else "strict"
-    cnf = _cycle_normal_form(graph, cl._order, cl._cyclic)  # classify validated it
+    cnf = _cycle_normal_form(graph)  # classify validated it
     tree, buds = cnf.tree, cnf.buds
     fname = {pos: f"f{i}" for i, pos in enumerate(sorted(cnf.companions))}
     regions = [(c, c) for c in fname] + [(0, None)]  # (top, its companion): the functions, main last

@@ -28,7 +28,7 @@ from circsafe.interp import (
     TagDispatch,
     Term,
     Zero,
-    _ProgramCode,
+    _program_code,
     children,
     eval_pp,
 )
@@ -506,9 +506,8 @@ def ref_calls(term) -> list:
 def memo_everywhere(prog):
     """A copy of ``prog`` whose ``eval_pp`` runs keep a memo entry for
     every call, in either guard mode."""
-    copy = PPProgram(dict(prog.functions), prog.guard)
-    copy._code = _ProgramCode(copy.functions)
-    copy._code.keep = frozenset(copy.functions)
+    copy = PPProgram(prog.functions, prog.guard)
+    _program_code(copy).keep = frozenset(copy.functions)
     return copy
 
 

@@ -110,10 +110,7 @@ def _unroll_once(g: ProofGraph) -> ProofGraph:
     nodes = dict(g.nodes)
     root = g.nodes[g.root]
     nodes["unrolled_root"] = Node(root.rule, root.sequent, root.premises)
-    out = ProofGraph(g.name, "unrolled_root", nodes)
-    keep = set(out.reachable())
-    out.nodes = {k: v for k, v in nodes.items() if k in keep}
-    return out
+    return ProofGraph(g.name, "unrolled_root", nodes).pruned()
 
 
 def test_checks_invariant_under_renaming_and_unrolling(proofs):

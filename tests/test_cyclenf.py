@@ -246,9 +246,8 @@ def test_cycle_normal_form_matches_the_unfolding_by_moore_classes():
         cyclic = has_cycle({n: g.nodes[n].premises for n in g.reachable()})
         assert bool(cnf.buds) == cyclic, g.name
         seen.add(cyclic)
-        cl = classify(g)
-        if cl.valid:  # as translate calls it, with what classify derived
-            assert (cl._order, cl._cyclic) == (g.reachable(), cyclic), g.name
-            cnf = _cycle_normal_form(g, cl._order, cl._cyclic)
+        fresh = ProofGraph(g.name, g.root, g.nodes)
+        if classify(fresh).valid:  # as translate calls it, with the facts classify kept
+            cnf = _cycle_normal_form(fresh)
             assert (cnf.tree, cnf.buds, cnf.node_of) == want, g.name
     assert seen == {False, True}

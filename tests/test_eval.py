@@ -6,6 +6,7 @@ import sys
 import threading
 import tracemalloc
 import weakref
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -647,7 +648,7 @@ def test_calls_inside_recursion_schemes_reenter_the_program_machine():
             for fuel in (10**6, 9, 3):
                 cfg = EvalConfig(fuel=fuel)
                 assert pp_outcome(p, "main", None, xs, [], cfg) == pp_outcome(everywhere, "main", None, xs, [], cfg)
-        assert p._code.keep == {"g"}
+        assert interp._program_code(p).keep == {"g"}
 
 
 def test_bad_program_calls_raise_after_their_arguments_and_guard():
@@ -734,23 +735,27 @@ def test_eval_pp_compiles_each_program_once(proofs, monkeypatch):
     assert eval_pp(prog, MAIN, None, [6, 5], [1], strict) == c_program(6, 5, 1)
     assert eval_pp(prog, MAIN, None, [6, 5], [1]) == c_program(6, 5, 1)
     assert compiled == []
-    # a replaced function compiles afresh, and so does every body that calls it
+    # the program cannot change; one rebuilt with a replaced function
+    # compiles afresh, every body that calls it too
     x0, y0 = Proj("n", 0), Proj("s", 0)
-    prog.functions["f1"] = PPFunction("f1", 2, 1, S1(S1(y0)))
-    assert eval_pp(prog, MAIN, None, [2, 6], [7]) == ref_pp(prog, MAIN, [2, 6], [7]) == 126
+    with pytest.raises(TypeError):
+        prog.functions["f1"] = PPFunction("f1", 2, 1, S1(S1(y0)))
+    with pytest.raises(FrozenInstanceError):
+        prog.functions = {}
+    changed = PPProgram({**prog.functions, "f1": PPFunction("f1", 2, 1, S1(S1(y0)))}, prog.guard)
+    assert eval_pp(changed, MAIN, None, [2, 6], [7]) == ref_pp(changed, MAIN, [2, 6], [7]) == 126
     assert sorted(compiled) == ["f0", "f1", "main"]
-    # an equal but distinct object is a replacement too
+    # so does one rebuilt from the same functions, or with a function
+    # added, even one no body calls; the first program keeps its code
+    for rebuilt in (PPProgram(changed.functions, changed.guard),
+                    PPProgram({**changed.functions, "g": PPFunction("g", 1, 0, S0(x0))}, changed.guard)):
+        compiled.clear()
+        assert eval_pp(rebuilt, MAIN, None, [2, 6], [7]) == 126
+        assert sorted(compiled) == ["f0", "f1", "main"]
     compiled.clear()
-    prog.functions["f1"] = PPFunction("f1", 2, 1, prog.functions["f1"].body)
-    assert eval_pp(prog, MAIN, None, [2, 6], [7]) == 126
-    assert sorted(compiled) == ["f0", "f1", "main"]
-    # so does a program with a function added, even one no body calls
+    assert eval_pp(rebuilt, "g", None, [3], []) == 6 and compiled == ["g"]
     compiled.clear()
-    prog.functions["g"] = PPFunction("g", 1, 0, S0(x0))
-    assert eval_pp(prog, MAIN, None, [2, 6], [7]) == 126
-    assert sorted(compiled) == ["f0", "f1", "main"]
-    compiled.clear()
-    assert eval_pp(prog, "g", None, [3], []) == 6 and compiled == ["g"]
+    assert eval_pp(prog, MAIN, None, [2, 6], [7]) == c_program(2, 6, 7) and compiled == []
 
 
 def test_both_guard_modes_and_the_audit_walk_each_body_once(proofs, monkeypatch):
@@ -791,9 +796,13 @@ def test_kept_code_still_checks_call_sites_when_reached(monkeypatch):
         with pytest.raises(EvalError, match="g expects \\(1;1\\) arguments"):
             eval_pp(prog, "main", None, [4], [5])
     assert compiled == ["main"]
-    # with g of the arity the call site uses, the kept code is not used
-    prog.functions["g"] = PPFunction("g", 1, 2, S0(Proj("s", 1)))
-    assert eval_pp(prog, "main", None, [4], [5]) == 10
+    # a program rebuilt with g of the arity the call site uses compiles
+    # its own code
+    fixed = PPProgram({**prog.functions, "g": PPFunction("g", 1, 2, S0(Proj("s", 1)))})
+    assert eval_pp(fixed, "main", None, [4], [5]) == 10
+    assert compiled == ["main", "main", "g"]
+    with pytest.raises(EvalError, match="g expects \\(1;1\\) arguments"):
+        eval_pp(prog, "main", None, [4], [5])
     assert compiled == ["main", "main", "g"]
 
 

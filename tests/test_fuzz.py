@@ -465,12 +465,12 @@ def test_repeatable_on_the_corpus(proofs):
 
 
 def test_memo_sets_are_kept_with_the_graph(monkeypatch):
-    """``eval_proof`` computes a start node's memo set once and keeps it on
-    the graph while its root and nodes stay the same (equal nodes count
-    as the same); a changed node map or root drops the kept sets.  Beside
-    each set it keeps the notation companions that runs from that start
-    node reached, and runs without memo keep theirs under None."""
-    from dataclasses import replace
+    """``eval_proof`` computes a start node's memo set once and keeps it
+    with the graph, which cannot change: a write raises, and a graph
+    rebuilt from changed parts, or from the same ones, computes its own.
+    Beside each set it keeps the notation companions that runs from that
+    start node reached, and runs without memo keep theirs under None."""
+    from dataclasses import FrozenInstanceError, replace
 
     from circsafe import interp
     from circsafe.corpus import proof
@@ -485,19 +485,25 @@ def test_memo_sets_are_kept_with_the_graph(monkeypatch):
     for _ in range(2):
         assert eval_proof(g, "n1", [], []) == 1
     assert computed == ["n0", "n1"]
-    g.nodes["n1"] = replace(g.nodes["n1"])  # an equal node
+    with pytest.raises(TypeError):
+        g.nodes["extra"] = Node(Rule(RuleKind.ZERO), Sequent(0, 0), ())
+    with pytest.raises(FrozenInstanceError):
+        g.root = "n1"
     assert eval_proof(g, "n0", [9], []) == 10 and computed == ["n0", "n1"]
-    g.nodes["extra"] = Node(Rule(RuleKind.ZERO), Sequent(0, 0), ())
-    assert eval_proof(g, "n0", [9], []) == 10 and computed == ["n0", "n1", "n0"]
-    g.root = "n1"
-    assert eval_proof(g, "n0", [9], []) == 10 and computed == ["n0", "n1", "n0", "n0"]
-    assert g._memo_nodes[2].keys() == {"n0"}
-    repeat, loops = g._memo_nodes[2]["n0"]
+    for changed in (
+        ProofGraph(g.name, g.root, {**g.nodes, "n1": replace(g.nodes["n1"])}),  # an equal node
+        ProofGraph(g.name, g.root, {**g.nodes, "extra": Node(Rule(RuleKind.ZERO), Sequent(0, 0), ())}),
+        replace(g, root="n1"),
+    ):
+        computed.clear()
+        assert eval_proof(changed, "n0", [9], []) == 10 and computed == ["n0"]
+    repeat, loops = interp._run_facts(g, "n0")
     assert repeat == real(g, "n0") and loops.keys() == {"n0"} and loops["n0"].odd == 1
     assert eval_proof(g, "n0", [3], [], EvalConfig(memo=False)) == 4  # no levels to descend: nothing worked out
+    assert interp._run_facts(g, None)[1] == {}
     assert eval_proof(g, "n0", [2**9 - 1], [], EvalConfig(memo=False)) == 2**9
-    assert g._memo_nodes[2].keys() == {"n0", None} and g._memo_nodes[2][None][1].keys() == {"n0"}
-    assert computed == ["n0", "n1", "n0", "n0"]
+    assert interp._run_facts(g, None)[1].keys() == {"n0"}
+    assert computed == ["n0"]
 
 
 def test_repeatable_takes_linear_memory():

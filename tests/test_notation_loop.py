@@ -22,7 +22,7 @@ from circsafe.corpus import proof, term_corpus
 from circsafe.formats import parse_terms
 from circsafe.interp import (
     Call, Cond, EvalConfig, EvalError, OracleDef, OracleEnv, PPFunction, PPProgram, Pred, Proj, S0, S1, SRecN, Zero,
-    eval_pp, eval_term,
+    _program_code, eval_pp, eval_term,
 )
 from circsafe.translate import translate
 
@@ -37,7 +37,7 @@ def _inputs(rng: random.Random, bits: int) -> list[int]:
 
 def _loops(prog: PPProgram) -> set:
     """The functions of ``prog`` whose compiled body is the notation loop."""
-    return {nm for nm, body in prog._code.bodies.items() if body.__name__ == "loop"}
+    return {nm for nm, body in _program_code(prog).bodies.items() if body.__name__ == "loop"}
 
 
 def _same_as_requests(prog, fname, points, env=None) -> int:
@@ -138,7 +138,7 @@ def test_a_condition_on_a_missing_normal_raises_as_the_request_machine_does():
         for ys in ([0], [5]):
             with pytest.raises(EvalError, match="projection n0 out of range"):
                 eval_pp(prog, "f", None, [], ys, cfg)
-    assert "f" in prog._code.bodies and _loops(prog) == set()
+    assert "f" in _program_code(prog).bodies and _loops(prog) == set()
 
 
 @pytest.mark.parametrize("name", sorted(NEAR_MISSES))

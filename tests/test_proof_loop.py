@@ -154,10 +154,12 @@ node l7 : id seq N => N premises []
 def _s_base_twice() -> ProofGraph:
     """S whose even base runs n3 at h, then n8 at h again under another s1."""
     g = _with(proof("S"), "n4", premises=["n9"])
-    g.nodes["n9"] = Node(Rule(RuleKind.CUT_N), Sequent(0, 1), ("n3", "n10"))
-    g.nodes["n10"] = Node(Rule(RuleKind.WEAK_N), Sequent(0, 2), ("n11",))
-    g.nodes["n11"] = g.nodes["n3"]  # s1 over n8
-    return g
+    return ProofGraph(g.name, g.root, {
+        **g.nodes,
+        "n9": Node(Rule(RuleKind.CUT_N), Sequent(0, 1), ("n3", "n10")),
+        "n10": Node(Rule(RuleKind.WEAK_N), Sequent(0, 2), ("n11",)),
+        "n11": g.nodes["n3"],  # s1 over n8
+    })
 
 
 KEPT = {  # graph, the nodes on its way back that keep entries, inputs whose memo-everywhere run hits the memo
