@@ -86,8 +86,11 @@ def _values(text: Optional[str]) -> list[int]:
 def _write_out(path: Optional[str], data: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(data)
-    else:
+        return
+    try:
         Path(path).write_text(data, encoding="utf-8")
+    except OSError as e:
+        raise ParseError(f"cannot write {path}: {e}")
 
 
 def cmd_check(args: argparse.Namespace) -> int:

@@ -3,17 +3,16 @@
 Proof graphs are run as equational programs on an explicit work stack
 (cycles unfold lazily, a fuel budget bounds the number of rule-step
 expansions).  A boxed conditional whose digit branches re-enter it at
-``x >> 1`` (``_notation_companion``) runs its levels as one loop: fuel
-and steps are charged per node as before, the way down at once, and the
-edits fold on the way out (``_edit_fold``), or return one level at a
-time where the way back keeps memo entries.  A run from the companion
-keeps none on a way back whose keys grow with every level
-(``_growing``), so S and L fold; P keeps the entry its runs hit.
-Terms are a two-sorted
-function algebra with oracles and
-the recursion schemes on notation and on permutations of prefixes;
-programs over the prefix-permutation order add guarded calls between
-named functions.  Memo entries are kept only where a run can read them.
+``x >> 1`` (``_notation_companion``) and whose ways back keep no memo
+entries runs its levels as one loop: fuel and steps are charged per
+node as before, the way down at once, and the edits fold on the way out
+(``_edit_fold``).  A run from the companion keeps none on a way back
+whose keys grow with every level (``_growing``), so S and L fold; P
+keeps the entry its runs hit and runs one expansion at a time.  Terms
+are a two-sorted function algebra with oracles and the recursion
+schemes on notation and on permutations of prefixes; programs over the
+prefix-permutation order add guarded calls between named functions.
+Memo entries are kept only where a run can read them.
 
 Graphs, programs and terms are immutable and keep what is derived from
 them (``kernel._kept_on``): a graph its memo node sets and notation
@@ -48,16 +47,16 @@ descent certificate when each normal argument is one of the caller's
 own normals under zero or more ``p``, or ``0``, no two on one normal,
 with a ``p`` inside a ``cond`` branch that knows its normal is nonzero
 (under ``strict_safe`` the safes likewise, not strictly).  Every other
-call of a known callee at the right arity builds its request in one
-closure.  One walk of each body, ``_walk``, kept with the program,
-finds the listed calls (every guarded call inside a recursion scheme or
-tag dispatch among them) and answers validation, the call graph and the
-class check; it and the compile do a shared subterm object once.
+call of a known callee at the right arity builds its request with no
+check (``_args``).  One walk of each body, ``_walk``, kept with the
+program, finds the listed calls (every guarded call inside a recursion
+scheme or tag dispatch among them) and answers validation, the call
+graph and the class check; it and the compile do a shared subterm
+object once.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, replace
 from operator import attrgetter, is_
 from types import MappingProxyType
@@ -175,21 +174,19 @@ def eval_proof(
     ``memo_keys``, and so does a run cut short on the way (out of fuel,
     say).  A run that never returns may expand again a key that the
     other run would find in its memo, so it may run out of fuel while
-    expanding another node.  Successor steps with no other continuation
-    between them share one frame, which returns ``v << count | bits`` at
-    once.
+    expanding another node.
 
-    A condB companion whose digit branches re-enter it at ``x >> 1``
-    (``_Loop``) descends k >= ``_FEW`` levels at once when fuel covers
-    the way down: it charges their expansions and leaves one frame.  On
-    the way back, when no node there keeps memo entries and fuel covers
-    it, the k levels' edits fold in one ``_edit_fold``: so C, and S and
-    L from their roots, whose ways back keep none (``_growing``);
-    otherwise the levels return one at a time, innermost first, with
-    each expansion's fuel and memo lookup as the frames of a stepwise
-    descent would take them: so P, which keeps ``p7``.  Values, steps,
-    memo keys and the node that fuel refuses stay those of a run one
-    expansion at a time.
+    A condB companion whose digit branches re-enter it at ``x >> 1`` and
+    whose ways down and back keep no memo entries (``_Loop``) descends
+    k >= ``_FEW`` levels at once when fuel covers the way down: it
+    charges their expansions and leaves one frame.  On the way back the
+    k levels' edits fold in one ``_edit_fold`` when fuel covers it: so
+    C, and S and L from their roots, whose ways back keep none
+    (``_growing``).  When fuel does not cover it, the run raises
+    FuelExhausted at the node where one expansion at a time runs out.
+    P, which keeps ``p7`` on its way back, runs one expansion at a time.
+    Values, steps, memo keys and the node that fuel refuses stay those
+    of a run one expansion at a time.
 
     Raises EvalError on an unknown node, on inputs of the wrong arity
     and on a negative input, as ``eval_pp`` does.
@@ -246,7 +243,7 @@ def eval_proof(
                             k, down, back = loop.levels(x0)
                             if down <= fuel:
                                 fuel -= down
-                                work.append((_LOOP, loop, x0, k, back, xs[1:], ys))
+                                work.append((_LOOP, loop, x0, k, back))
                                 xs = (x0 >> k,) + xs[1:]
                                 continue
                     n, xs = pr[1 + (x0 & 1)], (x0 >> 1,) + xs[1:]
@@ -259,14 +256,7 @@ def eval_proof(
                         n, ys = pr[1 + (w & 1)], ys[:-1] + (w >> 1,)
                     continue
                 if kind is _R_S0 or kind is _R_S1:
-                    # successors with no frame between them share one frame
-                    top = work[-1] if work else None
-                    if top is not None and top[0] is _SUCC:
-                        if kind is _R_S1:
-                            top[1] |= 1 << top[2]
-                        top[2] += 1
-                    else:
-                        work.append([_SUCC, 1 if kind is _R_S1 else 0, 1])
+                    work.append(_SUCC1 if kind is _R_S1 else _SUCC0)
                     n = pr[0]
                     continue
                 if kind is _R_CUT_N or kind is _R_CUT_B:
@@ -317,19 +307,16 @@ def eval_proof(
                 frame = work.pop()
                 op = frame[0]
                 if op is _SUCC:
-                    v = v << frame[2] | frame[1]
+                    v = v << 1 | frame[1]
                 elif op is _STORE:
                     frame[1][0] = v
                 elif op is _LOOP:
-                    _, loop, x, k, back, rest, ys0 = frame
-                    if back <= fuel and not loop.keyed:
-                        fuel -= back
-                        v = loop.fold(v, loop.digits(x, k))
-                    else:
-                        v, fuel, lookups, refused = loop.unwind(v, x, k, rest, ys0, fuel, memo)
-                        keyed += lookups
-                        if refused is not None:
-                            raise FuelExhausted(f"fuel exhausted while expanding {refused}")
+                    _, loop, x, k, back = frame
+                    if back > fuel:  # the stepwise machine would run out on the way back
+                        refused, fuel = loop.refused(x, k, fuel), -1
+                        raise FuelExhausted(f"fuel exhausted while expanding {refused}")
+                    fuel -= back
+                    v = loop.fold(v, loop.digits(x, k))
                 else:
                     _, n, xs, ys = frame
                     if op is _R_CUT_N:
@@ -348,11 +335,12 @@ def eval_proof(
 
 
 # continuation frames of eval_proof: a cut's (kind, right premise, xs,
-# ys), a memo cell's (_STORE, cell), a run of successors'
-# [_SUCC, bits, count], which returns v << count | bits, and a notation
-# companion's (_LOOP, loop, x, k, back, rest, ys) for the k levels that
-# descended at once from (x,) + rest, whose ways back take back expansions
+# ys), a memo cell's (_STORE, cell), a successor's (_SUCC, bit), which
+# returns v << 1 | bit, and a notation companion's (_LOOP, loop, x, k,
+# back) for the k levels that descended at once from x, whose ways back
+# take back expansions
 _SUCC, _STORE, _LOOP = "succ", "store", "loop"
+_SUCC0, _SUCC1 = (_SUCC, 0), (_SUCC, 1)
 _FEW = 3  # levels below which a notation companion descends one at a time
 _FEW_X = 1 << _FEW - 1  # the least x with _FEW digits
 
@@ -383,26 +371,18 @@ def _run_facts(graph: ProofGraph, nid: Optional[str]) -> tuple[frozenset, dict]:
 class _Loop:
     """A condB node ``c`` whose digit branches re-enter it at ``x >> 1``
     (``_notation_companion``), as ``eval_proof`` runs it: k levels
-    descend at once, and their returns fold into one ``_edit_fold`` or,
-    where the way back keeps memo entries or fuel may run out on it, run
-    one level at a time (``unwind``).  A run from ``c`` keeps no entry
-    on a way back whose keys grow with every level (``_growing``): C,
-    S and L fold, and P unwinds, as its runs hit ``p7``.
+    descend at once, and their returns fold into one ``_edit_fold``.
+    Its ways back keep no memo entries: C, and S and L from their roots
+    (``_growing``), have loops; P, whose runs hit ``p7`` on the way
+    back, has none and runs one expansion at a time.
 
     Per digit d (0 where d's branch does not recurse): ``down[d]``
     expansions from the branch to c and ``back[d]`` on a level's way
-    back; ``path[d]`` that way back, None for a chain of successors,
-    else ``(node, kept, xs, ys, digit)`` per node: whether it keeps memo
-    entries, the slices of the cut's normals and safes (its value last)
-    that its key holds, and the digit it writes if it is a successor;
-    ``succ[d]`` the ``(bits, count)`` that the level's successors write;
-    ``xs_used[d]``: a kept node on the way back sees the level's first
-    normal.  ``keyed``: some node on a way back keeps memo entries.
-    ``boxed`` and ``plain`` are c's input counts, which the way back was
-    worked out for."""
+    back; ``path[d]`` the nodes of that way back, None for a chain of
+    successors.  ``boxed`` and ``plain`` are c's input counts, which the
+    way back was worked out for."""
 
-    __slots__ = ("both", "odd", "mask", "low", "boxed", "plain", "down", "back", "path", "succ", "xs_used",
-                 "keyed", "fold")
+    __slots__ = ("both", "odd", "mask", "low", "boxed", "plain", "down", "back", "path", "fold")
 
     def __init__(self, branches: list, boxed: int, plain: int) -> None:
         self.both = None not in branches
@@ -410,9 +390,7 @@ class _Loop:
         self.mask = 0 if self.both else (1 << _FEW) - 1  # x & mask == low: _FEW levels or more from x
         self.low = self.mask if self.odd else 0
         self.boxed, self.plain = boxed, plain
-        self.down, self.back, self.path, self.succ, self.xs_used = zip(
-            *(b or (0, 0, None, None, False) for b in branches))
-        self.keyed = any(p and any(step[1] for step in p) for p in self.path)
+        self.down, self.back, self.path = zip(*(b[:3] if b else (0, 0, None) for b in branches))
         self.fold = _edit_fold(*(b and (0, b[3][1], b[3][0], True) for b in branches))
 
     def levels(self, x: int) -> tuple[int, int, int]:
@@ -433,51 +411,14 @@ class _Loop:
         """The digits of the k levels from x, innermost level first."""
         return format(x, "b") if self.both else "01"[self.odd] * k
 
-    def unwind(self, v: int, x: int, k: int, rest: tuple, ys: tuple, fuel: int, memo: Optional[dict]):
-        """Return ``v`` through the k levels that descended from ``(x,) +
-        rest`` and ``ys``, innermost first, as ``eval_proof``'s frames
-        would: fuel per expansion, and at each kept node the memo lookup
-        under the same ``_long_key``, a hit ending its level's way back.
-        Gives ``(v, fuel, lookups, node)``, with the node that fuel
-        refused, or None."""
-        lookups = 0
-        paths, succ, xs_used = self.path, self.succ, self.xs_used
-        fixed = (None,) + rest  # the cut's normals, where no key holds the first
-        for i, d in enumerate(self.digits(x, k)):
-            d = d == "1"
-            path = paths[d]
-            if path is None:  # successors back to c write on the way out, with no expansion
-                bits, count = succ[d]
-                v = v << count | bits
-                continue
-            xs = (x >> (k - i),) + rest if xs_used[d] else fixed
-            vs = ys + (v,)
-            pending = []  # memo cells to fill and digits to write, innermost last
-            for n, kept, xsl, ysl, digit in path:
-                fuel -= 1
-                if fuel < 0:
-                    return v, fuel, lookups, n
-                if kept:
-                    lookups += 1
-                    kx, ky = xs[xsl], vs[ysl]
-                    lx = ly = 0  # as _long_key sums them
-                    for a in kx:
-                        lx += a.bit_length()
-                    for a in ky:
-                        ly += a.bit_length()
-                    cell = memo.setdefault((n, kx, ky, lx, ly), [None])
-                    if cell[0] is not None:
-                        v = cell[0]
-                        break
-                    pending.append(cell)
-                if digit is not None:
-                    pending.append(digit)
-            for p in reversed(pending):  # with no hit, the id returned v itself
-                if p.__class__ is int:
-                    v = v << 1 | p
-                else:
-                    p[0] = v
-        return v, fuel, lookups, None
+    def refused(self, x: int, k: int, fuel: int) -> str:
+        """The node that ``fuel``, less than the ways back of the k levels
+        from x take, refuses when they return one expansion at a time."""
+        for d in self.digits(x, k):
+            path = self.path[d == "1"] or ()
+            if fuel < len(path):
+                return path[fuel]
+            fuel -= len(path)
 
 
 def _notation_companion(nodes: dict, c: str, repeat) -> Optional[_Loop]:
@@ -485,8 +426,8 @@ def _notation_companion(nodes: dict, c: str, repeat) -> Optional[_Loop]:
     branch re-enters it.  A branch re-enters c when it is a chain of
     successors back to c, or a ``cutN`` whose left premise is c and whose
     right premise runs through weakenings, exchanges and successors to an
-    id that returns the cut's value.  No node on the way down may keep
-    memo entries (nor c), and a walk stops on a node it has seen."""
+    id that returns the cut's value.  No node on the way down or back may
+    keep memo entries (nor c), and a walk stops on a node it has seen."""
     nd = nodes[c]
     pr = nd.premises
     if c in repeat or len(pr) < 3:
@@ -499,42 +440,34 @@ def _notation_companion(nodes: dict, c: str, repeat) -> Optional[_Loop]:
 
 
 def _branch(nodes: dict, c: str, b: str, boxed: int, plain: int, repeat) -> Optional[tuple]:
-    """``(down, back, path, (bits, count), xs_used)`` of the branch ``b``
-    of ``c`` (``_Loop``), or None.  The way back is walked on stand-ins
-    for c's ``boxed`` and ``plain`` inputs, with the same tuple
-    operations as ``eval_proof``, so it holds for any run whose inputs at
-    c have those counts; each kept node's key must hold a slice of the
-    cut's inputs, in order."""
+    """``(down, back, path, (bits, count))`` of the branch ``b`` of ``c``
+    (``_Loop``), or None, also where a node on it is in ``repeat``.  The
+    way back is walked on stand-ins for c's ``boxed`` and ``plain``
+    inputs, with the same tuple operations as ``eval_proof``, so it
+    holds for any run whose inputs at c have those counts."""
     bits = count = 0
     seen: set = set()
     nd = nodes.get(b)
     if nd is not None and nd.rule.kind is _R_CUT_N and len(nd.premises) > 1 and nd.premises[0] == c:
         if b in repeat:
             return None
-        n, path, xs_used = nd.premises[1], [], False
+        n, path = nd.premises[1], []
         xs, ys = tuple(range(boxed)), tuple(range(plain + 1))  # the cut's inputs by place; plain: its value
         while True:
             nd = nodes.get(n)
-            if nd is None or n in seen:
+            if nd is None or n in seen or n in repeat:
                 return None
             seen.add(n)
             kind, pr, pos = nd.rule.kind, nd.premises, nd.rule.pos
-            kept = n in repeat
-            if kept:
-                xsl, ysl = _slice(xs), _slice(ys)
-                if xsl is None or ysl is None:
-                    return None
-                xs_used = xs_used or 0 in xs
-            digit = int(kind is _R_S1) if kind is _R_S0 or kind is _R_S1 else None
-            path.append((n, kept, xsl if kept else None, ysl if kept else None, digit))
+            path.append(n)
             if kind is _R_ID:
                 if ys[:1] != (plain,):
                     return None
-                return 1, len(path), tuple(path), (bits, count), xs_used
+                return 1, len(path), tuple(path), (bits, count)
             if not pr:
                 return None
-            if digit is not None:
-                bits |= digit << count
+            if kind is _R_S0 or kind is _R_S1:
+                bits |= (kind is _R_S1) << count
                 count += 1
             elif kind is _R_WEAK_N:
                 ys = ys[:-1]
@@ -563,14 +496,7 @@ def _branch(nodes: dict, c: str, b: str, boxed: int, plain: int, repeat) -> Opti
         bits |= (kind is _R_S1) << count
         count += 1
         n = nd.premises[0]
-    return count, 0, None, (bits, count), False
-
-
-def _slice(places: tuple) -> Optional[slice]:
-    """The slice that picks ``places`` out of a tuple, if they are a run
-    of consecutive places in order; else None."""
-    start = places[0] if places else 0
-    return slice(start, start + len(places)) if places == tuple(range(start, start + len(places))) else None
+    return count, 0, None, (bits, count)
 
 
 def _repeatable(graph: ProofGraph, nid: str) -> frozenset:
@@ -645,7 +571,7 @@ def _growing(nodes: dict, adj: dict, c: str) -> frozenset:
     seq = nd.sequent
     cuts = {b: _branch(nodes, c, b, seq.boxed, seq.plain, ()) for b in set(pr[1:])}
     cuts = {b: shape for b, shape in cuts.items() if shape is not None}
-    if not cuts or any(path is None or count == 0 for _, _, path, (_, count), _ in cuts.values()):
+    if not cuts or any(path is None or count == 0 for _, _, path, (_, count) in cuts.values()):
         return frozenset()
     spines = []  # per base: the nodes it reaches, those its one expansion expands once, an s1 on its spine
     for r in {pr[0]} | {b for b in pr[1:] if b not in cuts}:
@@ -667,10 +593,10 @@ def _growing(nodes: dict, adj: dict, c: str) -> frozenset:
                 break
             n = adj[n][at]
         spines.append((reach, once, s1))
-    if not (all(bits for _, _, _, (bits, _), _ in cuts.values()) or all(s1 for _, _, s1 in spines)):
+    if not (all(bits for _, _, _, (bits, _) in cuts.values()) or all(s1 for _, _, s1 in spines)):
         return frozenset()
     return frozenset(
-        p for _, _, path, _, _ in cuts.values() for p, *_ in path
+        p for _, _, path, _ in cuts.values() for p in path
         if all(p in once and s1 for reach, once, s1 in spines if p in reach))
 
 
@@ -1065,9 +991,10 @@ def _compile(term: Term, m: int, n: int, scope: tuple, prog: Optional[_ProgramCo
         if isinstance(term, Call):  # the one rule for every call site
             if prog is None:
                 return _fail("named calls only occur inside programs")
-            bad = prog.mismatch(term.name, split, len(parts) - split)
-            if bad is None and id(term) not in prog.checked:
-                request = _unchecked(term, args, flags, m, n)
+            callee = term.name
+            bad = prog.mismatch(callee, split, len(parts) - split)
+            if bad is None and id(term) not in prog.checked:  # no check to make: the request itself
+                request = _args(args, flags, split, lambda u, v, b: (callee, u, v))
             else:
                 request = _request(term, args, flags, bad)
             if id(term) in suspends:
@@ -1110,8 +1037,6 @@ def _compile(term: Term, m: int, n: int, scope: tuple, prog: Optional[_ProgramCo
             # f(x) from f(0), folding h0/h1 over the prefixes of x,
             # shortest first: a loop, not one call per bit
             x0, tail = xs[0], xs[1:]
-            if x0 < 0:
-                raise EvalError("srec on a negative input")
             v = g(tail, ys, b)
             for k in range(x0.bit_length() - 1, -1, -1):
                 p = x0 >> k
@@ -1175,8 +1100,6 @@ def _snrec(g, h):
         return lv[0]
 
     def run(xs, ys, b):
-        if xs[0] < 0:
-            raise EvalError("snrec on a negative input")
         code, rest, inner = build([None, xs[0], xs[1:], b, build])
         return code(rest, ys, inner)
 
@@ -1191,44 +1114,37 @@ def _srec_edits(g, e0: tuple, e1: tuple):
 
     def run(xs, ys, b):
         x0 = xs[0]
-        if x0 < 0:
-            raise EvalError("srec on a negative input")
         v = g(xs[1:], ys, b)
         return fold(v, format(x0, "b")) if x0 else v
 
     return run
 
 
-_SHORT = 4  # digit strings up to this long fold one digit at a time
-
-
-@functools.lru_cache(maxsize=256)
 def _edit_fold(e0: Optional[tuple], e1: Optional[tuple]):
     """``fold(v, digits)``: ``v`` after the edit ``(r, k, c, keep)`` of
-    each digit of the string ``digits`` in turn, ``e0`` for "0" and
-    ``e1`` for "1" (None for a digit that never occurs); an edit that
-    does not keep its value gives the constant c.  Built once per pair
-    of edits, its table included.
+    each digit of the nonempty string ``digits`` in turn, ``e0`` for "0"
+    and ``e1`` for "1" (None for a digit that never occurs); an edit that
+    does not keep its value gives the constant c.  Built once per
+    notation companion, srec code or program body that folds.
 
-    Past ``_SHORT`` digits, when both edits are constants the value is
-    the last digit's, and when every edit appends (r = 0) the fold is
-    ``v << K | C`` in linear time, C one ``str.translate`` of the digits
-    into k binary digits each.  Otherwise one Python step a digit, as
-    on short strings."""
-    edits = {"0": e0, "1": e1}
-    present = {d: e for d, e in edits.items() if e}
-    last = len(present) == 2 and not (e0[3] or e1[3])  # the value is the last digit's constant
-    table = None
+    When both edits are constants the value is the last digit's, and
+    when every edit appends (r = 0) the fold is ``v << K | C`` in linear
+    time, C one ``str.translate`` of the digits into k binary digits
+    each.  Otherwise one Python step a digit."""
+    if e0 and e1 and not (e0[3] or e1[3]):
+        c0, c1 = e0[2], e1[2]
+        return lambda v, digits: c1 if digits[-1] == "1" else c0
+    present = {d: e for d, e in (("0", e0), ("1", e1)) if e}
     if all(e[3] and not e[0] for e in present.values()):
         table = str.maketrans({d: format(e[2], f"0{e[1]}b") if e[1] else "" for d, e in present.items()})
 
+        def appended(v, digits):
+            t = digits.translate(table)
+            return v << len(t) | int(t, 2) if t else v
+
+        return appended
+
     def fold(v, digits):
-        if len(digits) > _SHORT:
-            if last:
-                return edits[digits[-1]][2]
-            if table is not None:
-                t = digits.translate(table)
-                return v << len(t) | int(t, 2) if t else v
         for d in digits:
             r, k, c, keep = e1 if d == "1" else e0
             if not keep:
@@ -1331,8 +1247,13 @@ def eval_term(
     normals: Sequence[int] = (),
     safes: Sequence[int] = (),
 ) -> int:
-    """Total evaluation of an algebra term against ambient inputs."""
+    """Total evaluation of an algebra term against ambient inputs.
+
+    Raises EvalError on a negative input, as ``eval_pp`` does."""
     xs, ys = tuple(normals), tuple(safes)
+    for v in xs + ys:  # a plain loop: a generator costs three times as much on short inputs
+        if v < 0:
+            raise EvalError("negative input: values are natural numbers")
     return _term_code(term, len(xs), len(ys))(xs, ys, ((env or EMPTY_ORACLES)._defs, None, None, None))
 
 
@@ -1569,54 +1490,6 @@ def _request(term: Call, args: list, flags: list, bad: Optional[str]):
         return (name, u, v)
 
     return _args(args, flags, m, finish)
-
-
-def _unchecked(term: Call, args: list, flags: list, m: int, n: int):
-    """Code of a call site at ``m`` normals and ``n`` safes with no check
-    to make (unguarded or certified, its callee and arity right): the
-    request ``(name, normals, safes)``.  An argument that can suspend
-    keeps ``_args``.  Otherwise one closure builds the request: each
-    argument that is a prefix edit of a constant or a projection is
-    written in place (``xs[i] >> r``, ``ys[j] >> r``, ``0``), the others
-    are called, and arguments that are all of ``xs`` or of ``ys``, in
-    order, pass that tuple itself.  The closure's text holds only
-    indices, shifts and hexadecimal constants."""
-    name, split = term.name, len(term.normal_args)
-    if any(flags):
-        return _args(args, flags, split, lambda u, v, b: (name, u, v))
-    parts = [_inline(a, m, n) or f"a{i}(xs, ys, b)" for i, a in enumerate(term.normal_args + term.safe_args)]
-
-    def tup(items: list, whole: str, size: int) -> str:
-        if items == [f"{whole}[{i}]" for i in range(size)]:
-            return whole
-        return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
-
-    params = ", ".join(["name"] + [f"a{i}" for i in range(len(args))])
-    body = f"(name, {tup(parts[:split], 'xs', m)}, {tup(parts[split:], 'ys', n)})"
-    return _request_maker(f"lambda {params}: lambda xs, ys, b: {body}")(name, *args)
-
-
-@functools.lru_cache(maxsize=256)
-def _request_maker(text: str):
-    """The function that ``text`` from ``_unchecked`` defines, compiled
-    once per text: compiling one costs about 50 µs on CPython 3.11, and
-    call sites of one shape share a text."""
-    return eval(text, {})
-
-
-def _inline(t: Term, m: int, n: int) -> Optional[str]:
-    """``t`` as Python text over ``xs`` and ``ys`` at ``m`` normals and
-    ``n`` safes, if it is a prefix edit (``_chain``) of a constant or of
-    a projection in range; else None."""
-    leaf, r, k, c = _chain(t)
-    if isinstance(leaf, Zero):
-        return hex(c)
-    if not isinstance(leaf, Proj) or leaf.index >= (m if leaf.sort == "n" else n):
-        return None
-    text = f"{'xs' if leaf.sort == 'n' else 'ys'}[{leaf.index}]"
-    if r:
-        text += f" >> {r}"
-    return f"{text} << {k} | {hex(c)}" if k else text
 
 
 # Forms that compile their parts with no suspending ids: a call there runs in a nested loop.

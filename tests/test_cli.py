@@ -309,3 +309,27 @@ def test_closed_standard_output_is_no_traceback(tmp_path, argv):
     finally:
         os.close(write)
     assert (done.returncode, done.stderr) == (1, "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "S.proof", "--json", "{out}"],
+        ["compile", "terms.term", "--name", "append", "-o", "{out}"],
+        ["translate", "S.proof", "-o", "{out}"],
+        ["cyclenf", "C.proof", "-o", "{out}"],
+        ["cyclenf", "C.proof", "--dot", "{out}"],
+        ["bound", "terms.term", "--name", "ex", "--json", "{out}"],
+        ["verify-bound", "terms.term", "--name", "append", "--samples", "2", "--json", "{out}"],
+        ["export-dot", "S.proof", "-o", "{out}"],
+    ],
+    ids=["check-json", "compile", "translate", "cyclenf", "cyclenf-dot", "bound-json", "verify-bound-json", "export-dot"],
+)
+def test_unwritable_output_path_is_exit_2(capsys, tmp_path, argv):
+    """An output path in a missing directory, or a directory itself: exit
+    2 with one error line, as for an unreadable input, and no traceback."""
+    for out in (tmp_path / "missing" / "x", tmp_path):
+        args = [str(CORPUS / a) if a.endswith((".proof", ".term")) else a.replace("{out}", str(out)) for a in argv]
+        code, stdout, err = run(capsys, *args)
+        assert (code, stdout) == (2, ""), (out, stdout, err)
+        assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1, err

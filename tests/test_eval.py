@@ -144,6 +144,10 @@ def test_negative_inputs_raise_eval_error_as_in_eval_pp(proofs):
         assert stats.steps == 0
         with pytest.raises(EvalError, match="negative input to main: values are natural numbers"):
             eval_pp(translate(g), MAIN, None, xs, ys)
+    # eval_term checks once at entry too: unchecked, a projection would give -1 and s0 -6
+    for term, xs, ys in ((Proj("s", 0), [], [-1]), (S0(Proj("n", 0)), [-3], []), (Zero(), [4], [0, -2])):
+        with pytest.raises(EvalError, match="negative input: values are natural numbers"):
+            eval_term(term, None, xs, ys)
 
 
 def test_memo_changes_steps_not_values(proofs):

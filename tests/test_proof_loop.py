@@ -2,10 +2,12 @@
 
 A condB companion whose digit branches re-enter it at ``x >> 1`` (a
 chain of successors back to it, or a cut whose left premise is it and
-whose right premise leads to an id returning the cut's value) runs its
-levels as one loop (``interp._Loop``): the way down is charged at once,
-and the way back folds its edits, or runs one level at a time where it
-keeps memo entries or fuel may run out on it.  The references are
+whose right premise leads to an id returning the cut's value) and whose
+ways back keep no memo entries runs its levels as one loop
+(``interp._Loop``): the way down is charged at once, and the way back
+folds its edits, or raises FuelExhausted at the node where fuel runs
+out on it.  A way back that keeps entries runs one expansion at a time
+(P, and the hit-making variants below).  The references are
 ``conftest.ref_proof_outcome``, one Python call per expansion with a
 memo entry at every node, and ``eval_proof`` itself with no companion
 taken for a loop, one expansion at a time.
@@ -82,22 +84,15 @@ def _points(g: ProofGraph, name: str, rng: random.Random) -> list:
 def test_the_loop_matches_the_reference(name, monkeypatch):
     """Value (or ``FuelExhausted`` text), steps and memo keys equal the
     reference's, with memo on and off, at fuel = steps, steps - 1,
-    steps // 2 and 1; the loop runs its levels at once on every graph,
-    and its way back one level at a time where it is a cut's."""
-    runs = {"fold": 0, "unwind": 0}
-    digits, unwind = _Loop.digits, _Loop.unwind
+    steps // 2 and 1; the loop runs its levels at once on every graph."""
+    runs = {"fold": 0}
+    digits = _Loop.digits
 
     def counted_digits(self, x, k):
         runs["fold"] += 1
         return digits(self, x, k)
 
-    def counted_unwind(self, *args):
-        runs["unwind"] += 1
-        runs["fold"] -= 1  # unwind reads the digits too
-        return unwind(self, *args)
-
     monkeypatch.setattr(_Loop, "digits", counted_digits)
-    monkeypatch.setattr(_Loop, "unwind", counted_unwind)
     g = GRAPHS[name]
     rng = random.Random(f"proof-loop:{name}")
     for xs, ys in _points(g, name, rng):
@@ -109,13 +104,13 @@ def test_the_loop_matches_the_reference(name, monkeypatch):
             for fuel in sorted({steps - 1, steps // 2, 1} - {0}):
                 got = _outcome(g, xs, ys, EvalConfig(fuel=fuel, memo=memo))
                 assert got == ref_proof_outcome(g, xs, ys, memo, fuel), (xs, ys, memo, fuel)
-    assert runs["fold"] > 0 and (runs["unwind"] > 0) == (name not in ("C", "loop")), runs
+    assert runs["fold"] > 0, runs
 
 
 @pytest.mark.parametrize("name", ["S_hits", "L_hits"])
 def test_the_way_back_hits_the_memo_level_by_level(name):
     """On the hit-making variants a run with memo takes fewer steps than
-    one without, through the loop's level-by-level way back."""
+    one without: their ways back keep entries, so they take no loop."""
     g = GRAPHS[name]
     xs, ys = ([2**300 - 1], []) if name == "S_hits" else ([2**300 - 1], [0])
     on, off = _outcome(g, xs, ys, EvalConfig()), _outcome(g, xs, ys, EvalConfig(memo=False))
